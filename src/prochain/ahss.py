@@ -387,8 +387,13 @@ def convergence_check(X: ChainComplex, Y: ChainComplex,
     the graded comparison comapres E-infinity with the filtration quotients
     slot by slot.
     """
+    return _convergence_report(SpectralSequence(X, Y), budget)
+
+
+def _convergence_report(ss: SpectralSequence, budget: int) -> ConvergenceReport:
+    """convergence_check on an already built spectral sequence of (X, Y)."""
     from .pro import lim_lim1, Lim1Verdict
-    ss = SpectralSequence(X, Y)
+    X, Y = ss.X, ss.Y
     pages, stable = ss.run_to_stable()
     einf = pages[-1]
     c = ss.states[0].couple
@@ -544,15 +549,14 @@ def pro_ahss(X: Tower, Y: ChainComplex, n_window: Optional[Tuple[int, int]] = No
 
     # levelwise spectral sequences and their colimits
     ss = {}
-    reports = {}
+    reports = {}  # one per distinct entry, from the sequence built for it
     distinct = {}
     for s in range(N + 1):
         key = X.entry(s)
         if key not in distinct:
-            distinct[key] = SpectralSequence(X.entry(s), Y)
-            distinct[key].run_to_stable()
+            distinct[key] = SpectralSequence(key, Y)
+            reports[key] = _convergence_report(distinct[key], budget)
         ss[s] = distinct[key]
-        reports[s] = convergence_check(X.entry(s), Y, budget)
     levelwise_all_iso = all(r.all_iso for r in reports.values())
 
     slot_comparison: Dict[Slot, str] = {}

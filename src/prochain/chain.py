@@ -250,9 +250,19 @@ def direct_sum_complex(A: ChainComplex, B: ChainComplex):
     return S, incl_a, incl_b, proj_a, proj_b
 
 
+# A `maps` benchmark round builds cones of a few hundred distinct maps; the
+# bound keeps the table from growing for the life of the process.
+CONE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CONE_CACHE_SIZE)
 def cone(f: ChainMap):
     """Mapping cone C(f)_n = Y_n (+) X_{n-1}, with inclusion of Y and
-    projection onto shift(X, 1)."""
+    projection onto shift(X, 1).
+
+    One shared table serves every consumer (classification, truncation
+    below, layers, cone functoriality); the result is a tuple of frozen
+    values, so sharing it is safe."""
     X, Y = f.source, f.target
     ring = X.ring
     lo = min(Y.lo, X.lo + 1)

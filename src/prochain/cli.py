@@ -89,23 +89,23 @@ def _homology_rows(X):
 
 
 def cmd_homology(ws, rep, args):
-    X = ws.complexes[args.object]
+    X = ws.lookup(args.object, "complex")
     rep.write(f"homology_{args.object}.tsv", ["degree", "group"],
               _homology_rows(X))
 
 
 def cmd_derived_hom(ws, rep, args):
-    X = ws.complexes[args.object]
-    Y = ws.complexes[args.second]
-    n = int(args.n)
+    X = ws.lookup(args.object, "complex")
+    Y = ws.lookup(args.second, "complex")
+    n = args.n
     g = derived_hom(X, Y, n)
     rep.write(f"derived_hom_{args.object}_{args.second}_{n}.tsv",
               ["n", "group"], [[str(n), fmt_group(g)]])
 
 
 def cmd_truncate(ws, rep, args):
-    X = ws.complexes[args.object]
-    n = int(args.n)
+    X = ws.lookup(args.object, "complex")
+    n = args.n
     if args.mode == "above":
         T, _ = truncate_above(X, n)
     else:
@@ -117,7 +117,7 @@ def cmd_truncate(ws, rep, args):
 
 
 def cmd_classify(ws, rep, args):
-    f = ws.maps[args.object]
+    f = ws.lookup(args.object, "map")
     c = classify_map(f)
     rep.write(f"classify_{args.object}.tsv",
               ["max_n_equivalence", "min_co_n_equivalence", "weak_equivalence"],
@@ -126,8 +126,8 @@ def cmd_classify(ws, rep, args):
 
 
 def cmd_factor(ws, rep, args):
-    f = ws.maps[args.object]
-    n = int(args.n)
+    f = ws.lookup(args.object, "map")
+    n = args.n
     i, p = factor_n(f, n)
     rows = [["i_is_n_cofibration", str(is_n_cofibration(i, n)).lower()],
             ["p_is_co_n_fibration", str(is_co_n_fibration(p, n)).lower()],
@@ -137,11 +137,11 @@ def cmd_factor(ws, rep, args):
 
 
 def cmd_lift(ws, rep, args):
-    i = ws.maps[args.object]
-    p = ws.maps[args.second]
-    top = ws.maps[args.third]
-    bottom = ws.maps[args.fourth]
-    n = int(args.n)
+    i = ws.lookup(args.object, "map")
+    p = ws.lookup(args.second, "map")
+    top = ws.lookup(args.third, "map")
+    bottom = ws.lookup(args.fourth, "map")
+    n = args.n
     h = find_lift(i, p, top, bottom, n)
     if h is None:
         rep.write(f"lift_{args.object}_{args.second}_{n}.tsv",
@@ -154,16 +154,16 @@ def cmd_lift(ws, rep, args):
 
 
 def cmd_cohomology(ws, rep, args):
-    X = ws.complexes[args.object]
-    A = ws.groups[args.second]
-    p = int(args.n)
+    X = ws.lookup(args.object, "complex")
+    A = ws.lookup(args.second, "group")
+    p = args.n
     g = cohomology_with_coefficients(X, A, p)
     rep.write(f"cohomology_{args.object}_{args.second}_{p}.tsv",
               ["p", "group"], [[str(p), fmt_group(g)]])
 
 
 def cmd_pro_iso(ws, rep, args):
-    f = ws.group_promaps[args.object]
+    f = ws.lookup(args.object, "group promap")
     v = is_pro_isomorphism(f, ws.config.budget_filler)
     rows = [["verdict", v.kind]]
     if v.kind == "true":
@@ -177,7 +177,7 @@ def cmd_pro_iso(ws, rep, args):
 
 
 def cmd_limlim1(ws, rep, args):
-    T = ws.group_towers[args.object]
+    T = ws.lookup(args.object, "group tower")
     r = lim_lim1(T, ws.config.lim_window)
     rows = [["lim", fmt_group(r.lim)], ["lim1", r.lim1.value],
             ["mittag_leffler", str(r.mittag_leffler).lower()]]
@@ -187,15 +187,15 @@ def cmd_limlim1(ws, rep, args):
 
 
 def cmd_prohom(ws, rep, args):
-    X = ws.group_towers[args.object]
-    Y = ws.group_towers[args.second]
+    X = ws.lookup(args.object, "group tower")
+    Y = ws.lookup(args.second, "group tower")
     v = pro_hom(X, Y, ws.config.lim_window)
     rep.write(f"prohom_{args.object}_{args.second}.tsv",
               ["group"], [[fmt_group(v)]])
 
 
 def cmd_whitehead(ws, rep, args):
-    f = ws.promaps[args.object]
+    f = ws.lookup(args.object, "promap")
     v = is_hstar_weak_equivalence(f, ws.config.budget_filler)
     rows = [["verdict", v.verdict]]
     if v.reason:
@@ -208,7 +208,7 @@ def cmd_whitehead(ws, rep, args):
 
 
 def cmd_postnikov(ws, rep, args):
-    Y = ws.towers[args.object]
+    Y = ws.lookup(args.object, "tower")
     Z, canon = postnikov_replacement(Y)
     v = is_hstar_weak_equivalence(canon, ws.config.budget_filler)
     rows = [["entries", str(Z.tail.start + 1)],
@@ -222,13 +222,13 @@ def cmd_postnikov(ws, rep, args):
 
 
 def cmd_fibrant_check(ws, rep, args):
-    Y = ws.towers[args.object]
+    Y = ws.lookup(args.object, "tower")
     rep.write(f"fibrant_{args.object}.tsv", ["fibrant"],
               [[str(is_hstar_fibrant(Y)).lower()]])
 
 
 def cmd_prohom_const(ws, rep, args):
-    n = int(args.n)
+    n = args.n
     if args.object in ws.towers and args.second in ws.complexes:
         X = ws.towers[args.object]
         Y = ws.complexes[args.second]
@@ -249,8 +249,8 @@ def cmd_prohom_const(ws, rep, args):
 
 
 def cmd_ahss(ws, rep, args):
-    X = ws.complexes[args.object]
-    Y = ws.complexes[args.second]
+    X = ws.lookup(args.object, "complex")
+    Y = ws.lookup(args.second, "complex")
     ss = SpectralSequence(X, Y)
     pages, stable = ss.run_to_stable()
     base = f"ahss_{args.object}_{args.second}"
@@ -281,11 +281,11 @@ def cmd_ahss(ws, rep, args):
 
 
 def cmd_pro_ahss(ws, rep, args):
-    X = ws.towers[args.object]
-    Y = ws.complexes[args.second]
+    X = ws.lookup(args.object, "tower")
+    Y = ws.lookup(args.second, "complex")
     window = None
     if args.n is not None and args.second_n is not None:
-        window = (int(args.n), int(args.second_n))
+        window = (args.n, args.second_n)
     report = pro_ahss(X, Y, window, ws.config.lim_window)
     base = f"pro_ahss_{args.object}_{args.second}"
     rows = []
@@ -348,6 +348,14 @@ DISPATCH = {
 }
 
 
+def _int_arg(text: str) -> int:
+    """An integer argument of a command (a degree or a window end)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ProchainError(f"expected an integer argument, got '{text}'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="prochain",
@@ -395,10 +403,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         for idx in range(n_names):
             setattr(ns, fields[idx], names[idx])
         if cmd == "pro-ahss":
-            ns.n = names[2] if len(names) == 4 else None
-            ns.second_n = names[3] if len(names) == 4 else None
+            ns.n = _int_arg(names[2]) if len(names) == 4 else None
+            ns.second_n = _int_arg(names[3]) if len(names) == 4 else None
         elif n_ints:
-            ns.n = names[n_names]
+            ns.n = _int_arg(names[n_names])
         if cmd == "truncate":
             ns.mode = getattr(args, "mode", None) or "above"
         if ws is not None:

@@ -16,8 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import sympy
-
 from .chain import ChainComplex, ChainMap, identity_map as chain_identity, is_chain_map
 from .errors import PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, hom, hom_group,
@@ -566,6 +564,7 @@ def _non_ml_lim(A: FgAbGroup, endo: GroupHom, stable_image: Subgroup) -> GroupOr
     """
     if A.invariant_factors:
         return UnknownValue("mixed torsion in a non-Mittag-Leffler tower")
+    import sympy  # slow to import, and needed only here
     n = A.ngens
     M = sympy.Matrix(n, n, lambda i, j: endo.matrix[i, j])
     poly = M.charpoly()

@@ -89,7 +89,6 @@ def truncation_step(X: ChainComplex, n: int) -> ChainMap:
     return chain_map(Tn1, Tn, comps)
 
 
-@lru_cache(maxsize=None)
 def truncate_below_free(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     """Free model of tau_{<= n} X: the cone on tau_{>= n+1} X -> X, with the
     anchor map X -> T_{<= n} X."""

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .chain import ChainComplex, ChainMap, chain_map, is_chain_map, make_complex, validate
+from .chain import ChainComplex, ChainMap, chain_map, is_chain_map, make_complex
 from .errors import ParseError, ValidationError
 from .exactalg.groups import FgAbGroup, GroupHom, group_from_presentation, hom
 from .exactalg.matrices import IntMatrix
@@ -44,13 +44,23 @@ class Workspace:
     promaps: Dict[str, ProMap] = field(default_factory=dict)
     group_promaps: Dict[str, ProMap] = field(default_factory=dict)
 
-    def lookup(self, name: str):
-        for table in (self.complexes, self.maps, self.groups, self.group_maps,
-                      self.towers, self.group_towers, self.promaps,
-                      self.group_promaps):
-            if name in table:
-                return table[name]
+    def lookup(self, name: str, kind: Optional[str] = None):
+        """The object called `name`; with `kind` given, it must be of that
+        kind (one of the kinds in _TABLES)."""
+        for found, table in _TABLES:
+            objects = getattr(self, table)
+            if name in objects:
+                if kind is not None and found != kind:
+                    raise ParseError(f"'{name}' is a {found}, expected a {kind}")
+                return objects[name]
         raise ParseError(f"unknown object '{name}'")
+
+
+# object kind -> the Workspace table holding objects of that kind
+_TABLES = (("complex", "complexes"), ("map", "maps"), ("group", "groups"),
+           ("group map", "group_maps"), ("tower", "towers"),
+           ("group tower", "group_towers"), ("promap", "promaps"),
+           ("group promap", "group_promaps"))
 
 
 def _parse_matrix(data, ring: RingTag, where: str) -> IntMatrix:
@@ -102,18 +112,12 @@ def _parse_complex(name: str, data, ring: RingTag) -> ChainComplex:
                 f"complex '{name}': differential at degree {n} has shape "
                 f"{mat.shape}, expected {(ranks.get(n - 1, 0), ranks.get(n, 0))}")
         diffs[n] = mat
-    try:
-        X = make_complex(ring, ranks, diffs)
-    except AssertionError:
-        # locate the offending degree for the error message
-        for n in sorted(diffs):
-            d1 = diffs.get(n)
-            d0 = diffs.get(n - 1)
-            if d0 is not None and d1 is not None and not (d0 @ d1).is_zero:
-                raise ValidationError(
-                    f"complex '{name}': d o d != 0 at degree {n}")
-        raise ValidationError(f"complex '{name}': invalid differentials")
-    return X
+    # d o d = 0 is checked here, not left to make_complex's assert, so that
+    # it holds under python -O; missing differentials are zero
+    for n in sorted(diffs):
+        if n - 1 in diffs and not (diffs[n - 1] @ diffs[n]).is_zero:
+            raise ValidationError(f"complex '{name}': d o d != 0 at degree {n}")
+    return make_complex(ring, ranks, diffs)
 
 
 def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
@@ -124,13 +128,15 @@ def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
     comps = {}
     for k, m in data.get("comps", {}).items():
         n = int(k)
-        comps[n] = _parse_matrix(m, ws.ring, f"map '{name}' degree {n}")
-    try:
-        f = chain_map(src, tgt, comps)
-    except AssertionError:
+        comps[n] = mat = _parse_matrix(m, ws.ring, f"map '{name}' degree {n}")
+        want = (tgt.rank(n), src.rank(n))
+        if min(src.lo, tgt.lo) <= n <= max(src.hi, tgt.hi) and mat.shape != want:
+            raise ValidationError(f"map '{name}': component at degree {n} has "
+                                  f"shape {mat.shape}, expected {want}")
+    f = chain_map(src, tgt, comps, check=False)
+    if not is_chain_map(f):
         for n in sorted(comps):
-            g = chain_map(src, tgt, comps, check=False)
-            if not (tgt.diff(n) @ g.comp(n) - g.comp(n - 1) @ src.diff(n)).is_zero:
+            if not (tgt.diff(n) @ f.comp(n) - f.comp(n - 1) @ src.diff(n)).is_zero:
                 raise ValidationError(
                     f"map '{name}': square does not commute at degree {n}")
         raise ValidationError(f"map '{name}': invalid components")

@@ -201,6 +201,22 @@ class TestProAhss:
                 assert v.isomorphic(
                     cohomology_with_coefficients(X, homology(Y, q), -p))
 
+    def test_one_spectral_sequence_per_distinct_entry(self, monkeypatch):
+        # the levelwise convergence reports reuse the sequence pro_ahss built
+        builds = []
+        init = SpectralSequence.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralSequence, "__init__", counting_init)
+        x2 = multiplication_map(M2, 2)
+        T = Tower((M2, M2, M2), (x2, x2), TailPolicy.constant_from(2))
+        rep = pro_ahss(T, M2)
+        assert len(builds) == 1
+        assert rep.levelwise_all_iso
+
     def test_f2_constant_from_towers(self):
         rng = random.Random(5)
         F2 = GF(2)

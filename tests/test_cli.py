@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,14 @@ from prochain.errors import ParseError, ValidationError
 from prochain.workspace import parse_workspace, serialize_workspace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "workspaces", "moore.json")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
 
 
 def write(tmp_path, doc, name="ws.json"):
@@ -56,6 +66,38 @@ class TestParsing:
         with pytest.raises(ValidationError) as err:
             parse_workspace(write(tmp_path, doc))
         assert "bad" in str(err.value)
+
+    def test_map_component_shape_names_degree(self, tmp_path):
+        doc = {
+            "ring": "Z",
+            "complexes": {"M2": {"ranks": {"0": 1, "1": 1},
+                                 "diffs": {"1": [["2"]]}}},
+            "maps": {"bad": {"source": "M2", "target": "M2",
+                             "comps": {"0": [["1", "0"]]}}},
+        }
+        with pytest.raises(ValidationError) as err:
+            parse_workspace(write(tmp_path, doc))
+        assert "bad" in str(err.value) and "degree 0" in str(err.value)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"ring": "Z", "complexes": {"bad": {
+            "ranks": {"0": 1, "1": 1, "2": 1},
+            "diffs": {"1": [["2"]], "2": [["1"]]}}}},
+         "error: complex 'bad': d o d != 0 at degree 2"),
+        ({"ring": "Z",
+          "complexes": {"bad": {"ranks": {"0": 1, "1": 1},
+                                "diffs": {"1": [["2"]]}}},
+          "maps": {"f": {"source": "bad", "target": "bad",
+                         "comps": {"0": [["1"]], "1": [["2"]]}}}},
+         "error: map 'f': square does not commute at degree 1"),
+    ])
+    def test_validation_holds_without_asserts(self, tmp_path, doc, message):
+        # python -O strips assert statements; parsing must not rely on them
+        ws = write(tmp_path, doc)
+        p = run_python("-O", "-m", "prochain.cli", "homology", "bad",
+                       "--workspace", ws, "--out", str(tmp_path / "out"))
+        assert p.returncode == 1
+        assert p.stderr.splitlines() == [message]
 
     def test_unknown_reference(self, tmp_path):
         doc = {"ring": "Z",
@@ -162,6 +204,25 @@ class TestDriver:
         assert code == 0
         body = (tmp_path / "st" / "selftest.tsv").read_text()
         assert "FAIL" not in body
+
+    @pytest.mark.parametrize("args", [
+        ["homology", "tower2_Z0"],
+        ["limlim1", "M2"],
+        ["whitehead", "id_tower2"],
+        ["truncate", "M2", "x"],
+    ])
+    def test_bad_argument_is_one_error_line(self, tmp_path, args):
+        p = run_python("-m", "prochain.cli", *args, "--workspace", GOLDEN,
+                       "--out", str(tmp_path / "out"))
+        assert p.returncode == 1
+        assert "Traceback" not in p.stderr
+        lines = p.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_import_does_not_load_sympy(self):
+        p = run_python("-c", "import prochain.cli, sys; "
+                             "assert 'sympy' not in sys.modules")
+        assert p.returncode == 0, p.stderr
 
     def test_pro_ahss(self, tmp_path):
         code, out = self.run(tmp_path, "pro-ahss", "tower2_Z0", "M2")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_composable_pair, random_map_into, random_map_out
-from prochain.chain import (cone, cone_les_exact, derived_hom, free_one_term,
+from prochain.chain import (CONE_CACHE_SIZE, cone, cone_les_exact, derived_hom, free_one_term,
                             homology, homology_support, identity_map,
                             induced_homology_map, moore_complex,
                             multiplication_map, random_complex,
@@ -116,6 +116,18 @@ class TestClassification:
             f, g = random_composable_pair(rng)
             for h in (f, g, g.compose(f)):
                 assert classify_map(h) == classify_map_by_homology(h)
+
+    def test_one_cone_per_map(self):
+        # classification and every threshold query read one shared cone
+        f, _ = random_composable_pair(random.Random(2))
+        cone.cache_clear()
+        c = classify_map(f)
+        for n in range(-3, 4):
+            assert is_n_equivalence(f, n) == (n <= c.max_n_equivalence)
+            assert is_co_n_equivalence(f, n) == (n >= c.min_co_n_equivalence)
+        info = cone.cache_info()
+        assert info.misses == 1 and info.maxsize == CONE_CACHE_SIZE
+        assert c == classify_map_by_homology(f)
 
     def test_monotone_and_weak(self):
         rng = random.Random(1)
