@@ -24,7 +24,7 @@ from .prohomotopy import (HStarVerdict, heart_hom, hom_from_constant,
                           postnikov_replacement)
 from .ahss import (ConvergenceReport, ExactCouple, Page, SpectralSequence,
                    abutment_filtration, build_exact_couple, convergence_check,
-                   derive, e2_identification_check, pro_ahss, run_to_stable)
+                   e2_identification_check, pro_ahss, run_to_stable)
 from .workspace import Workspace, parse_workspace, serialize_workspace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

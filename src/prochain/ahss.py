@@ -13,18 +13,17 @@ q-window width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from .chain import (ChainComplex, ChainMap, derived_hom, derived_hom_data,
-                    homology, homology_support, identity_map,
-                    induced_map_on_derived_hom, shift, shift_identification)
-from .errors import ExactnessViolation, RingMismatch
+from .chain import (ChainComplex, ChainMap, derived_hom, homology,
+                    homology_support, identity_map,
+                    induced_map_on_derived_hom, shift_identification)
+from .errors import ExactnessViolation
 from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, SubquotientData,
                               direct_sum, exact_at, express_through, hom,
-                              image, kernel, preimage_element, subquotient,
-                              trivial_group, zero_hom, zero_subgroup)
-from .exactalg.matrices import IntMatrix
+                              image, induced_hom, kernel, preimage_matrix,
+                              subquotient, trivial_group, zero_hom)
 from .exactalg.ring import check_same_ring
 from .pro import (DEFAULT_BUDGET, DirectSystem, GroupOrUnknown, TailPolicy,
                   Tower, UnknownValue, colim)
@@ -169,7 +168,6 @@ class Page:
 class _CoupleState:
     r: int
     couple: ExactCouple
-    j_offset: int  # j maps D(p,q) -> E(p - j_offset, q + j_offset)
 
 
 class SpectralSequence:
@@ -181,21 +179,18 @@ class SpectralSequence:
         base = build_exact_couple(X, Y)
         if validate and not base.validate_exactness():
             raise ExactnessViolation("page-2 couple is not exact")
-        self.states: List[_CoupleState] = [_CoupleState(2, base, 0)]
+        self.states: List[_CoupleState] = [_CoupleState(2, base)]
         self.pages: List[Page] = [self._page_from_state(self.states[0], None)]
 
     # -- differentials -----------------------------------------------------
 
     def _differential(self, state: _CoupleState, p: int, q: int) -> GroupHom:
         c = state.couple
-        off = state.j_offset
-        kk = c.k_at(p, q)
-        jj = c.j_at(p - 2, q + 1)
-        return jj.compose(kk)
+        return c.j_at(p - 2, q + 1).compose(c.k_at(p, q))
 
     def _page_from_state(self, state: _CoupleState, prev_data) -> Page:
         c = state.couple
-        off = state.j_offset
+        off = c.j_offset
         groups = {s: g for s, g in c.E.items() if not g.is_trivial}
         diffs = {}
         r = state.r
@@ -212,7 +207,7 @@ class SpectralSequence:
         """One derivation step; appends and returns the next page."""
         state = self.states[-1]
         c = state.couple
-        off = state.j_offset
+        off = c.j_offset
         ring = self.ring
 
         newD: Dict[Slot, FgAbGroup] = {}
@@ -221,14 +216,12 @@ class SpectralSequence:
         newj: Dict[Slot, GroupHom] = {}
         newk: Dict[Slot, GroupHom] = {}
         d_sub: Dict[Slot, Subgroup] = {}
-        d_incl: Dict[Slot, GroupHom] = {}
         sq_data: Dict[Slot, SubquotientData] = {}
 
         # derived D: images of i
         for (p, q) in c.slots():
             sub = image(c.i_at(p - 1, q + 1))
             d_sub[(p, q)] = sub
-            d_incl[(p, q)] = sub.inclusion
             if not sub.group.is_trivial:
                 newD[(p, q)] = sub.group
 
@@ -259,45 +252,32 @@ class SpectralSequence:
             if src.is_trivial or tgt.is_trivial:
                 newi[(p, q)] = zero_hom(src, tgt)
             else:
-                comp = c.i_at(p, q).compose(d_incl[(p, q)])
-                newi[(p, q)] = express_through(d_incl[(p + 1, q - 1)], comp)
+                comp = c.i_at(p, q).compose(d_sub[(p, q)].inclusion)
+                newi[(p, q)] = express_through(d_sub[(p + 1, q - 1)].inclusion, comp)
             # k' on homology classes of E
             esrc = Enew(p, q)
             ktgt = Dnew(p - 2, q + 1)
             if esrc.is_trivial or ktgt.is_trivial:
                 newk[(p, q)] = zero_hom(esrc, ktgt)
             else:
-                sq = sq_data[(p, q)]
-                cols = []
-                for gidx in range(esrc.ngens):
-                    gen = [0] * esrc.ngens
-                    gen[gidx] = 1
-                    rep = sq.decode(gen)
-                    val = c.k_at(p, q).apply(rep)
-                    cols.append(d_sub[(p - 2, q + 1)].encode(val))
-                m = IntMatrix.from_columns(cols, ktgt.ngens, ring)
-                newk[(p, q)] = hom(esrc, ktgt, m)
+                newk[(p, q)] = induced_hom(sq_data[(p, q)], c.k_at(p, q).matrix,
+                                           d_sub[(p - 2, q + 1)])
             # j'(i x) = [j x]; target slot shifts one step left-and-up
             jt = (p - 1 - off, q + 1 + off)
             jtgt = Enew(*jt)
             if src.is_trivial or jtgt.is_trivial:
                 newj[(p, q)] = zero_hom(src, jtgt)
             else:
-                cols = []
-                for gidx in range(src.ngens):
-                    gen = [0] * src.ngens
-                    gen[gidx] = 1
-                    amb = d_incl[(p, q)].apply(gen)
-                    x = preimage_element(c.i_at(p - 1, q + 1), amb)
-                    assert x is not None, "derived D element has no i-preimage"
-                    val = c.j_at(p - 1, q + 1).apply(x)
-                    cols.append(sq_data[jt].encode(val))
-                m = IntMatrix.from_columns(cols, jtgt.ngens, ring)
-                newj[(p, q)] = hom(src, jtgt, m)
+                # lift every generator of the derived D through i at once
+                x = preimage_matrix(c.i_at(p - 1, q + 1), d_sub[(p, q)].inclusion.matrix)
+                if x is None:
+                    raise ExactnessViolation("derived D element has no i-preimage")
+                jx = c.j_at(p - 1, q + 1).matrix @ x
+                newj[(p, q)] = hom(src, jtgt, sq_data[jt].encode_matrix(jx))
 
         nc = ExactCouple(ring, c.q_lo, c.q_hi, c.n_lo, c.n_hi,
                          newD, newE, newi, newj, newk, j_offset=off + 1)
-        nstate = _CoupleState(state.r + 1, nc, off + 1)
+        nstate = _CoupleState(state.r + 1, nc)
         self.states.append(nstate)
         page = self._page_from_state(nstate, (sq_data, self.pages[-1]))
         self.pages.append(page)
@@ -316,19 +296,6 @@ class SpectralSequence:
 
 def run_to_stable(X: ChainComplex, Y: ChainComplex) -> Tuple[List[Page], int]:
     return SpectralSequence(X, Y).run_to_stable()
-
-
-def derive(couple_or_ss, validate: bool = True) -> Page:
-    """One derivation step from an ExactCouple or a SpectralSequence."""
-    if isinstance(couple_or_ss, SpectralSequence):
-        return couple_or_ss.derive()
-    if validate and not couple_or_ss.validate_exactness():
-        raise ExactnessViolation("couple is not exact")
-    ss = SpectralSequence.__new__(SpectralSequence)
-    ss.ring = couple_or_ss.ring
-    ss.states = [_CoupleState(2, couple_or_ss, 0)]
-    ss.pages = [ss._page_from_state(ss.states[0], None)]
-    return ss.derive()
 
 
 def e2_identification_check(X: ChainComplex, Y: ChainComplex) -> bool:
@@ -479,18 +446,8 @@ def push_maps_to_page(ss_src: SpectralSequence, ss_tgt: SpectralSequence,
             if src.is_trivial or tgt.is_trivial:
                 nxt[(p, q)] = zero_hom(src, tgt)
                 continue
-            sq_s = page_s.sq[(p, q)]
-            sq_t = page_t.sq[(p, q)]
-            m = maps[(p, q)]
-            cols = []
-            for gidx in range(src.ngens):
-                gen = [0] * src.ngens
-                gen[gidx] = 1
-                rep = sq_s.decode(gen)
-                val = m.apply(rep)
-                cols.append(sq_t.encode(val))
-            mat = IntMatrix.from_columns(cols, tgt.ngens, ss_src.ring)
-            nxt[(p, q)] = hom(src, tgt, mat)
+            nxt[(p, q)] = induced_hom(page_s.sq[(p, q)], maps[(p, q)].matrix,
+                                      page_t.sq[(p, q)])
         maps = nxt
     return maps
 
@@ -572,11 +529,9 @@ def pro_ahss(X: Tower, Y: ChainComplex, n_window: Optional[Tuple[int, int]] = No
     for s in range(N):
         base = induced_e2_maps(X.structure[s], Y, ss[s], ss[s + 1], all_slots)
         pushed_structure.append(push_maps_to_page(ss[s], ss[s + 1], base, r_top))
-    if X.tail.is_constant:
-        pushed_tail = None
-    else:
-        base = induced_e2_maps(X.tail.endo, Y, ss[N], ss[N], all_slots)
-        pushed_tail = push_maps_to_page(ss[N], ss[N], base, r_top)
+    # a tail whose endo is the slotwise map the tower's endo induces on E_r
+    pushed_tail = X.tail.mapped(N, lambda endo: push_maps_to_page(
+        ss[N], ss[N], induced_e2_maps(endo, Y, ss[N], ss[N], all_slots), r_top))
 
     for (p, q) in list(e2.keys()):
         einf_colim[(p, q)] = _colim_einf_slot(X, Y, ss, (p, q),
@@ -643,10 +598,7 @@ def _colim_einf_slot(X: Tower, Y: ChainComplex, ss, slot: Slot,
     for s in range(N + 1):
         entries.append(ss[s].pages[-1].groups.get(slot, trivial_group(Y.ring)))
     structure = [pushed_structure[s][slot] for s in range(N)]
-    if X.tail.is_constant:
-        tail = TailPolicy.constant_from(N)
-    else:
-        tail = TailPolicy.repeat_from(N, pushed_tail[slot])
+    tail = pushed_tail.mapped(N, lambda maps: maps[slot])
     return colim(DirectSystem(tuple(entries), tuple(structure), tail), budget).value
 
 
@@ -658,34 +610,21 @@ def _colim_gr_slot(X: Tower, Y: ChainComplex, slot: Slot,
     N = X.tail.start
     idY = identity_map(Y)
 
-    def gr_data(Xs: ChainComplex):
+    def gr_data(Xs: ChainComplex) -> SubquotientData:
         total, filt = abutment_filtration(Xs, Y, n)
         subs = dict(filt)
-        return total, subquotient(total, subs[q], subs[q + 1])
+        return subquotient(total, subs[q], subs[q + 1])
 
     data = [gr_data(X.entry(s)) for s in range(N + 1)]
-    entries = tuple(d[1].group for d in data)
+    entries = tuple(d.group for d in data)
 
-    def gr_map(g: ChainMap, src, tgt) -> GroupHom:
-        src_total, src_sq = src
-        tgt_total, tgt_sq = tgt
-        if src_sq.group.is_trivial or tgt_sq.group.is_trivial:
-            return zero_hom(src_sq.group, tgt_sq.group)
+    def gr_map(g: ChainMap, src: SubquotientData, tgt: SubquotientData) -> GroupHom:
+        if src.group.is_trivial or tgt.group.is_trivial:
+            return zero_hom(src.group, tgt.group)
         rho = induced_map_on_derived_hom(g, idY, n)
-        cols = []
-        for gidx in range(src_sq.group.ngens):
-            gen = [0] * src_sq.group.ngens
-            gen[gidx] = 1
-            rep = src_sq.decode(gen)
-            val = rho.apply(rep)
-            cols.append(tgt_sq.encode(val))
-        mat = IntMatrix.from_columns(cols, tgt_sq.group.ngens, Y.ring)
-        return hom(src_sq.group, tgt_sq.group, mat)
+        return induced_hom(src, rho.matrix, tgt)
 
     structure = tuple(gr_map(X.structure[s], data[s], data[s + 1])
                       for s in range(N))
-    if X.tail.is_constant:
-        tail = TailPolicy.constant_from(N)
-    else:
-        tail = TailPolicy.repeat_from(N, gr_map(X.tail.endo, data[N], data[N]))
+    tail = X.tail.mapped(N, lambda endo: gr_map(endo, data[N], data[N]))
     return colim(DirectSystem(entries, structure, tail), budget).value

@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from .errors import RingMismatch
-from .exactalg.groups import (FgAbGroup, GroupHom, group_from_presentation,
-                              hom, trivial_group)
-from .exactalg.matrices import IntMatrix, kernel_basis, snf, solve
+from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
+                              group_from_presentation, induced_hom,
+                              trivial_group)
+from .exactalg.matrices import IntMatrix, kernel_basis, kron, snf, solve
 from .exactalg.ring import RingTag, ZZ, check_same_ring
 
 
@@ -308,37 +309,19 @@ def cone_functor_map(f: ChainMap, g: ChainMap, alpha: ChainMap, xi: ChainMap) ->
 # Homology
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomologyData:
-    """H_n of a complex plus decoding of canonical generators to cycles."""
-
-    group: FgAbGroup
-    cycles: IntMatrix  # rank(n) x k: lattice basis of ker d_n
-
-    def decode(self, vec: Sequence[int]) -> tuple:
-        z = self.group.from_canonical.apply(vec)
-        return self.cycles.apply(z)
-
-    def encode(self, chain_vec: Sequence[int]) -> tuple:
-        col = IntMatrix.from_columns([list(chain_vec)], self.cycles.rows,
-                                     self.cycles.ring)
-        sol = solve(self.cycles, col)
-        assert sol is not None, "vector is not a cycle"
-        w = tuple(sol[i, 0] for i in range(self.cycles.cols))
-        return self.group.reduce(self.group.to_canonical.apply(w))
-
-
 @lru_cache(maxsize=None)
-def homology_data(X: ChainComplex, n: int) -> HomologyData:
+def homology_data(X: ChainComplex, n: int) -> SubquotientData:
+    """H_n(X) = ker d_n / im d_{n+1} as a subquotient of the chain group X_n,
+    presented on a lattice basis of the cycles."""
     ring = X.ring
     if X.rank(n) == 0:
-        return HomologyData(trivial_group(ring), IntMatrix.zeros(0, 0, ring))
+        return SubquotientData(trivial_group(ring), trivial_group(ring),
+                               IntMatrix.zeros(0, 0, ring))
     K = kernel_basis(X.diff(n))
     B = X.diff(n + 1)
     expr = solve(K, B)
     assert expr is not None, "boundaries must be cycles"
-    grp = group_from_presentation(expr)
-    return HomologyData(grp, K)
+    return SubquotientData(free_group(X.rank(n), ring), group_from_presentation(expr), K)
 
 
 def homology(X: ChainComplex, n: int) -> FgAbGroup:
@@ -355,17 +338,8 @@ def is_acyclic(X: ChainComplex) -> bool:
 
 
 def induced_homology_map(f: ChainMap, n: int) -> GroupHom:
-    src = homology_data(f.source, n)
-    tgt = homology_data(f.target, n)
-    cols = []
-    for j in range(src.group.ngens):
-        gen = [0] * src.group.ngens
-        gen[j] = 1
-        cyc = src.decode(gen)
-        img = f.comp(n).apply(cyc)
-        cols.append(tgt.encode(img))
-    m = IntMatrix.from_columns(cols, tgt.group.ngens, f.source.ring)
-    return hom(src.group, tgt.group, m)
+    return induced_hom(homology_data(f.source, n), f.comp(n),
+                       homology_data(f.target, n))
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -375,19 +349,10 @@ def is_quasi_iso(f: ChainMap) -> bool:
 
 def connecting_homology_map(f: ChainMap, n: int) -> GroupHom:
     """The boundary map H_n(cone f) -> H_{n-1}(source f) of the cone
-    sequence: project a cycle to its source component and re-encode."""
-    C, _, _ = cone(f)
-    src = homology_data(C, n)
-    tgt = homology_data(f.source, n - 1)
-    rY = f.target.rank(n)
-    cols = []
-    for j in range(src.group.ngens):
-        gen = [0] * src.group.ngens
-        gen[j] = 1
-        vec = src.decode(gen)
-        cols.append(tgt.encode(vec[rY:]))
-    m = IntMatrix.from_columns(cols, tgt.group.ngens, f.source.ring)
-    return hom(src.group, tgt.group, m)
+    sequence, induced by the projection of a cycle to its source component."""
+    C, _, proj = cone(f)
+    return induced_hom(homology_data(C, n), proj.comp(n),
+                       homology_data(f.source, n - 1))
 
 
 def cone_les_exact(f: ChainMap) -> bool:
@@ -416,7 +381,8 @@ class HomComplexView:
     """The complex with degree-n module (+)_k Hom(X_k, Y_{k+n}).
 
     Differential D(f) = d_Y o f - (-1)^n f o d_X.  Blocks in degree n are
-    indexed by the source degree k; offsets() recovers the coordinate layout.
+    indexed by the source degree k, in increasing order; block k holds a
+    Y_{k+n} x X_k matrix row by row.
     """
 
     X: ChainComplex
@@ -426,36 +392,6 @@ class HomComplexView:
     def block_degrees(self, n: int) -> list:
         X, Y = self.X, self.Y
         return [k for k in X.degrees if Y.rank(k + n) > 0 and X.rank(k) > 0]
-
-    def offsets(self, n: int) -> dict:
-        out = {}
-        off = 0
-        for k in self.block_degrees(n):
-            size = self.X.rank(k) * self.Y.rank(k + n)
-            out[k] = (off, size)
-            off += size
-        return out
-
-    def vector_to_components(self, n: int, vec: Sequence[int]) -> dict:
-        """Unpack a degree-n coordinate vector into matrices X_k -> Y_{k+n}."""
-        comps = {}
-        for k, (off, size) in self.offsets(n).items():
-            rx, ry = self.X.rank(k), self.Y.rank(k + n)
-            rows = [list(vec[off + r * rx: off + (r + 1) * rx]) for r in range(ry)]
-            comps[k] = IntMatrix.from_rows(rows, self.X.ring, cols=rx)
-        return comps
-
-    def components_to_vector(self, n: int, comps: dict) -> tuple:
-        vec = [0] * self.complex.rank(n)
-        for k, (off, size) in self.offsets(n).items():
-            m = comps.get(k)
-            if m is None:
-                continue
-            for r in range(m.rows):
-                row = m.row(r)
-                for c in range(m.cols):
-                    vec[off + r * m.cols + c] = row[c]
-        return tuple(vec)
 
 
 @lru_cache(maxsize=None)
@@ -535,29 +471,24 @@ def derived_hom(X: ChainComplex, Y: ChainComplex, n: int) -> FgAbGroup:
 
 
 def induced_map_on_derived_hom(a: ChainMap, b: ChainMap, n: int) -> GroupHom:
-    """[a, b]: [X,Y]_n -> [X',Y']_n for a: X' -> X and b: Y -> Y'."""
-    X, Y = b.source, a.target
-    Xp, Yp = a.source, b.target
+    """[a, b]: [X,Y]_n -> [X',Y']_n for a: X' -> X and b: Y -> Y'.
+
+    On block k the chain-level map m -> b o m o a is b_{k+n} (x) a_k^T in
+    the row-by-row layout of the hom complex."""
     hc_s, data_s = derived_hom_data(a.target, b.source, n)
     hc_t, data_t = derived_hom_data(a.source, b.target, n)
-    cols = []
-    for j in range(data_s.group.ngens):
-        gen = [0] * data_s.group.ngens
-        gen[j] = 1
-        comps = hc_s.vector_to_components(n, data_s.decode(gen))
-        out = {}
-        for k in hc_t.block_degrees(n):
-            acc = IntMatrix.zeros(Yp.rank(k + n), Xp.rank(k), Xp.ring)
-            for ks, m in comps.items():
-                # b o m o a : X'_k -> Y'_{k+n} needs ks == k on the source side
-                if ks != k:
-                    continue
-                acc = acc + (b.comp(k + n) @ m @ a.comp(k))
-            out[k] = acc
-        vec = hc_t.components_to_vector(n, out)
-        cols.append(data_t.encode(vec))
-    m = IntMatrix.from_columns(cols, data_t.group.ngens, X.ring)
-    return hom(data_s.group, data_t.group, m)
+    src_blocks = hc_s.block_degrees(n)
+    rows = []
+    for k in hc_t.block_degrees(n):
+        blk = kron(b.comp(k + n), a.comp(k).transpose())
+        for r in range(blk.rows):
+            row = []
+            for ks in src_blocks:
+                row.extend(blk.row(r) if ks == k else
+                           (0,) * (a.target.rank(ks) * b.source.rank(ks + n)))
+            rows.append(row)
+    M = IntMatrix.from_rows(rows, a.source.ring, cols=hc_s.complex.rank(n))
+    return induced_hom(data_s, M, data_t)
 
 
 def shift_identification(X: ChainComplex, Z: ChainComplex, n: int) -> GroupHom:
@@ -567,20 +498,9 @@ def shift_identification(X: ChainComplex, Z: ChainComplex, n: int) -> GroupHom:
     sign differs, so cycles and boundaries agree and the matrix is the
     coordinate identity.
     """
-    SZ = shift(Z, 1)
-    hc_s, data_s = derived_hom_data(X, SZ, n)
-    hc_t, data_t = derived_hom_data(X, Z, n - 1)
-    cols = []
-    for j in range(data_s.group.ngens):
-        gen = [0] * data_s.group.ngens
-        gen[j] = 1
-        vec = data_s.decode(gen)
-        comps = hc_s.vector_to_components(n, vec)
-        out = {k: m for k, m in comps.items()}
-        tvec = hc_t.components_to_vector(n - 1, out)
-        cols.append(data_t.encode(tvec))
-    m = IntMatrix.from_columns(cols, data_t.group.ngens, X.ring)
-    return hom(data_s.group, data_t.group, m)
+    _, data_s = derived_hom_data(X, shift(Z, 1), n)
+    _, data_t = derived_hom_data(X, Z, n - 1)
+    return induced_hom(data_s, IntMatrix.identity(data_s.ambient.ngens, X.ring), data_t)
 
 
 # ---------------------------------------------------------------------------

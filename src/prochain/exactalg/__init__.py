@@ -8,8 +8,8 @@ from .groups import (FgAbGroup, GroupHom, HomGroup, Subgroup, SubquotientData,
                      cokernel, cokernel_projection, direct_sum, exact_at,
                      express_through, free_group, full_subgroup,
                      group_from_orders, group_from_presentation, hom,
-                     hom_group, identity_hom, image, is_injective,
-                     is_isomorphism, is_surjective, kernel,
-                     multiplication_hom, preimage_element, quotient,
-                     solve_hom_constraints, subgroup_from_columns,
+                     hom_group, identity_hom, image, induced_hom,
+                     is_injective, is_isomorphism, is_surjective, kernel,
+                     multiplication_hom, preimage_element, preimage_matrix,
+                     quotient, solve_hom_constraints, subgroup_from_columns,
                      subquotient, trivial_group, zero_hom, zero_subgroup)

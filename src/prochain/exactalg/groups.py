@@ -12,8 +12,8 @@ matrices in canonical generators, reduced modulo the target's relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -127,9 +127,7 @@ def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
     s = snf(relations)
     diag = list(s.diag) + [0] * (n - len(s.diag))
     kept = [i for i, d in enumerate(diag) if ring.reduce(d) == 0 or
-            (not ring.is_field and d not in (1,))]
-    if ring.is_field:
-        kept = [i for i, d in enumerate(diag) if ring.reduce(d) == 0]
+            (not ring.is_field and d != 1)]
     orders = tuple(0 if ring.reduce(diag[i]) == 0 else diag[i] for i in kept)
     to_c = s.U.take_rows(kept)
     from_c = s.Uinv.take_columns(kept)
@@ -146,8 +144,13 @@ def group_from_orders(orders: Sequence[int], ring: RingTag = ZZ) -> FgAbGroup:
     return group_from_presentation(rel)
 
 
+# homology keeps the free chain group it lives in; one shared group per rank
+# keeps those from holding an identity matrix each
+@lru_cache(maxsize=256)
 def free_group(rank: int, ring: RingTag = ZZ) -> FgAbGroup:
-    return group_from_orders([0] * rank, ring)
+    """ring^rank, which is in canonical form already."""
+    one = IntMatrix.identity(rank, ring)
+    return FgAbGroup(ring, (0,) * rank, one, one)
 
 
 def trivial_group(ring: RingTag = ZZ) -> FgAbGroup:
@@ -243,24 +246,61 @@ def _augmented(G: IntMatrix, rels: IntMatrix) -> IntMatrix:
 
 
 @dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of `ambient` with a chosen lattice basis for its preimage
-    in the generator lattice (basis columns include the ambient relations'
-    effect, i.e. the ambient relation lattice is contained in the span)."""
+class SubquotientData:
+    """A subquotient of `ambient` in explicit coordinates.
+
+    `group` is presented on the columns of `basis` (ambient generators x
+    presentation generators), so canonical generator j is represented by
+    column j of basis @ group.from_canonical.  This class is the one place
+    where subquotient coordinates are encoded and decoded.
+    """
 
     ambient: FgAbGroup
     group: FgAbGroup
-    basis: IntMatrix     # ambient.ngens x group-presentation-gens
-    inclusion: GroupHom  # group -> ambient
+    basis: IntMatrix
 
-    def encode(self, vec: Sequence[int]) -> tuple:
-        """Coordinates in `group` of an ambient element lying in the subgroup."""
-        col = IntMatrix.from_columns([list(vec)], self.ambient.ngens, self.ambient.ring)
-        sol = solve(_augmented(self.basis, self.ambient.relation_matrix()), col)
+    def decode_matrix(self) -> IntMatrix:
+        """Ambient representatives of all canonical generators, as columns."""
+        return self.ambient.reduce_matrix(self.basis @ self.group.from_canonical)
+
+    def encode_matrix(self, V: IntMatrix) -> IntMatrix:
+        """Coordinates in `group` of every column of V (ambient elements),
+        from one solve; raises ContainmentViolation if a column lies outside
+        the numerator."""
+        if not V.cols:
+            return IntMatrix.zeros(self.group.ngens, 0, self.ambient.ring)
+        sol = solve(_augmented(self.basis, self.ambient.relation_matrix()), V)
         if sol is None:
             raise ContainmentViolation("element not in subgroup")
-        z = [sol[i, 0] for i in range(self.basis.cols)]
-        return self.group.reduce(self.group.to_canonical.apply(z))
+        z = sol.take_rows(range(self.basis.cols))
+        return self.group.reduce_matrix(self.group.to_canonical @ z)
+
+    def encode_hom(self, f: GroupHom) -> GroupHom:
+        """Turn f: P -> ambient (with image in the numerator) into P -> group."""
+        return hom(f.source, self.group, self.encode_matrix(f.matrix))
+
+    def decode_hom(self, f: GroupHom) -> GroupHom:
+        """Turn f: P -> group into a representative P -> ambient."""
+        return GroupHom(f.source, self.ambient,
+                        self.ambient.reduce_matrix(self.decode_matrix() @ f.matrix))
+
+
+def induced_hom(src: SubquotientData, M: IntMatrix,
+                tgt: SubquotientData) -> GroupHom:
+    """The map src.group -> tgt.group induced by the ambient matrix M
+    (tgt.ambient gens x src.ambient gens): decode, apply, encode, one solve."""
+    return hom(src.group, tgt.group, tgt.encode_matrix(M @ src.decode_matrix()))
+
+
+@dataclass(frozen=True)
+class Subgroup(SubquotientData):
+    """A subgroup of `ambient`: the subquotient with nothing divided out.
+    The basis columns span the preimage of the subgroup in the generator
+    lattice modulo the ambient relations."""
+
+    @cached_property
+    def inclusion(self) -> GroupHom:
+        return GroupHom(self.group, self.ambient, self.decode_matrix())
 
     def contains_hom(self, f: GroupHom) -> bool:
         """Does the image of f (into the ambient group) land in this subgroup?"""
@@ -271,17 +311,13 @@ class Subgroup:
 
 def subgroup_from_columns(ambient: FgAbGroup, gens: IntMatrix) -> Subgroup:
     """Subgroup of `ambient` generated by the columns of `gens` (canonical coords)."""
-    ring = ambient.ring
     rels = ambient.relation_matrix()
     lattice = _augmented(gens, rels)
     basis = column_lattice_basis(lattice)
     # relations among the basis columns: preimages of the ambient relations
     ker = kernel_basis(_augmented(basis, rels))
     zpart = ker.take_rows(range(basis.cols))
-    grp = group_from_presentation(zpart)
-    incl_matrix = ambient.reduce_matrix(basis @ grp.from_canonical)
-    incl = GroupHom(grp, ambient, incl_matrix)
-    return Subgroup(ambient, grp, basis, incl)
+    return Subgroup(ambient, group_from_presentation(zpart), basis)
 
 
 def image(f: GroupHom) -> Subgroup:
@@ -298,44 +334,9 @@ def kernel(f: GroupHom) -> Subgroup:
     return subgroup_from_columns(f.source, gens)
 
 
-@dataclass(frozen=True)
-class SubquotientData:
-    """im(S)/im(T) inside an ambient group, with explicit coordinates."""
-
-    ambient: FgAbGroup
-    group: FgAbGroup
-    basis: IntMatrix        # ambient gens x r: lattice basis of the S-lattice
-    denominator: IntMatrix  # lattice basis of the T-lattice (incl. relations)
-
-    def encode(self, vec: Sequence[int]) -> tuple:
-        col = IntMatrix.from_columns([list(vec)], self.ambient.ngens, self.ambient.ring)
-        sol = solve(_augmented(self.basis, self.ambient.relation_matrix()), col)
-        if sol is None:
-            raise ContainmentViolation("element not in numerator subgroup")
-        z = [sol[i, 0] for i in range(self.basis.cols)]
-        return self.group.reduce(self.group.to_canonical.apply(z))
-
-    def decode(self, vec: Sequence[int]) -> tuple:
-        z = self.group.from_canonical.apply(vec)
-        return self.ambient.reduce(self.basis.apply(z))
-
-    def encode_hom(self, f: GroupHom) -> GroupHom:
-        """Turn f: P -> ambient (with image in the numerator) into P -> group."""
-        cols = [self.encode(f.matrix.column(j)) for j in range(f.source.ngens)]
-        m = IntMatrix.from_columns(cols, self.group.ngens, self.ambient.ring)
-        return hom(f.source, self.group, m)
-
-    def decode_hom(self, f: GroupHom) -> GroupHom:
-        """Turn f: P -> group into a representative P -> ambient."""
-        cols = [self.decode(f.matrix.column(j)) for j in range(f.source.ngens)]
-        m = IntMatrix.from_columns(cols, self.ambient.ngens, self.ambient.ring)
-        return GroupHom(f.source, self.ambient, self.ambient.reduce_matrix(m))
-
-
 def subquotient(ambient: FgAbGroup, numerator: Subgroup,
                 denominator: Subgroup) -> SubquotientData:
     """im(numerator)/im(denominator); raises unless the containment holds."""
-    ring = ambient.ring
     rels = ambient.relation_matrix()
     num_lat = _augmented(numerator.basis, rels)
     den_lat = _augmented(denominator.basis, rels)
@@ -344,8 +345,7 @@ def subquotient(ambient: FgAbGroup, numerator: Subgroup,
     basis = column_lattice_basis(num_lat)
     ker = kernel_basis(_augmented(basis, den_lat))
     zpart = ker.take_rows(range(basis.cols))
-    grp = group_from_presentation(zpart)
-    return SubquotientData(ambient, grp, basis, den_lat)
+    return SubquotientData(ambient, group_from_presentation(zpart), basis)
 
 
 def full_subgroup(g: FgAbGroup) -> Subgroup:
@@ -382,25 +382,28 @@ def is_isomorphism(f: GroupHom) -> bool:
     return is_injective(f) and is_surjective(f)
 
 
+def preimage_matrix(f: GroupHom, V: IntMatrix) -> Optional[IntMatrix]:
+    """Columns x with f(x) = the columns of V, from one solve; None when some
+    column is not in the image."""
+    sol = solve(_augmented(f.matrix, f.target.relation_matrix()), V)
+    if sol is None:
+        return None
+    return f.source.reduce_matrix(sol.take_rows(range(f.source.ngens)))
+
+
 def express_through(incl: GroupHom, g: GroupHom) -> GroupHom:
     """h with incl o h = g, for incl a subgroup inclusion containing im(g)."""
-    rels = incl.target.relation_matrix()
-    sys = _augmented(incl.matrix, rels)
-    sol = solve(sys, g.matrix)
-    if sol is None:
+    m = preimage_matrix(incl, g.matrix)
+    if m is None:
         raise ContainmentViolation("map does not factor through subgroup")
-    m = sol.take_rows(range(incl.source.ngens))
     return hom(g.source, incl.source, m)
 
 
 def preimage_element(f: GroupHom, target_vec: Sequence[int]) -> Optional[tuple]:
     """Some x with f(x) = target element, or None."""
     col = IntMatrix.from_columns([list(target_vec)], f.target.ngens, f.target.ring)
-    sys = _augmented(f.matrix, f.target.relation_matrix())
-    sol = solve(sys, col)
-    if sol is None:
-        return None
-    return f.source.reduce(tuple(sol[i, 0] for i in range(f.source.ngens)))
+    x = preimage_matrix(f, col)
+    return None if x is None else x.column(0)
 
 
 def exact_at(f: GroupHom, g: GroupHom) -> bool:
@@ -495,7 +498,6 @@ def solve_hom_constraints(A: FgAbGroup, B: FgAbGroup,
     n_unknown = hg.group.ngens
     blocks = []
     rhs_vecs = []
-    rel_blocks = []
     for (pre, post, rhs) in constraints:
         assert pre.target.orders == A.orders and post.source.orders == B.orders
         hq = hom_group(pre.source, post.target)

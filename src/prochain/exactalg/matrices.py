@@ -193,6 +193,14 @@ def block_diagonal(blocks: Sequence[IntMatrix], ring: RingTag) -> IntMatrix:
     return IntMatrix.from_rows(out, ring, cols=n)
 
 
+def kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """The Kronecker product: entry (i*B.rows + k, j*B.cols + l) is A[i,j] B[k,l]."""
+    check_same_ring(A, B)
+    rows = [[a * b for a in A.row(i) for b in B.row(k)]
+            for i in range(A.rows) for k in range(B.rows)]
+    return IntMatrix.from_rows(rows, A.ring, cols=A.cols * B.cols)
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """U @ M @ V == S with U, V invertible over the ring and S diagonal.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .chain import ChainComplex, ChainMap, identity_map as chain_identity, is_chain_map
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, ValidationError
 from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, hom, hom_group,
                               identity_hom, image, is_isomorphism,
                               solve_hom_constraints, subgroup_from_columns,
@@ -107,45 +107,63 @@ class TailPolicy:
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
+    def mapped(self, start: int, f) -> "TailPolicy":
+        """A tail of the same kind from `start` on, with endo f(endo)."""
+        if self.is_constant:
+            return TailPolicy.constant_from(start)
+        return TailPolicy.repeat_from(start, f(self.endo))
+
 
 @dataclass(frozen=True)
-class Tower:
-    """An inverse system T_0 <- T_1 <- ... with a declared tail.
-
-    entries[s] for s <= tail.start; structure[s]: T_{s+1} -> T_s for
-    s < tail.start.  Accessors extend both past the stored window.
-    """
+class _TailedSequence:
+    """Entries and structure maps stored through index tail.start; the
+    accessors extend both past it by the tail."""
 
     entries: tuple
     structure: tuple
     tail: TailPolicy
 
-    def __post_init__(self):
-        N = self.tail.start
-        assert len(self.entries) == N + 1, "entries must reach the tail start"
-        assert len(self.structure) == N, "need one structure map per step"
-        for s, m in enumerate(self.structure):
-            assert _same_object(_source(m), self.entries[s + 1]), f"map {s} source"
-            assert _same_object(_target(m), self.entries[s]), f"map {s} target"
-        if self.tail.kind == "repeat":
-            e = self.tail.endo
-            assert _same_object(_source(e), self.entries[N])
-            assert _same_object(_target(e), self.entries[N])
-
-    @property
-    def stored_top(self) -> int:
-        return self.tail.start
-
     def entry(self, s: int):
         return self.entries[min(s, self.tail.start)]
 
     def structure_map(self, s: int):
-        """The map T_{s+1} -> T_s."""
+        """The map between entries s and s+1 (T_{s+1} -> T_s in a tower,
+        A_s -> A_{s+1} in a direct system)."""
         if s < self.tail.start:
             return self.structure[s]
         if self.tail.is_constant:
             return _identity(self.entries[self.tail.start])
         return self.tail.endo
+
+
+@dataclass(frozen=True)
+class Tower(_TailedSequence):
+    """An inverse system T_0 <- T_1 <- ... with a declared tail.
+
+    entries[s] for s <= tail.start; structure[s]: T_{s+1} -> T_s for
+    s < tail.start.
+    """
+
+    def __post_init__(self):
+        N = self.tail.start
+        if len(self.entries) != N + 1:
+            raise ValidationError("entries must reach the tail start")
+        if len(self.structure) != N:
+            raise ValidationError("need one structure map per step")
+        for s, m in enumerate(self.structure):
+            if not _same_object(_source(m), self.entries[s + 1]):
+                raise ValidationError(f"map {s} source")
+            if not _same_object(_target(m), self.entries[s]):
+                raise ValidationError(f"map {s} target")
+        if self.tail.kind == "repeat":
+            e = self.tail.endo
+            if not (_same_object(_source(e), self.entries[N])
+                    and _same_object(_target(e), self.entries[N])):
+                raise ValidationError("tail endo is not an endomorphism of the last entry")
+
+    @property
+    def stored_top(self) -> int:
+        return self.tail.start
 
     def composite(self, s: int, t: int):
         """The composed map T_s -> T_t for s >= t."""
@@ -155,16 +173,11 @@ class Tower:
             m = _compose(m, self.structure_map(k))
         return m
 
-    def map_tower(self, obj_fn, map_fn, tail_budget: int = 0) -> "Tower":
+    def map_tower(self, obj_fn, map_fn) -> "Tower":
         """Apply a functor given by obj_fn/map_fn levelwise; tails carry over."""
-        N = self.tail.start
-        entries = tuple(obj_fn(e) for e in self.entries)
-        structure = tuple(map_fn(m) for m in self.structure)
-        if self.tail.is_constant:
-            tail = TailPolicy.constant_from(N)
-        else:
-            tail = TailPolicy.repeat_from(N, map_fn(self.tail.endo))
-        return Tower(entries, structure, tail)
+        return Tower(tuple(obj_fn(e) for e in self.entries),
+                     tuple(map_fn(m) for m in self.structure),
+                     self.tail.mapped(self.tail.start, map_fn))
 
 
 def constant_tower(entry) -> Tower:
@@ -295,18 +308,16 @@ def reindex_cofinal(T: Tower, step: int) -> Tower:
     top = (N + step - 1) // step  # first index with k*step >= N
     entries = tuple(T.entry(k * step) for k in range(top + 1))
     structure = tuple(T.composite((k + 1) * step, k * step) for k in range(top))
-    if T.tail.is_constant:
-        tail = TailPolicy.constant_from(top)
-    else:
-        endo = T.tail.endo
-        power = _identity(T.entry(N))
-        for _ in range(step):
-            power = _compose(power, endo)
+
+    def power(endo):
         # entries at indices top, top+1, ... sit at k*step >= N where the
         # composite of `step` structure maps is endo^step up to head overlap
-        tail = TailPolicy.repeat_from(top, power)
-    out = Tower(entries, structure, tail)
-    return out
+        m = _identity(T.entry(N))
+        for _ in range(step):
+            m = _compose(m, endo)
+        return m
+
+    return Tower(entries, structure, T.tail.mapped(top, power))
 
 
 def reindex_pro_map(f: ProMap, step: int) -> ProMap:
@@ -595,23 +606,10 @@ def _non_ml_lim(A: FgAbGroup, endo: GroupHom, stable_image: Subgroup) -> GroupOr
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DirectSystem:
+class DirectSystem(_TailedSequence):
     """A direct system A_0 -> A_1 -> ... with a declared tail (identities
-    from `start` for constant tails, a repeated endomorphism otherwise)."""
-
-    entries: tuple
-    structure: tuple   # structure[s]: A_s -> A_{s+1}
-    tail: TailPolicy
-
-    def entry(self, s: int):
-        return self.entries[min(s, self.tail.start)]
-
-    def structure_map(self, s: int):
-        if s < self.tail.start:
-            return self.structure[s]
-        if self.tail.is_constant:
-            return _identity(self.entries[self.tail.start])
-        return self.tail.endo
+    from `start` for constant tails, a repeated endomorphism otherwise);
+    structure[s]: A_s -> A_{s+1}."""
 
     def composite(self, t: int, s: int):
         """A_s -> A_t for t >= s."""
@@ -668,10 +666,7 @@ def hom_system(X: Tower, B: FgAbGroup) -> DirectSystem:
     structure = []
     for s in range(N):
         structure.append(_precompose_hom(X.structure[s], B))
-    if X.tail.is_constant:
-        tail = TailPolicy.constant_from(N)
-    else:
-        tail = TailPolicy.repeat_from(N, _precompose_hom(X.tail.endo, B))
+    tail = X.tail.mapped(N, lambda endo: _precompose_hom(endo, B))
     return DirectSystem(tuple(entries), tuple(structure), tail)
 
 
@@ -732,15 +727,9 @@ def pro_hom(X: Tower, Y: Tower, budget: int = DEFAULT_BUDGET) -> GroupOrUnknown:
             structure.append(zero_hom(src, tgt))
         else:
             structure.append(_postcompose_hom(X.entry(stage), Y.structure_map(t)))
-    if Y.tail.is_constant:
-        tail = TailPolicy.constant_from(N)
-    else:
-        top = entries[N]
-        if top.is_trivial:
-            tail = TailPolicy.repeat_from(N, zero_hom(top, top))
-        else:
-            tail = TailPolicy.repeat_from(N, _postcompose_hom(X.entry(stage),
-                                                              Y.tail.endo))
+    top = entries[N]
+    tail = Y.tail.mapped(N, lambda endo: zero_hom(top, top) if top.is_trivial
+                         else _postcompose_hom(X.entry(stage), endo))
     tower = Tower(tuple(entries), tuple(structure), tail)
     res = lim_lim1(tower, budget)
     return res.lim

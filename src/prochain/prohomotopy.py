@@ -20,7 +20,7 @@ from .errors import WindowViolation
 from .exactalg.groups import FgAbGroup, GroupHom, hom_group, trivial_group, zero_hom
 from .exactalg.ring import check_same_ring
 from .pro import (ColimResult, DEFAULT_BUDGET, DirectSystem, GroupOrUnknown,
-                  Lim1Verdict, LimResult, ProMap, TailPolicy, Tower,
+                  Lim1Verdict, LimResult, ProMap, Tower,
                   UnknownValue, colim, is_pro_isomorphism, level_map,
                   lim_lim1)
 from .tstruct import (classify_map, is_degreewise_split_mono,
@@ -129,14 +129,9 @@ def postnikov_replacement(Y: Tower) -> Tuple[Tower, ProMap]:
         down = _truncation_tower_step(Y.entry(k + 1), cut(k + 1), cut(k))
         across = truncate_below_map(Y.structure_map(k), cut(k))
         structure.append(across.compose(down))
-    if Y.tail.is_constant:
-        tail = TailPolicy.constant_from(K)
-    else:
-        endo = truncate_below_map(Y.tail.endo, cut(K))
-        down = _truncation_tower_step(Y.entry(K), cut(K) + 1, cut(K))
-        # beyond K the cut exceeds every module degree: T_{<= n} is the
-        # complex itself and the n-step is the identity, so endo repeats
-        tail = TailPolicy.repeat_from(K, endo)
+    # beyond K the cut exceeds every module degree: T_{<= n} is the complex
+    # itself and the n-step is the identity, so the truncated endo repeats
+    tail = Y.tail.mapped(K, lambda endo: truncate_below_map(endo, cut(K)))
     Z = Tower(tuple(entries), tuple(structure), tail)
     canon = level_map(Y, Z, tuple(anchors))
     return Z, canon
@@ -208,11 +203,7 @@ def derived_hom_system(X: Tower, Y: ChainComplex, n: int) -> DirectSystem:
     N = X.tail.start
     entries = tuple(derived_hom(X.entry(s), Y, n) for s in range(N + 1))
     structure = tuple(pre(X.structure[s]) for s in range(N))
-    if X.tail.is_constant:
-        tail = TailPolicy.constant_from(N)
-    else:
-        tail = TailPolicy.repeat_from(N, pre(X.tail.endo))
-    return DirectSystem(entries, structure, tail)
+    return DirectSystem(entries, structure, X.tail.mapped(N, pre))
 
 
 def hom_to_constant(X: Tower, Y: ChainComplex, n: int,
@@ -258,12 +249,7 @@ def heart_hom(X: Tower, Y: Tower, n: int = 0,
 
     structure = tuple(post(Y.structure_map(t), entries[t + 1], entries[t])
                       for t in range(N))
-    if Y.tail.is_constant:
-        tail = TailPolicy.constant_from(N)
-    else:
-        top = entries[N]
-        endo = post(Y.tail.endo, top, top)
-        tail = TailPolicy.repeat_from(N, endo)
+    tail = Y.tail.mapped(N, lambda endo: post(endo, entries[N], entries[N]))
     tower = Tower(tuple(entries), structure, tail)
     return lim_lim1(tower, budget).lim
 
@@ -287,11 +273,7 @@ def hom_from_constant(X: ChainComplex, Y: Tower, n: int,
         return induced_map_on_derived_hom(identity_map(X), g, n)
 
     structure = tuple(post(Z.structure[k]) for k in range(N))
-    if Z.tail.is_constant:
-        tail = TailPolicy.constant_from(N)
-    else:
-        tail = TailPolicy.repeat_from(N, post(Z.tail.endo))
-    tower = Tower(entries, structure, tail)
+    tower = Tower(entries, structure, Z.tail.mapped(N, post))
     res = lim_lim1(tower, budget)
     value: GroupOrUnknown
     if res.lim1 == Lim1Verdict.ZERO:

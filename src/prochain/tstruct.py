@@ -405,15 +405,11 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
         if not bad:
             break
         k = bad[0]
-        data = homology_data(C, k)
         rY = p.target.rank(k)
-        for jgen in range(data.group.ngens):
-            gen = [0] * data.group.ngens
-            gen[jgen] = 1
-            vec = data.decode(gen)
-            y = list(vec[:rY])
-            z = [-v for v in vec[rY:]]
-            state.attach(k, z, y)
+        # one cell per homology generator: its cycle (y, x) in Y_k (+) Z_{k-1}
+        # becomes a cell e with d(e) = -x and p(e) = y
+        for vec in homology_data(C, k).decode_matrix().columns():
+            state.attach(k, [-v for v in vec[rY:]], list(vec[:rY]))
 
     Z, p = state.snapshot()
     comps = {}

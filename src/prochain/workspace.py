@@ -17,7 +17,7 @@ from .errors import ParseError, ValidationError
 from .exactalg.groups import FgAbGroup, GroupHom, group_from_presentation, hom
 from .exactalg.matrices import IntMatrix
 from .exactalg.ring import GF, RingTag, ZZ
-from .pro import ProMap, TailPolicy, Tower, level_map
+from .pro import IndexShift, ProMap, TailPolicy, Tower, _same_object
 
 
 @dataclass
@@ -101,6 +101,9 @@ def _parse_complex(name: str, data, ring: RingTag) -> ChainComplex:
         ranks = {int(k): int(v) for k, v in data.get("ranks", {}).items()}
     except (TypeError, ValueError):
         raise ParseError(f"complex '{name}': bad ranks table")
+    for n, r in sorted(ranks.items()):
+        if r < 0:
+            raise ValidationError(f"complex '{name}': negative rank {r} at degree {n}")
     diffs = {}
     for k, m in data.get("diffs", {}).items():
         n = int(k)
@@ -197,7 +200,7 @@ def _parse_tower(name, data, entry_table, map_table, kind) -> Tower:
                          "or repeat_from")
     try:
         return Tower(tuple(entries), tuple(structure), policy)
-    except AssertionError as e:
+    except ValidationError as e:
         raise ValidationError(f"tower '{name}': {e}")
 
 
@@ -211,10 +214,18 @@ def _parse_promap(name, data, tower_table, map_table) -> ProMap:
         if m not in map_table:
             raise ParseError(f"promap '{name}': unknown component '{m}'")
         comps.append(map_table[m])
-    try:
-        return level_map(src, tgt, tuple(comps))
-    except AssertionError:
+    if not comps:
+        raise ValidationError(f"promap '{name}': no components")
+    # checked here rather than by level_map's assert, so that it holds under
+    # python -O: every component must join the right entries before the
+    # squares through the checked window can be composed
+    f = ProMap(src, tgt, IndexShift.level(), tuple(comps))
+    if not (all(_same_object(f.comp(t).source, src.entry(t))
+                and _same_object(f.comp(t).target, tgt.entry(t))
+                for t in range(f.window + 3))
+            and f.validate()):
         raise ValidationError(f"promap '{name}': squares do not commute")
+    return f
 
 
 def parse_workspace(path: str) -> Workspace:
@@ -278,10 +289,6 @@ def parse_workspace(path: str) -> Workspace:
 # ---------------------------------------------------------------------------
 # Canonical serialization
 # ---------------------------------------------------------------------------
-
-def _matrix_json(m: IntMatrix):
-    return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-
 
 def _stringify_matrix(data):
     return [[str(int(x)) for x in row] for row in data]

@@ -3,14 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prochain.chain import (cone, cone_les_exact, derived_hom, free_one_term,
-                            hom_complex, homology, identity_map,
-                            induced_homology_map, is_acyclic, is_chain_map,
-                            is_quasi_iso, make_complex, moore_complex,
-                            multiplication_map, quasi_iso_thickening,
-                            random_complex, random_null_homotopic, shift,
-                            validate, zero_complex, zero_map)
+from conftest import random_map_into, random_map_out
+from prochain.chain import (cone, cone_les_exact, derived_hom,
+                            direct_sum_complex, free_one_term, hom_complex,
+                            homology, homology_data, identity_map,
+                            induced_homology_map, induced_map_on_derived_hom,
+                            is_acyclic, is_chain_map, is_quasi_iso,
+                            make_complex, moore_complex, multiplication_map,
+                            quasi_iso_thickening, random_complex,
+                            random_null_homotopic, shift, validate,
+                            zero_complex, zero_map)
+from prochain.errors import ContainmentViolation
 from prochain.exactalg.matrices import IntMatrix
 from prochain.exactalg.ring import GF, ZZ
 
@@ -81,6 +86,19 @@ class TestCone:
             assert is_quasi_iso(q)
 
 
+def big_complex(rng: random.Random, ring, lo: int, hi: int):
+    """A random complex of total rank at least 12, past the sizes the
+    examples check by hand."""
+    X = random_complex(rng.randrange(2 ** 30), ring, lo, hi, 4)
+    while X.total_rank() < 12:
+        W = random_complex(rng.randrange(2 ** 30), ring, lo, hi, 4)
+        X = direct_sum_complex(X, W)[0]
+    return X
+
+
+rings = st.sampled_from([ZZ, GF(2)])
+
+
 class TestInducedMaps:
     def test_identity_and_multiplication(self):
         h = induced_homology_map(identity_map(M2), 0)
@@ -96,6 +114,39 @@ class TestInducedMaps:
             assert is_chain_map(f)
             for n in X.degrees:
                 assert induced_homology_map(f, n).is_zero
+
+    def test_encode_rejects_non_cycles(self):
+        # the generator of M2 in degree 1 has boundary 2, so it is no cycle
+        data = homology_data(M2, 1)
+        with pytest.raises(ContainmentViolation):
+            data.encode_matrix(IntMatrix.from_rows([[1]]))
+        cycles = homology_data(M2, 0)
+        assert cycles.encode_matrix(cycles.decode_matrix()).entries == (1,)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30), rings)
+    @settings(max_examples=30, deadline=None)
+    def test_homology_functoriality(self, seed, ring):
+        rng = random.Random(seed)
+        B = big_complex(rng, ring, -2, 2)
+        f, g = random_map_into(rng, B), random_map_out(rng, B)
+        for n in range(B.lo - 1, B.hi + 2):
+            composite = induced_homology_map(g.compose(f), n)
+            assert composite.equal(induced_homology_map(g, n).compose(
+                induced_homology_map(f, n)))
+
+    @given(st.integers(min_value=0, max_value=2 ** 30), rings)
+    @settings(max_examples=15, deadline=None)
+    def test_derived_hom_functoriality(self, seed, ring):
+        # [a o a2, b2 o b] = [a2, b2] o [a, b] for a2: X'' -> X' -> X by a
+        # and b: Y -> Y' -> Y'' by b2
+        rng = random.Random(seed)
+        X, Y = big_complex(rng, ring, -1, 1), big_complex(rng, ring, -1, 1)
+        a, b = random_map_into(rng, X), random_map_out(rng, Y)
+        a2, b2 = random_map_into(rng, a.source), random_map_out(rng, b.target)
+        for n in range(-3, 4):
+            composite = induced_map_on_derived_hom(a.compose(a2), b2.compose(b), n)
+            assert composite.equal(induced_map_on_derived_hom(a2, b2, n).compose(
+                induced_map_on_derived_hom(a, b, n)))
 
 
 class TestHomComplex:

@@ -90,11 +90,33 @@ class TestParsing:
           "maps": {"f": {"source": "bad", "target": "bad",
                          "comps": {"0": [["1"]], "1": [["2"]]}}}},
          "error: map 'f': square does not commute at degree 1"),
+        ({"ring": "Z", "complexes": {"bad": {"ranks": {"0": 1, "1": -1, "2": 1},
+                                             "diffs": {}}}},
+         "error: complex 'bad': negative rank -1 at degree 1"),
+        ({"ring": "Z",
+          "complexes": {"Z0": {"ranks": {"0": 1}, "diffs": {}},
+                        "Z1": {"ranks": {"1": 1}, "diffs": {}}},
+          "maps": {"x2": {"source": "Z0", "target": "Z0", "comps": {"0": [["2"]]}}},
+          "towers": {"bad": {"entries": ["Z0", "Z1"], "structure": ["x2"],
+                             "tail": {"constant_from": 1}}}},
+         "error: tower 'bad': map 0 source"),
+        ({"ring": "Z",
+          "complexes": {"Z0": {"ranks": {"0": 1}, "diffs": {}}},
+          "maps": {"id": {"source": "Z0", "target": "Z0", "comps": {"0": [["1"]]}},
+                   "x2": {"source": "Z0", "target": "Z0", "comps": {"0": [["2"]]}},
+                   "x3": {"source": "Z0", "target": "Z0", "comps": {"0": [["3"]]}}},
+          "towers": {"T": {"entries": ["Z0", "Z0"], "structure": ["x2"],
+                           "tail": {"constant_from": 1}}},
+          "promaps": {"bad": {"source": "T", "target": "T", "comps": ["id", "x3"]}}},
+         "error: promap 'bad': squares do not commute"),
     ])
     def test_validation_holds_without_asserts(self, tmp_path, doc, message):
-        # python -O strips assert statements; parsing must not rely on them
+        # python -O strips assert statements; parsing must not rely on them.
+        # Each case runs the command that reads the object called 'bad'.
+        command = ("whitehead" if "bad" in doc.get("promaps", {}) else
+                   "postnikov" if "bad" in doc.get("towers", {}) else "homology")
         ws = write(tmp_path, doc)
-        p = run_python("-O", "-m", "prochain.cli", "homology", "bad",
+        p = run_python("-O", "-m", "prochain.cli", command, "bad",
                        "--workspace", ws, "--out", str(tmp_path / "out"))
         assert p.returncode == 1
         assert p.stderr.splitlines() == [message]

@@ -12,7 +12,8 @@ from prochain.exactalg.groups import (cokernel, cokernel_projection, direct_sum,
                                       kernel, multiplication_hom,
                                       preimage_element, solve_hom_constraints,
                                       subgroup_from_columns, subquotient,
-                                      full_subgroup, trivial_group, zero_hom)
+                                      full_subgroup, trivial_group, zero_hom,
+                                      zero_subgroup)
 from prochain.exactalg.matrices import (IntMatrix, column_lattice_basis,
                                         in_column_span, kernel_basis, snf,
                                         solve)
@@ -140,6 +141,18 @@ class TestGroups:
         assert subquotient(A, full, full).group.is_trivial
         with pytest.raises(ContainmentViolation):
             subquotient(A, T, S)
+
+    def test_encode_rejects_non_members(self):
+        A = free_group(2)
+        S = subgroup_from_columns(A, IntMatrix.from_columns([(1, 0), (0, 2)], 2))
+        T = subgroup_from_columns(A, IntMatrix.from_columns([(2, 0)], 2))
+        outside = IntMatrix.from_columns([(1, 0), (0, 1)], 2)
+        for sq in (S, subquotient(A, S, T), subquotient(A, S, zero_subgroup(A))):
+            with pytest.raises(ContainmentViolation):
+                sq.encode_matrix(outside)
+            # every generator's representative encodes back to itself
+            back = sq.encode_matrix(sq.decode_matrix())
+            assert back.entries == IntMatrix.identity(sq.group.ngens).entries
 
     def test_hom_group_values(self):
         assert hom_group(Z, Z4).group.isomorphic(Z4)
