@@ -12,13 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict
 
-from .errors import RingMismatch
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
                               group_from_presentation, induced_hom,
                               trivial_group)
-from .exactalg.matrices import IntMatrix, kernel_basis, kron, snf, solve
+from .exactalg.matrices import IntMatrix, block_matrix, kernel_basis, kron, solve
 from .exactalg.ring import RingTag, ZZ, check_same_ring
 
 
@@ -224,30 +223,24 @@ def direct_sum_complex(A: ChainComplex, B: ChainComplex):
     check_same_ring(A, B)
     ring = A.ring
     lo, hi = min(A.lo, B.lo), max(A.hi, B.hi)
-    ranks = {n: A.rank(n) + B.rank(n) for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        da, db = A.diff(n), B.diff(n)
-        rows = []
-        for i in range(da.rows):
-            rows.append(list(da.row(i)) + [0] * db.cols)
-        for i in range(db.rows):
-            rows.append([0] * da.cols + list(db.row(i)))
-        diffs[n] = IntMatrix.from_rows(rows, ring, cols=da.cols + db.cols)
-    S = make_complex(ring, ranks, diffs)
+    degrees = range(lo, hi + 1)
 
-    def block(n, which):
-        ra, rb = A.rank(n), B.rank(n)
-        m = [[0] * (ra if which == 'a' else rb) for _ in range(ra + rb)]
-        off = 0 if which == 'a' else ra
-        for i in range(ra if which == 'a' else rb):
-            m[off + i][i] = 1
-        return IntMatrix.from_rows(m, ring, cols=(ra if which == 'a' else rb))
+    def sizes(n):
+        return (A.rank(n), B.rank(n))
 
-    incl_a = chain_map(A, S, {n: block(n, 'a') for n in range(lo, hi + 1)})
-    incl_b = chain_map(B, S, {n: block(n, 'b') for n in range(lo, hi + 1)})
-    proj_a = chain_map(S, A, {n: block(n, 'a').transpose() for n in range(lo, hi + 1)})
-    proj_b = chain_map(S, B, {n: block(n, 'b').transpose() for n in range(lo, hi + 1)})
+    S = make_complex(ring, {n: A.rank(n) + B.rank(n) for n in degrees},
+                     {n: block_matrix(sizes(n - 1), sizes(n),
+                                      {(0, 0): A.diff(n), (1, 1): B.diff(n)}, ring)
+                      for n in range(lo + 1, hi + 1)})
+
+    def incl(n, which):
+        one = IntMatrix.identity(sizes(n)[which], ring)
+        return block_matrix(sizes(n), (one.cols,), {(which, 0): one}, ring)
+
+    incl_a = chain_map(A, S, {n: incl(n, 0) for n in degrees})
+    incl_b = chain_map(B, S, {n: incl(n, 1) for n in degrees})
+    proj_a = chain_map(S, A, {n: incl(n, 0).transpose() for n in degrees})
+    proj_b = chain_map(S, B, {n: incl(n, 1).transpose() for n in degrees})
     return S, incl_a, incl_b, proj_a, proj_b
 
 
@@ -268,22 +261,20 @@ def cone(f: ChainMap):
     ring = X.ring
     lo = min(Y.lo, X.lo + 1)
     hi = max(Y.hi, X.hi + 1)
-    ranks = {n: Y.rank(n) + X.rank(n - 1) for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        dy = Y.diff(n)
-        fx = f.comp(n - 1)
-        dx = X.diff(n - 1)
-        top = dy.hstack(fx)                       # Y_n (+) X_{n-1} -> Y_{n-1}
-        bottom = IntMatrix.zeros(dx.rows, dy.cols, ring).hstack(-dx)
-        diffs[n] = top.vstack(bottom)
-    C = make_complex(ring, ranks, diffs)
+    degrees = range(lo, hi + 1)
 
-    incl = chain_map(Y, C, {n: IntMatrix.identity(Y.rank(n), ring).vstack(
-        IntMatrix.zeros(X.rank(n - 1), Y.rank(n), ring)) for n in range(lo, hi + 1)})
-    SX = shift(X, 1)
-    proj = chain_map(C, SX, {n: IntMatrix.zeros(X.rank(n - 1), Y.rank(n), ring).hstack(
-        IntMatrix.identity(X.rank(n - 1), ring)) for n in range(lo, hi + 1)})
+    def sizes(n):                                 # Y_n (+) X_{n-1}
+        return (Y.rank(n), X.rank(n - 1))
+
+    C = make_complex(ring, {n: sum(sizes(n)) for n in degrees},
+                     {n: block_matrix(sizes(n - 1), sizes(n),
+                                      {(0, 0): Y.diff(n), (0, 1): f.comp(n - 1),
+                                       (1, 1): -X.diff(n - 1)}, ring)
+                      for n in range(lo + 1, hi + 1)})
+    incl = chain_map(Y, C, {n: block_matrix(sizes(n), (Y.rank(n),), {
+        (0, 0): IntMatrix.identity(Y.rank(n), ring)}, ring) for n in degrees})
+    proj = chain_map(C, shift(X, 1), {n: block_matrix((X.rank(n - 1),), sizes(n), {
+        (0, 1): IntMatrix.identity(X.rank(n - 1), ring)}, ring) for n in degrees})
     return C, incl, proj
 
 
@@ -292,16 +283,11 @@ def cone_functor_map(f: ChainMap, g: ChainMap, alpha: ChainMap, xi: ChainMap) ->
     assert xi.compose(f).equal(g.compose(alpha))
     Cf, _, _ = cone(f)
     Cg, _, _ = cone(g)
-    ring = f.source.ring
-    comps = {}
-    lo = min(Cf.lo, Cg.lo)
-    hi = max(Cf.hi, Cg.hi)
-    for n in range(lo, hi + 1):
-        xi_n = xi.comp(n)
-        al = alpha.comp(n - 1)
-        top = xi_n.hstack(IntMatrix.zeros(xi_n.rows, al.cols, ring))
-        bot = IntMatrix.zeros(al.rows, xi_n.cols, ring).hstack(al)
-        comps[n] = top.vstack(bot)
+    comps = {n: block_matrix((g.target.rank(n), g.source.rank(n - 1)),
+                             (f.target.rank(n), f.source.rank(n - 1)),
+                             {(0, 0): xi.comp(n), (1, 1): alpha.comp(n - 1)},
+                             f.source.ring)
+             for n in range(min(Cf.lo, Cg.lo), max(Cf.hi, Cg.hi) + 1)}
     return chain_map(Cf, Cg, comps)
 
 
@@ -376,22 +362,30 @@ def cone_les_exact(f: ChainMap) -> bool:
 # Hom complex and the derived-hom oracle
 # ---------------------------------------------------------------------------
 
+def _hom_blocks(X: ChainComplex, Y: ChainComplex, n: int) -> Dict[int, int]:
+    """The layout of degree n of Hom(X, Y): source degree k -> rank of its
+    block Hom(X_k, Y_{k+n}), for the nonzero blocks in increasing k."""
+    return {k: Y.rank(k + n) * X.rank(k) for k in X.degrees
+            if X.rank(k) and Y.rank(k + n)}
+
+
 @dataclass(frozen=True)
 class HomComplexView:
     """The complex with degree-n module (+)_k Hom(X_k, Y_{k+n}).
 
-    Differential D(f) = d_Y o f - (-1)^n f o d_X.  Blocks in degree n are
+    Differential D(f) = d_Y o f + (-1)^n f o d_X.  Blocks in degree n are
     indexed by the source degree k, in increasing order; block k holds a
-    Y_{k+n} x X_k matrix row by row.
+    Y_{k+n} x X_k matrix row by row, so that m -> b o m o a acts on it as
+    kron(b, a^T).
     """
 
     X: ChainComplex
     Y: ChainComplex
     complex: ChainComplex
 
-    def block_degrees(self, n: int) -> list:
-        X, Y = self.X, self.Y
-        return [k for k in X.degrees if Y.rank(k + n) > 0 and X.rank(k) > 0]
+    def block_degrees(self, n: int) -> Dict[int, int]:
+        """Source degree k -> rank of block k, for the blocks of degree n."""
+        return _hom_blocks(self.X, self.Y, n)
 
 
 @lru_cache(maxsize=None)
@@ -400,61 +394,20 @@ def hom_complex(X: ChainComplex, Y: ChainComplex) -> HomComplexView:
     ring = X.ring
     lo = Y.lo - X.hi
     hi = Y.hi - X.lo
-
-    def blocks(n):
-        return [(k, X.rank(k), Y.rank(k + n)) for k in X.degrees
-                if X.rank(k) > 0 and Y.rank(k + n) > 0]
-
-    ranks = {}
-    for n in range(lo, hi + 1):
-        ranks[n] = sum(rx * ry for _, rx, ry in blocks(n))
-
+    layout = {n: _hom_blocks(X, Y, n) for n in range(lo, hi + 1)}
+    ranks = {n: sum(layout[n].values()) for n in range(lo, hi + 1)}
     diffs = {}
-    sizes = {n: ranks.get(n, 0) for n in range(lo - 1, hi + 2)}
     for n in range(lo + 1, hi + 1):
-        src_blocks = blocks(n)
-        tgt_blocks = blocks(n - 1)
-        src_off = {}
-        off = 0
-        for k, rx, ry in src_blocks:
-            src_off[k] = off
-            off += rx * ry
-        tgt_off = {}
-        off = 0
-        for k, rx, ry in tgt_blocks:
-            tgt_off[k] = off
-            off += rx * ry
-        rows = sizes[n - 1]
-        cols = sizes[n]
-        M = [[0] * cols for _ in range(rows)]
-        sign = -1 if n % 2 else 1  # the coefficient -(-1)^n
-        for k, rx, ry in src_blocks:
-            so = src_off[k]
-            # post-composition with d_Y lands in target block k
-            if k in tgt_off:
-                A = Y.diff(k + n)  # Y_{k+n} -> Y_{k+n-1}
-                to = tgt_off[k]
-                for yp in range(A.rows):
-                    for y in range(A.cols):
-                        a = A[yp, y]
-                        if a == 0:
-                            continue
-                        for x in range(rx):
-                            M[to + yp * rx + x][so + y * rx + x] += a
-            # pre-composition with d_X lands in target block k+1
-            if k + 1 in tgt_off:
-                B = X.diff(k + 1)  # X_{k+1} -> X_k
-                to = tgt_off[k + 1]
-                rx1 = X.rank(k + 1)
-                for y in range(ry):
-                    for c in range(B.rows):
-                        for x1 in range(B.cols):
-                            b = B[c, x1]
-                            if b == 0:
-                                continue
-                            M[to + y * rx1 + x1][so + y * rx + c] += sign * b
-        diffs[n] = IntMatrix.from_rows([[ring.reduce(v) for v in row] for row in M],
-                                       ring, cols=cols)
+        src, tgt = layout[n], layout[n - 1]
+        sign = -1 if n % 2 else 1
+        blocks = {}
+        for k in src:
+            if k in tgt:        # d_Y o f stays in block k
+                blocks[k, k] = kron(Y.diff(k + n), IntMatrix.identity(X.rank(k), ring))
+            if k + 1 in tgt:    # f o d_X lands in block k + 1
+                signed = IntMatrix.identity(Y.rank(k + n), ring).scale(sign)
+                blocks[k + 1, k] = kron(signed, X.diff(k + 1).transpose())
+        diffs[n] = block_matrix(tgt, src, blocks, ring)
     HC = make_complex(ring, ranks, diffs)
     return HomComplexView(X, Y, HC)
 
@@ -477,17 +430,9 @@ def induced_map_on_derived_hom(a: ChainMap, b: ChainMap, n: int) -> GroupHom:
     the row-by-row layout of the hom complex."""
     hc_s, data_s = derived_hom_data(a.target, b.source, n)
     hc_t, data_t = derived_hom_data(a.source, b.target, n)
-    src_blocks = hc_s.block_degrees(n)
-    rows = []
-    for k in hc_t.block_degrees(n):
-        blk = kron(b.comp(k + n), a.comp(k).transpose())
-        for r in range(blk.rows):
-            row = []
-            for ks in src_blocks:
-                row.extend(blk.row(r) if ks == k else
-                           (0,) * (a.target.rank(ks) * b.source.rank(ks + n)))
-            rows.append(row)
-    M = IntMatrix.from_rows(rows, a.source.ring, cols=hc_s.complex.rank(n))
+    src, tgt = hc_s.block_degrees(n), hc_t.block_degrees(n)
+    M = block_matrix(tgt, src, {(k, k): kron(b.comp(k + n), a.comp(k).transpose())
+                                for k in tgt if k in src}, a.source.ring)
     return induced_hom(data_s, M, data_t)
 
 

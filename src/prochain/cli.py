@@ -14,20 +14,18 @@ import sys
 import tempfile
 from typing import List, Optional
 
-from .ahss import (SpectralSequence, abutment_filtration, convergence_check,
-                   e2_identification_check, pro_ahss)
+from .ahss import SpectralSequence, convergence_check, pro_ahss
 from .chain import derived_hom, homology, homology_support
 from .errors import ProchainError
-from .exactalg.groups import FgAbGroup, subquotient
-from .pro import (Lim1Verdict, UnknownValue, colim, is_pro_isomorphism,
-                  lim_lim1, pro_hom)
+from .pro import (Lim1Verdict, UnknownValue, is_pro_isomorphism, lim_lim1,
+                  pro_hom)
 from .prohomotopy import (hom_from_constant, hom_to_constant,
                           is_hstar_fibrant, is_hstar_weak_equivalence,
                           postnikov_replacement)
 from .tstruct import (classify_map, cohomology_with_coefficients, factor_n,
                       find_lift, is_co_n_fibration, is_n_cofibration,
                       truncate_above, truncate_below_free)
-from .workspace import Workspace, parse_workspace, serialize_workspace
+from .workspace import parse_workspace, serialize_workspace
 
 COMMANDS = ["homology", "truncate", "classify", "factor", "lift", "cohomology",
             "pro-iso", "limlim1", "prohom", "whitehead", "postnikov",
@@ -366,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--workspace", default=None, help="workspace JSON path")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--budget-filler", type=int, default=None)
-    ap.add_argument("--budget-reindex", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--mode", choices=["above", "below"], default="above",
                     help="truncation direction for the truncate command")
@@ -387,8 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ws = parse_workspace(args.workspace)
             if args.budget_filler:
                 ws.config.budget_filler = args.budget_filler
-            if args.budget_reindex:
-                ws.config.budget_reindex = args.budget_reindex
         rep = Reporter(args.out)
         # unpack positional names into fields the handlers expect
         names = list(args.names)

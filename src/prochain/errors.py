@@ -25,6 +25,10 @@ class PreconditionViolated(ProchainError):
     """An operation was called on inputs outside its contract."""
 
 
+class PostconditionViolated(ProchainError):
+    """A result failed an identity that its construction guarantees."""
+
+
 class ParseError(ProchainError):
     """Workspace file could not be parsed; message carries the location."""
 

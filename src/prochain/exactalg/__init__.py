@@ -1,14 +1,14 @@
 """Exact integer and F_p linear algebra with f.g. abelian group arithmetic."""
 
 from .ring import GF, RingTag, ZZ, check_same_ring
-from .matrices import (IntMatrix, SnfResult, block_diagonal,
+from .matrices import (IntMatrix, SnfResult, block_matrix,
                        column_lattice_basis, in_column_span, kernel_basis,
-                       snf, solve)
+                       kron, snf, solve)
 from .groups import (FgAbGroup, GroupHom, HomGroup, Subgroup, SubquotientData,
                      cokernel, cokernel_projection, direct_sum, exact_at,
                      express_through, free_group, full_subgroup,
                      group_from_orders, group_from_presentation, hom,
-                     hom_group, identity_hom, image, induced_hom,
+                     hom_functor, hom_group, identity_hom, image, induced_hom,
                      is_injective, is_isomorphism, is_surjective, kernel,
                      multiplication_hom, preimage_element, preimage_matrix,
                      quotient, solve_hom_constraints, subgroup_from_columns,

@@ -18,8 +18,8 @@ from math import gcd
 from typing import Optional, Sequence
 
 from ..errors import ContainmentViolation, PreconditionViolated
-from .matrices import (IntMatrix, column_lattice_basis, in_column_span,
-                       kernel_basis, snf, solve)
+from .matrices import (IntMatrix, block_matrix, column_lattice_basis,
+                       in_column_span, kernel_basis, kron, snf, solve)
 from .ring import RingTag, ZZ, check_same_ring
 
 
@@ -242,7 +242,9 @@ def multiplication_hom(g: FgAbGroup, m: int) -> GroupHom:
 # ---------------------------------------------------------------------------
 
 def _augmented(G: IntMatrix, rels: IntMatrix) -> IntMatrix:
-    return G.hstack(rels) if rels.cols else G
+    if not rels.cols:
+        return G
+    return block_matrix((G.rows,), (G.cols, rels.cols), {(0, 0): G, (0, 1): rels}, G.ring)
 
 
 @dataclass(frozen=True)
@@ -278,11 +280,6 @@ class SubquotientData:
     def encode_hom(self, f: GroupHom) -> GroupHom:
         """Turn f: P -> ambient (with image in the numerator) into P -> group."""
         return hom(f.source, self.group, self.encode_matrix(f.matrix))
-
-    def decode_hom(self, f: GroupHom) -> GroupHom:
-        """Turn f: P -> group into a representative P -> ambient."""
-        return GroupHom(f.source, self.ambient,
-                        self.ambient.reduce_matrix(self.decode_matrix() @ f.matrix))
 
 
 def induced_hom(src: SubquotientData, M: IntMatrix,
@@ -434,55 +431,82 @@ def _pair_order(a: int, b: int, ring: RingTag):
 
 @dataclass(frozen=True)
 class HomGroup:
-    """Hom(A, B) as an FgAbGroup with decoding of generators to maps."""
+    """Hom(A, B) as an FgAbGroup.
+
+    A homomorphism is written as its B.ngens x A.ngens matrix read row by
+    row, the layout of the hom complex, so that g -> post o g o pre acts as
+    kron(post, pre^T).  Natural coordinate k of `group` is the entry at
+    slots[k] in units of mults[k]; the other entries of a homomorphism
+    vanish.
+    """
 
     A: FgAbGroup
     B: FgAbGroup
     group: FgAbGroup
-    pairs: tuple      # ((i, j, multiplier), ...) aligned with natural coords
+    slots: tuple      # j * A.ngens + i for the elementary map e_i -> mult e_j
+    mults: tuple
 
-    def decode(self, vec: Sequence[int]) -> GroupHom:
-        nat = self.group.from_canonical.apply(vec)
-        m = [[0] * self.A.ngens for _ in range(self.B.ngens)]
-        for (i, j, mult), c in zip(self.pairs, nat):
-            m[j][i] += c * mult
-        return hom(self.A, self.B, IntMatrix.from_rows(m, self.A.ring,
-                                                       cols=self.A.ngens),
-                   check=False)
+    def _reduce(self, M: IntMatrix) -> IntMatrix:
+        """Reduce each row of M modulo the order of its slot's target generator."""
+        ring, nA = self.A.ring, self.A.ngens
+        out = []
+        for s in range(M.rows):
+            d = self.B.orders[s // nA]
+            out.extend(ring.reduce(x) % d if d else ring.reduce(x) for x in M.row(s))
+        return IntMatrix(M.rows, M.cols, tuple(out), ring)
 
-    def encode(self, f: GroupHom) -> tuple:
-        assert f.source.orders == self.A.orders and f.target.orders == self.B.orders
-        nat = []
-        ring = self.A.ring
-        for (i, j, mult) in self.pairs:
-            v = f.matrix[j, i]
-            if mult == 0:
-                nat.append(0)
-                continue
-            b = self.B.orders[j]
-            if ring.is_field or mult == 1:
-                nat.append(ring.reduce(v))
-            else:
-                v = v % b if b else v
-                assert v % mult == 0, "hom not generated by elementary maps"
-                nat.append(v // mult)
-        return self.group.reduce(self.group.to_canonical.apply(nat))
+    def decode_matrix(self) -> IntMatrix:
+        """The homomorphisms of all canonical generators, as columns."""
+        fc = self.group.from_canonical
+        rows = [[0] * fc.cols for _ in range(self.A.ngens * self.B.ngens)]
+        for k, (s, mult) in enumerate(zip(self.slots, self.mults)):
+            rows[s] = [mult * x for x in fc.row(k)]
+        return self._reduce(IntMatrix.from_rows(rows, self.A.ring, cols=fc.cols))
+
+    def encode_matrix(self, V: IntMatrix) -> IntMatrix:
+        """Canonical coordinates of every column of V, a homomorphism written
+        row by row; raises ContainmentViolation for a column that is not a
+        homomorphism A -> B."""
+        if V.rows != self.A.ngens * self.B.ngens:
+            raise PreconditionViolated(f"{V.rows} rows do not write a map "
+                                       f"{self.A} -> {self.B} row by row")
+        R = self._reduce(V)
+        mult_of = dict(zip(self.slots, self.mults))
+        for s in range(R.rows):
+            mult = mult_of.get(s, 0)
+            if any(x % mult if mult else x for x in R.row(s)):
+                raise ContainmentViolation(
+                    f"column is not a homomorphism {self.A} -> {self.B}")
+        nat = [[x // mult for x in R.row(s)] for s, mult in zip(self.slots, self.mults)]
+        N = IntMatrix.from_rows(nat, self.A.ring, cols=V.cols)
+        return self.group.reduce_matrix(self.group.to_canonical @ N)
 
 
 @lru_cache(maxsize=None)
 def hom_group(A: FgAbGroup, B: FgAbGroup) -> HomGroup:
     ring = check_same_ring(A, B)
-    pairs = []
+    slots = []
+    mults = []
     orders = []
     for i, a in enumerate(A.orders):
         for j, b in enumerate(B.orders):
             c, mult = _pair_order(a, b, ring)
             if c == 1 and not ring.is_field:
                 continue
-            pairs.append((i, j, mult))
+            slots.append(j * A.ngens + i)
+            mults.append(mult)
             orders.append(c)
     grp = group_from_orders(orders, ring)
-    return HomGroup(A, B, grp, tuple(pairs))
+    return HomGroup(A, B, grp, tuple(slots), tuple(mults))
+
+
+def hom_functor(pre: GroupHom, post: GroupHom) -> GroupHom:
+    """Hom(pre, post): Hom(A, B) -> Hom(P, Q), g -> post o g o pre, for
+    pre: P -> A and post: B -> Q."""
+    src = hom_group(pre.target, post.source)
+    tgt = hom_group(pre.source, post.target)
+    M = kron(post.matrix, pre.matrix.transpose()) @ src.decode_matrix()
+    return hom(src.group, tgt.group, tgt.encode_matrix(M))
 
 
 def solve_hom_constraints(A: FgAbGroup, B: FgAbGroup,
@@ -494,48 +518,31 @@ def solve_hom_constraints(A: FgAbGroup, B: FgAbGroup,
     no constraints at all and it satisfies them vacuously.
     """
     ring = check_same_ring(A, B)
-    hg = hom_group(A, B)
-    n_unknown = hg.group.ngens
-    blocks = []
-    rhs_vecs = []
-    for (pre, post, rhs) in constraints:
-        assert pre.target.orders == A.orders and post.source.orders == B.orders
-        hq = hom_group(pre.source, post.target)
-        cols = []
-        for k in range(n_unknown):
-            gen = [0] * n_unknown
-            gen[k] = 1
-            g = hg.decode(gen)
-            composed = post.compose(g).compose(pre)
-            cols.append(hq.encode(composed))
-        phi = IntMatrix.from_columns(cols, hq.group.ngens, ring)
-        blocks.append((phi, hq))
-        rhs_vecs.append(hq.encode(rhs))
-    if not blocks:
+    if not constraints:
         return zero_hom(A, B)
-    # stack: [phi_1; phi_2; ...] x = rhs mod relations of each target hom group
-    total_rows = sum(phi.rows for phi, _ in blocks)
-    big = blocks[0][0]
-    for phi, _ in blocks[1:]:
-        big = big.vstack(phi)
-    # block-diagonal relation columns
-    rel_cols = []
-    offset = 0
-    for phi, hq in blocks:
-        rels = hq.group.relation_matrix()
-        for j in range(rels.cols):
-            col = [0] * total_rows
-            for i in range(rels.rows):
-                col[offset + i] = rels[i, j]
-            rel_cols.append(col)
-        offset += phi.rows
-    sys = big
-    if rel_cols:
-        sys = big.hstack(IntMatrix.from_columns(rel_cols, total_rows, ring))
-    rhs_col = IntMatrix.from_columns(
-        [[x for vec in rhs_vecs for x in vec]], total_rows, ring)
-    sol = solve(sys, rhs_col)
+    hg = hom_group(A, B)
+    # [Hom(pre_1, post_1) | rel_1 |       ]       [rhs_1]
+    # [Hom(pre_2, post_2) |       | rel_2 ] x  =  [rhs_2]
+    blocks = {}
+    rows = []
+    cols = [hg.group.ngens]
+    rhs = []
+    for c, (pre, post, value) in enumerate(constraints):
+        if pre.target.orders != A.orders or post.source.orders != B.orders:
+            raise PreconditionViolated("constraint does not compose with A -> B")
+        phi = hom_functor(pre, post)
+        rels = phi.target.relation_matrix()
+        blocks[c, 0] = phi.matrix
+        blocks[c, c + 1] = rels
+        rows.append(rels.rows)
+        cols.append(rels.cols)
+        vec = IntMatrix(value.matrix.rows * value.matrix.cols, 1,
+                        value.matrix.entries, ring)
+        rhs.extend(hom_group(pre.source, post.target).encode_matrix(vec).entries)
+    sol = solve(block_matrix(rows, cols, blocks, ring),
+                IntMatrix(len(rhs), 1, tuple(rhs), ring))
     if sol is None:
         return None
-    coords = hg.group.reduce(tuple(sol[i, 0] for i in range(n_unknown)))
-    return hg.decode(coords)
+    coords = hg.group.reduce_matrix(sol.take_rows(range(hg.group.ngens)))
+    g = hg.decode_matrix() @ coords
+    return hom(A, B, IntMatrix(B.ngens, A.ngens, g.entries, ring), check=False)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+from ..errors import PreconditionViolated
 from .ring import RingTag, ZZ, check_same_ring
 
 
@@ -150,19 +151,6 @@ class IntMatrix:
                                for j in range(self.cols) for i in range(self.rows)),
                          self.ring)
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        check_same_ring(self, other)
-        assert self.rows == other.rows
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        e = tuple(x for r in rows for x in r)
-        return IntMatrix(self.rows, self.cols + other.cols, e, self.ring)
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        check_same_ring(self, other)
-        assert self.cols == other.cols
-        return IntMatrix(self.rows + other.rows, self.cols,
-                         self.entries + other.entries, self.ring)
-
     def take_rows(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
         e = tuple(x for i in idx for x in self.row(i))
@@ -178,27 +166,48 @@ class IntMatrix:
                                for i in range(self.rows)) + "]"
 
 
-def block_diagonal(blocks: Sequence[IntMatrix], ring: RingTag) -> IntMatrix:
-    m = sum(b.rows for b in blocks)
-    n = sum(b.cols for b in blocks)
-    out = [[0] * n for _ in range(m)]
-    ro = co = 0
-    for b in blocks:
-        for i in range(b.rows):
-            row = b.row(i)
-            for j in range(b.cols):
-                out[ro + i][co + j] = row[j]
-        ro += b.rows
-        co += b.cols
-    return IntMatrix.from_rows(out, ring, cols=n)
+def _offsets(sizes):
+    """(label -> (first index, size) of each block, total size); a sequence
+    of sizes labels its blocks by position."""
+    if not isinstance(sizes, dict):
+        sizes = dict(enumerate(sizes))
+    out = {}
+    off = 0
+    for label, size in sizes.items():
+        out[label] = (off, size)
+        off += size
+    return out, off
+
+
+def block_matrix(row_sizes, col_sizes, blocks: dict, ring: RingTag) -> IntMatrix:
+    """The matrix with block (i, j) equal to blocks[i, j] and zero elsewhere.
+
+    row_sizes and col_sizes give the block sizes in order, either as a
+    sequence (blocks keyed by position) or as a dict (blocks keyed by its
+    labels)."""
+    rows, m = _offsets(row_sizes)
+    cols, n = _offsets(col_sizes)
+    out = [0] * (m * n)
+    for (i, j), b in blocks.items():
+        (ro, r), (co, c) = rows[i], cols[j]
+        if b.rows != r or b.cols != c or b.ring != ring:
+            raise PreconditionViolated(
+                f"block {(i, j)} is {b.shape} over {b.ring}, expected {(r, c)} over {ring}")
+        e = b.entries
+        for k in range(r):
+            start = (ro + k) * n + co
+            out[start:start + c] = e[k * c:(k + 1) * c]
+    return IntMatrix(m, n, tuple(out), ring)
 
 
 def kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     """The Kronecker product: entry (i*B.rows + k, j*B.cols + l) is A[i,j] B[k,l]."""
     check_same_ring(A, B)
-    rows = [[a * b for a in A.row(i) for b in B.row(k)]
-            for i in range(A.rows) for k in range(B.rows)]
-    return IntMatrix.from_rows(rows, A.ring, cols=A.cols * B.cols)
+    red = A.ring.reduce
+    brows = [B.row(k) for k in range(B.rows)]
+    entries = tuple(red(a * b) for i in range(A.rows) for brow in brows
+                    for a in A.row(i) for b in brow)
+    return IntMatrix(A.rows * B.rows, A.cols * B.cols, entries, A.ring)
 
 
 @dataclass(frozen=True)

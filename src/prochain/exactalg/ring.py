@@ -62,11 +62,6 @@ class RingTag:
             return pow(a % self.p, -1, self.p)
         return -1 if a < 0 else 1
 
-    def divides(self, b: int, a: int) -> bool:
-        if self.p:
-            return b % self.p != 0 or a % self.p == 0
-        return a % b == 0
-
     def __str__(self):
         return f"F{self.p}" if self.p else "Z"
 

@@ -12,17 +12,15 @@ first-class result, not an error.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
-from .chain import ChainComplex, ChainMap, identity_map as chain_identity, is_chain_map
-from .errors import PreconditionViolated, ValidationError
-from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, hom, hom_group,
-                              identity_hom, image, is_isomorphism,
-                              solve_hom_constraints, subgroup_from_columns,
-                              zero_hom)
-from .exactalg.matrices import IntMatrix, in_column_span, kernel_basis, snf, solve
+from .chain import identity_map as chain_identity
+from .errors import ValidationError
+from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, hom_functor,
+                              hom_group, identity_hom, image, is_isomorphism,
+                              solve_hom_constraints, zero_hom)
+from .exactalg.matrices import IntMatrix, kernel_basis, snf, solve
 from .exactalg.ring import check_same_ring
 
 DEFAULT_BUDGET = 8
@@ -160,10 +158,6 @@ class Tower(_TailedSequence):
             if not (_same_object(_source(e), self.entries[N])
                     and _same_object(_target(e), self.entries[N])):
                 raise ValidationError("tail endo is not an endomorphism of the last entry")
-
-    @property
-    def stored_top(self) -> int:
-        return self.tail.start
 
     def composite(self, s: int, t: int):
         """The composed map T_s -> T_t for s >= t."""
@@ -657,45 +651,12 @@ def hom_system(X: Tower, B: FgAbGroup) -> DirectSystem:
     """The direct system Hom(X_s, B) with precomposition transition maps."""
     N = X.tail.start
 
-    def hom_of(entry):
-        return hom_group(entry, B).group
+    def precompose(g):
+        return hom_functor(g, identity_hom(B))
 
-    entries = []
-    for s in range(N + 1):
-        entries.append(hom_of(X.entry(s)))
-    structure = []
-    for s in range(N):
-        structure.append(_precompose_hom(X.structure[s], B))
-    tail = X.tail.mapped(N, lambda endo: _precompose_hom(endo, B))
-    return DirectSystem(tuple(entries), tuple(structure), tail)
-
-
-def _precompose_hom(g: GroupHom, B: FgAbGroup) -> GroupHom:
-    """Hom(g, B): Hom(target g, B) -> Hom(source g, B)."""
-    hg_t = hom_group(_target(g), B)
-    hg_s = hom_group(_source(g), B)
-    cols = []
-    for k in range(hg_t.group.ngens):
-        gen = [0] * hg_t.group.ngens
-        gen[k] = 1
-        f = hg_t.decode(gen)
-        cols.append(hg_s.encode(f.compose(g)))
-    m = IntMatrix.from_columns(cols, hg_s.group.ngens, B.ring)
-    return hom(hg_t.group, hg_s.group, m)
-
-
-def _postcompose_hom(A: FgAbGroup, g: GroupHom) -> GroupHom:
-    """Hom(A, g): Hom(A, source g) -> Hom(A, target g)."""
-    hg_s = hom_group(A, _source(g))
-    hg_t = hom_group(A, _target(g))
-    cols = []
-    for k in range(hg_s.group.ngens):
-        gen = [0] * hg_s.group.ngens
-        gen[k] = 1
-        f = hg_s.decode(gen)
-        cols.append(hg_t.encode(g.compose(f)))
-    m = IntMatrix.from_columns(cols, hg_t.group.ngens, A.ring)
-    return hom(hg_s.group, hg_t.group, m)
+    entries = tuple(hom_group(X.entry(s), B).group for s in range(N + 1))
+    structure = tuple(precompose(m) for m in X.structure)
+    return DirectSystem(entries, structure, X.tail.mapped(N, precompose))
 
 
 def pro_hom(X: Tower, Y: Tower, budget: int = DEFAULT_BUDGET) -> GroupOrUnknown:
@@ -726,10 +687,11 @@ def pro_hom(X: Tower, Y: Tower, budget: int = DEFAULT_BUDGET) -> GroupOrUnknown:
         if src.is_trivial or tgt.is_trivial:
             structure.append(zero_hom(src, tgt))
         else:
-            structure.append(_postcompose_hom(X.entry(stage), Y.structure_map(t)))
+            structure.append(hom_functor(identity_hom(X.entry(stage)),
+                                         Y.structure_map(t)))
     top = entries[N]
     tail = Y.tail.mapped(N, lambda endo: zero_hom(top, top) if top.is_trivial
-                         else _postcompose_hom(X.entry(stage), endo))
+                         else hom_functor(identity_hom(X.entry(stage)), endo))
     tower = Tower(tuple(entries), tuple(structure), tail)
     res = lim_lim1(tower, budget)
     return res.lim

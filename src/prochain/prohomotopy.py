@@ -11,18 +11,17 @@ towers.  The homology support is finite, so the check is a finite loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .chain import (ChainComplex, ChainMap, derived_hom, homology,
                     homology_support, induced_homology_map,
                     induced_map_on_derived_hom, identity_map)
 from .errors import WindowViolation
-from .exactalg.groups import FgAbGroup, GroupHom, hom_group, trivial_group, zero_hom
+from .exactalg.groups import FgAbGroup, GroupHom, trivial_group, zero_hom
 from .exactalg.ring import check_same_ring
-from .pro import (ColimResult, DEFAULT_BUDGET, DirectSystem, GroupOrUnknown,
-                  Lim1Verdict, LimResult, ProMap, Tower,
-                  UnknownValue, colim, is_pro_isomorphism, level_map,
-                  lim_lim1)
+from .pro import (DEFAULT_BUDGET, DirectSystem, GroupOrUnknown, Lim1Verdict,
+                  ProMap, Tower, UnknownValue, colim, is_pro_isomorphism,
+                  level_map, lim_lim1)
 from .tstruct import (classify_map, is_degreewise_split_mono,
                       is_degreewise_surjection, truncate_below_free,
                       truncate_below_map, truncation_step)

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import random
 
-from .chain import (cone, derived_hom, free_one_term, homology,
-                    identity_map, moore_complex, multiplication_map,
+from .chain import (derived_hom, homology, moore_complex, multiplication_map,
                     random_complex, random_null_homotopic)
 from .exactalg.matrices import IntMatrix, snf
 from .exactalg.ring import GF, ZZ

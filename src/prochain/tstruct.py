@@ -15,18 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .chain import (ChainComplex, ChainMap, chain_map, cone,
                     cone_functor_map, derived_hom, free_one_term, homology,
                     homology_data, homology_support, identity_map,
                     induced_homology_map, make_complex, shift, zero_complex,
                     zero_map)
-from .errors import PreconditionViolated
+from .errors import PostconditionViolated, PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
-from .exactalg.matrices import IntMatrix, kernel_basis, snf, solve
-from .exactalg.ring import RingTag
+from .exactalg.matrices import IntMatrix, block_matrix, kernel_basis, kron, snf, solve
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -412,12 +411,10 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
             state.attach(k, [-v for v in vec[rY:]], list(vec[:rY]))
 
     Z, p = state.snapshot()
-    comps = {}
-    for m in range(min(X.lo, Z.lo), max(X.hi, Z.hi) + 1):
-        block = IntMatrix.identity(X.rank(m), ring)
-        comps[m] = block.vstack(IntMatrix.zeros(Z.rank(m) - X.rank(m),
-                                                X.rank(m), ring))
-    i = chain_map(X, Z, comps)
+    i = chain_map(X, Z, {m: block_matrix(
+        (X.rank(m), Z.rank(m) - X.rank(m)), (X.rank(m),),
+        {(0, 0): IntMatrix.identity(X.rank(m), ring)}, ring)
+        for m in range(min(X.lo, Z.lo), max(X.hi, Z.hi) + 1)})
     assert p.compose(i).equal(f), "factorization does not compose to f"
     assert is_n_cofibration(i, n), "left factor is not an n-cofibration"
     assert is_co_n_fibration(p, n), "right factor is not a co-n-fibration"
@@ -460,7 +457,8 @@ def find_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap,
         r = s_i.V @ s_i.U.take_rows(range(s_i.rank))  # retraction, r i = id
         pm = p.comp(m)
         sect = solve(pm, IntMatrix.identity(pm.rows, ring))
-        assert sect is not None
+        if sect is None:
+            raise PreconditionViolated(f"p has no section in degree {m}")
         compl = IntMatrix.identity(B.rank(m), ring) - (im @ r)
         h0[m] = (top.comp(m) @ r) + (sect @ bottom.comp(m) @ compl)
         kerbase[m] = kernel_basis(pm)
@@ -468,101 +466,49 @@ def find_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap,
     def h0c(m):
         return h0.get(m, IntMatrix.zeros(Xc.rank(m), B.rank(m), ring))
 
-    delta = {m: (Xc.diff(m) @ h0c(m)) - (h0c(m - 1) @ B.diff(m))
-             for m in range(lo, hi + 2)}
-
-    var_index = {}
-    nvars = 0
-    for m in range(lo, hi + 1):
-        var_index[m] = nvars
-        nvars += kerbase[m].cols * B.rank(m)
-
-    def var(m, a, b):
-        return var_index[m] + a * B.rank(m) + b
-
-    rows = []
+    # the unknowns c_m (kerbase[m].cols x B_m) row by row, and two kinds of
+    # equations: the chain condition d_X kappa_m c_m - kappa_{m-1} c_{m-1} d_B
+    # = delta_m, and c_m i_m = 0, which keeps h o i = top exact
+    unknowns = {m: kerbase[m].cols * B.rank(m) for m in range(lo, hi + 1)}
+    chain_rows = {("chain", m): Xc.rank(m - 1) * B.rank(m) for m in range(lo, hi + 2)}
+    side_rows = {("side", m): kerbase[m].cols * i.comp(m).cols for m in range(lo, hi + 1)}
+    blocks = {}
     rhs = []
-    # chain condition: d_X (kappa_m c_m) - (kappa_{m-1} c_{m-1}) d_B = delta_m
     for m in range(lo, hi + 2):
-        dm = delta[m]
-        if dm.rows == 0 or dm.cols == 0:
-            if not dm.is_zero:
-                return None
-            continue
-        dk = (Xc.diff(m) @ kerbase[m]) if m in var_index else None
-        kb_prev = kerbase.get(m - 1)
-        dB = B.diff(m)
-        for rr in range(dm.rows):
-            for cc in range(dm.cols):
-                coeffs = {}
-                if dk is not None:
-                    for a in range(dk.cols):
-                        v = dk[rr, a]
-                        if v:
-                            key = var(m, a, cc)
-                            coeffs[key] = coeffs.get(key, 0) + v
-                if kb_prev is not None and (m - 1) in var_index:
-                    for a in range(kb_prev.cols):
-                        v_out = kb_prev[rr, a]
-                        if v_out == 0:
-                            continue
-                        for b in range(dB.rows):
-                            w = dB[b, cc]
-                            if w:
-                                key = var(m - 1, a, b)
-                                coeffs[key] = coeffs.get(key, 0) - v_out * w
-                val = ring.reduce(dm[rr, cc])
-                if not coeffs:
-                    if val != 0:
-                        return None
-                    continue
-                rows.append(coeffs)
-                rhs.append(val)
-    # side condition c_m i_m = 0 keeps h o i = top exact
+        if m <= hi:
+            blocks[("chain", m), m] = kron(Xc.diff(m) @ kerbase[m],
+                                           IntMatrix.identity(B.rank(m), ring))
+        if m > lo:
+            blocks[("chain", m), m - 1] = -kron(kerbase[m - 1], B.diff(m).transpose())
+        delta = (Xc.diff(m) @ h0c(m)) - (h0c(m - 1) @ B.diff(m))
+        rhs.extend(delta.entries)
     for m in range(lo, hi + 1):
-        kb = kerbase[m]
-        im = i.comp(m)
-        for a in range(kb.cols):
-            for cc in range(im.cols):
-                coeffs = {}
-                for b in range(im.rows):
-                    v = im[b, cc]
-                    if v:
-                        key = var(m, a, b)
-                        coeffs[key] = coeffs.get(key, 0) + v
-                if coeffs:
-                    rows.append(coeffs)
-                    rhs.append(0)
+        blocks[("side", m), m] = kron(IntMatrix.identity(kerbase[m].cols, ring),
+                                      i.comp(m).transpose())
+    rhs.extend([0] * sum(side_rows.values()))
+    system = block_matrix({**chain_rows, **side_rows}, unknowns, blocks, ring)
+    # an equation without unknowns holds or the square has no lift
+    kept = []
+    for row, value in enumerate(rhs):
+        if any(system.row(row)):
+            kept.append(row)
+        elif value:
+            return None
 
-    if nvars == 0:
-        sol_entries = []
-    else:
-        M = [[0] * nvars for _ in rows]
-        for ri, coeffs in enumerate(rows):
-            for k, v in coeffs.items():
-                M[ri][k] = v
-        Mm = IntMatrix.from_rows(M, ring, cols=nvars) if rows else \
-            IntMatrix.zeros(0, nvars, ring)
-        Bm = IntMatrix.from_columns([rhs], len(rows), ring) if rows else \
-            IntMatrix.zeros(0, 1, ring)
-        sol = solve(Mm, Bm)
+    comps = {m: h0c(m) for m in range(lo, hi + 1)}
+    if system.cols:
+        sol = solve(system.take_rows(kept),
+                    IntMatrix(len(kept), 1, tuple(rhs[row] for row in kept), ring))
         if sol is None:
             return None
-        sol_entries = [sol[kk, 0] for kk in range(nvars)]
-
-    comps = {}
-    for m in range(lo, hi + 1):
-        kb = kerbase[m]
-        if kb.cols:
-            c = IntMatrix.from_rows(
-                [[sol_entries[var(m, a, b)] for b in range(B.rank(m))]
-                 for a in range(kb.cols)], ring, cols=B.rank(m))
-            comps[m] = h0c(m) - (kb @ c)
-        else:
-            comps[m] = h0c(m)
+        off = 0
+        for m, size in unknowns.items():
+            c = IntMatrix(kerbase[m].cols, B.rank(m), sol.entries[off:off + size], ring)
+            comps[m] = h0c(m) - (kerbase[m] @ c)
+            off += size
     h = chain_map(B, Xc, comps)
-    assert h.compose(i).equal(top)
-    assert p.compose(h).equal(bottom)
+    if not (h.compose(i).equal(top) and p.compose(h).equal(bottom)):
+        raise PostconditionViolated("the lift does not fill the square")
     return h
 
 

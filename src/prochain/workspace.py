@@ -63,6 +63,17 @@ _TABLES = (("complex", "complexes"), ("map", "maps"), ("group", "groups"),
            ("group promap", "group_promaps"))
 
 
+def _int(value, where: str) -> int:
+    """A workspace number; anything else is a ParseError naming its place."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        text = json.dumps(value)
+        if len(text) > 40:
+            text = text[:36] + " ..."
+        raise ParseError(f"{where}: expected an integer, got {text}")
+
+
 def _parse_matrix(data, ring: RingTag, where: str) -> IntMatrix:
     if not isinstance(data, list):
         raise ParseError(f"{where}: matrix must be an array of rows")
@@ -71,10 +82,7 @@ def _parse_matrix(data, ring: RingTag, where: str) -> IntMatrix:
     for i, row in enumerate(data):
         if not isinstance(row, list):
             raise ParseError(f"{where}: row {i} is not an array")
-        try:
-            vals = [int(x) for x in row]
-        except (TypeError, ValueError):
-            raise ParseError(f"{where}: row {i} has a non-integer entry")
+        vals = [_int(x, f"{where} row {i}") for x in row]
         if width is None:
             width = len(vals)
         elif len(vals) != width:
@@ -90,23 +98,22 @@ def _parse_ring(data) -> RingTag:
         return ZZ
     if isinstance(data, dict) and set(data) == {"p"}:
         try:
-            return GF(int(data["p"]))
+            return GF(_int(data["p"], "ring"))
         except ValidationError as e:
             raise ParseError(str(e))
     raise ParseError("ring must be \"Z\" or {\"p\": <prime>}")
 
 
 def _parse_complex(name: str, data, ring: RingTag) -> ChainComplex:
-    try:
-        ranks = {int(k): int(v) for k, v in data.get("ranks", {}).items()}
-    except (TypeError, ValueError):
-        raise ParseError(f"complex '{name}': bad ranks table")
+    where = f"complex '{name}'"
+    ranks = {_int(k, f"{where} rank degree"): _int(v, f"{where} rank")
+             for k, v in data.get("ranks", {}).items()}
     for n, r in sorted(ranks.items()):
         if r < 0:
             raise ValidationError(f"complex '{name}': negative rank {r} at degree {n}")
     diffs = {}
     for k, m in data.get("diffs", {}).items():
-        n = int(k)
+        n = _int(k, f"{where} differential degree")
         rows = ranks.get(n - 1, 0)
         mat = _parse_matrix(m, ring, f"complex '{name}' diff {n}") if m else \
             IntMatrix.zeros(rows, ranks.get(n, 0), ring)
@@ -130,7 +137,7 @@ def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
         raise ParseError(f"map '{name}': unknown source or target")
     comps = {}
     for k, m in data.get("comps", {}).items():
-        n = int(k)
+        n = _int(k, f"map '{name}' component degree")
         comps[n] = mat = _parse_matrix(m, ws.ring, f"map '{name}' degree {n}")
         want = (tgt.rank(n), src.rank(n))
         if min(src.lo, tgt.lo) <= n <= max(src.hi, tgt.hi) and mat.shape != want:
@@ -147,11 +154,11 @@ def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
 
 
 def _parse_group(name, data, ring) -> FgAbGroup:
-    gens = int(data.get("generators", 0))
+    gens = _int(data.get("generators", 0), f"group '{name}' generators")
     rels = data.get("relations", [])
     cols = []
     for i, rel in enumerate(rels):
-        vals = [int(x) for x in rel]
+        vals = [_int(x, f"group '{name}' relation {i}") for x in rel]
         if len(vals) != gens:
             raise ValidationError(f"group '{name}': relation {i} has wrong length")
         cols.append(vals)
@@ -175,7 +182,7 @@ def _parse_group_map(name, data, ws: Workspace) -> GroupHom:
         raise ValidationError(f"group map '{name}': does not respect relations")
 
 
-def _parse_tower(name, data, entry_table, map_table, kind) -> Tower:
+def _parse_tower(name, data, entry_table, map_table) -> Tower:
     entries = []
     for e in data.get("entries", []):
         if e not in entry_table:
@@ -188,12 +195,13 @@ def _parse_tower(name, data, entry_table, map_table, kind) -> Tower:
         structure.append(map_table[m])
     tail = data.get("tail", {})
     if "constant_from" in tail:
-        policy = TailPolicy.constant_from(int(tail["constant_from"]))
+        policy = TailPolicy.constant_from(
+            _int(tail["constant_from"], f"tower '{name}' tail"))
     elif "repeat_from" in tail:
         endo_name = tail.get("endo")
         if endo_name not in map_table:
             raise ParseError(f"tower '{name}': unknown tail endo '{endo_name}'")
-        policy = TailPolicy.repeat_from(int(tail["repeat_from"]),
+        policy = TailPolicy.repeat_from(_int(tail["repeat_from"], f"tower '{name}' tail"),
                                         map_table[endo_name])
     else:
         raise ParseError(f"tower '{name}': tail must declare constant_from "
@@ -241,11 +249,8 @@ def parse_workspace(path: str) -> Workspace:
         raise ParseError("workspace must be a JSON object")
     ring = _parse_ring(data.get("ring", "Z"))
     cfg_data = data.get("config", {})
-    config = Config(
-        budget_filler=int(cfg_data.get("budget_filler", 8)),
-        budget_reindex=int(cfg_data.get("budget_reindex", 8)),
-        lim_window=int(cfg_data.get("lim_window", 24)),
-    )
+    config = Config(**{key: _int(cfg_data.get(key, default), f"config {key}")
+                       for key, default in vars(Config()).items()})
     config.validate()
     ws = Workspace(ring=ring, config=config)
     seen = set()
@@ -269,11 +274,10 @@ def parse_workspace(path: str) -> Workspace:
         ws.group_maps[name] = _parse_group_map(name, d, ws)
     for name, d in data.get("towers", {}).items():
         claim(name)
-        ws.towers[name] = _parse_tower(name, d, ws.complexes, ws.maps, "complex")
+        ws.towers[name] = _parse_tower(name, d, ws.complexes, ws.maps)
     for name, d in data.get("group_towers", {}).items():
         claim(name)
-        ws.group_towers[name] = _parse_tower(name, d, ws.groups, ws.group_maps,
-                                             "group")
+        ws.group_towers[name] = _parse_tower(name, d, ws.groups, ws.group_maps)
     for name, d in data.get("promaps", {}).items():
         claim(name)
         ws.promaps[name] = _parse_promap(name, d, ws.towers, ws.maps)
@@ -352,7 +356,7 @@ def serialize_workspace(ws: Workspace) -> str:
                 name: {
                     "entries": list(d.get("entries", [])),
                     "structure": list(d.get("structure", [])),
-                    "tail": {k: (v if k == "endo" else int(v))
+                    "tail": {k: (v if k == "endo" else _int(v, f"tower '{name}' tail"))
                              for k, v in d.get("tail", {}).items()},
                 }
                 for name, d in raw[section].items()

@@ -159,6 +159,40 @@ class TestHomComplex:
         hc = hom_complex(M2, zero_complex())
         assert hc.complex.is_zero
 
+    @given(st.integers(min_value=0, max_value=2 ** 30), rings)
+    @settings(max_examples=15, deadline=None)
+    def test_differential_matches_definition(self, seed, ring):
+        # D(f) = d_Y o f + (-1)^n f o d_X on a random f of degree n, with f
+        # written blockwise: block k is a Y_{k+n} x X_k matrix, row by row,
+        # for the k with X_k and Y_{k+n} nonzero, in increasing order
+        rng = random.Random(seed)
+        X, Y = big_complex(rng, ring, -1, 1), big_complex(rng, ring, -1, 1)
+        hc = hom_complex(X, Y).complex
+
+        def layout(n):
+            return [k for k in X.degrees if X.rank(k) and Y.rank(k + n)]
+
+        def blocks(vec, n):
+            out, off = {}, 0
+            for k in layout(n):
+                size = Y.rank(k + n) * X.rank(k)
+                out[k] = IntMatrix(Y.rank(k + n), X.rank(k), vec[off:off + size], ring)
+                off += size
+            return out
+
+        for n in range(hc.lo + 1, hc.hi + 1):
+            vec = tuple(ring.reduce(rng.randint(-5, 5)) for _ in range(hc.rank(n)))
+            f = blocks(vec, n)
+            got = blocks(hc.diff(n).apply(vec), n - 1)
+            sign = (-1) ** (n % 2)
+            for k in layout(n - 1):
+                want = IntMatrix.zeros(Y.rank(k + n - 1), X.rank(k), ring)
+                if k in f:
+                    want = want + Y.diff(k + n) @ f[k]
+                if k - 1 in f:
+                    want = want + (f[k - 1] @ X.diff(k)).scale(sign)
+                assert got[k].entries == want.entries
+
     def test_oracle_values(self):
         assert derived_hom(M2, M2, 0).invariant_factors == (2,)
         assert derived_hom(M2, M2, -1).invariant_factors == (2,)

@@ -142,6 +142,43 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_workspace("/nonexistent/ws.json")
 
+    Z0 = {"ranks": {"0": 1}, "diffs": {}}
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"complexes": {"Z0": Z0}, "maps": {"x2": {
+            "source": "Z0", "target": "Z0", "comps": {"0": [["2"]]}}},
+          "towers": {"T": {"entries": ["Z0"], "structure": [],
+                           "tail": {"constant_from": "x"}}}},
+         "error: tower 'T' tail: expected an integer, got \"x\""),
+        ({"complexes": {"Z0": Z0, "bad": {"ranks": {"0": 1, "1": 1},
+                                          "diffs": {"x": [["2"]]}}}},
+         "error: complex 'bad' differential degree: expected an integer, got \"x\""),
+        ({"complexes": {"Z0": Z0, "bad": {"ranks": {"0": "one"}, "diffs": {}}}},
+         "error: complex 'bad' rank: expected an integer, got \"one\""),
+        ({"complexes": {"Z0": Z0}, "maps": {"f": {
+            "source": "Z0", "target": "Z0", "comps": {"y": [["1"]]}}}},
+         "error: map 'f' component degree: expected an integer, got \"y\""),
+        ({"complexes": {"Z0": Z0}, "maps": {"f": {
+            "source": "Z0", "target": "Z0", "comps": {"0": [["z"]]}}}},
+         "error: map 'f' degree 0 row 0: expected an integer, got \"z\""),
+        ({"complexes": {"Z0": Z0}, "groups": {"G": {"generators": "two"}}},
+         "error: group 'G' generators: expected an integer, got \"two\""),
+        ({"complexes": {"Z0": Z0},
+          "groups": {"G": {"generators": 1, "relations": [["z"]]}}},
+         "error: group 'G' relation 0: expected an integer, got \"z\""),
+        ({"complexes": {"Z0": Z0}, "config": {"budget_filler": "eight"}},
+         "error: config budget_filler: expected an integer, got \"eight\""),
+        ({"complexes": {"Z0": Z0}, "config": {"lim_window": [24]}},
+         "error: config lim_window: expected an integer, got [24]"),
+        ({"ring": {"p": "x"}, "complexes": {"Z0": Z0}},
+         "error: ring: expected an integer, got \"x\""),
+    ])
+    def test_malformed_number_is_one_error_line(self, tmp_path, capsys, doc, message):
+        code = main(["homology", "Z0", "--workspace", write(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
 
 class TestRoundTrip:
     def test_canonical_byte_identity(self):

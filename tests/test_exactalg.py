@@ -7,22 +7,46 @@ from hypothesis import given, settings, strategies as st
 
 from prochain.exactalg.groups import (cokernel, cokernel_projection, direct_sum,
                                       exact_at, free_group, group_from_orders,
-                                      group_from_presentation, hom, hom_group,
+                                      group_from_presentation, hom, hom_functor,
+                                      hom_group,
                                       identity_hom, image, is_isomorphism,
                                       kernel, multiplication_hom,
                                       preimage_element, solve_hom_constraints,
                                       subgroup_from_columns, subquotient,
                                       full_subgroup, trivial_group, zero_hom,
                                       zero_subgroup)
-from prochain.exactalg.matrices import (IntMatrix, column_lattice_basis,
-                                        in_column_span, kernel_basis, snf,
-                                        solve)
+from prochain.exactalg.matrices import (IntMatrix, block_matrix,
+                                        column_lattice_basis, in_column_span,
+                                        kernel_basis, kron, snf, solve)
 from prochain.exactalg.ring import GF, ZZ
-from prochain.errors import ContainmentViolation, RingMismatch, ValidationError
+from prochain.errors import (ContainmentViolation, PreconditionViolated,
+                             RingMismatch, ValidationError)
 
 Z = free_group(1)
 Z2 = group_from_orders([2])
 Z4 = group_from_orders([4])
+
+
+def random_group(rng, ring):
+    orders = [0 if ring.p else rng.choice([0, 2, 3, 4, 6, 8])
+              for _ in range(rng.randint(0, 3))]
+    return group_from_orders(orders, ring)
+
+
+def random_hom(rng, A, B):
+    """A random homomorphism: each entry is drawn from the values v with
+    a v = 0 in Z/b, for a generator of order a going to one of order b."""
+    def entry(a, b):
+        if A.ring.p or not a:
+            return rng.randint(-8, 8)
+        return rng.choice([v for v in range(-8, 9) if (b and a * v % b == 0) or v == 0])
+    return hom(A, B, IntMatrix.from_rows([[entry(a, b) for a in A.orders]
+                                          for b in B.orders], A.ring, cols=A.ngens))
+
+
+def as_matrix(column, A, B):
+    """The B.ngens x A.ngens matrix of a homomorphism written as a column."""
+    return IntMatrix(B.ngens, A.ngens, column.entries, A.ring)
 
 
 matrix_entries = st.lists(
@@ -87,6 +111,28 @@ class TestSnf:
             b = M @ x
             sol = solve(M, b)
             assert sol is not None and (M @ sol).entries == b.entries
+
+    def test_block_matrix(self):
+        A = IntMatrix.from_rows([[1, 2]])
+        B = IntMatrix.from_rows([[3], [4]])
+        M = block_matrix((1, 2), (2, 1), {(0, 0): A, (1, 1): B}, ZZ)
+        assert M.to_lists() == [[1, 2, 0], [0, 0, 3], [0, 0, 4]]
+        # labelled blocks, in the order of the sizes mapping
+        L = block_matrix({"x": 2, "y": 1}, {"u": 1}, {("x", "u"): B}, ZZ)
+        assert L.to_lists() == [[3], [4], [0]]
+        with pytest.raises(PreconditionViolated):
+            block_matrix((1,), (1,), {(0, 0): A}, ZZ)
+
+    def test_kron(self):
+        # kron(b, a^T) applied to f row by row is b o f o a written row by row
+        rng = random.Random(3)
+        for _ in range(20):
+            p, q, r, s = (rng.randint(0, 3) for _ in range(4))
+            a, f, b = (IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(c)]
+                                            for _ in range(rows)], cols=c)
+                       for rows, c in ((q, p), (r, q), (s, r)))
+            vec = IntMatrix(r * q, 1, f.entries)
+            assert (kron(b, a.transpose()) @ vec).entries == (b @ f @ a).entries
 
 
 class TestGroups:
@@ -161,8 +207,52 @@ class TestGroups:
 
     def test_hom_group_roundtrip(self):
         hg = hom_group(Z2, Z4)
-        for vec in hg.group.elements():
-            assert hg.encode(hg.decode(vec)) == tuple(vec)
+        elements = IntMatrix.from_columns(list(hg.group.elements()), hg.group.ngens)
+        back = hg.encode_matrix(hg.decode_matrix() @ elements)
+        assert back.entries == elements.entries
+
+    def test_encode_rejects_non_homomorphisms(self):
+        # Z/2 -> Z/4 must send the generator to 0 or 2
+        with pytest.raises(ContainmentViolation):
+            hom_group(Z2, Z4).encode_matrix(IntMatrix.from_rows([[1]]))
+        with pytest.raises(ContainmentViolation):
+            hom_group(Z2, Z).encode_matrix(IntMatrix.from_rows([[1]]))
+        assert hom_group(Z2, Z4).encode_matrix(IntMatrix.from_rows([[6]])).entries == (1,)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([ZZ, GF(3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_hom_functor_on_generators(self, seed, ring):
+        # Hom(pre, post) sends each generator g of Hom(A, B) to post o g o pre
+        rng = random.Random(seed)
+        A, B, P, Q = (random_group(rng, ring) for _ in range(4))
+        pre, post = random_hom(rng, P, A), random_hom(rng, B, Q)
+        hg, hq = hom_group(A, B), hom_group(P, Q)
+        phi = hom_functor(pre, post)
+        gens = hg.decode_matrix()
+        images = hq.decode_matrix() @ phi.matrix
+        for k in range(hg.group.ngens):
+            g = hom(A, B, as_matrix(gens.take_columns([k]), A, B))
+            want = post.compose(g).compose(pre)
+            got = hom(P, Q, as_matrix(images.take_columns([k]), P, Q))
+            assert got.equal(want)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([ZZ, GF(3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_solve_hom_constraints_meets_every_constraint(self, seed, ring):
+        # systems built around a known solution g0 are solvable, and the
+        # answer need not be g0 but must meet every constraint
+        rng = random.Random(seed)
+        A, B = random_group(rng, ring), random_group(rng, ring)
+        g0 = random_hom(rng, A, B)
+        constraints = []
+        for _ in range(rng.randint(1, 3)):
+            P, Q = random_group(rng, ring), random_group(rng, ring)
+            pre, post = random_hom(rng, P, A), random_hom(rng, B, Q)
+            constraints.append((pre, post, post.compose(g0).compose(pre)))
+        g = solve_hom_constraints(A, B, constraints)
+        assert g is not None
+        for pre, post, rhs in constraints:
+            assert post.compose(g).compose(pre).equal(rhs)
 
     @given(st.integers(min_value=0, max_value=3),
            st.lists(st.sampled_from([0, 2, 3, 4, 8]), max_size=3))

@@ -1,0 +1,47 @@
+"""Source hygiene: every module-level import in the package is read.
+
+The package re-exports names from its `__init__.py` files, so those are
+exempt.  A name counts as read when it appears as a name anywhere in the
+module, quoted annotations included.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "prochain"
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_checker_finds_an_unused_import():
+    source = "import os\nfrom typing import List, Optional\n\nx: 'Optional[int]' = None\n"
+    assert unused_imports(source) == [(1, "os"), (2, "List")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text()) == []
