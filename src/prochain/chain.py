@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict
 
+from .errors import PostconditionViolated, PreconditionViolated, ValidationError
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
                               group_from_presentation, induced_hom,
                               trivial_group)
@@ -71,12 +72,13 @@ def make_complex(ring: RingTag, ranks: Dict[int, int],
         d = diffs.get(n)
         if d is None:
             d = IntMatrix.zeros(rk[n - 1 - lo], rk[n - lo], ring)
-        assert d.shape == (rk[n - 1 - lo], rk[n - lo]), \
-            f"differential at degree {n} has shape {d.shape}"
+        if d.shape != (rk[n - 1 - lo], rk[n - lo]):
+            raise ValidationError(f"differential at degree {n} has shape {d.shape}")
         ds.append(IntMatrix(d.rows, d.cols,
                             tuple(ring.reduce(x) for x in d.entries), ring))
     X = ChainComplex(ring, lo, hi, rk, tuple(ds))
-    assert validate(X), "d o d != 0"
+    if not validate(X):
+        raise ValidationError("d o d != 0")
     return X
 
 
@@ -123,21 +125,26 @@ class ChainMap:
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other."""
-        assert other.target == self.source
+        if other.target != self.source:
+            raise PreconditionViolated("composite of maps that do not meet")
         return chain_map(other.source, self.target,
                          {n: self.comp(n) @ other.comp(n)
                           for n in range(min(self.lo, other.lo),
                                          max(self.source.hi, other.source.hi,
                                              self.target.hi) + 1)})
 
+    def _check_parallel(self, other: "ChainMap"):
+        if self.source != other.source or self.target != other.target:
+            raise PreconditionViolated("maps between different complexes")
+
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        assert self.source == other.source and self.target == other.target
+        self._check_parallel(other)
         return chain_map(self.source, self.target,
                          {n: self.comp(n) + other.comp(n)
                           for n in range(self.lo, max(self.source.hi, self.target.hi) + 1)})
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
-        assert self.source == other.source and self.target == other.target
+        self._check_parallel(other)
         return chain_map(self.source, self.target,
                          {n: self.comp(n) - other.comp(n)
                           for n in range(self.lo, max(self.source.hi, self.target.hi) + 1)})
@@ -164,13 +171,13 @@ def chain_map(source: ChainComplex, target: ChainComplex,
         c = comps.get(n)
         if c is None:
             c = IntMatrix.zeros(target.rank(n), source.rank(n), ring)
-        assert c.shape == (target.rank(n), source.rank(n)), \
-            f"component at degree {n} has shape {c.shape}"
+        if c.shape != (target.rank(n), source.rank(n)):
+            raise ValidationError(f"component at degree {n} has shape {c.shape}")
         cs.append(IntMatrix(c.rows, c.cols,
                             tuple(ring.reduce(x) for x in c.entries), ring))
     f = ChainMap(source, target, tuple(cs))
-    if check:
-        assert is_chain_map(f), "components do not commute with differentials"
+    if check and not is_chain_map(f):
+        raise ValidationError("components do not commute with differentials")
     return f
 
 
@@ -280,7 +287,8 @@ def cone(f: ChainMap):
 
 def cone_functor_map(f: ChainMap, g: ChainMap, alpha: ChainMap, xi: ChainMap) -> ChainMap:
     """cone(f) -> cone(g) for a strictly commuting square xi o f = g o alpha."""
-    assert xi.compose(f).equal(g.compose(alpha))
+    if not xi.compose(f).equal(g.compose(alpha)):
+        raise PreconditionViolated("the square xi o f = g o alpha does not commute")
     Cf, _, _ = cone(f)
     Cg, _, _ = cone(g)
     comps = {n: block_matrix((g.target.rank(n), g.source.rank(n - 1)),
@@ -306,7 +314,8 @@ def homology_data(X: ChainComplex, n: int) -> SubquotientData:
     K = kernel_basis(X.diff(n))
     B = X.diff(n + 1)
     expr = solve(K, B)
-    assert expr is not None, "boundaries must be cycles"
+    if expr is None:
+        raise PostconditionViolated(f"boundaries in degree {n} are not cycles")
     return SubquotientData(free_group(X.rank(n), ring), group_from_presentation(expr), K)
 
 
@@ -423,17 +432,23 @@ def derived_hom(X: ChainComplex, Y: ChainComplex, n: int) -> FgAbGroup:
     return data.group
 
 
-def induced_map_on_derived_hom(a: ChainMap, b: ChainMap, n: int) -> GroupHom:
-    """[a, b]: [X,Y]_n -> [X',Y']_n for a: X' -> X and b: Y -> Y'.
+def hom_chain_map(a: ChainMap, b: ChainMap, n: int) -> IntMatrix:
+    """Hom(a, b) in degree n: the chain-level map m -> b o m o a from
+    Hom(X, Y)_n to Hom(X', Y')_n, for a: X' -> X and b: Y -> Y'.
 
-    On block k the chain-level map m -> b o m o a is b_{k+n} (x) a_k^T in
-    the row-by-row layout of the hom complex."""
-    hc_s, data_s = derived_hom_data(a.target, b.source, n)
-    hc_t, data_t = derived_hom_data(a.source, b.target, n)
-    src, tgt = hc_s.block_degrees(n), hc_t.block_degrees(n)
-    M = block_matrix(tgt, src, {(k, k): kron(b.comp(k + n), a.comp(k).transpose())
-                                for k in tgt if k in src}, a.source.ring)
-    return induced_hom(data_s, M, data_t)
+    On block k it is b_{k+n} (x) a_k^T in the row-by-row layout of the hom
+    complex."""
+    src = _hom_blocks(a.target, b.source, n)
+    tgt = _hom_blocks(a.source, b.target, n)
+    return block_matrix(tgt, src, {(k, k): kron(b.comp(k + n), a.comp(k).transpose())
+                                   for k in tgt if k in src}, a.source.ring)
+
+
+def induced_map_on_derived_hom(a: ChainMap, b: ChainMap, n: int) -> GroupHom:
+    """[a, b]: [X,Y]_n -> [X',Y']_n for a: X' -> X and b: Y -> Y'."""
+    _, data_s = derived_hom_data(a.target, b.source, n)
+    _, data_t = derived_hom_data(a.source, b.target, n)
+    return induced_hom(data_s, hom_chain_map(a, b, n), data_t)
 
 
 def shift_identification(X: ChainComplex, Z: ChainComplex, n: int) -> GroupHom:

@@ -14,7 +14,7 @@ import sys
 import tempfile
 from typing import List, Optional
 
-from .ahss import SpectralSequence, convergence_check, pro_ahss
+from .ahss import SpectralSequence, pro_ahss
 from .chain import derived_hom, homology, homology_support
 from .errors import ProchainError
 from .pro import (Lim1Verdict, UnknownValue, is_pro_isomorphism, lim_lim1,
@@ -265,7 +265,7 @@ def cmd_ahss(ws, rep, args):
                 continue
             drows.append([str(p), str(q), str(d.matrix)])
         rep.write(f"{base}_d{page.r}.tsv", ["p", "q", "matrix"], drows)
-    report = convergence_check(X, Y)
+    report = ss.convergence()
     rows = [["lim_ok", str(report.lim_ok).lower()],
             ["lim1_ok", str(report.lim1_ok).lower()],
             ["colim_ok", str(report.colim_ok).lower()],

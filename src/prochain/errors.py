@@ -13,10 +13,6 @@ class ContainmentViolation(ProchainError):
     """A subgroup that was required to contain another does not."""
 
 
-class ExactnessViolation(ProchainError):
-    """An exact-couple or long-exact-sequence invariant failed."""
-
-
 class WindowViolation(ProchainError):
     """A homology-window certificate required by an operation failed."""
 

@@ -38,26 +38,10 @@ def _identity(entry):
     return identity_hom(entry) if _is_group(entry) else chain_identity(entry)
 
 
-def _compose(g, f):
-    return g.compose(f)
-
-
-def _source(m):
-    return m.source
-
-
-def _target(m):
-    return m.target
-
-
 def _same_object(a, b) -> bool:
     if _is_group(a):
         return a.orders == b.orders and a.to_canonical.entries == b.to_canonical.entries
     return a == b
-
-
-def _map_equal(f, g) -> bool:
-    return f.equal(g)
 
 
 class Lim1Verdict(enum.Enum):
@@ -149,14 +133,14 @@ class Tower(_TailedSequence):
         if len(self.structure) != N:
             raise ValidationError("need one structure map per step")
         for s, m in enumerate(self.structure):
-            if not _same_object(_source(m), self.entries[s + 1]):
+            if not _same_object(m.source, self.entries[s + 1]):
                 raise ValidationError(f"map {s} source")
-            if not _same_object(_target(m), self.entries[s]):
+            if not _same_object(m.target, self.entries[s]):
                 raise ValidationError(f"map {s} target")
         if self.tail.kind == "repeat":
             e = self.tail.endo
-            if not (_same_object(_source(e), self.entries[N])
-                    and _same_object(_target(e), self.entries[N])):
+            if not (_same_object(e.source, self.entries[N])
+                    and _same_object(e.target, self.entries[N])):
                 raise ValidationError("tail endo is not an endomorphism of the last entry")
 
     def composite(self, s: int, t: int):
@@ -164,7 +148,7 @@ class Tower(_TailedSequence):
         assert s >= t
         m = _identity(self.entry(t))
         for k in range(t, s):
-            m = _compose(m, self.structure_map(k))
+            m = m.compose(self.structure_map(k))
         return m
 
     def map_tower(self, obj_fn, map_fn) -> "Tower":
@@ -180,7 +164,7 @@ def constant_tower(entry) -> Tower:
 
 def repeat_tower(endo) -> Tower:
     """The tower A <- A <- A <- ... with every structure map the given endo."""
-    return Tower((_source(endo),), (), TailPolicy.repeat_from(0, endo))
+    return Tower((endo.source,), (), TailPolicy.repeat_from(0, endo))
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +222,10 @@ class ProMap:
         plus check_depth tail steps."""
         top = self.window + check_depth
         for t in range(top):
-            left = _compose(self.comp(t), self.source.composite(self.theta(t + 1),
-                                                                self.theta(t)))
-            right = _compose(self.target.structure_map(t), self.comp(t + 1))
-            if not _map_equal(left, right):
+            left = self.comp(t).compose(
+                self.source.composite(self.theta(t + 1), self.theta(t)))
+            right = self.target.structure_map(t).compose(self.comp(t + 1))
+            if not left.equal(right):
                 return False
         return True
 
@@ -266,7 +250,7 @@ def compose_pro(g: ProMap, f: ProMap) -> ProMap:
         s_mid = g.theta(t)
         s_top = f.theta(s_mid)
         vals.append(s_top)
-        comps.append(_compose(g.comp(t), f.comp(s_mid)))
+        comps.append(g.comp(t).compose(f.comp(s_mid)))
     slope = f.shift.tail_slope * g.shift.tail_slope
     out = ProMap(f.source, g.target,
                  IndexShift(tuple(vals), tail_slope=slope), tuple(comps))
@@ -283,9 +267,9 @@ def germ_equal(f: ProMap, g: ProMap, budget: int = DEFAULT_BUDGET) -> bool:
         sf, sg = f.theta(t), g.theta(t)
         found = False
         for s in range(max(sf, sg), max(sf, sg) + budget + 1):
-            left = _compose(f.comp(t), f.source.composite(s, sf))
-            right = _compose(g.comp(t), g.source.composite(s, sg))
-            if _map_equal(left, right):
+            left = f.comp(t).compose(f.source.composite(s, sf))
+            right = g.comp(t).compose(g.source.composite(s, sg))
+            if left.equal(right):
                 found = True
                 break
         if not found:
@@ -308,7 +292,7 @@ def reindex_cofinal(T: Tower, step: int) -> Tower:
         # composite of `step` structure maps is endo^step up to head overlap
         m = _identity(T.entry(N))
         for _ in range(step):
-            m = _compose(m, endo)
+            m = m.compose(endo)
         return m
 
     return Tower(entries, structure, T.tail.mapped(top, power))
@@ -354,8 +338,8 @@ def _filler_exists(f: ProMap, t: int, s: int) -> Optional[GroupHom]:
     """g: Y_s -> X_t with g f_s = X(s -> t) and f_t g = Y(s -> t)."""
     X, Y = f.source, f.target
     Xt, Ys = X.entry(t), Y.entry(s)
-    fs = _compose(f.comp(s), X.composite(f.theta(s), s)) if f.theta(s) != s else f.comp(s)
-    ft = _compose(f.comp(t), X.composite(f.theta(t), t)) if f.theta(t) != t else f.comp(t)
+    fs = f.comp(s).compose(X.composite(f.theta(s), s)) if f.theta(s) != s else f.comp(s)
+    ft = f.comp(t).compose(X.composite(f.theta(t), t)) if f.theta(t) != t else f.comp(t)
     cons = [
         (fs, identity_hom(Xt), X.composite(s, t)),
         (identity_hom(Ys), ft, Y.composite(s, t)),
@@ -437,7 +421,7 @@ def eventually_zero_composite(lead: GroupHom, endo: GroupHom,
     matrices take finitely many values and a repeat without reaching zero
     refutes.  None only when the cycle search exhausts its budget.
     """
-    n = _source(endo).ngens
+    n = endo.source.ngens
     cur = lead
     for _ in range(n + 2):
         if cur.is_zero:
@@ -495,7 +479,7 @@ def lim_lim1(T: Tower, budget: int = DEFAULT_BUDGET) -> LimResult:
     if T.tail.is_constant:
         return LimResult(T.entry(T.tail.start), Lim1Verdict.ZERO, True)
     endo = T.tail.endo
-    A = _target(endo)
+    A = endo.target
     power = identity_hom(A)
     prev = image(power)
     steps = 0
@@ -537,7 +521,7 @@ def _free_quotient_lattice(A: FgAbGroup, sub: Subgroup) -> IntMatrix:
 def _transition_determinant(prev: Subgroup, cur: Subgroup,
                             endo: GroupHom) -> Optional[int]:
     """det of the transition on the free quotient of the stable image."""
-    A = _target(endo)
+    A = endo.target
     from .exactalg.matrices import column_lattice_basis
     Lp = column_lattice_basis(_free_quotient_lattice(A, prev))
     free_idx = [i for i, d in enumerate(A.orders) if d == 0]
@@ -609,7 +593,7 @@ class DirectSystem(_TailedSequence):
         """A_s -> A_t for t >= s."""
         m = _identity(self.entry(s))
         for k in range(s, t):
-            m = _compose(self.structure_map(k), m)
+            m = self.structure_map(k).compose(m)
         return m
 
 
@@ -639,10 +623,10 @@ def colim(D: DirectSystem, budget: int = DEFAULT_BUDGET) -> ColimResult:
     endo = D.tail.endo
     if is_isomorphism(endo):
         return ColimResult(D.entry(N), stable_stage=N)
-    ev = eventually_zero_composite(identity_hom(_target(endo)), endo, budget)
+    ev = eventually_zero_composite(identity_hom(endo.target), endo, budget)
     if ev is True:
         from .exactalg.groups import trivial_group
-        return ColimResult(trivial_group(_target(endo).ring), eventually_zero=True)
+        return ColimResult(trivial_group(endo.target.ring), eventually_zero=True)
     return ColimResult(UnknownValue("tail endomorphism neither invertible nor nilpotent",
                                     budget))
 

@@ -54,7 +54,8 @@ def truncate_above(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     diffs = {m: X.diff(m) for m in range(n + 2, X.hi + 1)}
     if X.rank(n + 1):
         into_kernel = solve(K, X.diff(n + 1))
-        assert into_kernel is not None, "image of d must land in ker d"
+        if into_kernel is None:
+            raise PostconditionViolated(f"im d_{n + 1} is not inside ker d_{n}")
         diffs[n + 1] = into_kernel
     T = make_complex(ring, ranks, diffs)
     comps = {m: IntMatrix.identity(X.rank(m), ring) for m in range(n + 1, X.hi + 1)}
@@ -71,7 +72,8 @@ def truncate_above_map(f: ChainMap, n: int) -> ChainMap:
     for m in range(min(TS.lo, TT.lo), max(TS.hi, TT.hi) + 1):
         want = f.comp(m) @ incl_s.comp(m)
         sol = solve(incl_t.comp(m), want)
-        assert sol is not None
+        if sol is None:
+            raise PostconditionViolated(f"f does not preserve tau_>={n} in degree {m}")
         comps[m] = sol
     return chain_map(TS, TT, comps)
 
@@ -83,7 +85,9 @@ def truncation_step(X: ChainComplex, n: int) -> ChainMap:
     comps = {}
     for m in range(min(Tn1.lo, Tn.lo), max(Tn1.hi, Tn.hi) + 1):
         sol = solve(incln.comp(m), incl1.comp(m))
-        assert sol is not None
+        if sol is None:
+            raise PostconditionViolated(f"tau_>={n + 1} is not inside tau_>={n} "
+                                        f"in degree {m}")
         comps[m] = sol
     return chain_map(Tn1, Tn, comps)
 
@@ -255,7 +259,8 @@ def is_co_n_fibration(f: ChainMap, n: int) -> bool:
 
 def cokernel_complex(f: ChainMap) -> ChainComplex:
     """The free cokernel of a degreewise split mono, in complement bases."""
-    assert is_degreewise_split_mono(f)
+    if not is_degreewise_split_mono(f):
+        raise PreconditionViolated("not a degreewise split mono")
     ring = f.source.ring
     lo = min(f.source.lo, f.target.lo)
     hi = max(f.source.hi, f.target.hi)
@@ -293,6 +298,11 @@ def pushout_product_check(f: ChainMap, j: int) -> bool:
 # ---------------------------------------------------------------------------
 # Factorization: n-cofibration followed by co-n-fibration
 # ---------------------------------------------------------------------------
+
+# the rounds of cell attachment factor_n may run; each round kills the
+# homology of the cone in its lowest offending degree
+FACTOR_ROUNDS = 300
+
 
 class _CellState:
     """Z = X (+) attached cells, with p: Z -> Y, built incrementally.
@@ -393,10 +403,7 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
             boundary[v_index] = 1
             state.attach(m, boundary, yv)
 
-    guard = 0
-    while True:
-        guard += 1
-        assert guard < 300, "cell attachment failed to terminate"
+    for _ in range(FACTOR_ROUNDS):
         Z, p = state.snapshot()
         C, _, _ = cone(p)
         bad = [k for k in range(max(n + 1, C.lo), C.hi + 1)
@@ -409,15 +416,20 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
         # becomes a cell e with d(e) = -x and p(e) = y
         for vec in homology_data(C, k).decode_matrix().columns():
             state.attach(k, [-v for v in vec[rY:]], list(vec[:rY]))
+    else:
+        raise PostconditionViolated(
+            f"cell attachment did not finish within its budget of {FACTOR_ROUNDS} rounds")
 
-    Z, p = state.snapshot()
     i = chain_map(X, Z, {m: block_matrix(
         (X.rank(m), Z.rank(m) - X.rank(m)), (X.rank(m),),
         {(0, 0): IntMatrix.identity(X.rank(m), ring)}, ring)
         for m in range(min(X.lo, Z.lo), max(X.hi, Z.hi) + 1)})
-    assert p.compose(i).equal(f), "factorization does not compose to f"
-    assert is_n_cofibration(i, n), "left factor is not an n-cofibration"
-    assert is_co_n_fibration(p, n), "right factor is not a co-n-fibration"
+    if not p.compose(i).equal(f):
+        raise PostconditionViolated("factorization does not compose to f")
+    if not is_n_cofibration(i, n):
+        raise PostconditionViolated("left factor is not an n-cofibration")
+    if not is_co_n_fibration(p, n):
+        raise PostconditionViolated("right factor is not a co-n-fibration")
     return i, p
 
 

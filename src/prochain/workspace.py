@@ -63,15 +63,28 @@ _TABLES = (("complex", "complexes"), ("map", "maps"), ("group", "groups"),
            ("group promap", "group_promaps"))
 
 
+def _shown(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:36] + " ..."
+
+
 def _int(value, where: str) -> int:
     """A workspace number; anything else is a ParseError naming its place."""
     try:
         return int(value)
     except (TypeError, ValueError):
-        text = json.dumps(value)
-        if len(text) > 40:
-            text = text[:36] + " ..."
-        raise ParseError(f"{where}: expected an integer, got {text}")
+        raise ParseError(f"{where}: expected an integer, got {_shown(value)}")
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """value, if it has the JSON type `kind` (dict, list or str); anything
+    else is a ParseError naming its place."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{where}: expected {_JSON_TYPES[kind]}, got {_shown(value)}")
+    return value
 
 
 def _parse_matrix(data, ring: RingTag, where: str) -> IntMatrix:
@@ -107,12 +120,12 @@ def _parse_ring(data) -> RingTag:
 def _parse_complex(name: str, data, ring: RingTag) -> ChainComplex:
     where = f"complex '{name}'"
     ranks = {_int(k, f"{where} rank degree"): _int(v, f"{where} rank")
-             for k, v in data.get("ranks", {}).items()}
+             for k, v in _typed(data.get("ranks", {}), dict, f"{where} ranks").items()}
     for n, r in sorted(ranks.items()):
         if r < 0:
             raise ValidationError(f"complex '{name}': negative rank {r} at degree {n}")
     diffs = {}
-    for k, m in data.get("diffs", {}).items():
+    for k, m in _typed(data.get("diffs", {}), dict, f"{where} diffs").items():
         n = _int(k, f"{where} differential degree")
         rows = ranks.get(n - 1, 0)
         mat = _parse_matrix(m, ring, f"complex '{name}' diff {n}") if m else \
@@ -130,13 +143,25 @@ def _parse_complex(name: str, data, ring: RingTag) -> ChainComplex:
     return make_complex(ring, ranks, diffs)
 
 
-def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
-    src = ws.complexes.get(data.get("source"))
-    tgt = ws.complexes.get(data.get("target"))
+def _ends(data, table, where: str):
+    """The objects that data's "source" and "target" name in table."""
+    src, tgt = (table.get(_typed(data.get(end), str, f"{where} {end}"))
+                for end in ("source", "target"))
     if src is None or tgt is None:
-        raise ParseError(f"map '{name}': unknown source or target")
+        raise ParseError(f"{where}: unknown source or target")
+    return src, tgt
+
+
+def _names(data, key: str, where: str) -> list:
+    """The array of object names under key."""
+    return [_typed(x, str, f"{where} {key}")
+            for x in _typed(data.get(key, []), list, f"{where} {key}")]
+
+
+def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
+    src, tgt = _ends(data, ws.complexes, f"map '{name}'")
     comps = {}
-    for k, m in data.get("comps", {}).items():
+    for k, m in _typed(data.get("comps", {}), dict, f"map '{name}' comps").items():
         n = _int(k, f"map '{name}' component degree")
         comps[n] = mat = _parse_matrix(m, ws.ring, f"map '{name}' degree {n}")
         want = (tgt.rank(n), src.rank(n))
@@ -155,10 +180,11 @@ def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
 
 def _parse_group(name, data, ring) -> FgAbGroup:
     gens = _int(data.get("generators", 0), f"group '{name}' generators")
-    rels = data.get("relations", [])
+    rels = _typed(data.get("relations", []), list, f"group '{name}' relations")
     cols = []
     for i, rel in enumerate(rels):
-        vals = [_int(x, f"group '{name}' relation {i}") for x in rel]
+        where = f"group '{name}' relation {i}"
+        vals = [_int(x, where) for x in _typed(rel, list, where)]
         if len(vals) != gens:
             raise ValidationError(f"group '{name}': relation {i} has wrong length")
         cols.append(vals)
@@ -167,10 +193,7 @@ def _parse_group(name, data, ring) -> FgAbGroup:
 
 
 def _parse_group_map(name, data, ws: Workspace) -> GroupHom:
-    src = ws.groups.get(data.get("source"))
-    tgt = ws.groups.get(data.get("target"))
-    if src is None or tgt is None:
-        raise ParseError(f"group map '{name}': unknown source or target")
+    src, tgt = _ends(data, ws.groups, f"group map '{name}'")
     mat = _parse_matrix(data.get("matrix", []), ws.ring, f"group map '{name}'") \
         if data.get("matrix") else IntMatrix.zeros(tgt.ngens, src.ngens, ws.ring)
     if mat.shape != (tgt.ngens, src.ngens):
@@ -183,22 +206,23 @@ def _parse_group_map(name, data, ws: Workspace) -> GroupHom:
 
 
 def _parse_tower(name, data, entry_table, map_table) -> Tower:
+    where = f"tower '{name}'"
     entries = []
-    for e in data.get("entries", []):
+    for e in _names(data, "entries", where):
         if e not in entry_table:
             raise ParseError(f"tower '{name}': unknown entry '{e}'")
         entries.append(entry_table[e])
     structure = []
-    for m in data.get("structure", []):
+    for m in _names(data, "structure", where):
         if m not in map_table:
             raise ParseError(f"tower '{name}': unknown structure map '{m}'")
         structure.append(map_table[m])
-    tail = data.get("tail", {})
+    tail = _typed(data.get("tail", {}), dict, f"{where} tail")
     if "constant_from" in tail:
         policy = TailPolicy.constant_from(
             _int(tail["constant_from"], f"tower '{name}' tail"))
     elif "repeat_from" in tail:
-        endo_name = tail.get("endo")
+        endo_name = _typed(tail.get("endo"), str, f"{where} tail endo")
         if endo_name not in map_table:
             raise ParseError(f"tower '{name}': unknown tail endo '{endo_name}'")
         policy = TailPolicy.repeat_from(_int(tail["repeat_from"], f"tower '{name}' tail"),
@@ -213,12 +237,9 @@ def _parse_tower(name, data, entry_table, map_table) -> Tower:
 
 
 def _parse_promap(name, data, tower_table, map_table) -> ProMap:
-    src = tower_table.get(data.get("source"))
-    tgt = tower_table.get(data.get("target"))
-    if src is None or tgt is None:
-        raise ParseError(f"promap '{name}': unknown source or target tower")
+    src, tgt = _ends(data, tower_table, f"promap '{name}'")
     comps = []
-    for m in data.get("comps", []):
+    for m in _names(data, "comps", f"promap '{name}'"):
         if m not in map_table:
             raise ParseError(f"promap '{name}': unknown component '{m}'")
         comps.append(map_table[m])
@@ -248,7 +269,7 @@ def parse_workspace(path: str) -> Workspace:
     if not isinstance(data, dict):
         raise ParseError("workspace must be a JSON object")
     ring = _parse_ring(data.get("ring", "Z"))
-    cfg_data = data.get("config", {})
+    cfg_data = _typed(data.get("config", {}), dict, "config")
     config = Config(**{key: _int(cfg_data.get(key, default), f"config {key}")
                        for key, default in vars(Config()).items()})
     config.validate()
@@ -260,31 +281,23 @@ def parse_workspace(path: str) -> Workspace:
             raise ValidationError(f"duplicate object name '{name}'")
         seen.add(name)
 
-    for name, d in data.get("complexes", {}).items():
-        claim(name)
-        ws.complexes[name] = _parse_complex(name, d, ring)
-    for name, d in data.get("maps", {}).items():
-        claim(name)
-        ws.maps[name] = _parse_chain_map(name, d, ws)
-    for name, d in data.get("groups", {}).items():
-        claim(name)
-        ws.groups[name] = _parse_group(name, d, ring)
-    for name, d in data.get("group_maps", {}).items():
-        claim(name)
-        ws.group_maps[name] = _parse_group_map(name, d, ws)
-    for name, d in data.get("towers", {}).items():
-        claim(name)
-        ws.towers[name] = _parse_tower(name, d, ws.complexes, ws.maps)
-    for name, d in data.get("group_towers", {}).items():
-        claim(name)
-        ws.group_towers[name] = _parse_tower(name, d, ws.groups, ws.group_maps)
-    for name, d in data.get("promaps", {}).items():
-        claim(name)
-        ws.promaps[name] = _parse_promap(name, d, ws.towers, ws.maps)
-    for name, d in data.get("group_promaps", {}).items():
-        claim(name)
-        ws.group_promaps[name] = _parse_promap(name, d, ws.group_towers,
-                                               ws.group_maps)
+    parsers = {
+        "complexes": lambda name, d: _parse_complex(name, d, ring),
+        "maps": lambda name, d: _parse_chain_map(name, d, ws),
+        "groups": lambda name, d: _parse_group(name, d, ring),
+        "group_maps": lambda name, d: _parse_group_map(name, d, ws),
+        "towers": lambda name, d: _parse_tower(name, d, ws.complexes, ws.maps),
+        "group_towers": lambda name, d: _parse_tower(name, d, ws.groups, ws.group_maps),
+        "promaps": lambda name, d: _parse_promap(name, d, ws.towers, ws.maps),
+        "group_promaps": lambda name, d: _parse_promap(name, d, ws.group_towers,
+                                                       ws.group_maps),
+    }
+    # in the order of _TABLES, so every object is parsed after those it names
+    for kind, section in _TABLES:
+        for name, d in _typed(data.get(section, {}), dict, section).items():
+            claim(name)
+            getattr(ws, section)[name] = parsers[section](
+                name, _typed(d, dict, f"{kind} '{name}'"))
     # stash raw names for serialization
     ws._raw = data
     return ws

@@ -1,7 +1,10 @@
 """Shared generators for the test suite: a zoo of chain maps with varied
 classification behavior, composable pairs, and towers with tail policies."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,16 @@ from prochain.chain import (ChainComplex, ChainMap, chain_map, direct_sum_comple
 from prochain.exactalg.ring import ZZ, RingTag
 from prochain.pro import TailPolicy, Tower, constant_tower, level_map
 from prochain.tstruct import truncate_above, truncate_below_free
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
 
 
 def perturb(rng: random.Random, f: ChainMap) -> ChainMap:

@@ -1,18 +1,25 @@
 """The spectral sequence engine: couple exactness, derivation, abutment,
 convergence, and the tower version."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_chain_tower
+from prochain import ahss
 from prochain.ahss import (SpectralSequence, abutment_filtration,
-                           build_exact_couple, convergence_check,
-                           e2_identification_check, pro_ahss, run_to_stable)
-from prochain.chain import (free_one_term, homology, moore_complex,
-                            multiplication_map, random_complex,
+                           adapted_complex, build_exact_couple,
+                           convergence_check, e2_identification_check,
+                           pro_ahss, run_to_stable)
+from prochain.chain import (direct_sum_complex, free_one_term, homology,
+                            moore_complex, multiplication_map, random_complex,
                             random_null_homotopic, zero_complex)
-from prochain.exactalg.groups import subquotient
+from prochain.errors import ContainmentViolation
+from prochain.exactalg.groups import (full_subgroup, image, kernel,
+                                      subquotient, zero_subgroup)
+from prochain.exactalg.matrices import IntMatrix
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import TailPolicy, Tower, UnknownValue, constant_tower, repeat_tower
 from prochain.tstruct import cohomology_with_coefficients
@@ -226,3 +233,106 @@ class TestProAhss:
             rep = pro_ahss(T, Y)
             assert rep.levelwise_all_iso
             assert rep.comparison_holds
+
+
+def big_pair(rng: random.Random, ring):
+    """X and Y of total rank at least 12 together, past the sizes the
+    examples check by hand."""
+    X = random_complex(rng.randrange(2 ** 30), ring, -1, 1, 3)
+    Y = random_complex(rng.randrange(2 ** 30), ring, -1, 1, 3)
+    while X.total_rank() + Y.total_rank() < 12:
+        W = random_complex(rng.randrange(2 ** 30), ring, -1, 1, 2)
+        if rng.random() < 0.5:
+            X = direct_sum_complex(X, W)[0]
+        else:
+            Y = direct_sum_complex(Y, W)[0]
+    return X, Y
+
+
+def page_homology(page, slot, ring):
+    """H(E^r, d_r) at one slot, from the groups and maps of the page."""
+    (p, q), r = slot, page.r
+    g = page.group_at(p, q, ring)
+    d_out = page.differentials.get(slot)
+    d_in = page.differentials.get((p + r, q - r + 1))
+    num = kernel(d_out) if d_out is not None else full_subgroup(g)
+    den = image(d_in) if d_in is not None else zero_subgroup(g)
+    return subquotient(g, num, den).group
+
+
+class TestFilteredEngine:
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([ZZ, GF(2)]))
+    @settings(max_examples=20, deadline=None)
+    def test_pages_against_couple_and_abutment(self, seed, ring):
+        X, Y = big_pair(random.Random(seed), ring)
+        ss = SpectralSequence(X, Y)
+        pages, _ = ss.run_to_stable()
+        slots = list(ss.window.slots())
+        # every page is the homology of the one before
+        for cur, nxt in zip(pages, pages[1:]):
+            for slot in slots:
+                assert nxt.group_at(*slot, ring).isomorphic(page_homology(cur, slot, ring))
+        # E^2 is the E of the exact couple, which is exact
+        couple = build_exact_couple(X, Y)
+        assert couple.validate_exactness()
+        for slot in slots:
+            assert pages[0].group_at(*slot, ring).isomorphic(couple.E_at(*slot))
+        # E-infinity is the graded abutment
+        for n in range(ss.window.n_lo, ss.window.n_hi + 1):
+            total, filt = abutment_filtration(X, Y, n)
+            subs = dict(filt)
+            for q in range(ss.window.q_lo, ss.window.q_hi + 1):
+                gr = subquotient(total, subs[q], subs[q + 1]).group
+                assert pages[-1].group_at(n - q, q, ring).isomorphic(gr)
+
+    def test_builds_no_exact_couple(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the engine built an exact couple")
+        monkeypatch.setattr(ahss, "build_exact_couple", refuse)
+        monkeypatch.setattr(ahss.ExactCouple, "__init__", refuse)
+        assert convergence_check(M2, M2).all_iso
+        assert pro_ahss(repeat_tower(multiplication_map(M2, 2)), M2).levelwise_all_iso
+
+    @pytest.mark.parametrize("seed, ring", [(1, ZZ), (3, ZZ), (5, GF(2))])
+    def test_corrupted_level_raises(self, monkeypatch, seed, ring):
+        X, Y = big_pair(random.Random(seed), ring)
+        Ya, levels = adapted_complex(Y)
+        # a generator that is no cycle has level m - 1; at level m its
+        # boundary would leave the filtration step it starts in
+        corruptions = [(m, i) for m, levs in levels.items()
+                       for i, lev in enumerate(levs) if lev == m - 1]
+        assert corruptions
+        for m, i in corruptions:
+            bad = dict(levels)
+            bad[m] = levels[m][:i] + (m,) + levels[m][i + 1:]
+            monkeypatch.setattr(ahss, "adapted_complex", lambda Y, bad=bad: (Ya, bad))
+            with pytest.raises(ContainmentViolation):
+                SpectralSequence(X, Y).run_to_stable()
+
+    @pytest.mark.parametrize("seed, ring", [(11, ZZ), (4, GF(2))])
+    def test_corrupted_differential_never_gives_a_wrong_group(self, monkeypatch, seed, ring):
+        X = random_complex(seed, ring, -1, 1, 2)
+        Y = random_complex(seed + 50, ring, -1, 1, 3)
+        hc = ahss.hom_complex(X, adapted_complex(Y)[0])
+        C = hc.complex
+        raised = 0
+        for t, d in enumerate(C.diffs):
+            for idx in range(len(d.entries)):
+                entries = list(d.entries)
+                entries[idx] = ring.reduce(entries[idx] + 1)
+                diffs = C.diffs[:t] + (IntMatrix(d.rows, d.cols, tuple(entries), ring),) \
+                    + C.diffs[t + 1:]
+                bad = dataclasses.replace(hc, complex=dataclasses.replace(C, diffs=diffs))
+                monkeypatch.setattr(ahss, "hom_complex", lambda X, Y, bad=bad: bad)
+                try:
+                    pages, _ = SpectralSequence(X, Y).run_to_stable()
+                except ContainmentViolation:
+                    raised += 1
+                    continue
+                # what survives is still a filtered complex: each page is
+                # the homology of the one before
+                for cur, nxt in zip(pages, pages[1:]):
+                    for slot in set(cur.groups) | set(nxt.groups):
+                        assert nxt.group_at(*slot, ring).isomorphic(
+                            page_homology(cur, slot, ring))
+        assert raised

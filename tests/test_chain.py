@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_map_into, random_map_out
+from conftest import random_map_into, random_map_out, run_python
 from prochain.chain import (cone, cone_les_exact, derived_hom,
                             direct_sum_complex, free_one_term, hom_complex,
                             homology, homology_data, identity_map,
@@ -15,7 +15,7 @@ from prochain.chain import (cone, cone_les_exact, derived_hom,
                             quasi_iso_thickening, random_complex,
                             random_null_homotopic, shift, validate,
                             zero_complex, zero_map)
-from prochain.errors import ContainmentViolation
+from prochain.errors import ContainmentViolation, ValidationError
 from prochain.exactalg.matrices import IntMatrix
 from prochain.exactalg.ring import GF, ZZ
 
@@ -26,7 +26,7 @@ M2 = moore_complex(2)
 class TestBasics:
     def test_validate(self):
         assert validate(Z0) and validate(M2)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValidationError):
             make_complex(ZZ, {0: 1, 1: 1, 2: 1},
                          {1: IntMatrix.from_rows([[2]]),
                           2: IntMatrix.from_rows([[1]])})
@@ -75,6 +75,22 @@ class TestCone:
             f = random_null_homotopic(rng, X, Y)
             assert cone_les_exact(f)
         assert cone_les_exact(multiplication_map(M2, 2))
+
+    def test_cone_functor_square_checked_without_asserts(self):
+        # python -O strips assert statements; the square xi o f = g o alpha
+        # (here 2 against 3 on Z in degree 0) must still be refused
+        p = run_python("-O", "-c", (
+            "from prochain.chain import *\n"
+            "from prochain.errors import PreconditionViolated\n"
+            "from prochain.exactalg.ring import ZZ\n"
+            "Z0 = free_one_term(ZZ, 0)\n"
+            "x2, x3, i = (multiplication_map(Z0, m) for m in (2, 3, 1))\n"
+            "try:\n"
+            "    cone_functor_map(x2, x3, i, i)\n"
+            "except PreconditionViolated:\n"
+            "    print('refused')\n"))
+        assert p.returncode == 0, p.stderr
+        assert p.stdout == "refused\n"
 
     def test_cone_quasi_zero_iff_quasi_iso(self):
         rng = random.Random(1)

@@ -2,24 +2,15 @@
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
+from conftest import run_python
 from prochain.cli import main
 from prochain.errors import ParseError, ValidationError
 from prochain.workspace import parse_workspace, serialize_workspace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "workspaces", "moore.json")
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
-
-
-def run_python(*args, cwd=None):
-    """A fresh interpreter with the package on its path."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=cwd, timeout=120)
 
 
 def write(tmp_path, doc, name="ws.json"):
@@ -174,6 +165,29 @@ class TestParsing:
          "error: ring: expected an integer, got \"x\""),
     ])
     def test_malformed_number_is_one_error_line(self, tmp_path, capsys, doc, message):
+        code = main(["homology", "Z0", "--workspace", write(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"complexes": {"Z0": Z0}, "config": [1]},
+         "error: config: expected an object, got [1]"),
+        ({"complexes": {"Z0": Z0, "x": [1]}},
+         "error: complex 'x': expected an object, got [1]"),
+        ({"complexes": {"Z0": Z0, "x": {"ranks": [1]}}},
+         "error: complex 'x' ranks: expected an object, got [1]"),
+        ({"complexes": {"Z0": Z0},
+          "groups": {"G": {"generators": 1, "relations": [1]}}},
+         "error: group 'G' relation 0: expected an array, got 1"),
+        ({"complexes": {"Z0": Z0}, "maps": {"f": {
+            "source": ["Z0"], "target": "Z0", "comps": {}}}},
+         "error: map 'f' source: expected a string, got [\"Z0\"]"),
+        ({"complexes": {"Z0": Z0}, "towers": {"T": {
+            "entries": [["Z0"]], "structure": [], "tail": {"constant_from": 0}}}},
+         "error: tower 'T' entries: expected a string, got [\"Z0\"]"),
+    ])
+    def test_wrong_json_type_is_one_error_line(self, tmp_path, capsys, doc, message):
         code = main(["homology", "Z0", "--workspace", write(tmp_path, doc),
                      "--out", str(tmp_path / "out")])
         assert code == 1

@@ -1,8 +1,11 @@
-"""Source hygiene: every module-level import in the package is read.
+"""Source hygiene: every module-level import in the package is read, and
+no `assert` statement comes back into a module that is free of them.
 
 The package re-exports names from its `__init__.py` files, so those are
-exempt.  A name counts as read when it appears as a name anywhere in the
-module, quoted annotations included.
+exempt from the import check.  A name counts as read when it appears as a
+name anywhere in the module, quoted annotations included.  Invariants are
+enforced by typed errors, which `python -O` keeps; the assert-free list
+only grows.
 """
 
 import ast
@@ -45,3 +48,30 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# modules whose checks all raise typed errors; add a module once its last
+# assert is gone
+ASSERT_FREE = ("__init__.py", "ahss.py", "chain.py", "cli.py", "errors.py",
+               "exactalg/__init__.py", "exactalg/ring.py", "selftest.py",
+               "tstruct.py", "workspace.py")
+
+
+def assert_lines(source: str) -> list:
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_checker_finds_an_assert():
+    assert assert_lines("x = 1\nif x:\n    assert x, 'x'\n") == [3]
+
+
+@pytest.mark.parametrize("name", ASSERT_FREE)
+def test_no_assert_in_assert_free_module(name):
+    assert assert_lines((PACKAGE / name).read_text()) == []
+
+
+def test_assert_free_list_is_complete():
+    free = {str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")
+            if not assert_lines(p.read_text())}
+    assert free == set(ASSERT_FREE)
