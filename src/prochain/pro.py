@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .chain import identity_map as chain_identity
-from .errors import ValidationError
-from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, hom_functor,
-                              hom_group, identity_hom, image, is_isomorphism,
-                              solve_hom_constraints, zero_hom)
+from .errors import (PostconditionViolated, PreconditionViolated,
+                     ValidationError)
+from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, free_group,
+                              hom_functor, hom_group, identity_hom, image,
+                              is_isomorphism, solve_hom_constraints,
+                              trivial_group, zero_hom)
 from .exactalg.matrices import IntMatrix, kernel_basis, snf, solve
 from .exactalg.ring import check_same_ring
 
@@ -145,7 +147,8 @@ class Tower(_TailedSequence):
 
     def composite(self, s: int, t: int):
         """The composed map T_s -> T_t for s >= t."""
-        assert s >= t
+        if s < t:
+            raise PreconditionViolated(f"composite T_{s} -> T_{t} needs s >= t")
         m = _identity(self.entry(t))
         for k in range(t, s):
             m = m.compose(self.structure_map(k))
@@ -232,7 +235,8 @@ class ProMap:
 
 def level_map(source: Tower, target: Tower, comps: Sequence) -> ProMap:
     f = ProMap(source, target, IndexShift.level(), tuple(comps))
-    assert f.validate(), "pro-map squares do not commute"
+    if not f.validate():
+        raise ValidationError("pro-map squares do not commute")
     return f
 
 
@@ -254,7 +258,8 @@ def compose_pro(g: ProMap, f: ProMap) -> ProMap:
     slope = f.shift.tail_slope * g.shift.tail_slope
     out = ProMap(f.source, g.target,
                  IndexShift(tuple(vals), tail_slope=slope), tuple(comps))
-    assert out.validate()
+    if not out.validate():
+        raise PostconditionViolated("composite pro-map squares do not commute")
     return out
 
 
@@ -279,7 +284,8 @@ def germ_equal(f: ProMap, g: ProMap, budget: int = DEFAULT_BUDGET) -> bool:
 
 def reindex_cofinal(T: Tower, step: int) -> Tower:
     """The subsequence tower T_0, T_step, T_{2 step}, ... with composites."""
-    assert step >= 1
+    if step < 1:
+        raise PreconditionViolated(f"reindexing step {step} is not positive")
     if step == 1:
         return T
     N = T.tail.start
@@ -315,7 +321,8 @@ def comparison_to_reindexed(T: Tower, step: int) -> ProMap:
     vals = tuple(t * step for t in range(top + 1))
     comps = tuple(_identity(T.entry(t * step)) for t in range(top + 1))
     out = ProMap(T, R, IndexShift(vals, tail_slope=step), comps)
-    assert out.validate()
+    if not out.validate():
+        raise PostconditionViolated("reindexing comparison squares do not commute")
     return out
 
 
@@ -567,7 +574,6 @@ def _non_ml_lim(A: FgAbGroup, endo: GroupHom, stable_image: Subgroup) -> GroupOr
         const = p.all_coeffs()[-1]
         if abs(const) == 1:
             unit_part *= base ** mult
-    from .exactalg.groups import free_group, trivial_group
     if unit_part == 1:
         return trivial_group(A.ring)
     up_poly = sympy.Poly(sympy.expand(unit_part), x)
@@ -625,7 +631,6 @@ def colim(D: DirectSystem, budget: int = DEFAULT_BUDGET) -> ColimResult:
         return ColimResult(D.entry(N), stable_stage=N)
     ev = eventually_zero_composite(identity_hom(endo.target), endo, budget)
     if ev is True:
-        from .exactalg.groups import trivial_group
         return ColimResult(trivial_group(endo.target.ring), eventually_zero=True)
     return ColimResult(UnknownValue("tail endomorphism neither invertible nor nilpotent",
                                     budget))
@@ -643,39 +648,38 @@ def hom_system(X: Tower, B: FgAbGroup) -> DirectSystem:
     return DirectSystem(entries, structure, X.tail.mapped(N, precompose))
 
 
-def pro_hom(X: Tower, Y: Tower, budget: int = DEFAULT_BUDGET) -> GroupOrUnknown:
-    """pro-Hom(X, Y) = lim_t colim_s Hom(X_s, Y_t) under the tail policies."""
+def _lim_of_colims(X: Tower, Y: Tower, system, entry, post,
+                   budget: int) -> GroupOrUnknown:
+    """lim_t colim_s H(X_s, Y_t) for H contravariant in its first argument:
+    system(B) is the direct system H(X_s, B), entry(A, B) = H(A, B) and
+    post(A, g) = H(id_A, g).  Every colimit is read at one common stable
+    stage of X; an eventually-zero colimit enters as the zero group."""
     check_same_ring(X.entry(0), Y.entry(0))
     N = max(X.tail.start, Y.tail.start)
     per_t = []
-    stages = []
     for t in range(N + 1):
-        res = colim(hom_system(X, Y.entry(t)), budget)
+        res = colim(system(Y.entry(t)), budget)
         if isinstance(res.value, UnknownValue):
             return res.value
         per_t.append(res)
-        stages.append(res.stable_stage)
-    # connecting maps: postcompose with the Y structure, realized at a common
-    # stable X stage; zero colimits short-circuit
-    structure = []
-    stage = max([s for s in stages if s >= 0], default=X.tail.start)
-    entries = []
-    for t in range(N + 1):
-        if per_t[t].eventually_zero:
-            from .exactalg.groups import trivial_group
-            entries.append(trivial_group(Y.entry(0).ring))
-        else:
-            entries.append(hom_group(X.entry(stage), Y.entry(t)).group)
-    for t in range(N):
-        src, tgt = entries[t + 1], entries[t]
+    A = X.entry(max([r.stable_stage for r in per_t if r.stable_stage >= 0],
+                    default=X.tail.start))
+    entries = tuple(trivial_group(Y.entry(0).ring) if r.eventually_zero
+                    else entry(A, Y.entry(t)) for t, r in enumerate(per_t))
+
+    def connecting(g, src, tgt) -> GroupHom:
         if src.is_trivial or tgt.is_trivial:
-            structure.append(zero_hom(src, tgt))
-        else:
-            structure.append(hom_functor(identity_hom(X.entry(stage)),
-                                         Y.structure_map(t)))
-    top = entries[N]
-    tail = Y.tail.mapped(N, lambda endo: zero_hom(top, top) if top.is_trivial
-                         else hom_functor(identity_hom(X.entry(stage)), endo))
-    tower = Tower(tuple(entries), tuple(structure), tail)
-    res = lim_lim1(tower, budget)
-    return res.lim
+            return zero_hom(src, tgt)
+        return post(A, g)
+
+    structure = tuple(connecting(Y.structure_map(t), entries[t + 1], entries[t])
+                      for t in range(N))
+    tail = Y.tail.mapped(N, lambda endo: connecting(endo, entries[N], entries[N]))
+    return lim_lim1(Tower(entries, structure, tail), budget).lim
+
+
+def pro_hom(X: Tower, Y: Tower, budget: int = DEFAULT_BUDGET) -> GroupOrUnknown:
+    """pro-Hom(X, Y) = lim_t colim_s Hom(X_s, Y_t) under the tail policies."""
+    return _lim_of_colims(X, Y, lambda B: hom_system(X, B),
+                          lambda A, B: hom_group(A, B).group,
+                          lambda A, g: hom_functor(identity_hom(A), g), budget)

@@ -16,12 +16,11 @@ from typing import Optional, Tuple
 from .chain import (ChainComplex, ChainMap, derived_hom, homology,
                     homology_support, induced_homology_map,
                     induced_map_on_derived_hom, identity_map)
-from .errors import WindowViolation
-from .exactalg.groups import FgAbGroup, GroupHom, trivial_group, zero_hom
-from .exactalg.ring import check_same_ring
+from .errors import PreconditionViolated, WindowViolation
+from .exactalg.groups import GroupHom
 from .pro import (DEFAULT_BUDGET, DirectSystem, GroupOrUnknown, Lim1Verdict,
-                  ProMap, Tower, UnknownValue, colim, is_pro_isomorphism,
-                  level_map, lim_lim1)
+                  ProMap, Tower, UnknownValue, _lim_of_colims, colim,
+                  is_pro_isomorphism, level_map, lim_lim1)
 from .tstruct import (classify_map, is_degreewise_split_mono,
                       is_degreewise_surjection, truncate_below_free,
                       truncate_below_map, truncation_step)
@@ -140,7 +139,8 @@ def _truncation_tower_step(X: ChainComplex, n_from: int, n_to: int) -> ChainMap:
     """The composite T_{<= n_from} X -> ... -> T_{<= n_to} X."""
     from .chain import cone_functor_map
     from .tstruct import truncate_above
-    assert n_from >= n_to
+    if n_from < n_to:
+        raise PreconditionViolated(f"truncation step from {n_from} down to {n_to}")
     cur = identity_map(truncate_below_free(X, n_from)[0])
     for n in range(n_from, n_to, -1):
         _, incl_hi = truncate_above(X, n + 1)
@@ -218,39 +218,14 @@ def heart_hom(X: Tower, Y: Tower, n: int = 0,
     This equals the pro-homotopy-category hom exactly (heart towers have
     homotopy-discrete mapping spaces), so no lim^1 correction is claimed.
     """
-    check_same_ring(X.entry(0), Y.entry(0))
     if not _windows_certified(X, n):
         raise WindowViolation("source tower not levelwise bounded below at n")
     if not _windows_certified_below(Y, n):
         raise WindowViolation("target tower not levelwise bounded above at n")
-    N = max(X.tail.start, Y.tail.start)
-    ring = X.entry(0).ring
-    per_t = []
-    stages = []
-    for t in range(N + 1):
-        res = colim(derived_hom_system(X, Y.entry(t), 0), budget)
-        if isinstance(res.value, UnknownValue):
-            return res.value
-        per_t.append(res)
-        stages.append(res.stable_stage)
-    stage = max([s for s in stages if s >= 0], default=X.tail.start)
-    entries = []
-    for t in range(N + 1):
-        if per_t[t].eventually_zero:
-            entries.append(trivial_group(ring))
-        else:
-            entries.append(derived_hom(X.entry(stage), Y.entry(t), 0))
-
-    def post(g: ChainMap, src: FgAbGroup, tgt: FgAbGroup) -> GroupHom:
-        if src.is_trivial or tgt.is_trivial:
-            return zero_hom(src, tgt)
-        return induced_map_on_derived_hom(identity_map(X.entry(stage)), g, 0)
-
-    structure = tuple(post(Y.structure_map(t), entries[t + 1], entries[t])
-                      for t in range(N))
-    tail = Y.tail.mapped(N, lambda endo: post(endo, entries[N], entries[N]))
-    tower = Tower(tuple(entries), structure, tail)
-    return lim_lim1(tower, budget).lim
+    return _lim_of_colims(X, Y, lambda B: derived_hom_system(X, B, 0),
+                          lambda A, B: derived_hom(A, B, 0),
+                          lambda A, g: induced_map_on_derived_hom(identity_map(A), g, 0),
+                          budget)
 
 
 @dataclass(frozen=True)

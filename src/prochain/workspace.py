@@ -245,8 +245,8 @@ def _parse_promap(name, data, tower_table, map_table) -> ProMap:
         comps.append(map_table[m])
     if not comps:
         raise ValidationError(f"promap '{name}': no components")
-    # checked here rather than by level_map's assert, so that it holds under
-    # python -O: every component must join the right entries before the
+    # checked here rather than by level_map, so that the error names the
+    # promap: every component must join the right entries before the
     # squares through the checked window can be composed
     f = ProMap(src, tgt, IndexShift.level(), tuple(comps))
     if not (all(_same_object(f.comp(t).source, src.entry(t))

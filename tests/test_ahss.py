@@ -13,9 +13,10 @@ from prochain.ahss import (SpectralSequence, abutment_filtration,
                            adapted_complex, build_exact_couple,
                            convergence_check, e2_identification_check,
                            pro_ahss, run_to_stable)
-from prochain.chain import (direct_sum_complex, free_one_term, homology,
-                            moore_complex, multiplication_map, random_complex,
-                            random_null_homotopic, zero_complex)
+from prochain.chain import (chain_map, direct_sum_complex, free_one_term,
+                            homology, moore_complex, multiplication_map,
+                            random_complex, random_null_homotopic,
+                            zero_complex, zero_map)
 from prochain.errors import ContainmentViolation
 from prochain.exactalg.groups import (full_subgroup, image, kernel,
                                       subquotient, zero_subgroup)
@@ -188,6 +189,24 @@ class TestConvergence:
             Y = random_complex(seed + 105, F2, -1, 1, 2)
             assert convergence_check(X, Y).all_iso
 
+    @pytest.mark.parametrize("X, Y, k", [
+        (M2, M2, 3),
+        (random_complex(90, ZZ, -1, 1, 2), random_complex(95, ZZ, -1, 1, 2), 2),
+    ])
+    def test_levels_past_the_window_fail_lim(self, monkeypatch, X, Y, k):
+        # raised levels leave F_{q_hi+1} C nonzero: the D-columns no longer
+        # end in zero inside the window
+        adapted = ahss.adapted_complex
+
+        def raised(Y):
+            Ya, levels = adapted(Y)
+            return Ya, {m: tuple(lev + k for lev in levs) for m, levs in levels.items()}
+
+        monkeypatch.setattr(ahss, "adapted_complex", raised)
+        rep = convergence_check(X, Y)
+        assert not rep.lim_ok
+        assert not rep.all_iso
+
 
 class TestProAhss:
     def test_times2_tower_vanishing(self):
@@ -223,6 +242,36 @@ class TestProAhss:
         rep = pro_ahss(T, M2)
         assert len(builds) == 1
         assert rep.levelwise_all_iso
+
+    def test_abutment_filtration_once_per_entry_and_degree(self, monkeypatch):
+        calls = []
+        filtration = ahss.abutment_filtration
+
+        def counting(X, Y, n):
+            calls.append((X, n))
+            return filtration(X, Y, n)
+
+        monkeypatch.setattr(ahss, "abutment_filtration", counting)
+        up = chain_map(Z0, M2, {0: IntMatrix.identity(1, ZZ)})
+        T = Tower((M2, Z0, Z0), (up, multiplication_map(Z0, 2)),
+                  TailPolicy.constant_from(2))
+        assert pro_ahss(T, M2).comparison_holds
+        assert {X for X, _ in calls} == {M2, Z0}
+        assert len(calls) == len(set(calls))
+
+    def test_zero_entry(self):
+        # the zero level has a window of its own; its slots outside it are
+        # zero, so the tower behaves like the constant tower at Z0
+        O = zero_complex()
+        T = Tower((O, Z0), (zero_map(Z0, O),), TailPolicy.constant_from(1))
+        rep, ref = pro_ahss(T, M2), pro_ahss(constant_tower(Z0), M2)
+        assert rep.comparison_holds and ref.comparison_holds
+        common = set(rep.e2) & set(ref.e2)
+        assert common
+        for slot in common:
+            assert rep.e2[slot].isomorphic(ref.e2[slot])
+        for n in set(rep.abutment) & set(ref.abutment):
+            assert rep.abutment[n].isomorphic(ref.abutment[n])
 
     def test_f2_constant_from_towers(self):
         rng = random.Random(5)
@@ -279,11 +328,10 @@ class TestFilteredEngine:
             assert pages[0].group_at(*slot, ring).isomorphic(couple.E_at(*slot))
         # E-infinity is the graded abutment
         for n in range(ss.window.n_lo, ss.window.n_hi + 1):
-            total, filt = abutment_filtration(X, Y, n)
-            subs = dict(filt)
-            for q in range(ss.window.q_lo, ss.window.q_hi + 1):
-                gr = subquotient(total, subs[q], subs[q + 1]).group
-                assert pages[-1].group_at(n - q, q, ring).isomorphic(gr)
+            graded = ss.graded(n)
+            assert sorted(graded) == list(range(ss.window.q_lo, ss.window.q_hi + 1))
+            for q, gr in graded.items():
+                assert pages[-1].group_at(n - q, q, ring).isomorphic(gr.group)
 
     def test_builds_no_exact_couple(self, monkeypatch):
         def refuse(*args):

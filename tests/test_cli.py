@@ -297,6 +297,20 @@ class TestDriver:
                              "assert 'sympy' not in sys.modules")
         assert p.returncode == 0, p.stderr
 
+    def test_pro_ahss_zero_entry(self, tmp_path):
+        with open(GOLDEN) as f:
+            doc = json.load(f)
+        doc["complexes"]["O"] = {"ranks": {}, "diffs": {}}
+        doc["maps"]["to_O"] = {"source": "Z0", "target": "O", "comps": {}}
+        doc["towers"]["T"] = {"entries": ["O", "Z0"], "structure": ["to_O"],
+                              "tail": {"constant_from": 1}}
+        p = run_python("-m", "prochain.cli", "pro-ahss", "T", "M2", "--workspace",
+                       write(tmp_path, doc), "--out", str(tmp_path / "out"))
+        assert p.returncode == 0, p.stderr
+        assert "Traceback" not in p.stderr
+        assert "comparison_holds\ttrue" in \
+            (tmp_path / "out" / "pro_ahss_T_M2_report.tsv").read_text()
+
     def test_pro_ahss(self, tmp_path):
         code, out = self.run(tmp_path, "pro-ahss", "tower2_Z0", "M2")
         assert code == 0

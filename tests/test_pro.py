@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from prochain.errors import PreconditionViolated, ValidationError
 from prochain.exactalg.groups import (free_group, group_from_orders, hom,
                                       identity_hom, multiplication_hom,
                                       trivial_group, zero_hom)
@@ -36,8 +37,15 @@ class TestProMaps:
 
     def test_level_map_validation(self):
         t = times2_tower()
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValidationError):
             level_map(t, constant_tower(Z), (identity_hom(Z),))
+
+    def test_index_preconditions_are_typed(self):
+        t = times2_tower()
+        with pytest.raises(PreconditionViolated):
+            t.composite(0, 1)
+        with pytest.raises(PreconditionViolated):
+            reindex_cofinal(t, 0)
 
     def test_shifted_composition_bookkeeping(self):
         t = times2_tower()
