@@ -27,5 +27,21 @@ from .ahss import (ConvergenceReport, ExactCouple, Page, SpectralSequence,
                    e2_identification_check, pro_ahss, run_to_stable)
 from .workspace import Workspace, parse_workspace, serialize_workspace
 
+from . import ahss as _ahss, chain as _chain, tstruct as _tstruct
+from .exactalg import groups as _groups, matrices as _matrices
+
+# every lru_cache table of the package, each with a bounded size
+_CACHES = (_matrices.snf, _groups.group_from_presentation, _groups.free_group,
+           _groups.hom_group, _chain.cone, _chain.homology_data,
+           _chain.hom_complex, _tstruct.truncate_above,
+           _tstruct.coefficient_complex, _ahss.adapted_complex)
+
+
+def cache_clear() -> None:
+    """Empty every cache of the package."""
+    for table in _CACHES:
+        table.cache_clear()
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

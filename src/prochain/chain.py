@@ -303,7 +303,13 @@ def cone_functor_map(f: ChainMap, g: ChainMap, alpha: ChainMap, xi: ChainMap) ->
 # Homology
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# bounds at about twice the most distinct arguments one benchmark round
+# passes (1,750 homology groups and 409 hom complexes, both in `spectral`)
+HOMOLOGY_CACHE_SIZE = 4096
+HOM_COMPLEX_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
 def homology_data(X: ChainComplex, n: int) -> SubquotientData:
     """H_n(X) = ker d_n / im d_{n+1} as a subquotient of the chain group X_n,
     presented on a lattice basis of the cycles."""
@@ -397,7 +403,7 @@ class HomComplexView:
         return _hom_blocks(self.X, self.Y, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=HOM_COMPLEX_CACHE_SIZE)
 def hom_complex(X: ChainComplex, Y: ChainComplex) -> HomComplexView:
     check_same_ring(X, Y)
     ring = X.ring

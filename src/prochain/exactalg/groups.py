@@ -119,7 +119,13 @@ class FgAbGroup:
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
+# bounds at about twice the most distinct arguments one benchmark round
+# passes (1,074 presentations and 22 hom groups)
+PRESENTATION_CACHE_SIZE = 2048
+HOM_GROUP_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
 def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
     """Group on relations.rows generators modulo the columns of relations."""
     ring = relations.ring
@@ -482,7 +488,7 @@ class HomGroup:
         return self.group.reduce_matrix(self.group.to_canonical @ N)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=HOM_GROUP_CACHE_SIZE)
 def hom_group(A: FgAbGroup, B: FgAbGroup) -> HomGroup:
     ring = check_same_ring(A, B)
     slots = []

@@ -4,15 +4,22 @@ Entries are arbitrary-precision Python ints stored row-major in a tuple, so
 matrices are immutable and hashable; every expensive decomposition is cached
 on that hash.  The SNF routine carries all four transform matrices (U, U^-1,
 V, V^-1) so that group normalization downstream never has to invert anything.
+
+Matrix arithmetic reduces each entry through the ring tag.  The SNF kernel
+instead picks its arithmetic once per call: over Z entries are exact and
+never reduced, over F_p the input is reduced once and every row or column
+combination is taken mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import add, mul, neg, sub, xor
 from typing import Iterable, Optional, Sequence
 
-from ..errors import PreconditionViolated
+from ..errors import PreconditionViolated, ValidationError
 from .ring import RingTag, ZZ, check_same_ring
 
 
@@ -24,7 +31,9 @@ class IntMatrix:
     ring: RingTag = ZZ
 
     def __post_init__(self):
-        assert len(self.entries) == self.rows * self.cols
+        if len(self.entries) != self.rows * self.cols:
+            raise ValidationError(
+                f"{len(self.entries)} entries for a {self.rows}x{self.cols} matrix")
 
     # -- constructors -----------------------------------------------------
 
@@ -35,7 +44,8 @@ class IntMatrix:
         n = len(rows[0]) if m else (cols if cols is not None else 0)
         flat = []
         for r in rows:
-            assert len(r) == n, "rows have varying lengths"
+            if len(r) != n:
+                raise ValidationError("rows have varying lengths")
             flat.extend(ring.reduce(int(x)) for x in r)
         return IntMatrix(m, n, tuple(flat), ring)
 
@@ -63,7 +73,8 @@ class IntMatrix:
         n = len(columns)
         e = [0] * (nrows * n)
         for j, col in enumerate(columns):
-            assert len(col) == nrows
+            if len(col) != nrows:
+                raise ValidationError(f"column {j} has {len(col)} entries, expected {nrows}")
             for i, x in enumerate(col):
                 e[i * n + j] = ring.reduce(int(x))
         return IntMatrix(nrows, n, tuple(e), ring)
@@ -94,7 +105,8 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         check_same_ring(self, other)
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if self.shape != other.shape:
+            raise PreconditionViolated(f"shape mismatch {self.shape}+{other.shape}")
         red = self.ring.reduce
         return IntMatrix(self.rows, self.cols,
                          tuple(red(a + b) for a, b in zip(self.entries, other.entries)),
@@ -115,7 +127,8 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         check_same_ring(self, other)
-        assert self.cols == other.rows, f"shape mismatch {self.shape}x{other.shape}"
+        if self.cols != other.rows:
+            raise PreconditionViolated(f"shape mismatch {self.shape}x{other.shape}")
         m, k, n = self.rows, self.cols, other.cols
         red = self.ring.reduce
         a, b = self.entries, other.entries
@@ -133,7 +146,8 @@ class IntMatrix:
         return IntMatrix(m, n, tuple(red(x) for x in out), self.ring)
 
     def apply(self, vec: Sequence[int]) -> tuple:
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise PreconditionViolated(f"vector of length {len(vec)} for {self.cols} columns")
         red = self.ring.reduce
         out = []
         for i in range(self.rows):
@@ -221,10 +235,13 @@ class SnfResult:
 
     U: IntMatrix
     Uinv: IntMatrix
-    S: IntMatrix
     V: IntMatrix
     Vinv: IntMatrix
     diag: tuple
+
+    @property
+    def S(self) -> IntMatrix:
+        return IntMatrix.diagonal(self.diag, self.U.rows, self.V.rows, self.U.ring)
 
     @property
     def rank(self) -> int:
@@ -239,149 +256,171 @@ class SnfResult:
         return sum(1 for d in self.diag if d == 0)
 
 
-class _Eliminator:
-    """Mutable state for the SNF computation, tracking all four transforms."""
-
-    def __init__(self, M: IntMatrix):
-        self.ring = M.ring
-        self.m, self.n = M.rows, M.cols
-        self.A = M.to_lists()
-        self.U = IntMatrix.identity(self.m, self.ring).to_lists()
-        self.Ui = IntMatrix.identity(self.m, self.ring).to_lists()
-        self.V = IntMatrix.identity(self.n, self.ring).to_lists()
-        self.Vi = IntMatrix.identity(self.n, self.ring).to_lists()
-
-    # row ops act on the left: A <- E A, U <- E U, Ui <- Ui E^-1
-    def row_add(self, i, j, c):
-        red = self.ring.reduce
-        if c == 0 or i == j:
-            return
-        self.A[i] = [red(a + c * b) for a, b in zip(self.A[i], self.A[j])]
-        self.U[i] = [red(a + c * b) for a, b in zip(self.U[i], self.U[j])]
-        for r in self.Ui:
-            r[j] = red(r[j] - c * r[i])
-
-    def row_swap(self, i, j):
-        if i == j:
-            return
-        self.A[i], self.A[j] = self.A[j], self.A[i]
-        self.U[i], self.U[j] = self.U[j], self.U[i]
-        for r in self.Ui:
-            r[i], r[j] = r[j], r[i]
-
-    def row_scale_unit(self, i, u):
-        red = self.ring.reduce
-        if red(u) == red(1):
-            return
-        uinv = self.ring.unit_to_normalize(u) if self.ring.p else u  # u = -1 over Z
-        self.A[i] = [red(u * a) for a in self.A[i]]
-        self.U[i] = [red(u * a) for a in self.U[i]]
-        for r in self.Ui:
-            r[i] = red(uinv * r[i])
-
-    # column ops act on the right: A <- A E, V <- V E, Vi <- E^-1 Vi
-    def col_add(self, i, j, c):
-        red = self.ring.reduce
-        if c == 0 or i == j:
-            return
-        for r in self.A:
-            r[i] = red(r[i] + c * r[j])
-        for r in self.V:
-            r[i] = red(r[i] + c * r[j])
-        self.Vi[j] = [red(a - c * b) for a, b in zip(self.Vi[j], self.Vi[i])]
-
-    def col_swap(self, i, j):
-        if i == j:
-            return
-        for r in self.A:
-            r[i], r[j] = r[j], r[i]
-        for r in self.V:
-            r[i], r[j] = r[j], r[i]
-        self.Vi[i], self.Vi[j] = self.Vi[j], self.Vi[i]
-
-
 def _snf_impl(M: IntMatrix) -> SnfResult:
+    """Smith form by pivoting on the first entry of least norm in row-major
+    order (|a| over Z, the residue over F_p), clearing its column by row
+    operations and then its row by column operations, re-pivoting on any
+    nonzero remainder, and over Z adding in a row the pivot does not divide.
+
+    Every operation on a whole row of A or of a transform is one list
+    comprehension or map.  U^-1 and V, which row and column operations act
+    on from the right, are kept by columns (as rows of their transposes),
+    so those updates are row-wise too.  Rows and columns before the pivot
+    t are zero apart from their pivots, so the pivot search and the
+    clearing passes visit A[t:, t:] only; while column t is zero off the
+    pivot, a column operation on A changes row t alone.
+    """
     ring = M.ring
-    e = _Eliminator(M)
-    A = e.A
-    m, n = e.m, e.n
+    p = ring.p
+    m, n = M.rows, M.cols
+    e = tuple(x % p for x in M.entries) if p else M.entries
+    A = [list(e[i * n:(i + 1) * n]) for i in range(m)]
+    U, UiT = IntMatrix.identity(m).to_lists(), IntMatrix.identity(m).to_lists()
+    VT, Vi = IntMatrix.identity(n).to_lists(), IntMatrix.identity(n).to_lists()
+
+    # the ring's arithmetic on rows: x + c*y, c*x for a unit c, the quotient
+    # that shrinks a against the pivot b, and the least nonzero norm in a
+    # row segment and the first place it occurs
+    if p:
+        def axpy(x, y, c):
+            if p == 2:
+                return list(map(xor, x, y))  # c = 1 on entries 0 and 1
+            return [(a + c * b) % p for a, b in zip(x, y)]
+
+        def scale(x, c):
+            return [c * a % p for a in x]
+
+        def quot(a, b):
+            return a * pow(b, -1, p) % p
+
+        def least(seg):
+            return min(filter(None, seg), default=0)
+
+        def first(seg, w):
+            return seg.index(w)
+    else:
+        def axpy(x, y, c):
+            if c == 1:
+                return list(map(add, x, y))
+            if c == -1:
+                return list(map(sub, x, y))
+            return list(map(add, x, map(mul, repeat(c), y)))
+
+        def scale(x, c):
+            return list(map(neg, x))  # the only unit besides 1 is -1
+
+        def quot(a, b):
+            # round to nearest keeps entries small; the floor remainder
+            # has the sign of b, so q + 1 recenters it
+            q, r = divmod(a, b)
+            return q + 1 if 2 * abs(r) > abs(b) else q
+
+        def least(seg):
+            return min(map(abs, filter(None, seg)), default=0)
+
+        def first(seg, w):
+            return min(seg.index(x) for x in (w, -w) if x in seg)
+
+    # swaps of row or column t, the current pivot, with row i or column j
+    def row_swap(i):
+        A[t], A[i] = A[i], A[t]
+        U[t], U[i] = U[i], U[t]
+        UiT[t], UiT[i] = UiT[i], UiT[t]
+
+    def col_swap(j):
+        for r in A[t:]:
+            r[t], r[j] = r[j], r[t]
+        VT[t], VT[j] = VT[j], VT[t]
+        Vi[t], Vi[j] = Vi[j], Vi[t]
+
     t = 0
     limit = min(m, n)
     while t < limit:
-        # deterministic pivot: first entry of minimal ring norm in A[t:, t:]
+        # the first entry of least norm in A[t:, t:]; norm 1 is least
         best = None
         for i in range(t, m):
-            for j in range(t, n):
-                v = ring.reduce(A[i][j])
-                if v != 0:
-                    w = ring.norm(v)
-                    if best is None or w < best[0]:
-                        best = (w, i, j)
+            seg = A[i][t:]
+            w = least(seg)
+            if w and (best is None or w < best[0]):
+                best = (w, i, t + first(seg, w))
+                if w == 1:
+                    break
         if best is None:
             break
         _, bi, bj = best
-        e.row_swap(t, bi)
-        e.col_swap(t, bj)
+        if bi != t:
+            row_swap(bi)
+        if bj != t:
+            col_swap(bj)
 
         while True:
             # clear column t, re-pivoting on any smaller remainder
             dirty = False
-            for i in range(m):
-                if i == t:
-                    continue
-                a = ring.reduce(A[i][t])
-                if a == 0:
-                    continue
-                q = ring.quot(a, A[t][t])
-                e.row_add(i, t, -q)
-                if ring.reduce(A[i][t]) != 0:
-                    e.row_swap(t, i)
+            for i in [i for i in range(t + 1, m) if A[i][t]]:
+                q = quot(A[i][t], A[t][t])
+                if q:
+                    A[i] = axpy(A[i], A[t], -q)
+                    U[i] = axpy(U[i], U[t], -q)
+                    UiT[t] = axpy(UiT[t], UiT[i], q)
+                if A[i][t]:
+                    row_swap(i)
                     dirty = True
             if dirty:
                 continue
-            for j in range(n):
-                if j == t:
-                    continue
-                a = ring.reduce(A[t][j])
-                if a == 0:
-                    continue
-                q = ring.quot(a, A[t][t])
-                e.col_add(j, t, -q)
-                if ring.reduce(A[t][j]) != 0:
-                    e.col_swap(t, j)
+            # clear row t; column t is zero off the pivot until a swap
+            clean = True
+            row = A[t]
+            for j in [j for j in range(t + 1, n) if row[j]]:
+                q = quot(row[j], row[t])
+                if q:
+                    for r in (row,) if clean else A[t:]:
+                        if r[t]:
+                            r[j] = (r[j] - q * r[t]) % p if p else r[j] - q * r[t]
+                    VT[j] = axpy(VT[j], VT[t], -q)
+                    Vi[t] = axpy(Vi[t], Vi[j], q)
+                if row[j]:
+                    col_swap(j)
                     dirty = True
+                    clean = False
             if dirty:
                 continue
-            # pivot must divide the remaining submatrix for the chain to hold
-            offender = None
-            if not ring.is_field:
-                for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if A[i][j] % A[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
+            # over Z the pivot must divide the rest for the chain to hold
+            piv = A[t][t]
+            if p or piv in (1, -1):
+                break
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % piv for x in A[i][t + 1:])), None)
             if offender is None:
                 break
-            e.row_add(t, offender, 1)
+            A[t] = axpy(A[t], A[offender], 1)
+            U[t] = axpy(U[t], U[offender], 1)
+            UiT[offender] = axpy(UiT[offender], UiT[t], -1)
 
-        e.row_scale_unit(t, ring.unit_to_normalize(A[t][t]))
+        # normalize the pivot, to a positive entry over Z and to 1 over F_p;
+        # U^-1 takes the inverse unit, which is the pivot itself over F_p
+        piv = A[t][t]
+        u = pow(piv, -1, p) if p else (-1 if piv < 0 else 1)
+        if u != 1:
+            A[t] = scale(A[t], u)
+            U[t] = scale(U[t], u)
+            UiT[t] = scale(UiT[t], piv if p else u)
         t += 1
 
-    diag = tuple(ring.reduce(A[i][i]) for i in range(limit))
-    as_matrix = IntMatrix.from_rows(A, ring, cols=n) if m else IntMatrix.zeros(0, n, ring)
     return SnfResult(
-        U=IntMatrix.from_rows(e.U, ring, cols=m) if m else IntMatrix.zeros(0, 0, ring),
-        Uinv=IntMatrix.from_rows(e.Ui, ring, cols=m) if m else IntMatrix.zeros(0, 0, ring),
-        S=as_matrix,
-        V=IntMatrix.from_rows(e.V, ring, cols=n) if n else IntMatrix.zeros(0, 0, ring),
-        Vinv=IntMatrix.from_rows(e.Vi, ring, cols=n) if n else IntMatrix.zeros(0, 0, ring),
-        diag=diag,
+        U=IntMatrix(m, m, tuple(chain.from_iterable(U)), ring),
+        Uinv=IntMatrix(m, m, tuple(chain.from_iterable(zip(*UiT))), ring),
+        V=IntMatrix(n, n, tuple(chain.from_iterable(zip(*VT))), ring),
+        Vinv=IntMatrix(n, n, tuple(chain.from_iterable(Vi)), ring),
+        diag=tuple(A[i][i] for i in range(limit)),
     )
 
 
-@lru_cache(maxsize=None)
+# A benchmark round factors up to about 2,200 distinct matrices (`spectral`);
+# the bound keeps the table from growing for the life of the process.
+SNF_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=SNF_CACHE_SIZE)
 def snf(M: IntMatrix) -> SnfResult:
     return _snf_impl(M)
 
@@ -389,7 +428,8 @@ def snf(M: IntMatrix) -> SnfResult:
 def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     """Exact solve A @ X = B; returns None when no solution exists."""
     check_same_ring(A, B)
-    assert A.rows == B.rows
+    if A.rows != B.rows:
+        raise PreconditionViolated(f"solve: A has {A.rows} rows, B has {B.rows}")
     ring = A.ring
     s = snf(A)
     UB = s.U @ B

@@ -1,9 +1,10 @@
 """Coefficient rings: the integers and prime fields F_p.
 
-Every matrix and group in the package carries one of these tags.  The two
-rings share a single elimination code path: the only ring-specific pieces
-are entry reduction, the quotient used to shrink a remainder against a
-pivot, and unit normalization of pivots.
+Every matrix and group in the package carries one of these tags.  Matrix
+and group arithmetic reduce entries through `reduce`.  The Smith-form
+kernel in `matrices` reads the tag once per call and works on exact
+integers over Z and on residues over F_p, reduced mod p after every row or
+column combination.
 """
 
 from __future__ import annotations
@@ -40,27 +41,6 @@ class RingTag:
 
     def reduce(self, a: int) -> int:
         return a % self.p if self.p else a
-
-    def norm(self, a: int) -> int:
-        """Pivot-selection weight; smaller is better among nonzero entries."""
-        return a % self.p if self.p else abs(a)
-
-    def quot(self, a: int, b: int) -> int:
-        """Quotient q so that a - q*b is small (zero over a field)."""
-        if self.p:
-            return (a * pow(b, -1, self.p)) % self.p
-        # round-to-nearest keeps intermediate entries small during SNF;
-        # the floor remainder has the sign of b, so q += 1 recenters it
-        q, r = divmod(a, b)
-        if 2 * abs(r) > abs(b):
-            q += 1
-        return q
-
-    def unit_to_normalize(self, a: int) -> int:
-        """Unit u with u*a the canonical pivot (positive over Z, 1 over F_p)."""
-        if self.p:
-            return pow(a % self.p, -1, self.p)
-        return -1 if a < 0 else 1
 
     def __str__(self):
         return f"F{self.p}" if self.p else "Z"

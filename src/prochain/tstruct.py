@@ -35,7 +35,13 @@ NEG_INF = -math.inf
 # Truncations
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# bounds at about twice the most distinct arguments one benchmark round
+# passes (599 truncations, 6 coefficient groups)
+TRUNCATION_CACHE_SIZE = 1024
+COEFFICIENT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=TRUNCATION_CACHE_SIZE)
 def truncate_above(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     """tau_{>= n} X as a subcomplex, with its inclusion into X.
 
@@ -528,7 +534,7 @@ def find_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap,
 # Cohomology with coefficients
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
 def coefficient_complex(A: FgAbGroup) -> ChainComplex:
     """Two-term free resolution of A in degrees 1, 0."""
     ring = A.ring

@@ -1,5 +1,6 @@
 """Exact linear algebra and group arithmetic."""
 
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from prochain.exactalg.matrices import (IntMatrix, block_matrix,
 from prochain.exactalg.ring import GF, ZZ
 from prochain.errors import (ContainmentViolation, PreconditionViolated,
                              RingMismatch, ValidationError)
+
+from conftest import run_python
 
 Z = free_group(1)
 Z2 = group_from_orders([2])
@@ -47,6 +50,30 @@ def random_hom(rng, A, B):
 def as_matrix(column, A, B):
     """The B.ngens x A.ngens matrix of a homomorphism written as a column."""
     return IntMatrix(B.ngens, A.ngens, column.entries, A.ring)
+
+
+def pinned_matrices():
+    """300 seeded inputs: dense over Z up to 10 x 10, dense over F_2 and F_3
+    up to 30 x 30, and sparse over Z up to 20 x 20 with mostly unit entries."""
+    rng = random.Random(20051102)
+    out = []
+    for _ in range(100):
+        m, n = rng.randint(0, 10), rng.randint(0, 10)
+        out.append(IntMatrix(m, n, tuple(rng.randint(-9, 9) for _ in range(m * n))))
+    for p in (2, 3):
+        for _ in range(50):
+            m, n = rng.randint(0, 30), rng.randint(0, 30)
+            out.append(IntMatrix(m, n, tuple(rng.randrange(p) for _ in range(m * n)),
+                                 GF(p)))
+    for _ in range(100):
+        m, n = rng.randint(1, 20), rng.randint(1, 20)
+        out.append(IntMatrix(m, n, tuple(
+            rng.choice((1, -1, 1, -1, 2, 3)) if rng.random() < 0.15 else 0
+            for _ in range(m * n))))
+    return out
+
+
+SNF_PINNED_DIGEST = "9dc3a658e7dba2a81eb6c4d1839c7a62c69ef71c90cbdc90abcef13799589a7b"
 
 
 matrix_entries = st.lists(
@@ -91,6 +118,47 @@ class TestSnf:
         s = snf(M)
         assert (s.U @ M @ s.V).entries == s.S.entries
         assert all(d == 1 for d in s.invariant_factors)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([2, 3]))
+    @settings(max_examples=25, deadline=None)
+    def test_prime_field_up_to_30(self, seed, p):
+        rng = random.Random(seed)
+        m, n = rng.randint(1, 30), rng.randint(1, 30)
+        density = rng.random()
+        M = IntMatrix(m, n, tuple(rng.randrange(p) if rng.random() < density else 0
+                                  for _ in range(m * n)), GF(p))
+        s = snf(M)
+        assert (s.U @ M @ s.V).entries == s.S.entries
+        assert (s.U @ s.Uinv).entries == IntMatrix.identity(m, GF(p)).entries
+        assert (s.Vinv @ s.V).entries == IntMatrix.identity(n, GF(p)).entries
+        r = s.rank
+        assert s.diag == (1,) * r + (0,) * (min(m, n) - r)
+
+    def test_snf_output_pinned(self):
+        # every transform and the diagonal, byte for byte, on a fixed list
+        # of inputs; a change to the elimination order changes the digest
+        h = hashlib.sha256()
+        for M in pinned_matrices():
+            s = snf(M)
+            h.update(repr((s.U.entries, s.Uinv.entries, s.S.entries, s.V.entries,
+                           s.Vinv.entries, s.diag)).encode())
+        assert h.hexdigest() == SNF_PINNED_DIGEST
+
+    def test_checks_hold_under_optimize(self):
+        # python -O strips assert statements; shape and entry checks stay
+        p = run_python("-O", "-c", (
+            "from prochain.exactalg.matrices import IntMatrix\n"
+            "from prochain.errors import PreconditionViolated, ValidationError\n"
+            "try:\n"
+            "    IntMatrix.identity(2) @ IntMatrix.identity(3)\n"
+            "except PreconditionViolated:\n"
+            "    print('matmul refused')\n"
+            "try:\n"
+            "    IntMatrix(2, 2, (1,))\n"
+            "except ValidationError:\n"
+            "    print('entries refused')\n"))
+        assert p.returncode == 0, p.stderr
+        assert p.stdout == "matmul refused\nentries refused\n"
 
     def test_determinism(self):
         M = IntMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]])

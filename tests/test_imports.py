@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is read, and
-no `assert` statement comes back into a module that is free of them.
+"""Source hygiene: every module-level import in the package is read, no
+`assert` statement comes back into a module that is free of them, and every
+cache is bounded and emptied by `prochain.cache_clear()`.
 
 The package re-exports names from its `__init__.py` files, so those are
 exempt from the import check.  A name counts as read when it appears as a
@@ -10,8 +11,12 @@ only grows.
 
 import ast
 import pathlib
+import sys
 
 import pytest
+
+import prochain
+from prochain.exactalg.groups import free_group, group_from_orders, hom_group
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "prochain"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -53,8 +58,9 @@ def test_no_unused_module_level_import(path):
 # modules whose checks all raise typed errors; add a module once its last
 # assert is gone
 ASSERT_FREE = ("__init__.py", "ahss.py", "chain.py", "cli.py", "errors.py",
-               "exactalg/__init__.py", "exactalg/ring.py", "pro.py",
-               "prohomotopy.py", "selftest.py", "tstruct.py", "workspace.py")
+               "exactalg/__init__.py", "exactalg/matrices.py", "exactalg/ring.py",
+               "pro.py", "prohomotopy.py", "selftest.py", "tstruct.py",
+               "workspace.py")
 
 
 def assert_lines(source: str) -> list:
@@ -75,3 +81,29 @@ def test_assert_free_list_is_complete():
     free = {str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")
             if not assert_lines(p.read_text())}
     assert free == set(ASSERT_FREE)
+
+
+def package_caches() -> dict:
+    """Every lru_cache table of the loaded package, once each, by the
+    qualified name of the function it caches."""
+    return {f"{val.__module__}.{val.__qualname__}": val
+            for name, mod in sorted(sys.modules.items())
+            if name.startswith("prochain") and mod is not None
+            for val in vars(mod).values()
+            if hasattr(val, "cache_info") and hasattr(val, "cache_clear")}
+
+
+def test_every_cache_is_bounded_and_cleared():
+    caches = package_caches()
+    assert caches
+    unbounded = [k for k, c in caches.items() if c.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
+    Y = prochain.moore_complex(2)
+    prochain.convergence_check(Y, Y)
+    prochain.cohomology_with_coefficients(Y, group_from_orders([2]), 0)
+    prochain.classify_map(prochain.chain.multiplication_map(Y, 2))
+    hom_group(free_group(1), group_from_orders([4]))
+    assert [k for k, c in caches.items() if not c.cache_info().currsize] == []
+    prochain.cache_clear()
+    assert {k: c.cache_info().currsize for k, c in caches.items()
+            if c.cache_info().currsize} == {}
