@@ -45,8 +45,8 @@ from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData,
                               direct_sum, exact_at, free_group,
                               group_from_presentation, image, induced_hom,
                               subquotient, trivial_group, zero_hom)
-from .exactalg.matrices import (IntMatrix, block_matrix, kernel_basis, snf,
-                                solve)
+from .exactalg.matrices import (IntMatrix, block_matrix, certified_solve,
+                                kernel_with_inverse, snf)
 from .exactalg.ring import check_same_ring
 from .pro import (DEFAULT_BUDGET, DirectSystem, GroupOrUnknown, Tower,
                   UnknownValue, colim)
@@ -192,12 +192,21 @@ def adapted_complex(Y: ChainComplex) -> Tuple[ChainComplex, Mapping[int, tuple]]
             MappingProxyType(levels))
 
 
-def _embed(K: IntMatrix, rows: List[int], size: int) -> IntMatrix:
-    """K with its rows placed at `rows` of a size-row matrix, zero elsewhere."""
-    e = [0] * (size * K.cols)
+def _embed(K: IntMatrix, L: IntMatrix, rows: List[int],
+           size: int) -> Tuple[IntMatrix, IntMatrix]:
+    """K with its rows placed at `rows` of a size-row matrix, and L with its
+    columns placed at the same indices of a size-column one, zero elsewhere;
+    L @ K is unchanged."""
+    k = K.cols
+    e = [0] * (size * k)
     for t, i in enumerate(rows):
-        e[i * K.cols:(i + 1) * K.cols] = K.row(t)
-    return IntMatrix(size, K.cols, tuple(e), K.ring)
+        e[i * k:(i + 1) * k] = K.row(t)
+    f = [0] * (L.rows * size)
+    for r in range(L.rows):
+        off = r * size
+        for x, j in zip(L.row(r), rows):
+            f[off + j] = x
+    return IntMatrix(size, k, tuple(e), K.ring), IntMatrix(L.rows, size, tuple(f), L.ring)
 
 
 def _hcat(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -251,7 +260,7 @@ class SpectralSequence:
                 if x and tgt[idx // d.cols] < src[idx % d.cols]:
                     raise ContainmentViolation(f"d_{n} carries F_{src[idx % d.cols]} "
                                                "out of itself")
-        self._cycles_memo: Dict[tuple, IntMatrix] = {}
+        self._cycles_memo: Dict[tuple, Tuple[IntMatrix, IntMatrix]] = {}
         self._graded_memo: Dict[int, Dict[int, SubquotientData]] = {}
         self.pages: List[Page] = [self._page(2)]
 
@@ -261,27 +270,31 @@ class SpectralSequence:
     def states(self):
         return (SimpleNamespace(couple=self.window),)
 
-    def _cycles(self, n: int, q: int, top: int) -> IntMatrix:
-        """{x in F_q C_n : dx in F_top C_{n-1}} as columns of C_n coordinates."""
+    def _cycles(self, n: int, q: int, top: int) -> Tuple[IntMatrix, IntMatrix]:
+        """{x in F_q C_n : dx in F_top C_{n-1}} as columns of C_n coordinates,
+        with a left inverse of those columns."""
         lo, hi = self._bounds
         key = (n, min(max(q, lo), hi), min(max(top, lo), hi))
-        Z = self._cycles_memo.get(key)
-        if Z is None:
+        ZL = self._cycles_memo.get(key)
+        if ZL is None:
             src, tgt = self.levels.get(n, ()), self.levels.get(n - 1, ())
             cols = [j for j, lev in enumerate(src) if lev >= q]
             rows = [i for i, lev in enumerate(tgt) if lev < top]
-            K = kernel_basis(self.C.diff(n).take_rows(rows).take_columns(cols))
-            Z = self._cycles_memo[key] = _embed(K, cols, self.C.rank(n))
-        return Z
+            K, L = kernel_with_inverse(self.C.diff(n).take_rows(rows).take_columns(cols))
+            ZL = self._cycles_memo[key] = _embed(K, L, cols, self.C.rank(n))
+        return ZL
 
-    def _subquotient(self, n: int, num: IntMatrix, den: IntMatrix) -> SubquotientData:
-        """span(num) / span(den) in C_n, for num a kernel basis (independent
-        columns): the coordinates of den in num present the quotient."""
-        coords = solve(num, den)
+    def _subquotient(self, n: int, num: Tuple[IntMatrix, IntMatrix],
+                     den: IntMatrix) -> SubquotientData:
+        """span(Z) / span(den) in C_n, for num = (Z, L) with L @ Z = I: the
+        coordinates L @ den of den in Z, checked by Z @ (L @ den) == den,
+        present the quotient."""
+        Z, L = num
+        coords = certified_solve(Z, L, den)
         if coords is None:
             raise ContainmentViolation(f"boundaries outside the cycles in degree {n}")
         return SubquotientData(free_group(self.C.rank(n), self.ring),
-                               group_from_presentation(coords), num)
+                               group_from_presentation(coords), Z, L)
 
     def _page(self, r: int) -> Page:
         s, C = r - 1, self.C
@@ -290,8 +303,8 @@ class SpectralSequence:
             n = p + q
             if not C.rank(n):
                 continue
-            den = _hcat(self._cycles(n, q + 1, q + s),
-                        C.diff(n + 1) @ self._cycles(n + 1, q - s + 1, q))
+            den = _hcat(self._cycles(n, q + 1, q + s)[0],
+                        C.diff(n + 1) @ self._cycles(n + 1, q - s + 1, q)[0])
             sq = self._subquotient(n, self._cycles(n, q, q + s), den)
             if not sq.group.is_trivial:
                 data[(p, q)] = sq

@@ -18,7 +18,8 @@ from .errors import PostconditionViolated, PreconditionViolated, ValidationError
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
                               group_from_presentation, induced_hom,
                               trivial_group)
-from .exactalg.matrices import IntMatrix, block_matrix, kernel_basis, kron, solve
+from .exactalg.matrices import (IntMatrix, block_matrix, certified_solve, kron,
+                                kernel_with_inverse)
 from .exactalg.ring import RingTag, ZZ, check_same_ring
 
 
@@ -317,12 +318,12 @@ def homology_data(X: ChainComplex, n: int) -> SubquotientData:
     if X.rank(n) == 0:
         return SubquotientData(trivial_group(ring), trivial_group(ring),
                                IntMatrix.zeros(0, 0, ring))
-    K = kernel_basis(X.diff(n))
-    B = X.diff(n + 1)
-    expr = solve(K, B)
+    K, L = kernel_with_inverse(X.diff(n))
+    expr = certified_solve(K, L, X.diff(n + 1))
     if expr is None:
         raise PostconditionViolated(f"boundaries in degree {n} are not cycles")
-    return SubquotientData(free_group(X.rank(n), ring), group_from_presentation(expr), K)
+    return SubquotientData(free_group(X.rank(n), ring), group_from_presentation(expr),
+                           K, L)
 
 
 def homology(X: ChainComplex, n: int) -> FgAbGroup:

@@ -12,14 +12,15 @@ matrices in canonical generators, reduced modulo the target's relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
 from ..errors import ContainmentViolation, PreconditionViolated
-from .matrices import (IntMatrix, block_matrix, column_lattice_basis,
-                       in_column_span, kernel_basis, kron, snf, solve)
+from .matrices import (IntMatrix, block_matrix, certified_solve,
+                       column_lattice_basis, in_column_span, kernel_basis, kron,
+                       snf, solve)
 from .ring import RingTag, ZZ, check_same_ring
 
 
@@ -60,7 +61,9 @@ class FgAbGroup:
                 and self.orders == other.orders)
 
     def reduce(self, vec: Sequence[int]) -> tuple:
-        assert len(vec) == self.ngens
+        if len(vec) != self.ngens:
+            raise PreconditionViolated(f"vector of length {len(vec)} in a group "
+                                       f"on {self.ngens} generators")
         out = []
         for d, x in zip(self.orders, vec):
             x = self.ring.reduce(x)
@@ -69,7 +72,9 @@ class FgAbGroup:
 
     def reduce_matrix(self, M: IntMatrix) -> IntMatrix:
         """Reduce a matrix whose ROWS are indexed by our canonical generators."""
-        assert M.rows == self.ngens
+        if M.rows != self.ngens:
+            raise PreconditionViolated(f"{M.rows} rows for a group on "
+                                       f"{self.ngens} generators")
         rows = []
         for i, d in enumerate(self.orders):
             row = [self.ring.reduce(x) for x in M.row(i)]
@@ -166,7 +171,8 @@ def trivial_group(ring: RingTag = ZZ) -> FgAbGroup:
 def direct_sum(groups: Sequence[FgAbGroup], ring: Optional[RingTag] = None) -> FgAbGroup:
     if groups:
         ring = check_same_ring(*groups)
-    assert ring is not None
+    if ring is None:
+        raise PreconditionViolated("direct sum of no groups needs a ring")
     orders = [d for g in groups for d in g.orders]
     return group_from_orders(orders, ring)
 
@@ -181,18 +187,23 @@ class GroupHom:
 
     def __post_init__(self):
         check_same_ring(self.source, self.target, self.matrix)
-        assert self.matrix.shape == (self.target.ngens, self.source.ngens)
+        if self.matrix.shape != (self.target.ngens, self.source.ngens):
+            raise PreconditionViolated(
+                f"a {self.matrix.shape} matrix for a map "
+                f"{self.source.ngens} -> {self.target.ngens} generators")
 
     def apply(self, vec: Sequence[int]) -> tuple:
         return self.target.reduce(self.matrix.apply(vec))
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self o other."""
-        assert other.target.orders == self.source.orders
+        if other.target.orders != self.source.orders:
+            raise PreconditionViolated("composite of maps that do not compose")
         return hom(other.source, self.target, self.matrix @ other.matrix)
 
     def __add__(self, other: "GroupHom") -> "GroupHom":
-        assert self.source is other.source or self.source.orders == other.source.orders
+        if self.source is not other.source and self.source.orders != other.source.orders:
+            raise PreconditionViolated("sum of maps with different sources")
         return hom(self.source, self.target, self.matrix + other.matrix)
 
     def __sub__(self, other: "GroupHom") -> "GroupHom":
@@ -261,11 +272,20 @@ class SubquotientData:
     presentation generators), so canonical generator j is represented by
     column j of basis @ group.from_canonical.  This class is the one place
     where subquotient coordinates are encoded and decoded.
+
+    `coords`, when set, is a left inverse of `basis` (coords @ basis = I)
+    in a free ambient, as a kernel basis comes with one; encoding is then
+    two products instead of a solve.
     """
 
     ambient: FgAbGroup
     group: FgAbGroup
     basis: IntMatrix
+    coords: Optional[IntMatrix] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.coords is not None and self.ambient.invariant_factors:
+            raise PreconditionViolated("a left inverse of the basis needs a free ambient")
 
     def decode_matrix(self) -> IntMatrix:
         """Ambient representatives of all canonical generators, as columns."""
@@ -273,14 +293,17 @@ class SubquotientData:
 
     def encode_matrix(self, V: IntMatrix) -> IntMatrix:
         """Coordinates in `group` of every column of V (ambient elements),
-        from one solve; raises ContainmentViolation if a column lies outside
-        the numerator."""
+        from coords @ V checked by one product, or else from one solve;
+        raises ContainmentViolation if a column lies outside the numerator."""
         if not V.cols:
             return IntMatrix.zeros(self.group.ngens, 0, self.ambient.ring)
-        sol = solve(_augmented(self.basis, self.ambient.relation_matrix()), V)
-        if sol is None:
+        if self.coords is not None:
+            z = certified_solve(self.basis, self.coords, V)
+        else:
+            sol = solve(_augmented(self.basis, self.ambient.relation_matrix()), V)
+            z = None if sol is None else sol.take_rows(range(self.basis.cols))
+        if z is None:
             raise ContainmentViolation("element not in subgroup")
-        z = sol.take_rows(range(self.basis.cols))
         return self.group.reduce_matrix(self.group.to_canonical @ z)
 
     def encode_hom(self, f: GroupHom) -> GroupHom:
@@ -307,7 +330,8 @@ class Subgroup(SubquotientData):
 
     def contains_hom(self, f: GroupHom) -> bool:
         """Does the image of f (into the ambient group) land in this subgroup?"""
-        assert f.target.orders == self.ambient.orders
+        if f.target.orders != self.ambient.orders:
+            raise PreconditionViolated("map does not land in the ambient group")
         return in_column_span(_augmented(self.basis, self.ambient.relation_matrix()),
                               f.matrix)
 
@@ -411,7 +435,8 @@ def preimage_element(f: GroupHom, target_vec: Sequence[int]) -> Optional[tuple]:
 
 def exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Exactness of A --f--> B --g--> C at B: im f = ker g as subgroups."""
-    assert f.target.orders == g.source.orders
+    if f.target.orders != g.source.orders:
+        raise PreconditionViolated("exactness of maps that do not compose")
     if not g.compose(f).is_zero:
         return False
     ker_g = kernel(g)

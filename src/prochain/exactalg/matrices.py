@@ -5,10 +5,16 @@ matrices are immutable and hashable; every expensive decomposition is cached
 on that hash.  The SNF routine carries all four transform matrices (U, U^-1,
 V, V^-1) so that group normalization downstream never has to invert anything.
 
-Matrix arithmetic reduces each entry through the ring tag.  The SNF kernel
-instead picks its arithmetic once per call: over Z entries are exact and
-never reduced, over F_p the input is reduced once and every row or column
+Matrix products read the ring once: over Z entries are exact and never
+reduced, over F_p every product entry is taken mod p.  The other
+constructors and operations reduce entry by entry through the ring tag.
+The SNF kernel likewise picks its arithmetic once per call: over Z entries
+are exact, over F_p the input is reduced once and every row or column
 combination is taken mod p.
+
+A kernel basis K comes with a left inverse L from the same Smith form
+(`kernel_with_inverse`), so coordinates against K are L @ B, certified by
+K @ (L @ B) == B (`certified_solve`) instead of a second Smith form.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, mul, neg, sub, xor
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ..errors import PreconditionViolated, ValidationError
 from .ring import RingTag, ZZ, check_same_ring
@@ -130,7 +136,6 @@ class IntMatrix:
         if self.cols != other.rows:
             raise PreconditionViolated(f"shape mismatch {self.shape}x{other.shape}")
         m, k, n = self.rows, self.cols, other.cols
-        red = self.ring.reduce
         a, b = self.entries, other.entries
         out = [0] * (m * n)
         for i in range(m):
@@ -143,7 +148,8 @@ class IntMatrix:
                 ooff = i * n
                 for j in range(n):
                     out[ooff + j] += c * b[boff + j]
-        return IntMatrix(m, n, tuple(red(x) for x in out), self.ring)
+        p = self.ring.p
+        return IntMatrix(m, n, tuple(x % p for x in out) if p else tuple(out), self.ring)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
@@ -430,36 +436,52 @@ def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     check_same_ring(A, B)
     if A.rows != B.rows:
         raise PreconditionViolated(f"solve: A has {A.rows} rows, B has {B.rows}")
-    ring = A.ring
+    p = A.ring.p
     s = snf(A)
-    UB = s.U @ B
     k = B.cols
+    UB = (s.U @ B).entries  # reduced already
     d = s.diag
-    Y = [[0] * k for _ in range(A.cols)]
+    Y = [0] * (A.cols * k)
     for i in range(A.rows):
-        for j in range(k):
-            v = ring.reduce(UB[i, j])
-            di = d[i] if i < len(d) else 0
-            if di == 0:
-                if v != 0:
-                    return None
-            else:
-                if ring.is_field:
-                    Y[i][j] = ring.reduce(v * pow(di, -1, ring.p))
-                else:
-                    if v % di != 0:
-                        return None
-                    Y[i][j] = v // di
-    Ym = IntMatrix.from_rows(Y, ring, cols=k) if A.cols else IntMatrix.zeros(0, k, ring)
-    return s.V @ Ym
+        row = UB[i * k:(i + 1) * k]
+        di = d[i] if i < len(d) else 0
+        if di == 0:
+            if any(row):
+                return None
+        elif p:
+            inv = pow(di, -1, p)
+            Y[i * k:(i + 1) * k] = [v * inv % p for v in row]
+        elif any(v % di for v in row):
+            return None
+        else:
+            Y[i * k:(i + 1) * k] = [v // di for v in row]
+    return s.V @ IntMatrix(A.cols, k, tuple(Y), A.ring)
+
+
+def kernel_with_inverse(A: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
+    """(K, L): the columns of K form a lattice basis of {x : A x = 0} (a
+    subspace basis over F_p), and L @ K = I.  Both come from one Smith form
+    U A V = D: K is V at the zero columns of D and L is V^-1 at those rows."""
+    s = snf(A)
+    d = s.diag
+    free = [j for j in range(A.cols) if j >= len(d) or d[j] == 0]
+    return s.V.take_columns(free), s.Vinv.take_rows(free)
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Columns form a lattice basis of {x : A x = 0} (a subspace basis over F_p)."""
-    s = snf(A)
-    d = s.diag
-    free = [j for j in range(A.cols) if j >= len(d) or d[j] == 0]
-    return s.V.take_columns(free)
+    return kernel_with_inverse(A)[0]
+
+
+def certified_solve(K: IntMatrix, L: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
+    """solve(K, B) for K with a left inverse L (L @ K = I), by two products.
+
+    K has full column rank, so L @ B is the only possible solution, and it is
+    one exactly when K @ (L @ B) == B, compared in reduced form."""
+    X = L @ B
+    p = B.ring.p
+    want = tuple(x % p for x in B.entries) if p else B.entries
+    return X if (K @ X).entries == want else None
 
 
 def column_lattice_basis(G: IntMatrix) -> IntMatrix:

@@ -1,10 +1,11 @@
 """Coefficient rings: the integers and prime fields F_p.
 
-Every matrix and group in the package carries one of these tags.  Matrix
-and group arithmetic reduce entries through `reduce`.  The Smith-form
-kernel in `matrices` reads the tag once per call and works on exact
-integers over Z and on residues over F_p, reduced mod p after every row or
-column combination.
+Every matrix and group in the package carries one of these tags.  Group
+arithmetic and most matrix constructors reduce entries through `reduce`.
+Matrix products and the Smith-form kernel in `matrices` read the tag once
+per call instead: over Z entries are exact and never reduced, over F_p
+they are residues, taken mod p after every product or row or column
+combination.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ def GF(p: int) -> RingTag:
 
 
 def check_same_ring(*tagged):
-    rings = {obj.ring for obj in tagged}
-    if len(rings) > 1:
-        raise RingMismatch(f"mixed rings: {sorted(str(r) for r in rings)}")
-    return next(iter(rings))
+    """The common ring of the operands; raises RingMismatch if they differ."""
+    first = tagged[0].ring
+    for obj in tagged:
+        if obj.ring is not first and obj.ring != first:
+            rings = {obj.ring for obj in tagged}
+            raise RingMismatch(f"mixed rings: {sorted(str(r) for r in rings)}")
+    return first

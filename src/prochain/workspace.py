@@ -72,8 +72,24 @@ def _int(value, where: str) -> int:
     """A workspace number; anything else is a ParseError naming its place."""
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where}: expected an integer, got {_shown(value)}")
+
+
+# a few bytes of JSON must not ask for a huge matrix or a long primality
+# test: generators of a complex (summed over its degrees) or of a group,
+# degrees and the field modulus are bounded
+MAX_GENERATORS = 4096
+MAX_DEGREE = 1024
+MAX_MODULUS = 2 ** 31
+
+
+def _bounded(value, lo: int, hi: int, where: str) -> int:
+    """A workspace number from lo to hi; outside, a ValidationError."""
+    n = _int(value, where)
+    if not lo <= n <= hi:
+        raise ValidationError(f"{where}: {n} is not between {lo} and {hi}")
+    return n
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
@@ -111,7 +127,7 @@ def _parse_ring(data) -> RingTag:
         return ZZ
     if isinstance(data, dict) and set(data) == {"p"}:
         try:
-            return GF(_int(data["p"], "ring"))
+            return GF(_bounded(data["p"], 0, MAX_MODULUS, "ring"))
         except ValidationError as e:
             raise ParseError(str(e))
     raise ParseError("ring must be \"Z\" or {\"p\": <prime>}")
@@ -119,14 +135,16 @@ def _parse_ring(data) -> RingTag:
 
 def _parse_complex(name: str, data, ring: RingTag) -> ChainComplex:
     where = f"complex '{name}'"
-    ranks = {_int(k, f"{where} rank degree"): _int(v, f"{where} rank")
+    ranks = {_bounded(k, -MAX_DEGREE, MAX_DEGREE, f"{where} rank degree"):
+             _int(v, f"{where} rank")
              for k, v in _typed(data.get("ranks", {}), dict, f"{where} ranks").items()}
     for n, r in sorted(ranks.items()):
         if r < 0:
             raise ValidationError(f"complex '{name}': negative rank {r} at degree {n}")
+    _bounded(sum(ranks.values()), 0, MAX_GENERATORS, f"{where} total rank")
     diffs = {}
     for k, m in _typed(data.get("diffs", {}), dict, f"{where} diffs").items():
-        n = _int(k, f"{where} differential degree")
+        n = _bounded(k, -MAX_DEGREE, MAX_DEGREE, f"{where} differential degree")
         rows = ranks.get(n - 1, 0)
         mat = _parse_matrix(m, ring, f"complex '{name}' diff {n}") if m else \
             IntMatrix.zeros(rows, ranks.get(n, 0), ring)
@@ -179,7 +197,8 @@ def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
 
 
 def _parse_group(name, data, ring) -> FgAbGroup:
-    gens = _int(data.get("generators", 0), f"group '{name}' generators")
+    gens = _bounded(data.get("generators", 0), 0, MAX_GENERATORS,
+                    f"group '{name}' generators")
     rels = _typed(data.get("relations", []), list, f"group '{name}' relations")
     cols = []
     for i, rel in enumerate(rels):
@@ -264,8 +283,13 @@ def parse_workspace(path: str) -> Workspace:
         data = json.loads(raw)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}")
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except ValueError as e:
+        # text that is not UTF-8, or a number too long to convert
+        raise ParseError(f"{path}: {e}")
     if not isinstance(data, dict):
         raise ParseError("workspace must be a JSON object")
     ring = _parse_ring(data.get("ring", "Z"))

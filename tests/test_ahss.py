@@ -20,7 +20,7 @@ from prochain.chain import (chain_map, direct_sum_complex, free_one_term,
 from prochain.errors import ContainmentViolation
 from prochain.exactalg.groups import (full_subgroup, image, kernel,
                                       subquotient, zero_subgroup)
-from prochain.exactalg.matrices import IntMatrix
+from prochain.exactalg.matrices import IntMatrix, solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import TailPolicy, Tower, UnknownValue, constant_tower, repeat_tower
 from prochain.tstruct import cohomology_with_coefficients
@@ -134,6 +134,36 @@ class TestPages:
                 assert other is not None and other.isomorphic(g)
             for page in pages:
                 assert all(d.is_zero for d in page.differentials.values())
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)])
+    def test_boundaries_outside_the_cycles_are_refused(self, ring):
+        # den of E^2 with one more column e_j: refused exactly when the
+        # solve against the cycles finds no coordinates for e_j
+        refused = 0
+        for seed in range(3):
+            X = random_complex(seed + 45, ring, -1, 1, 2)
+            Y = random_complex(seed + 55, ring, -1, 1, 2)
+            ss = SpectralSequence(X, Y)
+            C = ss.C
+            for (p, q) in ss.window.slots():
+                n = p + q
+                if not C.rank(n):
+                    continue
+                num = ss._cycles(n, q, q + 1)
+                den = ahss._hcat(ss._cycles(n, q + 1, q + 1)[0],
+                                 C.diff(n + 1) @ ss._cycles(n + 1, q, q)[0])
+                ss._subquotient(n, num, den)
+                for j in range(C.rank(n)):
+                    e = IntMatrix.from_columns([[int(i == j) for i in range(C.rank(n))]],
+                                               C.rank(n), ring)
+                    bad = ahss._hcat(den, e)
+                    if solve(num[0], e) is None:
+                        with pytest.raises(ContainmentViolation):
+                            ss._subquotient(n, num, bad)
+                        refused += 1
+                    else:
+                        ss._subquotient(n, num, bad)
+        assert refused >= 10
 
 
 class TestAbutment:

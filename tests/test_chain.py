@@ -1,12 +1,13 @@
 """Chain complexes, cones, homology, and the derived-hom oracle."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_map_into, random_map_out, run_python
-from prochain.chain import (cone, cone_les_exact, derived_hom,
+from prochain.chain import (ChainComplex, cone, cone_les_exact, derived_hom,
                             direct_sum_complex, free_one_term, hom_complex,
                             homology, homology_data, identity_map,
                             induced_homology_map, induced_map_on_derived_hom,
@@ -15,7 +16,8 @@ from prochain.chain import (cone, cone_les_exact, derived_hom,
                             quasi_iso_thickening, random_complex,
                             random_null_homotopic, shift, validate,
                             zero_complex, zero_map)
-from prochain.errors import ContainmentViolation, ValidationError
+from prochain.errors import (ContainmentViolation, PostconditionViolated,
+                             ValidationError)
 from prochain.exactalg.matrices import IntMatrix
 from prochain.exactalg.ring import GF, ZZ
 
@@ -138,6 +140,37 @@ class TestInducedMaps:
             data.encode_matrix(IntMatrix.from_rows([[1]]))
         cycles = homology_data(M2, 0)
         assert cycles.encode_matrix(cycles.decode_matrix()).entries == (1,)
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    def test_boundaries_outside_the_cycles_are_refused(self, ring):
+        # complexes built directly, past make_complex's d o d check: one
+        # entry of d_{n+1} is changed so that d_n d_{n+1} != 0
+        refused = 0
+        for seed in range(80):
+            X = random_complex(seed, ring, -2, 2, 3)
+            for n in range(X.lo + 1, X.hi):
+                d, up = X.diff(n), X.diff(n + 1)
+                if not (d.entries and up.entries):
+                    continue
+                e = list(up.entries)
+                e[seed % len(e)] += 1
+                bad = IntMatrix(up.rows, up.cols, tuple(e), ring)
+                if (d @ bad).is_zero:
+                    continue
+                diffs = list(X.diffs)
+                diffs[n - X.lo] = bad
+                Y = dataclasses.replace(X, diffs=tuple(diffs))
+                with pytest.raises(PostconditionViolated):
+                    homology_data(Y, n)
+                refused += 1
+        assert refused >= 10
+
+    def test_unreduced_differentials_are_cycles_mod_p(self):
+        # d_1 = 3 and d_2 = 4 are 0 and 1 over F_3, so d o d = 0 there
+        F3 = GF(3)
+        X = ChainComplex(F3, 0, 2, (1, 1, 1), (IntMatrix(1, 1, (3,), F3),
+                                               IntMatrix(1, 1, (4,), F3)))
+        assert [homology(X, n).free_rank for n in range(3)] == [1, 0, 0]
 
     @given(st.integers(min_value=0, max_value=2 ** 30), rings)
     @settings(max_examples=30, deadline=None)

@@ -2,8 +2,10 @@
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import run_python
 from prochain.cli import main
@@ -133,6 +135,35 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_workspace("/nonexistent/ws.json")
 
+    @pytest.mark.parametrize("raw", [
+        b'{"ring": "\xff"}',
+        b'{"config": {"lim_window": ' + b"1" * 5000 + b"}}",
+    ], ids=["not-utf8", "5000-digits"])
+    def test_unreadable_text_is_a_parse_error(self, tmp_path, raw):
+        p = tmp_path / "ws.json"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError):
+            parse_workspace(str(p))
+
+    def test_directory_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError):
+            parse_workspace(str(tmp_path))
+
+    @pytest.mark.parametrize("doc", [
+        {"complexes": {"A": {"ranks": {"0": 10 ** 12}}}},
+        {"complexes": {"A": {"ranks": {"0": 3000, "1": 3000}}}},
+        {"complexes": {"A": {"ranks": {"0": 1, "100000000000": 1}}}},
+        {"groups": {"G": {"generators": 10 ** 12}}},
+        {"groups": {"G": {"generators": -3}}},
+    ])
+    def test_sizes_beyond_the_bounds_are_refused(self, tmp_path, doc):
+        with pytest.raises(ValidationError):
+            parse_workspace(write(tmp_path, doc))
+
+    def test_huge_modulus_is_refused(self, tmp_path):
+        with pytest.raises(ParseError):
+            parse_workspace(write(tmp_path, {"ring": {"p": 2 ** 61 - 1}}))
+
     Z0 = {"ranks": {"0": 1}, "diffs": {}}
 
     @pytest.mark.parametrize("doc, message", [
@@ -192,6 +223,62 @@ class TestParsing:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [message]
+
+
+# keys the parser reads, so that generated documents get past the top level
+WORKSPACE_KEYS = ("ring", "p", "config", "budget_filler", "budget_reindex",
+                  "lim_window", "complexes", "ranks", "diffs", "maps", "source",
+                  "target", "comps", "groups", "generators", "relations",
+                  "group_maps", "matrix", "towers", "group_towers", "entries",
+                  "structure", "tail", "constant_from", "repeat_from", "endo",
+                  "promaps", "group_promaps", "M2", "Z0", "Z", "Z2", "times2_Z0")
+
+json_keys = st.one_of(st.text(max_size=6), st.sampled_from(WORKSPACE_KEYS),
+                      st.integers(min_value=-3, max_value=3).map(str))
+# numbers a workspace must refuse cleanly, which st.integers and st.floats
+# seldom reach inside a nested document
+EXTREME_NUMBERS = (float("inf"), float("-inf"), float("nan"), 1e300, 10 ** 12,
+                   -10 ** 12, 2 ** 64)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6) | st.sampled_from(EXTREME_NUMBERS)
+                | st.sampled_from(WORKSPACE_KEYS)
+                | st.integers(min_value=-3, max_value=3).map(str))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=24)
+
+
+@st.composite
+def mutated_golden(draw):
+    """workspaces/moore.json with about one value in twelve, at any depth,
+    replaced: a number or string by a JSON scalar, an array or object by
+    an arbitrary JSON value."""
+    def mutate(node):
+        if isinstance(node, (dict, list)):
+            if draw(st.integers(0, 11)) == 0:
+                return draw(json_values)
+            if isinstance(node, dict):
+                return {k: mutate(v) for k, v in node.items()}
+            return [mutate(v) for v in node]
+        return draw(json_scalars) if draw(st.integers(0, 11)) == 0 else node
+    with open(GOLDEN) as f:
+        return mutate(json.load(f))
+
+
+class TestParserFuzz:
+    @given(st.one_of(json_values, st.dictionaries(json_keys, json_values, max_size=6),
+                     mutated_golden()))
+    @settings(max_examples=300, deadline=None)
+    def test_only_parse_and_validation_errors(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ws.json")
+            with open(path, "w") as f:
+                json.dump(doc, f)
+            try:
+                parse_workspace(path)
+            except (ParseError, ValidationError):
+                pass
 
 
 class TestRoundTrip:

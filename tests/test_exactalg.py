@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prochain.exactalg.groups import (cokernel, cokernel_projection, direct_sum,
+from prochain.exactalg.groups import (SubquotientData, cokernel,
+                                      cokernel_projection, direct_sum,
                                       exact_at, free_group, group_from_orders,
                                       group_from_presentation, hom, hom_functor,
                                       hom_group,
@@ -17,8 +18,9 @@ from prochain.exactalg.groups import (cokernel, cokernel_projection, direct_sum,
                                       full_subgroup, trivial_group, zero_hom,
                                       zero_subgroup)
 from prochain.exactalg.matrices import (IntMatrix, block_matrix,
-                                        column_lattice_basis, in_column_span,
-                                        kernel_basis, kron, snf, solve)
+                                        certified_solve, column_lattice_basis,
+                                        in_column_span, kernel_basis,
+                                        kernel_with_inverse, kron, snf, solve)
 from prochain.exactalg.ring import GF, ZZ
 from prochain.errors import (ContainmentViolation, PreconditionViolated,
                              RingMismatch, ValidationError)
@@ -384,3 +386,93 @@ class TestGroups:
         f = hom(v, v, IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]], F2))
         assert is_isomorphism(f)
         assert hom_group(v, v).group.free_rank == 9
+
+
+def random_matrix(rng, ring):
+    """Dense over F_p up to 30 x 30 at a random density; over Z either dense
+    up to 8 x 8 or sparse up to 20 x 20 with mostly unit entries."""
+    if ring.p:
+        m, n = rng.randint(0, 30), rng.randint(0, 30)
+        density = rng.random()
+        draw = lambda: rng.randrange(ring.p) if rng.random() < density else 0
+    elif rng.random() < 0.5:
+        m, n = rng.randint(0, 8), rng.randint(0, 8)
+        draw = lambda: rng.randint(-9, 9)
+    else:
+        m, n = rng.randint(0, 20), rng.randint(0, 20)
+        draw = lambda: rng.choice((1, -1, 1, -1, 2, 3)) if rng.random() < 0.15 else 0
+    return IntMatrix(m, n, tuple(draw() for _ in range(m * n)), ring)
+
+
+class TestCertificate:
+    """A kernel basis K carries a left inverse L from the same Smith form,
+    and coordinates against K are L @ B checked by K @ (L @ B) == B."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_coordinates_equal_solve(self, seed, ring):
+        rng = random.Random(seed)
+        A = random_matrix(rng, ring)
+        K, L = kernel_with_inverse(A)
+        assert K == kernel_basis(A)
+        assert (A @ K).is_zero
+        assert L @ K == IntMatrix.identity(K.cols, ring)
+        k = rng.randint(0, 4)
+        inside = K @ IntMatrix(K.cols, k, tuple(rng.randint(-3, 3)
+                                                for _ in range(K.cols * k)), ring)
+        kind = rng.randrange(3)
+        if kind == 0:
+            B = inside
+        elif kind == 1 and inside.entries:
+            # one entry off a member of the span
+            i = rng.randrange(len(inside.entries))
+            e = list(inside.entries)
+            e[i] += 1
+            B = IntMatrix(inside.rows, k, tuple(e), ring)
+        else:
+            B = IntMatrix(A.cols, k, tuple(rng.randint(-3, 3)
+                                           for _ in range(A.cols * k)), ring)
+        if ring.p:
+            # unreduced representatives of the same residues
+            B = IntMatrix(B.rows, k, tuple(x + ring.p * rng.randint(-2, 2)
+                                           for x in B.entries), ring)
+        X = certified_solve(K, L, B)
+        assert X == solve(K, B)
+        if kind == 0:
+            assert X is not None
+
+        # a subquotient encodes the same with and without the left inverse
+        # and compares equal either way
+        ambient = free_group(A.cols, ring)
+        group = group_from_presentation(certified_solve(K, L, inside))
+        plain = SubquotientData(ambient, group, K)
+        certified = SubquotientData(ambient, group, K, L)
+        assert plain == certified and hash(plain) == hash(certified)
+        try:
+            want = plain.encode_matrix(B)
+        except ContainmentViolation:
+            with pytest.raises(ContainmentViolation):
+                certified.encode_matrix(B)
+        else:
+            assert certified.encode_matrix(B) == want
+
+    def test_left_inverse_needs_a_free_ambient(self):
+        K = IntMatrix.identity(1)
+        with pytest.raises(PreconditionViolated):
+            SubquotientData(Z2, trivial_group(), K, K)
+
+    def test_group_checks_hold_under_optimize(self):
+        # python -O strips assert statements; group arithmetic raises typed errors
+        p = run_python("-O", "-c", (
+            "from prochain.exactalg.groups import free_group, identity_hom\n"
+            "from prochain.errors import PreconditionViolated\n"
+            "f, g = identity_hom(free_group(1)), identity_hom(free_group(2))\n"
+            "for bad in (lambda: f.compose(g), lambda: f + g,\n"
+            "            lambda: free_group(2).reduce((1,))):\n"
+            "    try:\n"
+            "        bad()\n"
+            "    except PreconditionViolated:\n"
+            "        print('refused')\n"))
+        assert p.returncode == 0, p.stderr
+        assert p.stdout == "refused\n" * 3
