@@ -45,8 +45,7 @@ from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData,
                               direct_sum, exact_at, free_group,
                               group_from_presentation, image, induced_hom,
                               subquotient, trivial_group, zero_hom)
-from .exactalg.matrices import (IntMatrix, block_matrix, certified_solve,
-                                kernel_with_inverse, snf)
+from .exactalg.matrices import IntMatrix, Lattice, hcat, kernel_lattice, snf
 from .exactalg.ring import check_same_ring
 from .pro import (DEFAULT_BUDGET, DirectSystem, GroupOrUnknown, Tower,
                   UnknownValue, colim)
@@ -192,25 +191,20 @@ def adapted_complex(Y: ChainComplex) -> Tuple[ChainComplex, Mapping[int, tuple]]
             MappingProxyType(levels))
 
 
-def _embed(K: IntMatrix, L: IntMatrix, rows: List[int],
-           size: int) -> Tuple[IntMatrix, IntMatrix]:
-    """K with its rows placed at `rows` of a size-row matrix, and L with its
-    columns placed at the same indices of a size-column one, zero elsewhere;
-    L @ K is unchanged."""
-    k = K.cols
+def _spread_rows(M: IntMatrix, rows: List[int], size: int) -> IntMatrix:
+    """M with its rows placed at `rows` of a size-row matrix, zero elsewhere."""
+    k = M.cols
     e = [0] * (size * k)
     for t, i in enumerate(rows):
-        e[i * k:(i + 1) * k] = K.row(t)
-    f = [0] * (L.rows * size)
-    for r in range(L.rows):
-        off = r * size
-        for x, j in zip(L.row(r), rows):
-            f[off + j] = x
-    return IntMatrix(size, k, tuple(e), K.ring), IntMatrix(L.rows, size, tuple(f), L.ring)
+        e[i * k:(i + 1) * k] = M.row(t)
+    return IntMatrix(size, k, tuple(e), M.ring)
 
 
-def _hcat(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    return block_matrix((A.rows,), (A.cols, B.cols), {(0, 0): A, (0, 1): B}, A.ring)
+def _embed(lattice: Lattice, rows: List[int], size: int) -> Lattice:
+    """The lattice with its basis rows and its C columns placed at `rows` of
+    size, zero elsewhere; C @ basis is unchanged."""
+    C = _spread_rows(lattice.C.transpose(), rows, size).transpose()
+    return Lattice(_spread_rows(lattice.basis, rows, size), C, lattice.divisors)
 
 
 @dataclass
@@ -260,7 +254,7 @@ class SpectralSequence:
                 if x and tgt[idx // d.cols] < src[idx % d.cols]:
                     raise ContainmentViolation(f"d_{n} carries F_{src[idx % d.cols]} "
                                                "out of itself")
-        self._cycles_memo: Dict[tuple, Tuple[IntMatrix, IntMatrix]] = {}
+        self._cycles_memo: Dict[tuple, Lattice] = {}
         self._graded_memo: Dict[int, Dict[int, SubquotientData]] = {}
         self.pages: List[Page] = [self._page(2)]
 
@@ -270,31 +264,28 @@ class SpectralSequence:
     def states(self):
         return (SimpleNamespace(couple=self.window),)
 
-    def _cycles(self, n: int, q: int, top: int) -> Tuple[IntMatrix, IntMatrix]:
-        """{x in F_q C_n : dx in F_top C_{n-1}} as columns of C_n coordinates,
-        with a left inverse of those columns."""
+    def _cycles(self, n: int, q: int, top: int) -> Lattice:
+        """{x in F_q C_n : dx in F_top C_{n-1}}, a lattice in C_n coordinates."""
         lo, hi = self._bounds
         key = (n, min(max(q, lo), hi), min(max(top, lo), hi))
-        ZL = self._cycles_memo.get(key)
-        if ZL is None:
+        Z = self._cycles_memo.get(key)
+        if Z is None:
             src, tgt = self.levels.get(n, ()), self.levels.get(n - 1, ())
             cols = [j for j, lev in enumerate(src) if lev >= q]
             rows = [i for i, lev in enumerate(tgt) if lev < top]
-            K, L = kernel_with_inverse(self.C.diff(n).take_rows(rows).take_columns(cols))
-            ZL = self._cycles_memo[key] = _embed(K, L, cols, self.C.rank(n))
-        return ZL
+            Z = self._cycles_memo[key] = _embed(
+                kernel_lattice(self.C.diff(n).take_rows(rows).take_columns(cols)),
+                cols, self.C.rank(n))
+        return Z
 
-    def _subquotient(self, n: int, num: Tuple[IntMatrix, IntMatrix],
-                     den: IntMatrix) -> SubquotientData:
-        """span(Z) / span(den) in C_n, for num = (Z, L) with L @ Z = I: the
-        coordinates L @ den of den in Z, checked by Z @ (L @ den) == den,
-        present the quotient."""
-        Z, L = num
-        coords = certified_solve(Z, L, den)
+    def _subquotient(self, n: int, num: Lattice, den: IntMatrix) -> SubquotientData:
+        """span(num) / span(den) in C_n, presented by the coordinates of den
+        in num."""
+        coords = num.coords(den)
         if coords is None:
             raise ContainmentViolation(f"boundaries outside the cycles in degree {n}")
         return SubquotientData(free_group(self.C.rank(n), self.ring),
-                               group_from_presentation(coords), Z, L)
+                               group_from_presentation(coords), num)
 
     def _page(self, r: int) -> Page:
         s, C = r - 1, self.C
@@ -303,8 +294,8 @@ class SpectralSequence:
             n = p + q
             if not C.rank(n):
                 continue
-            den = _hcat(self._cycles(n, q + 1, q + s)[0],
-                        C.diff(n + 1) @ self._cycles(n + 1, q - s + 1, q)[0])
+            den = hcat(self._cycles(n, q + 1, q + s).basis,
+                       C.diff(n + 1) @ self._cycles(n + 1, q - s + 1, q).basis)
             sq = self._subquotient(n, self._cycles(n, q, q + s), den)
             if not sq.group.is_trivial:
                 data[(p, q)] = sq

@@ -18,8 +18,8 @@ from .errors import PostconditionViolated, PreconditionViolated, ValidationError
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
                               group_from_presentation, induced_hom,
                               trivial_group)
-from .exactalg.matrices import (IntMatrix, block_matrix, certified_solve, kron,
-                                kernel_with_inverse)
+from .exactalg.matrices import (IntMatrix, Lattice, block_matrix, kernel_lattice,
+                                kron)
 from .exactalg.ring import RingTag, ZZ, check_same_ring
 
 
@@ -316,14 +316,15 @@ def homology_data(X: ChainComplex, n: int) -> SubquotientData:
     presented on a lattice basis of the cycles."""
     ring = X.ring
     if X.rank(n) == 0:
+        empty = IntMatrix.zeros(0, 0, ring)
         return SubquotientData(trivial_group(ring), trivial_group(ring),
-                               IntMatrix.zeros(0, 0, ring))
-    K, L = kernel_with_inverse(X.diff(n))
-    expr = certified_solve(K, L, X.diff(n + 1))
+                               Lattice(empty, empty, ()))
+    cycles = kernel_lattice(X.diff(n))
+    expr = cycles.coords(X.diff(n + 1))
     if expr is None:
         raise PostconditionViolated(f"boundaries in degree {n} are not cycles")
     return SubquotientData(free_group(X.rank(n), ring), group_from_presentation(expr),
-                           K, L)
+                           cycles)
 
 
 def homology(X: ChainComplex, n: int) -> FgAbGroup:

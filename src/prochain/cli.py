@@ -382,7 +382,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             if not args.workspace:
                 raise ProchainError("--workspace is required for this command")
             ws = parse_workspace(args.workspace)
-            if args.budget_filler:
+            if args.budget_filler is not None:
+                if args.budget_filler < 1:
+                    raise ProchainError("--budget-filler must be at least 1, "
+                                        f"got {args.budget_filler}")
                 ws.config.budget_filler = args.budget_filler
         rep = Reporter(args.out)
         # unpack positional names into fields the handlers expect

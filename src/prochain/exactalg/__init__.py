@@ -1,9 +1,9 @@
 """Exact integer and F_p linear algebra with f.g. abelian group arithmetic."""
 
 from .ring import GF, RingTag, ZZ, check_same_ring
-from .matrices import (IntMatrix, SnfResult, block_matrix,
-                       column_lattice_basis, in_column_span, kernel_basis,
-                       kron, snf, solve)
+from .matrices import (IntMatrix, Lattice, SnfResult, block_matrix, hcat,
+                       kernel_basis, kernel_lattice, kron, snf, solve,
+                       span_lattice)
 from .groups import (FgAbGroup, GroupHom, HomGroup, Subgroup, SubquotientData,
                      cokernel, cokernel_projection, direct_sum, exact_at,
                      express_through, free_group, full_subgroup,

@@ -8,19 +8,24 @@ generators.  Over F_p there is no torsion and free_rank counts dimensions.
 
 Elements are coordinate tuples in canonical generators; homomorphisms are
 matrices in canonical generators, reduced modulo the target's relations.
+
+Subgroups, kernels, images, quotients and homology groups are subquotients
+(`SubquotientData`): the numerator is a `Lattice` of ambient generator
+vectors that contains the ambient relations, and the group is presented by
+the lattice coordinates of the denominator.  Membership, containment and
+encoding all ask `Lattice.coords`, so each answer is one checked product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
 from ..errors import ContainmentViolation, PreconditionViolated
-from .matrices import (IntMatrix, block_matrix, certified_solve,
-                       column_lattice_basis, in_column_span, kernel_basis, kron,
-                       snf, solve)
+from .matrices import (IntMatrix, Lattice, block_matrix, hcat, kernel_basis, kron,
+                       snf, solve, span_lattice)
 from .ring import RingTag, ZZ, check_same_ring
 
 
@@ -258,50 +263,33 @@ def multiplication_hom(g: FgAbGroup, m: int) -> GroupHom:
 # Subgroups, quotients, kernels, images
 # ---------------------------------------------------------------------------
 
-def _augmented(G: IntMatrix, rels: IntMatrix) -> IntMatrix:
-    if not rels.cols:
-        return G
-    return block_matrix((G.rows,), (G.cols, rels.cols), {(0, 0): G, (0, 1): rels}, G.ring)
-
-
 @dataclass(frozen=True)
 class SubquotientData:
     """A subquotient of `ambient` in explicit coordinates.
 
-    `group` is presented on the columns of `basis` (ambient generators x
-    presentation generators), so canonical generator j is represented by
-    column j of basis @ group.from_canonical.  This class is the one place
-    where subquotient coordinates are encoded and decoded.
-
-    `coords`, when set, is a left inverse of `basis` (coords @ basis = I)
-    in a free ambient, as a kernel basis comes with one; encoding is then
-    two products instead of a solve.
+    `group` is presented on the basis columns of `lattice`, a lattice of
+    ambient generator vectors that contains the ambient relations, so
+    canonical generator j is represented by column j of
+    basis @ group.from_canonical.  This class is the one place where
+    subquotient coordinates are encoded and decoded.
     """
 
     ambient: FgAbGroup
     group: FgAbGroup
-    basis: IntMatrix
-    coords: Optional[IntMatrix] = field(default=None, compare=False, repr=False)
+    lattice: Lattice
 
-    def __post_init__(self):
-        if self.coords is not None and self.ambient.invariant_factors:
-            raise PreconditionViolated("a left inverse of the basis needs a free ambient")
+    @property
+    def basis(self) -> IntMatrix:
+        return self.lattice.basis
 
     def decode_matrix(self) -> IntMatrix:
         """Ambient representatives of all canonical generators, as columns."""
         return self.ambient.reduce_matrix(self.basis @ self.group.from_canonical)
 
     def encode_matrix(self, V: IntMatrix) -> IntMatrix:
-        """Coordinates in `group` of every column of V (ambient elements),
-        from coords @ V checked by one product, or else from one solve;
+        """Coordinates in `group` of every column of V (ambient elements);
         raises ContainmentViolation if a column lies outside the numerator."""
-        if not V.cols:
-            return IntMatrix.zeros(self.group.ngens, 0, self.ambient.ring)
-        if self.coords is not None:
-            z = certified_solve(self.basis, self.coords, V)
-        else:
-            sol = solve(_augmented(self.basis, self.ambient.relation_matrix()), V)
-            z = None if sol is None else sol.take_rows(range(self.basis.cols))
+        z = self.lattice.coords(V)
         if z is None:
             raise ContainmentViolation("element not in subgroup")
         return self.group.reduce_matrix(self.group.to_canonical @ z)
@@ -314,15 +302,15 @@ class SubquotientData:
 def induced_hom(src: SubquotientData, M: IntMatrix,
                 tgt: SubquotientData) -> GroupHom:
     """The map src.group -> tgt.group induced by the ambient matrix M
-    (tgt.ambient gens x src.ambient gens): decode, apply, encode, one solve."""
+    (tgt.ambient gens x src.ambient gens): decode, apply, encode."""
     return hom(src.group, tgt.group, tgt.encode_matrix(M @ src.decode_matrix()))
 
 
 @dataclass(frozen=True)
 class Subgroup(SubquotientData):
     """A subgroup of `ambient`: the subquotient with nothing divided out.
-    The basis columns span the preimage of the subgroup in the generator
-    lattice modulo the ambient relations."""
+    The lattice is the preimage of the subgroup in the generator lattice,
+    so it contains the ambient relations."""
 
     @cached_property
     def inclusion(self) -> GroupHom:
@@ -332,19 +320,15 @@ class Subgroup(SubquotientData):
         """Does the image of f (into the ambient group) land in this subgroup?"""
         if f.target.orders != self.ambient.orders:
             raise PreconditionViolated("map does not land in the ambient group")
-        return in_column_span(_augmented(self.basis, self.ambient.relation_matrix()),
-                              f.matrix)
+        return self.lattice.coords(f.matrix) is not None
 
 
 def subgroup_from_columns(ambient: FgAbGroup, gens: IntMatrix) -> Subgroup:
-    """Subgroup of `ambient` generated by the columns of `gens` (canonical coords)."""
+    """Subgroup of `ambient` generated by the columns of `gens` (canonical
+    coords), presented by the coordinates of the ambient relations."""
     rels = ambient.relation_matrix()
-    lattice = _augmented(gens, rels)
-    basis = column_lattice_basis(lattice)
-    # relations among the basis columns: preimages of the ambient relations
-    ker = kernel_basis(_augmented(basis, rels))
-    zpart = ker.take_rows(range(basis.cols))
-    return Subgroup(ambient, group_from_presentation(zpart), basis)
+    lattice = span_lattice(hcat(gens, rels))
+    return Subgroup(ambient, group_from_presentation(lattice.coords(rels)), lattice)
 
 
 def image(f: GroupHom) -> Subgroup:
@@ -353,26 +337,21 @@ def image(f: GroupHom) -> Subgroup:
 
 def kernel(f: GroupHom) -> Subgroup:
     """Kernel of f as a subgroup of its source."""
-    rels_t = f.target.relation_matrix()
-    ker = kernel_basis(_augmented(f.matrix, rels_t))
+    ker = kernel_basis(hcat(f.matrix, f.target.relation_matrix()))
     xpart = ker.take_rows(range(f.source.ngens))
     # the source relations always solve f(x) = 0, so adding them is harmless
-    gens = _augmented(xpart, f.source.relation_matrix())
-    return subgroup_from_columns(f.source, gens)
+    return subgroup_from_columns(f.source, hcat(xpart, f.source.relation_matrix()))
 
 
 def subquotient(ambient: FgAbGroup, numerator: Subgroup,
                 denominator: Subgroup) -> SubquotientData:
-    """im(numerator)/im(denominator); raises unless the containment holds."""
-    rels = ambient.relation_matrix()
-    num_lat = _augmented(numerator.basis, rels)
-    den_lat = _augmented(denominator.basis, rels)
-    if not in_column_span(num_lat, den_lat):
+    """im(numerator)/im(denominator), presented by the coordinates of the
+    denominator's basis in the numerator's lattice; raises
+    ContainmentViolation unless the containment holds."""
+    rels = numerator.lattice.coords(denominator.basis)
+    if rels is None:
         raise ContainmentViolation("denominator not contained in numerator")
-    basis = column_lattice_basis(num_lat)
-    ker = kernel_basis(_augmented(basis, den_lat))
-    zpart = ker.take_rows(range(basis.cols))
-    return SubquotientData(ambient, group_from_presentation(zpart), basis)
+    return SubquotientData(ambient, group_from_presentation(rels), numerator.lattice)
 
 
 def full_subgroup(g: FgAbGroup) -> Subgroup:
@@ -412,7 +391,7 @@ def is_isomorphism(f: GroupHom) -> bool:
 def preimage_matrix(f: GroupHom, V: IntMatrix) -> Optional[IntMatrix]:
     """Columns x with f(x) = the columns of V, from one solve; None when some
     column is not in the image."""
-    sol = solve(_augmented(f.matrix, f.target.relation_matrix()), V)
+    sol = solve(hcat(f.matrix, f.target.relation_matrix()), V)
     if sol is None:
         return None
     return f.source.reduce_matrix(sol.take_rows(range(f.source.ngens)))

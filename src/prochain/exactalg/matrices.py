@@ -12,9 +12,10 @@ The SNF kernel likewise picks its arithmetic once per call: over Z entries
 are exact, over F_p the input is reduced once and every row or column
 combination is taken mod p.
 
-A kernel basis K comes with a left inverse L from the same Smith form
-(`kernel_with_inverse`), so coordinates against K are L @ B, certified by
-K @ (L @ B) == B (`certified_solve`) instead of a second Smith form.
+A subgroup of ring^m is a `Lattice` (`kernel_lattice`, `span_lattice`): a
+basis with a matrix C from the same Smith form, C @ basis diagonal.  Its
+`coords` answers every membership and coordinate question by products,
+checked by one more, instead of a second Smith form.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import add, mul, neg, sub, xor
-from typing import Iterable, Optional, Sequence, Tuple
+from operator import add, floordiv, mod, mul, neg, sub, xor
+from typing import Iterable, Optional, Sequence
 
 from ..errors import PreconditionViolated, ValidationError
 from .ring import RingTag, ZZ, check_same_ring
@@ -458,42 +459,60 @@ def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     return s.V @ IntMatrix(A.cols, k, tuple(Y), A.ring)
 
 
-def kernel_with_inverse(A: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
-    """(K, L): the columns of K form a lattice basis of {x : A x = 0} (a
-    subspace basis over F_p), and L @ K = I.  Both come from one Smith form
-    U A V = D: K is V at the zero columns of D and L is V^-1 at those rows."""
+@dataclass(frozen=True)
+class Lattice:
+    """A sublattice (a subspace over F_p) of ring^m with a certificate.
+
+    The columns of `basis` are independent, and C @ basis is the diagonal
+    matrix of `divisors`.  So the coordinates of a member B are
+    (C @ B) / divisors, and `coords` accepts them only when basis @ c == B.
+    """
+
+    basis: IntMatrix    # m x r
+    C: IntMatrix        # r x m
+    divisors: tuple     # r nonzero entries
+
+    def coords(self, B: IntMatrix) -> Optional[IntMatrix]:
+        """The X with basis @ X == B, compared in reduced form, or None when
+        some column of B is not in the lattice."""
+        X = self.C @ B  # reduced already
+        if any(d != 1 for d in self.divisors):
+            ds = [d for d in self.divisors for _ in range(B.cols)]
+            if any(map(mod, X.entries, ds)):
+                return None
+            X = IntMatrix(X.rows, X.cols, tuple(map(floordiv, X.entries, ds)), X.ring)
+        p = B.ring.p
+        want = tuple(x % p for x in B.entries) if p else B.entries
+        return X if (self.basis @ X).entries == want else None
+
+
+def kernel_lattice(A: IntMatrix) -> Lattice:
+    """{x : A x = 0}, from one Smith form U A V = D: the basis is V at the
+    zero columns of D and C is V^-1 at those rows, with unit divisors."""
     s = snf(A)
     d = s.diag
     free = [j for j in range(A.cols) if j >= len(d) or d[j] == 0]
-    return s.V.take_columns(free), s.Vinv.take_rows(free)
+    return Lattice(s.V.take_columns(free), s.Vinv.take_rows(free), (1,) * len(free))
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Columns form a lattice basis of {x : A x = 0} (a subspace basis over F_p)."""
-    return kernel_with_inverse(A)[0]
+    return kernel_lattice(A).basis
 
 
-def certified_solve(K: IntMatrix, L: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
-    """solve(K, B) for K with a left inverse L (L @ K = I), by two products.
-
-    K has full column rank, so L @ B is the only possible solution, and it is
-    one exactly when K @ (L @ B) == B, compared in reduced form."""
-    X = L @ B
-    p = B.ring.p
-    want = tuple(x % p for x in B.entries) if p else B.entries
-    return X if (K @ X).entries == want else None
-
-
-def column_lattice_basis(G: IntMatrix) -> IntMatrix:
-    """A basis (independent columns) for the column span of G over the ring."""
+def span_lattice(G: IntMatrix) -> Lattice:
+    """The column span of G, from one Smith form U G V = D: G V = U^-1 D, so
+    the basis is U^-1 D at the first r columns and C is U at the first r
+    rows, with the invariant factors as divisors."""
     s = snf(G)
-    cols = []
-    for i, d in enumerate(s.diag):
-        if d != 0:
-            cols.append(tuple(d * s.Uinv[r, i] for r in range(G.rows)))
-    return IntMatrix.from_columns(cols, G.rows, G.ring)
+    d = s.invariant_factors
+    r = len(d)
+    basis = s.Uinv.take_columns(range(r)) @ IntMatrix.diagonal(d, r, r, G.ring)
+    return Lattice(basis, s.U.take_rows(range(r)), d)
 
 
-def in_column_span(G: IntMatrix, B: IntMatrix) -> bool:
-    """True iff every column of B lies in the column lattice of G."""
-    return solve(G, B) is not None
+def hcat(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """[A | B]; A itself when B has no columns."""
+    if not B.cols:
+        return A
+    return block_matrix((A.rows,), (A.cols, B.cols), {(0, 0): A, (0, 1): B}, A.ring)

@@ -22,7 +22,7 @@ from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, free_group,
                               hom_functor, hom_group, identity_hom, image,
                               is_isomorphism, solve_hom_constraints,
                               trivial_group, zero_hom)
-from .exactalg.matrices import IntMatrix, kernel_basis, snf, solve
+from .exactalg.matrices import IntMatrix, kernel_basis, snf, span_lattice
 from .exactalg.ring import check_same_ring
 
 DEFAULT_BUDGET = 8
@@ -529,15 +529,11 @@ def _transition_determinant(prev: Subgroup, cur: Subgroup,
                             endo: GroupHom) -> Optional[int]:
     """det of the transition on the free quotient of the stable image."""
     A = endo.target
-    from .exactalg.matrices import column_lattice_basis
-    Lp = column_lattice_basis(_free_quotient_lattice(A, prev))
+    lattice = span_lattice(_free_quotient_lattice(A, prev))
     free_idx = [i for i, d in enumerate(A.orders) if d == 0]
     endo_free = endo.matrix.take_rows(free_idx).take_columns(free_idx)
-    nxt = endo_free @ Lp
-    trans = solve(Lp, nxt)
-    if trans is None or trans.rows != trans.cols:
-        return None
-    return _det(trans)
+    trans = lattice.coords(endo_free @ lattice.basis)
+    return None if trans is None else _det(trans)
 
 
 def _det(M: IntMatrix) -> int:

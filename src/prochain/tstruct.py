@@ -25,8 +25,8 @@ from .chain import (ChainComplex, ChainMap, chain_map, cone,
 from .errors import PostconditionViolated, PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
-from .exactalg.matrices import (IntMatrix, block_matrix, certified_solve, kernel_basis,
-                                kernel_with_inverse, kron, snf, solve)
+from .exactalg.matrices import (IntMatrix, block_matrix, kernel_basis, kernel_lattice,
+                                kron, snf, solve)
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -55,18 +55,18 @@ def truncate_above(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     if n > X.hi:
         Z = zero_complex(ring)
         return Z, zero_map(Z, X)
-    K, L = kernel_with_inverse(X.diff(n))
+    cycles = kernel_lattice(X.diff(n))
     ranks = {m: X.rank(m) for m in range(n + 1, X.hi + 1)}
-    ranks[n] = K.cols
+    ranks[n] = cycles.basis.cols
     diffs = {m: X.diff(m) for m in range(n + 2, X.hi + 1)}
     if X.rank(n + 1):
-        into_kernel = certified_solve(K, L, X.diff(n + 1))
+        into_kernel = cycles.coords(X.diff(n + 1))
         if into_kernel is None:
             raise PostconditionViolated(f"im d_{n + 1} is not inside ker d_{n}")
         diffs[n + 1] = into_kernel
     T = make_complex(ring, ranks, diffs)
     comps = {m: IntMatrix.identity(X.rank(m), ring) for m in range(n + 1, X.hi + 1)}
-    comps[n] = K
+    comps[n] = cycles.basis
     incl = chain_map(T, X, comps)
     return T, incl
 

@@ -20,7 +20,7 @@ from prochain.chain import (chain_map, direct_sum_complex, free_one_term,
 from prochain.errors import ContainmentViolation
 from prochain.exactalg.groups import (full_subgroup, image, kernel,
                                       subquotient, zero_subgroup)
-from prochain.exactalg.matrices import IntMatrix, solve
+from prochain.exactalg.matrices import IntMatrix, hcat, solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import TailPolicy, Tower, UnknownValue, constant_tower, repeat_tower
 from prochain.tstruct import cohomology_with_coefficients
@@ -150,14 +150,14 @@ class TestPages:
                 if not C.rank(n):
                     continue
                 num = ss._cycles(n, q, q + 1)
-                den = ahss._hcat(ss._cycles(n, q + 1, q + 1)[0],
-                                 C.diff(n + 1) @ ss._cycles(n + 1, q, q)[0])
+                den = hcat(ss._cycles(n, q + 1, q + 1).basis,
+                           C.diff(n + 1) @ ss._cycles(n + 1, q, q).basis)
                 ss._subquotient(n, num, den)
                 for j in range(C.rank(n)):
                     e = IntMatrix.from_columns([[int(i == j) for i in range(C.rank(n))]],
                                                C.rank(n), ring)
-                    bad = ahss._hcat(den, e)
-                    if solve(num[0], e) is None:
+                    bad = hcat(den, e)
+                    if solve(num.basis, e) is None:
                         with pytest.raises(ContainmentViolation):
                             ss._subquotient(n, num, bad)
                         refused += 1

@@ -370,6 +370,9 @@ class TestDriver:
         ["limlim1", "M2"],
         ["whitehead", "id_tower2"],
         ["truncate", "M2", "x"],
+        ["pro-iso", "id_tower2", "--budget-filler=-1"],
+        ["pro-iso", "id_tower2", "--budget-filler=-100"],
+        ["pro-iso", "id_tower2", "--budget-filler=0"],
     ])
     def test_bad_argument_is_one_error_line(self, tmp_path, args):
         p = run_python("-m", "prochain.cli", *args, "--workspace", GOLDEN,
@@ -378,6 +381,22 @@ class TestDriver:
         assert "Traceback" not in p.stderr
         lines = p.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("args", [
+        ["ahss", "M2", "M2"],
+        ["pro-ahss", "const_M2", "M2"],
+        ["limlim1", "tower2_Z"],
+    ])
+    def test_reports_are_identical_under_optimize(self, tmp_path, args):
+        # python -O strips assert statements; no report may depend on them
+        reports = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / ("O" if flags else "plain")
+            p = run_python(*flags, "-m", "prochain.cli", *args, "--workspace", GOLDEN,
+                           "--out", str(out))
+            assert p.returncode == 0, p.stderr
+            reports.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert reports[0] and reports[0] == reports[1]
 
     def test_import_does_not_load_sympy(self):
         p = run_python("-c", "import prochain.cli, sys; "

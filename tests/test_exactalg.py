@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prochain.exactalg.groups import (SubquotientData, cokernel,
+from prochain.exactalg.groups import (GroupHom, cokernel,
                                       cokernel_projection, direct_sum,
                                       exact_at, free_group, group_from_orders,
                                       group_from_presentation, hom, hom_functor,
@@ -15,12 +15,11 @@ from prochain.exactalg.groups import (SubquotientData, cokernel,
                                       kernel, multiplication_hom,
                                       preimage_element, solve_hom_constraints,
                                       subgroup_from_columns, subquotient,
-                                      full_subgroup, trivial_group, zero_hom,
+                                      full_subgroup, zero_hom,
                                       zero_subgroup)
-from prochain.exactalg.matrices import (IntMatrix, block_matrix,
-                                        certified_solve, column_lattice_basis,
-                                        in_column_span, kernel_basis,
-                                        kernel_with_inverse, kron, snf, solve)
+from prochain.exactalg.matrices import (IntMatrix, block_matrix, kernel_basis,
+                                        kernel_lattice, kron, snf, solve,
+                                        span_lattice)
 from prochain.exactalg.ring import GF, ZZ
 from prochain.errors import (ContainmentViolation, PreconditionViolated,
                              RingMismatch, ValidationError)
@@ -405,62 +404,73 @@ def random_matrix(rng, ring):
 
 
 class TestCertificate:
-    """A kernel basis K carries a left inverse L from the same Smith form,
-    and coordinates against K are L @ B checked by K @ (L @ B) == B."""
+    """A Lattice carries C with C @ basis = diag(divisors) from the Smith form
+    that built it, and coords(B) is (C @ B) / divisors checked by one product."""
 
     @given(st.integers(min_value=0, max_value=2 ** 30),
-           st.sampled_from([ZZ, GF(2), GF(3)]))
-    @settings(max_examples=60, deadline=None)
-    def test_certified_coordinates_equal_solve(self, seed, ring):
+           st.sampled_from([ZZ, GF(2), GF(3)]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_lattice_coords_equal_solve(self, seed, ring, span):
         rng = random.Random(seed)
         A = random_matrix(rng, ring)
-        K, L = kernel_with_inverse(A)
-        assert K == kernel_basis(A)
-        assert (A @ K).is_zero
-        assert L @ K == IntMatrix.identity(K.cols, ring)
+        lattice = span_lattice(A) if span else kernel_lattice(A)
+        basis = lattice.basis
+        r = basis.cols
+        assert lattice.C @ basis == IntMatrix.diagonal(lattice.divisors, r, r, ring)
+        if span:
+            # the basis and A span the same lattice
+            assert solve(A, basis) is not None and solve(basis, A) is not None
+            gens = A
+        else:
+            assert basis == kernel_basis(A) and (A @ basis).is_zero
+            assert lattice.divisors == (1,) * r
+            gens = basis
         k = rng.randint(0, 4)
-        inside = K @ IntMatrix(K.cols, k, tuple(rng.randint(-3, 3)
-                                                for _ in range(K.cols * k)), ring)
+        inside = gens @ IntMatrix(gens.cols, k, tuple(rng.randint(-3, 3)
+                                                      for _ in range(gens.cols * k)), ring)
         kind = rng.randrange(3)
         if kind == 0:
             B = inside
         elif kind == 1 and inside.entries:
-            # one entry off a member of the span
+            # one entry off a member of the lattice
             i = rng.randrange(len(inside.entries))
             e = list(inside.entries)
             e[i] += 1
             B = IntMatrix(inside.rows, k, tuple(e), ring)
         else:
-            B = IntMatrix(A.cols, k, tuple(rng.randint(-3, 3)
-                                           for _ in range(A.cols * k)), ring)
+            B = IntMatrix(basis.rows, k, tuple(rng.randint(-3, 3)
+                                               for _ in range(basis.rows * k)), ring)
         if ring.p:
             # unreduced representatives of the same residues
             B = IntMatrix(B.rows, k, tuple(x + ring.p * rng.randint(-2, 2)
                                            for x in B.entries), ring)
-        X = certified_solve(K, L, B)
-        assert X == solve(K, B)
+        X = lattice.coords(B)
+        assert X == solve(basis, B)
         if kind == 0:
             assert X is not None
 
-        # a subquotient encodes the same with and without the left inverse
-        # and compares equal either way
-        ambient = free_group(A.cols, ring)
-        group = group_from_presentation(certified_solve(K, L, inside))
-        plain = SubquotientData(ambient, group, K)
-        certified = SubquotientData(ambient, group, K, L)
-        assert plain == certified and hash(plain) == hash(certified)
-        try:
-            want = plain.encode_matrix(B)
-        except ContainmentViolation:
-            with pytest.raises(ContainmentViolation):
-                certified.encode_matrix(B)
-        else:
-            assert certified.encode_matrix(B) == want
+    def test_torsion_subquotient_containment(self):
+        # G = Z/4 + Z, N = <(2, 0), (0, 2)>; the lattices hold the relation (4, 0)
+        G = group_from_orders([4, 0])
+        assert G.orders == (4, 0)
 
-    def test_left_inverse_needs_a_free_ambient(self):
-        K = IntMatrix.identity(1)
-        with pytest.raises(PreconditionViolated):
-            SubquotientData(Z2, trivial_group(), K, K)
+        def sub(*cols):
+            return subgroup_from_columns(G, IntMatrix.from_columns(cols, 2))
+
+        N = sub((2, 0), (0, 2))
+        assert subquotient(G, N, sub((0, 4))).group.invariant_factors == (2, 2)
+        assert subquotient(G, N, sub((6, 2))).group.invariant_factors == (2,)
+        for outside in ((1, 0), (0, 1), (2, 1), (3, 2)):
+            with pytest.raises(ContainmentViolation):
+                subquotient(G, N, sub(outside))
+            with pytest.raises(ContainmentViolation):
+                N.encode_matrix(IntMatrix.from_columns([outside], 2))
+
+        def member(col):
+            return N.contains_hom(GroupHom(Z, G, IntMatrix.from_columns([col], 2)))
+
+        assert all(member(c) for c in ((2, 0), (0, 2), (6, 2), (4, -2), (0, 0)))
+        assert not any(member(c) for c in ((1, 0), (0, 1), (2, 1), (5, 2), (3, 0)))
 
     def test_group_checks_hold_under_optimize(self):
         # python -O strips assert statements; group arithmetic raises typed errors
