@@ -3,7 +3,8 @@ deterministic TSV reports.
 
 Exit codes: 0 success, 1 error, 2 when any output contains UNKNOWN.  Output
 files are written atomically (temp file + rename) and contain no timestamps,
-so identical inputs produce byte-identical outputs.
+so identical inputs produce byte-identical outputs.  Each handler imports
+what it calls, so a cold start loads only the modules its command uses.
 """
 
 from __future__ import annotations
@@ -14,17 +15,8 @@ import sys
 import tempfile
 from typing import List, Optional
 
-from .ahss import SpectralSequence, pro_ahss
-from .chain import derived_hom, homology, homology_support
 from .errors import ProchainError
-from .pro import (Lim1Verdict, UnknownValue, is_pro_isomorphism, lim_lim1,
-                  pro_hom)
-from .prohomotopy import (hom_from_constant, hom_to_constant,
-                          is_hstar_fibrant, is_hstar_weak_equivalence,
-                          postnikov_replacement)
-from .tstruct import (classify_map, cohomology_with_coefficients, factor_n,
-                      find_lift, is_co_n_fibration, is_n_cofibration,
-                      truncate_above, truncate_below_free)
+from .pro import UnknownValue
 from .workspace import parse_workspace, serialize_workspace
 
 COMMANDS = ["homology", "truncate", "classify", "factor", "lift", "cohomology",
@@ -55,44 +47,37 @@ class Reporter:
         self.saw_unknown = False
         os.makedirs(out_dir, exist_ok=True)
 
-    def note_unknown(self, *values):
-        for v in values:
-            if isinstance(v, UnknownValue):
-                self.saw_unknown = True
-            if isinstance(v, str) and "UNKNOWN" in v:
-                self.saw_unknown = True
-
     def write(self, name: str, header: List[str], rows: List[List[str]]):
-        for row in rows:
-            self.note_unknown(*row)
-        path = os.path.join(self.out_dir, name)
-        body = "\t".join(header) + "\n"
-        body += "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(body)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        print(f"wrote {path}")
+        table = "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
+        self.saw_unknown |= "UNKNOWN" in table
+        _write_atomic(self.out_dir, name, "\t".join(header) + "\n" + table)
 
 
-def _homology_rows(X):
-    rows = []
-    for n in range(X.lo - 1, X.hi + 2):
-        rows.append([str(n), fmt_group(homology(X, n))])
-    return rows
+def _write_atomic(out_dir: str, name: str, text: str) -> None:
+    """Write text to out_dir/name through a temp file and a rename, so the
+    file is either absent, the old one or the whole new one."""
+    path = os.path.join(out_dir, name)
+    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    print(f"wrote {path}")
 
 
 def cmd_homology(ws, rep, args):
+    from .chain import homology
     X = ws.lookup(args.object, "complex")
     rep.write(f"homology_{args.object}.tsv", ["degree", "group"],
-              _homology_rows(X))
+              [[str(n), fmt_group(homology(X, n))]
+               for n in range(X.lo - 1, X.hi + 2)])
 
 
 def cmd_derived_hom(ws, rep, args):
+    from .chain import derived_hom
     X = ws.lookup(args.object, "complex")
     Y = ws.lookup(args.second, "complex")
     n = args.n
@@ -102,6 +87,8 @@ def cmd_derived_hom(ws, rep, args):
 
 
 def cmd_truncate(ws, rep, args):
+    from .chain import homology
+    from .tstruct import truncate_above, truncate_below_free
     X = ws.lookup(args.object, "complex")
     n = args.n
     if args.mode == "above":
@@ -115,6 +102,7 @@ def cmd_truncate(ws, rep, args):
 
 
 def cmd_classify(ws, rep, args):
+    from .tstruct import classify_map
     f = ws.lookup(args.object, "map")
     c = classify_map(f)
     rep.write(f"classify_{args.object}.tsv",
@@ -124,6 +112,7 @@ def cmd_classify(ws, rep, args):
 
 
 def cmd_factor(ws, rep, args):
+    from .tstruct import factor_n, is_co_n_fibration, is_n_cofibration
     f = ws.lookup(args.object, "map")
     n = args.n
     i, p = factor_n(f, n)
@@ -135,6 +124,7 @@ def cmd_factor(ws, rep, args):
 
 
 def cmd_lift(ws, rep, args):
+    from .tstruct import find_lift
     i = ws.lookup(args.object, "map")
     p = ws.lookup(args.second, "map")
     top = ws.lookup(args.third, "map")
@@ -152,6 +142,7 @@ def cmd_lift(ws, rep, args):
 
 
 def cmd_cohomology(ws, rep, args):
+    from .tstruct import cohomology_with_coefficients
     X = ws.lookup(args.object, "complex")
     A = ws.lookup(args.second, "group")
     p = args.n
@@ -161,6 +152,7 @@ def cmd_cohomology(ws, rep, args):
 
 
 def cmd_pro_iso(ws, rep, args):
+    from .pro import is_pro_isomorphism
     f = ws.lookup(args.object, "group promap")
     v = is_pro_isomorphism(f, ws.config.budget_filler)
     rows = [["verdict", v.kind]]
@@ -175,6 +167,7 @@ def cmd_pro_iso(ws, rep, args):
 
 
 def cmd_limlim1(ws, rep, args):
+    from .pro import Lim1Verdict, lim_lim1
     T = ws.lookup(args.object, "group tower")
     r = lim_lim1(T, ws.config.lim_window)
     rows = [["lim", fmt_group(r.lim)], ["lim1", r.lim1.value],
@@ -185,6 +178,7 @@ def cmd_limlim1(ws, rep, args):
 
 
 def cmd_prohom(ws, rep, args):
+    from .pro import pro_hom
     X = ws.lookup(args.object, "group tower")
     Y = ws.lookup(args.second, "group tower")
     v = pro_hom(X, Y, ws.config.lim_window)
@@ -193,6 +187,7 @@ def cmd_prohom(ws, rep, args):
 
 
 def cmd_whitehead(ws, rep, args):
+    from .prohomotopy import is_hstar_weak_equivalence
     f = ws.lookup(args.object, "promap")
     v = is_hstar_weak_equivalence(f, ws.config.budget_filler)
     rows = [["verdict", v.verdict]]
@@ -206,6 +201,8 @@ def cmd_whitehead(ws, rep, args):
 
 
 def cmd_postnikov(ws, rep, args):
+    from .chain import homology_support
+    from .prohomotopy import is_hstar_weak_equivalence, postnikov_replacement
     Y = ws.lookup(args.object, "tower")
     Z, canon = postnikov_replacement(Y)
     v = is_hstar_weak_equivalence(canon, ws.config.budget_filler)
@@ -220,12 +217,14 @@ def cmd_postnikov(ws, rep, args):
 
 
 def cmd_fibrant_check(ws, rep, args):
+    from .prohomotopy import is_hstar_fibrant
     Y = ws.lookup(args.object, "tower")
     rep.write(f"fibrant_{args.object}.tsv", ["fibrant"],
               [[str(is_hstar_fibrant(Y)).lower()]])
 
 
 def cmd_prohom_const(ws, rep, args):
+    from .prohomotopy import hom_from_constant, hom_to_constant
     n = args.n
     if args.object in ws.towers and args.second in ws.complexes:
         X = ws.towers[args.object]
@@ -247,6 +246,7 @@ def cmd_prohom_const(ws, rep, args):
 
 
 def cmd_ahss(ws, rep, args):
+    from .ahss import SpectralSequence
     X = ws.lookup(args.object, "complex")
     Y = ws.lookup(args.second, "complex")
     ss = SpectralSequence(X, Y)
@@ -279,6 +279,7 @@ def cmd_ahss(ws, rep, args):
 
 
 def cmd_pro_ahss(ws, rep, args):
+    from .ahss import pro_ahss
     X = ws.lookup(args.object, "tower")
     Y = ws.lookup(args.second, "complex")
     window = None
@@ -308,11 +309,7 @@ def cmd_pro_ahss(ws, rep, args):
 
 
 def cmd_roundtrip(ws, rep, args):
-    text = serialize_workspace(ws)
-    path = os.path.join(rep.out_dir, "workspace_canonical.json")
-    with open(path, "w") as f:
-        f.write(text)
-    print(f"wrote {path}")
+    _write_atomic(rep.out_dir, "workspace_canonical.json", serialize_workspace(ws))
 
 
 def cmd_selftest(ws, rep, args):

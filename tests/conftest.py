@@ -1,6 +1,7 @@
 """Shared generators for the test suite: a zoo of chain maps with varied
 classification behavior, composable pairs, and towers with tail policies."""
 
+import json
 import os
 import random
 import subprocess
@@ -24,6 +25,14 @@ def run_python(*args, cwd=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, cwd=cwd, timeout=120)
+
+
+def loaded_modules(code: str) -> set:
+    """The modules a fresh interpreter holds after running code."""
+    p = run_python("-c", f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))")
+    if p.returncode:
+        raise AssertionError(p.stderr)
+    return set(json.loads(p.stdout.splitlines()[-1]))
 
 
 def perturb(rng: random.Random, f: ChainMap) -> ChainMap:

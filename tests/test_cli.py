@@ -7,8 +7,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import run_python
-from prochain.cli import main
+from conftest import loaded_modules, run_python
+from prochain.cli import COMMANDS, main
 from prochain.errors import ParseError, ValidationError
 from prochain.workspace import parse_workspace, serialize_workspace
 
@@ -296,6 +296,35 @@ class TestRoundTrip:
         assert serialize_workspace(parse_workspace(str(q))) == once
 
 
+# one name tuple per command on workspaces/moore.json; lift and whitehead
+# reach only clean errors there, after their handler's imports
+EVERY_COMMAND = [
+    ["homology", "M2"], ["truncate", "M2", "0"], ["classify", "times2"],
+    ["factor", "times2", "0"], ["lift", "times2", "times2", "times2", "times2", "0"],
+    ["cohomology", "M2", "Z2", "0"], ["pro-iso", "id_tower2"],
+    ["limlim1", "tower2_Z"], ["prohom", "tower2_Z", "const_Z4"],
+    ["whitehead", "id_tower2"], ["postnikov", "const_M2"],
+    ["fibrant-check", "tower2_Z0"], ["prohom-const", "Z0", "tower2_Z0", "0"],
+    ["derived-hom", "M2", "M2", "0"], ["ahss", "M2", "M2"],
+    ["pro-ahss", "const_M2", "M2"], ["selftest"], ["roundtrip"],
+]
+
+# python -c RUN_COMMANDS WORKSPACE OUT CASES: every case in one interpreter,
+# each into its own out dir; prints [exit code, stderr] per case as JSON
+RUN_COMMANDS = """
+import contextlib, io, json, sys
+from prochain.cli import main
+workspace, out, cases = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+results = []
+for k, args in enumerate(cases):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(args + ["--workspace", workspace, "--out", f"{out}/{k}"])
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
 class TestDriver:
     def run(self, tmp_path, *args):
         out = tmp_path / "out"
@@ -382,26 +411,43 @@ class TestDriver:
         lines = p.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
-    @pytest.mark.parametrize("args", [
-        ["ahss", "M2", "M2"],
-        ["pro-ahss", "const_M2", "M2"],
-        ["limlim1", "tower2_Z"],
-    ])
-    def test_reports_are_identical_under_optimize(self, tmp_path, args):
-        # python -O strips assert statements; no report may depend on them
-        reports = []
+    def test_reports_are_identical_under_optimize(self, tmp_path):
+        # python -O strips assert statements; no report, exit code or error
+        # may depend on them, nor on a handler's imports
+        assert sorted(args[0] for args in EVERY_COMMAND) == sorted(COMMANDS)
+        runs = []
         for flags in ([], ["-O"]):
             out = tmp_path / ("O" if flags else "plain")
-            p = run_python(*flags, "-m", "prochain.cli", *args, "--workspace", GOLDEN,
-                           "--out", str(out))
+            p = run_python(*flags, "-c", RUN_COMMANDS, GOLDEN, str(out),
+                           json.dumps(EVERY_COMMAND))
             assert p.returncode == 0, p.stderr
-            reports.append({f.name: f.read_bytes() for f in out.iterdir()})
-        assert reports[0] and reports[0] == reports[1]
+            reports = {str(f.relative_to(out)): f.read_bytes()
+                       for f in out.rglob("*") if f.is_file()}
+            runs.append((json.loads(p.stdout.splitlines()[-1]), reports))
+        assert runs[0] == runs[1]
+        results, reports = runs[0]
+        for args, (code, err) in zip(EVERY_COMMAND, results):
+            lines = err.splitlines()
+            if code == 1:
+                assert len(lines) == 1 and lines[0].startswith("error:"), (args, err)
+            else:
+                assert lines == [], (args, err)
+        assert [args[0] for args, (code, _) in zip(EVERY_COMMAND, results)
+                if code == 1] == ["lift", "whitehead"]
+        assert {name.split("/")[0] for name in reports} == \
+            {str(k) for k, (code, _) in enumerate(results) if code != 1}
 
-    def test_import_does_not_load_sympy(self):
-        p = run_python("-c", "import prochain.cli, sys; "
-                             "assert 'sympy' not in sys.modules")
-        assert p.returncode == 0, p.stderr
+    def test_import_does_not_load_sympy(self, tmp_path):
+        # a cold start loads only the modules its command uses
+        assert {m for m in loaded_modules("import prochain")
+                if m.startswith("prochain.")} == set()
+        loaded = loaded_modules(
+            "from prochain.cli import main\n"
+            f"assert main(['homology', 'M2', '--workspace', {GOLDEN!r}, "
+            f"'--out', {str(tmp_path)!r}]) == 0")
+        assert loaded & {"prochain.ahss", "prochain.tstruct", "prochain.prohomotopy",
+                         "prochain.selftest", "sympy"} == set()
+        assert "prochain.workspace" in loaded
 
     def test_pro_ahss_zero_entry(self, tmp_path):
         with open(GOLDEN) as f:

@@ -10,11 +10,13 @@ only grows.
 """
 
 import ast
+import importlib
 import pathlib
 import sys
 
 import pytest
 
+from conftest import loaded_modules
 import prochain
 from prochain.exactalg.groups import free_group, group_from_orders, hom_group
 
@@ -94,6 +96,10 @@ def package_caches() -> dict:
 
 
 def test_every_cache_is_bounded_and_cleared():
+    # the package loads its modules on first use: load all of them first
+    for path in MODULES:
+        importlib.import_module(".".join(("prochain",) + path.relative_to(PACKAGE)
+                                         .with_suffix("").parts))
     caches = package_caches()
     assert caches
     unbounded = [k for k, c in caches.items() if c.cache_parameters()["maxsize"] is None]
@@ -107,3 +113,9 @@ def test_every_cache_is_bounded_and_cleared():
     prochain.cache_clear()
     assert {k: c.cache_info().currsize for k, c in caches.items()
             if c.cache_info().currsize} == {}
+
+
+def test_cache_clear_loads_nothing():
+    # only loaded modules hold cache entries; clearing loads none
+    loaded = loaded_modules("import prochain\nprochain.cache_clear()")
+    assert {m for m in loaded if m.startswith("prochain.")} == set()
