@@ -411,7 +411,23 @@ class TestDriver:
         lines = p.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
-    def test_reports_are_identical_under_optimize(self, tmp_path):
+    @pytest.mark.parametrize("args", [
+        ["ahss", "M2", "M2"],
+        ["pro-ahss", "const_M2", "M2"],
+        ["limlim1", "tower2_Z"],
+    ])
+    def test_reports_are_identical_under_optimize(self, tmp_path, args):
+        # python -O strips assert statements; no report may depend on them
+        reports = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / ("O" if flags else "plain")
+            p = run_python(*flags, "-m", "prochain.cli", *args, "--workspace", GOLDEN,
+                           "--out", str(out))
+            assert p.returncode == 0, p.stderr
+            reports.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert reports[0] and reports[0] == reports[1]
+
+    def test_every_command_is_identical_under_optimize(self, tmp_path):
         # python -O strips assert statements; no report, exit code or error
         # may depend on them, nor on a handler's imports
         assert sorted(args[0] for args in EVERY_COMMAND) == sorted(COMMANDS)
