@@ -12,17 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from typing import List, Optional
 
 from .errors import ProchainError
 from .pro import UnknownValue
 from .workspace import parse_workspace, serialize_workspace
-
-COMMANDS = ["homology", "truncate", "classify", "factor", "lift", "cohomology",
-            "pro-iso", "limlim1", "prohom", "whitehead", "postnikov",
-            "fibrant-check", "prohom-const", "derived-hom", "ahss", "pro-ahss",
-            "selftest", "roundtrip"]
 
 
 def fmt_group(g) -> str:
@@ -55,9 +49,13 @@ class Reporter:
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
     """Write text to out_dir/name through a temp file and a rename, so the
-    file is either absent, the old one or the whole new one."""
+    file is either absent, the old one or the whole new one.  The temp file
+    is created with mode 0666 less the umask, like any other new file."""
     path = os.path.join(out_dir, name)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-")
+    tmp = os.path.join(out_dir, f".tmp-{os.getpid()}")
+    if os.path.lexists(tmp):  # left behind by a killed process with our pid
+        os.unlink(tmp)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -154,15 +152,12 @@ def cmd_cohomology(ws, rep, args):
 def cmd_pro_iso(ws, rep, args):
     from .pro import is_pro_isomorphism
     f = ws.lookup(args.object, "group promap")
-    v = is_pro_isomorphism(f, ws.config.budget_filler)
+    v = is_pro_isomorphism(f)
     rows = [["verdict", v.kind]]
-    if v.kind == "true":
+    if v:
         rows.append(["witness_levels", ";".join(str(t) for t, _, _ in v.witness)])
     else:
         rows.append(["certificate_level", str(v.certificate_level)])
-        if v.kind == "unknown":
-            rows.append(["budget", str(v.budget)])
-            rep.saw_unknown = True
     rep.write(f"pro_iso_{args.object}.tsv", ["field", "value"], rows)
 
 
@@ -189,14 +184,12 @@ def cmd_prohom(ws, rep, args):
 def cmd_whitehead(ws, rep, args):
     from .prohomotopy import is_hstar_weak_equivalence
     f = ws.lookup(args.object, "promap")
-    v = is_hstar_weak_equivalence(f, ws.config.budget_filler)
+    v = is_hstar_weak_equivalence(f)
     rows = [["verdict", v.verdict]]
     if v.reason:
         rows.append(["reason", v.reason])
     if v.m_witness is not None:
         rows.append(["m_witness", str(v.m_witness)])
-    if v.verdict == "unknown":
-        rep.saw_unknown = True
     rep.write(f"whitehead_{args.object}.tsv", ["field", "value"], rows)
 
 
@@ -205,7 +198,7 @@ def cmd_postnikov(ws, rep, args):
     from .prohomotopy import is_hstar_weak_equivalence, postnikov_replacement
     Y = ws.lookup(args.object, "tower")
     Z, canon = postnikov_replacement(Y)
-    v = is_hstar_weak_equivalence(canon, ws.config.budget_filler)
+    v = is_hstar_weak_equivalence(canon)
     rows = [["entries", str(Z.tail.start + 1)],
             ["tail", "constant" if Z.tail.is_constant else "repeat"],
             ["canonical_map_verdict", v.verdict]]
@@ -321,9 +314,9 @@ def cmd_selftest(ws, rep, args):
         raise ProchainError("selftest failures")
 
 
+# command -> (handler, object names, integer arguments)
 DISPATCH = {
     "homology": (cmd_homology, 1, 0),
-    "derived-hom": (cmd_derived_hom, 2, 1),
     "truncate": (cmd_truncate, 1, 1),
     "classify": (cmd_classify, 1, 0),
     "factor": (cmd_factor, 1, 1),
@@ -336,11 +329,13 @@ DISPATCH = {
     "postnikov": (cmd_postnikov, 1, 0),
     "fibrant-check": (cmd_fibrant_check, 1, 0),
     "prohom-const": (cmd_prohom_const, 2, 1),
+    "derived-hom": (cmd_derived_hom, 2, 1),
     "ahss": (cmd_ahss, 2, 0),
     "pro-ahss": (cmd_pro_ahss, 2, 0),
-    "roundtrip": (cmd_roundtrip, 0, 0),
     "selftest": (cmd_selftest, 0, 0),
+    "roundtrip": (cmd_roundtrip, 0, 0),
 }
+COMMANDS = list(DISPATCH)
 
 
 def _int_arg(text: str) -> int:
@@ -360,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("names", nargs="*", help="object names and integer args")
     ap.add_argument("--workspace", default=None, help="workspace JSON path")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--budget-filler", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--mode", choices=["above", "below"], default="above",
                     help="truncation direction for the truncate command")
@@ -379,11 +373,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if not args.workspace:
                 raise ProchainError("--workspace is required for this command")
             ws = parse_workspace(args.workspace)
-            if args.budget_filler is not None:
-                if args.budget_filler < 1:
-                    raise ProchainError("--budget-filler must be at least 1, "
-                                        f"got {args.budget_filler}")
-                ws.config.budget_filler = args.budget_filler
         rep = Reporter(args.out)
         # unpack positional names into fields the handlers expect
         names = list(args.names)
@@ -402,8 +391,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             ns.second_n = _int_arg(names[3]) if len(names) == 4 else None
         elif n_ints:
             ns.n = _int_arg(names[n_names])
-        if cmd == "truncate":
-            ns.mode = getattr(args, "mode", None) or "above"
         if ws is not None:
             # resolve references early for a clean unknown-name error
             for idx in range(n_names):

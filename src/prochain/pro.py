@@ -5,8 +5,10 @@ systems, and cofinal reindexing.
 Infinite towers are finitely presented by a tail policy: either all
 structure maps are identities from some index on (ConstantFrom), or the
 entries and the structure map repeat a declared endomorphism (RepeatFrom).
-Every completeness claim is relative to the declared tail; Unknown is a
-first-class result, not an error.
+Every completeness claim is relative to the declared tail.  Pro-isomorphism
+is always decided: a level map is one iff its kernel and cokernel towers
+are pro-zero, which one filler solve at a computed depth settles.  lim and
+colim may still answer Unknown, a first-class result, not an error.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .chain import identity_map as chain_identity
 from .errors import (PostconditionViolated, PreconditionViolated,
                      ValidationError)
 from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, free_group,
-                              hom_functor, hom_group, identity_hom, image,
-                              is_isomorphism, solve_hom_constraints,
-                              trivial_group, zero_hom)
+                              cokernel, hom_functor, hom_group, identity_hom,
+                              image, is_isomorphism, kernel,
+                              solve_hom_constraints, trivial_group, zero_hom)
 from .exactalg.matrices import IntMatrix, kernel_basis, snf, span_lattice
 from .exactalg.ring import check_same_ring
 
@@ -332,24 +334,22 @@ def comparison_to_reindexed(T: Tower, step: int) -> ProMap:
 
 @dataclass(frozen=True)
 class ProIsoVerdict:
-    kind: str                      # "true" | "false" | "unknown"
+    kind: str                      # "true" | "false"
     witness: tuple = ()            # for true: ((t, s, filler), ...)
     certificate_level: int = -1    # for false: a level with no filler
-    budget: int = 0
 
     def __bool__(self):
         return self.kind == "true"
 
 
 def _filler_exists(f: ProMap, t: int, s: int) -> Optional[GroupHom]:
-    """g: Y_s -> X_t with g f_s = X(s -> t) and f_t g = Y(s -> t)."""
+    """g: Y_s -> X_t with g f_s = X(s -> t) and f_t g = Y(s -> t), for a
+    level map f."""
     X, Y = f.source, f.target
     Xt, Ys = X.entry(t), Y.entry(s)
-    fs = f.comp(s).compose(X.composite(f.theta(s), s)) if f.theta(s) != s else f.comp(s)
-    ft = f.comp(t).compose(X.composite(f.theta(t), t)) if f.theta(t) != t else f.comp(t)
     cons = [
-        (fs, identity_hom(Xt), X.composite(s, t)),
-        (identity_hom(Ys), ft, Y.composite(s, t)),
+        (f.comp(s), identity_hom(Xt), X.composite(s, t)),
+        (identity_hom(Ys), f.comp(t), Y.composite(s, t)),
     ]
     return solve_hom_constraints(Ys, Xt, cons)
 
@@ -372,90 +372,64 @@ def _levelize(f: ProMap) -> ProMap:
     return level_map(src, f.target, comps)
 
 
-def is_pro_isomorphism(f: ProMap, budget: int = DEFAULT_BUDGET) -> ProIsoVerdict:
+def _nilpotency_bound(A: FgAbGroup) -> int:
+    """A k with g^k = 0 for every nilpotent endomorphism g of A.
+
+    With r the free rank and T the torsion subgroup, g^r A lies in T (g is
+    nilpotent on the rational span); from there each step either shrinks
+    the image, at least halving its order, or leaves it fixed for good, and
+    a fixed nonzero image contradicts nilpotence.
+    """
+    order = 1
+    for d in A.invariant_factors:
+        order *= d
+    return A.free_rank + order.bit_length()
+
+
+def is_nilpotent(endo: GroupHom) -> bool:
+    """Whether endo^k = 0 for some k; the power at the nilpotency bound
+    decides, and the loop stops early at zero."""
+    power = identity_hom(endo.source)
+    for _ in range(_nilpotency_bound(endo.source)):
+        if power.is_zero:
+            return True
+        power = power.compose(endo)
+    return power.is_zero
+
+
+def is_pro_isomorphism(f: ProMap) -> ProIsoVerdict:
     """Decide pro-isomorphism of a map of f.g. abelian group towers.
 
     f is a pro-isomorphism iff for every t some s >= t admits a filler
-    g: Y_s -> X_t compatible with both structure composites.  Solvability
-    is monotone in s, so one solve at the top of the window decides each
-    level; for ConstantFrom tails this is complete, for RepeatFrom tails a
-    failed search may be Unknown (except when one side is the zero tower,
-    where the image-chain machinery refutes definitively).
+    g: Y_s -> X_t compatible with both structure composites, and
+    solvability is monotone in s.  Pro-objects of an abelian category form
+    an abelian category with levelwise kernels and cokernels, so for the
+    levelized f this holds iff the kernel and cokernel towers are pro-zero.
+    From T* = max(tail starts, window) on they repeat K = ker f_{T*} and
+    C = coker f_{T*} under the tail maps, which are then nilpotent with
+    index at most a = _nilpotency_bound(K) and b = _nilpotency_bound(C).
+    In that case, for t >= T*, y |-> X(t+a -> t)(a lift through f of
+    Y(s -> t+a) y) is a filler at s = t + a + b, well defined because
+    K_{t+a} -> K_t is zero; composing with X(T* -> t) gives one for t < T*.
+    So one solve per level t <= T* at s = T* + a + b decides: "true" with
+    the fillers as witness, or "false" at the first level without one.
+    ConstantFrom tails on both sides have identity tail maps and depth 0.
     """
     f = _levelize(f)
     X, Y = f.source, f.target
     T_star = max(X.tail.start, Y.tail.start, f.window)
+    s = T_star
+    if not (X.tail.is_constant and Y.tail.is_constant):
+        f_top = f.comp(T_star)
+        s += (_nilpotency_bound(kernel(f_top).group)
+              + _nilpotency_bound(cokernel(f_top).group))
     witnesses = []
     for t in range(T_star + 1):
-        s = max(t, T_star) if (X.tail.is_constant and Y.tail.is_constant) \
-            else max(t, T_star) + budget
         g = _filler_exists(f, t, s)
         if g is None:
-            if X.tail.is_constant and Y.tail.is_constant:
-                return ProIsoVerdict("false", certificate_level=t, budget=budget)
-            refut = _refute_repeat_tail(f, t, budget)
-            if refut:
-                return ProIsoVerdict("false", certificate_level=t, budget=budget)
-            return ProIsoVerdict("unknown", certificate_level=t, budget=budget)
+            return ProIsoVerdict("false", certificate_level=t)
         witnesses.append((t, s, g))
-    return ProIsoVerdict("true", witness=tuple(witnesses), budget=budget)
-
-
-def _refute_repeat_tail(f: ProMap, t: int, budget: int) -> bool:
-    """Definitive refutation in the structurally-zero cases: when the target
-    (resp. source) tower is trivial, a filler forces the source (resp.
-    target) composites to vanish eventually, which eventually_zero decides."""
-    X, Y = f.source, f.target
-    N = max(X.tail.start, Y.tail.start, t)
-    if all(Y.entry(s).is_trivial for s in range(N + 2)):
-        endo = X.structure_map(N + 1)
-        lead = X.composite(N + 1, t)
-        return eventually_zero_composite(lead, endo, budget) is False
-    if all(X.entry(s).is_trivial for s in range(N + 2)):
-        endo = Y.structure_map(N + 1)
-        lead = Y.composite(N + 1, t)
-        return eventually_zero_composite(lead, endo, budget) is False
-    return False
-
-
-def eventually_zero_composite(lead: GroupHom, endo: GroupHom,
-                              budget: int = DEFAULT_BUDGET) -> Optional[bool]:
-    """Decide whether lead o endo^k = 0 for some k >= 0.
-
-    The rational image chain of endo^k stabilizes within dim steps; past
-    that point the composite's rational rank is constant, so a positive
-    rank refutes definitively.  In the rank-zero regime the reduced
-    matrices take finitely many values and a repeat without reaching zero
-    refutes.  None only when the cycle search exhausts its budget.
-    """
-    n = endo.source.ngens
-    cur = lead
-    for _ in range(n + 2):
-        if cur.is_zero:
-            return True
-        cur = cur.compose(endo)
-    if _rational_rank(cur) > 0:
-        return False
-    seen = set()
-    for _ in range(max(budget, 8) + 64):
-        if cur.is_zero:
-            return True
-        key = cur.matrix.entries
-        if key in seen:
-            return False
-        seen.add(key)
-        cur = cur.compose(endo)
-    return None
-
-
-def _rational_rank(f: GroupHom) -> int:
-    """Rank of the map induced on free quotients (torsion ignored)."""
-    tgt_free = [i for i, d in enumerate(f.target.orders) if d == 0]
-    src_free = [j for j, d in enumerate(f.source.orders) if d == 0]
-    if not tgt_free or not src_free:
-        return 0
-    sub = f.matrix.take_rows(tgt_free).take_columns(src_free)
-    return snf(sub).rank
+    return ProIsoVerdict("true", witness=tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +590,7 @@ def colim(D: DirectSystem, budget: int = DEFAULT_BUDGET) -> ColimResult:
     """Colimit of a direct system of f.g. abelian groups under a tail policy.
 
     Computable when the tail endomorphism is an isomorphism (the colimit is
-    the stable entry) or eventually zero (the colimit vanishes); everything
+    the stable entry) or nilpotent (the colimit vanishes); everything
     else is Unknown (e.g. Z --2--> Z --2--> ... is not finitely generated).
     """
     N = D.tail.start
@@ -625,8 +599,7 @@ def colim(D: DirectSystem, budget: int = DEFAULT_BUDGET) -> ColimResult:
     endo = D.tail.endo
     if is_isomorphism(endo):
         return ColimResult(D.entry(N), stable_stage=N)
-    ev = eventually_zero_composite(identity_hom(endo.target), endo, budget)
-    if ev is True:
+    if is_nilpotent(endo):
         return ColimResult(trivial_group(endo.target.ring), eventually_zero=True)
     return ColimResult(UnknownValue("tail endomorphism neither invertible nor nilpotent",
                                     budget))

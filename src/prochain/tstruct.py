@@ -71,32 +71,33 @@ def truncate_above(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     return T, incl
 
 
+def _solve_through(incl: ChainMap, source: ChainComplex, want, what: str) -> ChainMap:
+    """The chain map h: source -> incl.source with incl h = want(m) in every
+    degree m, solved degree by degree; `what` names a failure."""
+    T = incl.source
+    comps = {}
+    for m in range(min(source.lo, T.lo), max(source.hi, T.hi) + 1):
+        sol = solve(incl.comp(m), want(m))
+        if sol is None:
+            raise PostconditionViolated(f"{what} in degree {m}")
+        comps[m] = sol
+    return chain_map(source, T, comps)
+
+
 def truncate_above_map(f: ChainMap, n: int) -> ChainMap:
     """The restriction tau_{>= n} f; chain maps preserve kernel subcomplexes."""
     TS, incl_s = truncate_above(f.source, n)
-    TT, incl_t = truncate_above(f.target, n)
-    comps = {}
-    for m in range(min(TS.lo, TT.lo), max(TS.hi, TT.hi) + 1):
-        want = f.comp(m) @ incl_s.comp(m)
-        sol = solve(incl_t.comp(m), want)
-        if sol is None:
-            raise PostconditionViolated(f"f does not preserve tau_>={n} in degree {m}")
-        comps[m] = sol
-    return chain_map(TS, TT, comps)
+    _, incl_t = truncate_above(f.target, n)
+    return _solve_through(incl_t, TS, lambda m: f.comp(m) @ incl_s.comp(m),
+                          f"f does not preserve tau_>={n}")
 
 
 def truncation_step(X: ChainComplex, n: int) -> ChainMap:
     """The inclusion tau_{>= n+1} X -> tau_{>= n} X."""
     Tn1, incl1 = truncate_above(X, n + 1)
-    Tn, incln = truncate_above(X, n)
-    comps = {}
-    for m in range(min(Tn1.lo, Tn.lo), max(Tn1.hi, Tn.hi) + 1):
-        sol = solve(incln.comp(m), incl1.comp(m))
-        if sol is None:
-            raise PostconditionViolated(f"tau_>={n + 1} is not inside tau_>={n} "
-                                        f"in degree {m}")
-        comps[m] = sol
-    return chain_map(Tn1, Tn, comps)
+    _, incln = truncate_above(X, n)
+    return _solve_through(incln, Tn1, incl1.comp,
+                          f"tau_>={n + 1} is not inside tau_>={n}")
 
 
 def truncate_below_free(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
@@ -245,15 +246,15 @@ def is_degreewise_split_mono(f: ChainMap) -> bool:
     return True
 
 
+def _is_surjective_matrix(c: IntMatrix) -> bool:
+    s = snf(c)
+    return s.rank == c.rows and (c.ring.is_field
+                                 or all(d == 1 for d in s.invariant_factors))
+
+
 def is_degreewise_surjection(f: ChainMap) -> bool:
-    for n in range(min(f.source.lo, f.target.lo), max(f.source.hi, f.target.hi) + 1):
-        c = f.comp(n)
-        s = snf(c)
-        if s.rank != c.rows:
-            return False
-        if not f.source.ring.is_field and any(d != 1 for d in s.invariant_factors):
-            return False
-    return True
+    return all(_is_surjective_matrix(f.comp(n)) for n in
+               range(min(f.source.lo, f.target.lo), max(f.source.hi, f.target.hi) + 1))
 
 
 def is_n_cofibration(f: ChainMap, n: int) -> bool:
@@ -393,11 +394,7 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
     state = _CellState(X, f)
 
     for m in range(Y.lo, Y.hi + 1):
-        c = f.comp(m)
-        s = snf(c)
-        surjective = (s.rank == c.rows
-                      and (ring.is_field or all(d == 1 for d in s.invariant_factors)))
-        if surjective or Y.rank(m) == 0:
+        if _is_surjective_matrix(f.comp(m)) or Y.rank(m) == 0:
             continue
         dY = Y.diff(m)
         for g in range(Y.rank(m)):

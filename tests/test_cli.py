@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import tempfile
 
 import pytest
@@ -325,6 +326,22 @@ print(json.dumps(results))
 """
 
 
+def run_cases(tmp_path, cases, *flags):
+    """Run the cases in one interpreter; their [exit code, stderr] pairs."""
+    p = run_python(*flags, "-c", RUN_COMMANDS, GOLDEN, str(tmp_path),
+                   json.dumps(cases))
+    assert p.returncode == 0, p.stderr
+    return json.loads(p.stdout.splitlines()[-1])
+
+
+def assert_report_or_one_error_line(args, code, err):
+    lines = err.splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error:"), (args, err)
+    else:
+        assert code in (0, 2) and lines == [], (args, err)
+
+
 class TestDriver:
     def run(self, tmp_path, *args):
         out = tmp_path / "out"
@@ -399,9 +416,6 @@ class TestDriver:
         ["limlim1", "M2"],
         ["whitehead", "id_tower2"],
         ["truncate", "M2", "x"],
-        ["pro-iso", "id_tower2", "--budget-filler=-1"],
-        ["pro-iso", "id_tower2", "--budget-filler=-100"],
-        ["pro-iso", "id_tower2", "--budget-filler=0"],
     ])
     def test_bad_argument_is_one_error_line(self, tmp_path, args):
         p = run_python("-m", "prochain.cli", *args, "--workspace", GOLDEN,
@@ -434,24 +448,42 @@ class TestDriver:
         runs = []
         for flags in ([], ["-O"]):
             out = tmp_path / ("O" if flags else "plain")
-            p = run_python(*flags, "-c", RUN_COMMANDS, GOLDEN, str(out),
-                           json.dumps(EVERY_COMMAND))
-            assert p.returncode == 0, p.stderr
+            results = run_cases(out, EVERY_COMMAND, *flags)
             reports = {str(f.relative_to(out)): f.read_bytes()
                        for f in out.rglob("*") if f.is_file()}
-            runs.append((json.loads(p.stdout.splitlines()[-1]), reports))
+            runs.append((results, reports))
         assert runs[0] == runs[1]
         results, reports = runs[0]
         for args, (code, err) in zip(EVERY_COMMAND, results):
-            lines = err.splitlines()
-            if code == 1:
-                assert len(lines) == 1 and lines[0].startswith("error:"), (args, err)
-            else:
-                assert lines == [], (args, err)
+            assert_report_or_one_error_line(args, code, err)
         assert [args[0] for args, (code, _) in zip(EVERY_COMMAND, results)
                 if code == 1] == ["lift", "whitehead"]
         assert {name.split("/")[0] for name in reports} == \
             {str(k) for k, (code, _) in enumerate(results) if code != 1}
+
+    def test_degrees_past_the_ends_and_reversed_windows(self, tmp_path):
+        # truncate --mode below and pro-ahss windows at degrees outside every
+        # complex, and with the window ends reversed
+        cases = [["truncate", X, n, "--mode", "below"]
+                 for X in ("M2", "Z0") for n in ("-2", "3")]
+        cases += [["pro-ahss", T, Y, lo, hi]
+                  for T in ("const_M2", "tower2_Z0") for Y in ("M2", "Z0")
+                  for lo, hi in (("-2", "3"), ("3", "-2"))]
+        for args, (code, err) in zip(cases, run_cases(tmp_path, cases)):
+            assert_report_or_one_error_line(args, code, err)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_reports_honour_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            codes = [main([*args, "--workspace", GOLDEN, "--out", str(tmp_path)])
+                     for args in (["homology", "M2"], ["roundtrip"])]
+        finally:
+            os.umask(old)
+        assert codes == [0, 0]
+        assert sorted(f.name for f in tmp_path.iterdir()) == \
+            ["homology_M2.tsv", "workspace_canonical.json"]
+        assert {stat.S_IMODE(f.stat().st_mode) for f in tmp_path.iterdir()} == {mode}
 
     def test_import_does_not_load_sympy(self, tmp_path):
         # a cold start loads only the modules its command uses

@@ -5,16 +5,17 @@ import random
 import pytest
 
 from prochain.errors import PreconditionViolated, ValidationError
-from prochain.exactalg.groups import (free_group, group_from_orders, hom,
-                                      identity_hom, multiplication_hom,
+from prochain.exactalg.groups import (cokernel_projection, free_group,
+                                      group_from_orders, hom, identity_hom,
+                                      kernel, multiplication_hom,
                                       trivial_group, zero_hom)
 from prochain.exactalg.matrices import IntMatrix
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import (DirectSystem, Lim1Verdict, TailPolicy, Tower,
                           UnknownValue, colim, comparison_to_reindexed,
                           compose_pro, constant_system, constant_tower,
-                          eventually_zero_composite, germ_equal,
-                          identity_pro_map, is_pro_isomorphism, level_map,
+                          germ_equal, identity_pro_map, is_nilpotent,
+                          is_pro_isomorphism, level_map,
                           lim_lim1, pro_hom, reindex_cofinal, reindex_pro_map,
                           repeat_tower)
 
@@ -83,6 +84,43 @@ class TestProIso:
             from prochain.exactalg.groups import is_isomorphism
             f = level_map(constant_tower(g), constant_tower(g), (e,))
             assert (is_pro_isomorphism(f).kind == "true") == is_isomorphism(e)
+
+    def test_identity_tail_times2_false(self):
+        # the cokernel is the constant tower Z/2, which is not pro-zero
+        t = repeat_tower(identity_hom(Z))
+        f = level_map(t, t, (multiplication_hom(Z, 2),))
+        assert is_pro_isomorphism(f).kind == "false"
+
+    def test_repeat_tails_match_kernel_cokernel_oracle(self):
+        # level maps 2, e+1, e+2 and e on repeat_tower(e): a pro-isomorphism
+        # iff the tail maps of the kernel and cokernel towers are nilpotent,
+        # checked here by their 64th power
+        groups = [free_group(1), free_group(2), free_group(3), Z4,
+                  group_from_orders([0, 4]), group_from_orders([2, 0]),
+                  group_from_orders([2, 4])]
+        rng = random.Random(0)
+        endos, kinds = 0, []
+        while endos < 100:
+            A = rng.choice(groups)
+            m = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(A.ngens)]
+                                     for _ in range(A.ngens)], cols=A.ngens)
+            try:
+                e = hom(A, A, m)
+            except PreconditionViolated:
+                continue
+            endos += 1
+            e64 = e
+            for _ in range(6):
+                e64 = e64.compose(e64)
+            t = repeat_tower(e)
+            for c in (multiplication_hom(A, 2), e + identity_hom(A),
+                      e + multiplication_hom(A, 2), e):
+                pro_zero = (e64.compose(kernel(c).inclusion).is_zero
+                            and cokernel_projection(c).compose(e64).is_zero)
+                kind = is_pro_isomorphism(level_map(t, t, (c,))).kind
+                assert kind == ("true" if pro_zero else "false"), (A.orders, m, c)
+                kinds.append(kind)
+        assert {"true", "false"} <= set(kinds)
 
     def test_reindex_invariance(self):
         t = times2_tower()
@@ -165,13 +203,13 @@ class TestColim:
                                TailPolicy.repeat_from(0, multiplication_hom(Z4, 3))))
         assert c.value.isomorphic(Z4)
 
-    def test_eventually_zero_composite(self):
-        assert eventually_zero_composite(identity_hom(Z), multiplication_hom(Z, 2)) is False
-        assert eventually_zero_composite(identity_hom(Z4), multiplication_hom(Z4, 2)) is True
-        assert eventually_zero_composite(identity_hom(Z4), multiplication_hom(Z4, 3)) is False
+    def test_is_nilpotent(self):
+        assert is_nilpotent(multiplication_hom(Z, 2)) is False
+        assert is_nilpotent(multiplication_hom(Z4, 2)) is True
+        assert is_nilpotent(multiplication_hom(Z4, 3)) is False
         nil = hom(free_group(2), free_group(2),
                   IntMatrix.from_rows([[0, 1], [0, 0]]))
-        assert eventually_zero_composite(identity_hom(free_group(2)), nil) is True
+        assert is_nilpotent(nil) is True
 
 
 class TestProHom:
