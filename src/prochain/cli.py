@@ -39,7 +39,11 @@ class Reporter:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.saw_unknown = False
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as e:
+            raise ProchainError(f"cannot create output directory '{out_dir}': "
+                                f"{e.strerror}") from None
 
     def write(self, name: str, header: List[str], rows: List[List[str]]):
         table = "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
@@ -53,16 +57,19 @@ def _write_atomic(out_dir: str, name: str, text: str) -> None:
     is created with mode 0666 less the umask, like any other new file."""
     path = os.path.join(out_dir, name)
     tmp = os.path.join(out_dir, f".tmp-{os.getpid()}")
-    if os.path.lexists(tmp):  # left behind by a killed process with our pid
-        os.unlink(tmp)
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+        if os.path.lexists(tmp):  # left behind by a killed process with our pid
             os.unlink(tmp)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as e:
+        raise ProchainError(f"cannot write '{path}': {e.strerror}") from None
     print(f"wrote {path}")
 
 
@@ -346,8 +353,16 @@ def _int_arg(text: str) -> int:
         raise ProchainError(f"expected an integer argument, got '{text}'")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ProchainError, so it ends like any
+    other error: one line and exit code 1 (2 means UNKNOWN)."""
+
+    def error(self, message):
+        raise ProchainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="prochain",
         description="exact truncation calculus and spectral sequences for "
                     "bounded chain complexes")
@@ -362,11 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    cmd = args.command
-    fn, n_names, n_ints = DISPATCH[cmd]
     try:
+        args = build_parser().parse_args(argv)
+        cmd = args.command
+        fn, n_names, n_ints = DISPATCH[cmd]
         if cmd == "selftest":
             ws = None
         else:

@@ -24,7 +24,7 @@ from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, free_group,
                               cokernel, hom_functor, hom_group, identity_hom,
                               image, is_isomorphism, kernel,
                               solve_hom_constraints, trivial_group, zero_hom)
-from .exactalg.matrices import IntMatrix, kernel_basis, snf, span_lattice
+from .exactalg.matrices import IntMatrix, snf, span_lattice
 from .exactalg.ring import check_same_ring
 
 DEFAULT_BUDGET = 8
@@ -474,7 +474,7 @@ def lim_lim1(T: Tower, budget: int = DEFAULT_BUDGET) -> LimResult:
         if _free_ranks_match(prev, cur) and not A.ring.is_field:
             det = _transition_determinant(prev, cur, endo)
             if det is not None and abs(det) >= 2:
-                lim = _non_ml_lim(A, endo, prev)
+                lim = _non_ml_lim(A, endo)
                 return LimResult(lim, Lim1Verdict.NONZERO_UNCOUNTABLE, False)
         prev = cur
         steps += 1
@@ -521,38 +521,21 @@ def _det(M: IntMatrix) -> int:
     return d
 
 
-def _non_ml_lim(A: FgAbGroup, endo: GroupHom, stable_image: Subgroup) -> GroupOrUnknown:
+def _non_ml_lim(A: FgAbGroup, endo: GroupHom) -> GroupOrUnknown:
     """lim of (A <- A <- ...) when images do not stabilize.
 
     For free A the limit is the largest sublattice on which the transition
-    is an automorphism: the kernel of the non-unit part of the
-    characteristic polynomial.  Mixed torsion is not attempted.
+    is an automorphism: the kernel of the unit part of the characteristic
+    polynomial, the product of its irreducible factors q with q(0) = +-1.
+    By the primary decomposition its rank is the degree of that part.
+    Mixed torsion is not attempted.
     """
     if A.invariant_factors:
         return UnknownValue("mixed torsion in a non-Mittag-Leffler tower")
-    import sympy  # slow to import, and needed only here
-    n = A.ngens
-    M = sympy.Matrix(n, n, lambda i, j: endo.matrix[i, j])
-    poly = M.charpoly()
-    x = poly.gens[0]
-    factors = sympy.factor_list(poly.as_expr())[1]
-    # vectors annihilated by the unit factors span the largest subspace on
-    # which the transition restricts to a lattice automorphism
-    unit_part = sympy.Integer(1)
-    for base, mult in factors:
-        p = sympy.Poly(base, x)
-        const = p.all_coeffs()[-1]
-        if abs(const) == 1:
-            unit_part *= base ** mult
-    if unit_part == 1:
-        return trivial_group(A.ring)
-    up_poly = sympy.Poly(sympy.expand(unit_part), x)
-    coeffs = [int(c) for c in up_poly.all_coeffs()]
-    acc = IntMatrix.zeros(n, n, A.ring)
-    for c in coeffs:
-        acc = (acc @ endo.matrix) + IntMatrix.identity(n, A.ring).scale(c)
-    W = kernel_basis(acc)
-    return free_group(W.cols, A.ring)
+    from .exactalg.poly import charpoly, factor  # so no other command compiles it
+    rank = sum((len(q) - 1) * m for q, m in factor(charpoly(endo.matrix))
+               if abs(q[0]) == 1)
+    return free_group(rank, A.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,9 @@ class TestDriver:
         ["limlim1", "M2"],
         ["whitehead", "id_tower2"],
         ["truncate", "M2", "x"],
+        ["homology", "M2", "--seed", "x"],
+        ["nosuch"],
+        [],
     ])
     def test_bad_argument_is_one_error_line(self, tmp_path, args):
         p = run_python("-m", "prochain.cli", *args, "--workspace", GOLDEN,
@@ -424,6 +427,23 @@ class TestDriver:
         assert "Traceback" not in p.stderr
         lines = p.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["-h"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: prochain")
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_at_a_file_is_one_error_line(self, tmp_path, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out" if below else blocker)
+        p = run_python("-m", "prochain.cli", "homology", "M2", "--workspace", GOLDEN,
+                       "--out", out)
+        assert p.returncode == 1
+        lines = p.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and out in lines[0]
 
     @pytest.mark.parametrize("args", [
         ["ahss", "M2", "M2"],
@@ -489,13 +509,28 @@ class TestDriver:
         # a cold start loads only the modules its command uses
         assert {m for m in loaded_modules("import prochain")
                 if m.startswith("prochain.")} == set()
-        loaded = loaded_modules(
-            "from prochain.cli import main\n"
-            f"assert main(['homology', 'M2', '--workspace', {GOLDEN!r}, "
-            f"'--out', {str(tmp_path)!r}]) == 0")
+
+        def loaded_by(*args):
+            return loaded_modules(
+                "from prochain.cli import main\n"
+                f"assert main({list(args)!r} + ['--workspace', {GOLDEN!r}, "
+                f"'--out', {str(tmp_path)!r}]) == 0")
+        loaded = loaded_by("homology", "M2")
         assert loaded & {"prochain.ahss", "prochain.tstruct", "prochain.prohomotopy",
-                         "prochain.selftest", "sympy"} == set()
+                         "prochain.selftest", "prochain.exactalg.poly", "sympy"} == set()
         assert "prochain.workspace" in loaded
+        loaded = loaded_by("limlim1", "tower2_Z")
+        assert "prochain.exactalg.poly" in loaded and "sympy" not in loaded
+
+    def test_commands_run_without_sympy(self, tmp_path):
+        # a None entry in sys.modules makes every import of sympy fail
+        p = run_python("-c", "import sys\nsys.modules['sympy'] = None\n"
+                       "from prochain.cli import main\n"
+                       f"sys.exit(max(main(args + ['--workspace', {GOLDEN!r}, "
+                       f"'--out', {str(tmp_path)!r}]) "
+                       "for args in (['selftest'], ['limlim1', 'tower2_Z'])))")
+        assert p.returncode == 0, p.stderr
+        assert "lim\t0" in (tmp_path / "limlim1_tower2_Z.tsv").read_text()
 
     def test_pro_ahss_zero_entry(self, tmp_path):
         with open(GOLDEN) as f:
