@@ -47,8 +47,7 @@ from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData,
                               subquotient, trivial_group, zero_hom)
 from .exactalg.matrices import IntMatrix, Lattice, hcat, kernel_lattice, snf
 from .exactalg.ring import check_same_ring
-from .pro import (DEFAULT_BUDGET, DirectSystem, GroupOrUnknown, Tower,
-                  UnknownValue, colim)
+from .pro import DirectSystem, GroupOrUnknown, Tower, UnknownValue, colim
 from .prohomotopy import derived_hom_system, hom_to_constant
 from .tstruct import (coefficient_complex, cohomology_with_coefficients,
                       layer_complex, truncate_above, truncate_below_free,
@@ -460,8 +459,8 @@ def _top_page_maps(g: ChainMap, src: SpectralSequence, tgt: SpectralSequence,
     return out
 
 
-def pro_ahss(X: Tower, Y: ChainComplex, n_window: Optional[Tuple[int, int]] = None,
-             budget: int = DEFAULT_BUDGET) -> ProAhssReport:
+def pro_ahss(X: Tower, Y: ChainComplex,
+             n_window: Optional[Tuple[int, int]] = None) -> ProAhssReport:
     """The tower spectral sequence with constant coefficients Y.
 
     E2 slots are colimits over the tower of levelwise coefficient
@@ -483,10 +482,10 @@ def pro_ahss(X: Tower, Y: ChainComplex, n_window: Optional[Tuple[int, int]] = No
     for q in range(q_lo, q_hi + 1):
         K = coefficient_complex(homology(Y, q))
         for n in range(n_lo, n_hi + 1):
-            e2[(n - q, q)] = colim(derived_hom_system(X, K, n - q), budget).value
+            e2[(n - q, q)] = colim(derived_hom_system(X, K, n - q)).value
 
     # abutment
-    abutment = {n: hom_to_constant(X, Y, n, budget) for n in range(n_lo, n_hi + 1)}
+    abutment = {n: hom_to_constant(X, Y, n) for n in range(n_lo, n_hi + 1)}
 
     # levelwise spectral sequences, one per distinct entry, checked for
     # convergence and then all derived to one top page
@@ -512,9 +511,8 @@ def pro_ahss(X: Tower, Y: ChainComplex, n_window: Optional[Tuple[int, int]] = No
     for slot in slots:
         entries = tuple(seq.pages[-1].group_at(*slot, ring) for seq in ss)
         einf = colim(DirectSystem(entries, tuple(m[slot] for m in structure),
-                                  tail.mapped(N, lambda maps: maps[slot])),
-                     budget).value
-        gr_colim[slot] = _colim_gr_slot(X, ss, Y, slot, budget)
+                                  tail.mapped(N, lambda maps: maps[slot]))).value
+        gr_colim[slot] = _colim_gr_slot(X, ss, Y, slot)
         if isinstance(einf, UnknownValue) or isinstance(gr_colim[slot], UnknownValue):
             slot_comparison[slot] = "unknown"
         else:
@@ -553,7 +551,7 @@ def _same_order(a: FgAbGroup, b: FgAbGroup) -> bool:
 
 
 def _colim_gr_slot(X: Tower, ss: List[SpectralSequence], Y: ChainComplex,
-                   slot: Slot, budget: int) -> GroupOrUnknown:
+                   slot: Slot) -> GroupOrUnknown:
     """colim over the tower of the filtration quotients gr_q [X_s, Y]_n, read
     from the levelwise sequences ss; a q outside a level's window is zero."""
     p, q = slot
@@ -571,4 +569,4 @@ def _colim_gr_slot(X: Tower, ss: List[SpectralSequence], Y: ChainComplex,
 
     structure = tuple(gr_map(X.structure[s], s, s + 1) for s in range(N))
     tail = X.tail.mapped(N, lambda endo: gr_map(endo, N, N))
-    return colim(DirectSystem(entries, structure, tail), budget).value
+    return colim(DirectSystem(entries, structure, tail)).value

@@ -15,14 +15,7 @@ import sys
 from typing import List, Optional
 
 from .errors import ProchainError
-from .pro import UnknownValue
 from .workspace import parse_workspace, serialize_workspace
-
-
-def fmt_group(g) -> str:
-    if isinstance(g, UnknownValue):
-        return f"UNKNOWN(budget={g.budget})"
-    return str(g)
 
 
 def fmt_class(v: float) -> str:
@@ -77,7 +70,7 @@ def cmd_homology(ws, rep, args):
     from .chain import homology
     X = ws.lookup(args.object, "complex")
     rep.write(f"homology_{args.object}.tsv", ["degree", "group"],
-              [[str(n), fmt_group(homology(X, n))]
+              [[str(n), str(homology(X, n))]
                for n in range(X.lo - 1, X.hi + 2)])
 
 
@@ -88,7 +81,7 @@ def cmd_derived_hom(ws, rep, args):
     n = args.n
     g = derived_hom(X, Y, n)
     rep.write(f"derived_hom_{args.object}_{args.second}_{n}.tsv",
-              ["n", "group"], [[str(n), fmt_group(g)]])
+              ["n", "group"], [[str(n), str(g)]])
 
 
 def cmd_truncate(ws, rep, args):
@@ -100,7 +93,7 @@ def cmd_truncate(ws, rep, args):
         T, _ = truncate_above(X, n)
     else:
         T, _ = truncate_below_free(X, n)
-    rows = [[str(m), str(T.rank(m)), fmt_group(homology(T, m))]
+    rows = [[str(m), str(T.rank(m)), str(homology(T, m))]
             for m in range(T.lo - 1, T.hi + 2)]
     rep.write(f"truncate_{args.mode}_{args.object}_{n}.tsv",
               ["degree", "rank", "homology"], rows)
@@ -153,7 +146,7 @@ def cmd_cohomology(ws, rep, args):
     p = args.n
     g = cohomology_with_coefficients(X, A, p)
     rep.write(f"cohomology_{args.object}_{args.second}_{p}.tsv",
-              ["p", "group"], [[str(p), fmt_group(g)]])
+              ["p", "group"], [[str(p), str(g)]])
 
 
 def cmd_pro_iso(ws, rep, args):
@@ -169,13 +162,11 @@ def cmd_pro_iso(ws, rep, args):
 
 
 def cmd_limlim1(ws, rep, args):
-    from .pro import Lim1Verdict, lim_lim1
+    from .pro import lim_lim1
     T = ws.lookup(args.object, "group tower")
-    r = lim_lim1(T, ws.config.lim_window)
-    rows = [["lim", fmt_group(r.lim)], ["lim1", r.lim1.value],
+    r = lim_lim1(T)
+    rows = [["lim", str(r.lim)], ["lim1", r.lim1.value],
             ["mittag_leffler", str(r.mittag_leffler).lower()]]
-    if r.lim1 == Lim1Verdict.UNKNOWN or isinstance(r.lim, UnknownValue):
-        rep.saw_unknown = True
     rep.write(f"limlim1_{args.object}.tsv", ["field", "value"], rows)
 
 
@@ -183,9 +174,9 @@ def cmd_prohom(ws, rep, args):
     from .pro import pro_hom
     X = ws.lookup(args.object, "group tower")
     Y = ws.lookup(args.second, "group tower")
-    v = pro_hom(X, Y, ws.config.lim_window)
+    v = pro_hom(X, Y)
     rep.write(f"prohom_{args.object}_{args.second}.tsv",
-              ["group"], [[fmt_group(v)]])
+              ["group"], [[str(v)]])
 
 
 def cmd_whitehead(ws, rep, args):
@@ -229,17 +220,17 @@ def cmd_prohom_const(ws, rep, args):
     if args.object in ws.towers and args.second in ws.complexes:
         X = ws.towers[args.object]
         Y = ws.complexes[args.second]
-        v = hom_to_constant(X, Y, n, ws.config.lim_window)
+        v = hom_to_constant(X, Y, n)
         rep.write(f"prohom_const_{args.object}_{args.second}_{n}.tsv",
                   ["direction", "group"],
-                  [["to_constant", fmt_group(v)]])
+                  [["to_constant", str(v)]])
     elif args.object in ws.complexes and args.second in ws.towers:
         X = ws.complexes[args.object]
         Y = ws.towers[args.second]
-        r = hom_from_constant(X, Y, n, ws.config.lim_window)
+        r = hom_from_constant(X, Y, n)
         rep.write(f"prohom_const_{args.object}_{args.second}_{n}.tsv",
                   ["direction", "value", "lim", "lim1"],
-                  [["from_constant", fmt_group(r.value), fmt_group(r.lim),
+                  [["from_constant", str(r.value), str(r.lim),
                     r.lim1.value]])
     else:
         raise ProchainError("prohom-const needs one tower and one complex")
@@ -285,13 +276,13 @@ def cmd_pro_ahss(ws, rep, args):
     window = None
     if args.n is not None and args.second_n is not None:
         window = (args.n, args.second_n)
-    report = pro_ahss(X, Y, window, ws.config.lim_window)
+    report = pro_ahss(X, Y, window)
     base = f"pro_ahss_{args.object}_{args.second}"
     rows = []
     for (p, q), g in sorted(report.e2.items()):
-        rows.append([str(p), str(q), fmt_group(g)])
+        rows.append([str(p), str(q), str(g)])
     rep.write(f"{base}_e2.tsv", ["p", "q", "group"], rows)
-    rows = [[str(n), fmt_group(g)] for n, g in sorted(report.abutment.items())]
+    rows = [[str(n), str(g)] for n, g in sorted(report.abutment.items())]
     rep.write(f"{base}_abutment.tsv", ["n", "group"], rows)
     rows = [["levelwise_all_iso", str(report.levelwise_all_iso).lower()],
             ["comparison_holds", str(report.comparison_holds).lower()]]
@@ -367,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact truncation calculus and spectral sequences for "
                     "bounded chain complexes")
     ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("names", nargs="*", help="object names and integer args")
+    ap.add_argument("names", nargs="*", default=[],
+                    help="object names and integer args")
     ap.add_argument("--workspace", default=None, help="workspace JSON path")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--seed", type=int, default=0)

@@ -6,9 +6,11 @@ Infinite towers are finitely presented by a tail policy: either all
 structure maps are identities from some index on (ConstantFrom), or the
 entries and the structure map repeat a declared endomorphism (RepeatFrom).
 Every completeness claim is relative to the declared tail.  Pro-isomorphism
-is always decided: a level map is one iff its kernel and cokernel towers
-are pro-zero, which one filler solve at a computed depth settles.  lim and
-colim may still answer Unknown, a first-class result, not an error.
+and the Mittag-Leffler condition are always decided: each by one
+computation at a depth read off the group, the nilpotency bound.  Unknown
+is a first-class result, not an error: lim answers it only for a tower
+with torsion that is not Mittag-Leffler, colim for a tail endomorphism
+that is neither invertible nor nilpotent.
 """
 
 from __future__ import annotations
@@ -20,14 +22,11 @@ from typing import Optional, Sequence, Union
 from .chain import identity_map as chain_identity
 from .errors import (PostconditionViolated, PreconditionViolated,
                      ValidationError)
-from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, free_group,
-                              cokernel, hom_functor, hom_group, identity_hom,
-                              image, is_isomorphism, kernel,
-                              solve_hom_constraints, trivial_group, zero_hom)
-from .exactalg.matrices import IntMatrix, snf, span_lattice
+from .exactalg.groups import (FgAbGroup, GroupHom, cokernel, free_group,
+                              hom_functor, hom_group, identity_hom, image,
+                              is_isomorphism, kernel, solve_hom_constraints,
+                              trivial_group, zero_hom)
 from .exactalg.ring import check_same_ring
-
-DEFAULT_BUDGET = 8
 
 
 # ---------------------------------------------------------------------------
@@ -51,18 +50,15 @@ def _same_object(a, b) -> bool:
 class Lim1Verdict(enum.Enum):
     ZERO = "Zero"
     NONZERO_UNCOUNTABLE = "NonzeroUncountable"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
 class UnknownValue:
-    """A value the engine declines to claim, with the exhausted budget."""
-    reason: str = ""
-    budget: int = 0
+    """A value the engine declines to claim, with the reason why."""
+    reason: str
 
     def __str__(self):
-        suffix = f" (budget {self.budget})" if self.budget else ""
-        return f"UNKNOWN: {self.reason}{suffix}" if self.reason else f"UNKNOWN{suffix}"
+        return f"UNKNOWN: {self.reason}"
 
 
 GroupOrUnknown = Union[FgAbGroup, UnknownValue]
@@ -265,25 +261,6 @@ def compose_pro(g: ProMap, f: ProMap) -> ProMap:
     return out
 
 
-def germ_equal(f: ProMap, g: ProMap, budget: int = DEFAULT_BUDGET) -> bool:
-    """Two pro-maps agree as germs iff composing with structure maps
-    equalizes them level by level; under tail policies a bounded window
-    decides."""
-    top = max(f.window, g.window) + budget
-    for t in range(top + 1):
-        sf, sg = f.theta(t), g.theta(t)
-        found = False
-        for s in range(max(sf, sg), max(sf, sg) + budget + 1):
-            left = f.comp(t).compose(f.source.composite(s, sf))
-            right = g.comp(t).compose(g.source.composite(s, sg))
-            if left.equal(right):
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
 def reindex_cofinal(T: Tower, step: int) -> Tower:
     """The subsequence tower T_0, T_step, T_{2 step}, ... with composites."""
     if step < 1:
@@ -440,21 +417,21 @@ def is_pro_isomorphism(f: ProMap) -> ProIsoVerdict:
 class LimResult:
     lim: GroupOrUnknown
     lim1: Lim1Verdict
-    mittag_leffler: Optional[bool] = None
+    mittag_leffler: bool
 
 
-def _subgroup_equal(a: Subgroup, b: Subgroup) -> bool:
-    return a.contains_hom(b.inclusion) and b.contains_hom(a.inclusion)
-
-
-def lim_lim1(T: Tower, budget: int = DEFAULT_BUDGET) -> LimResult:
+def lim_lim1(T: Tower) -> LimResult:
     """lim and the lim^1 dichotomy for a tower of f.g. abelian groups.
 
-    ConstantFrom tails are immediate.  For RepeatFrom tails the image chain
-    of the endomorphism decides Mittag-Leffler: torsion images stabilize in
-    bounded time and the free part stabilizes iff the transition on the
-    stable rational image has unit determinant.  Non-ML towers have
-    uncountable lim^1; their lim is computed on free groups through the
+    ConstantFrom tails are immediate.  For a RepeatFrom tail with
+    endomorphism e of A, the image chain e^k A decides Mittag-Leffler, and
+    it settles by k = B = _nilpotency_bound(A) if it settles at all: its
+    rank stops falling at some k0 <= r (the free rank); from there the
+    free quotients either shrink by |det| >= 2 at every step, or stay
+    fixed, and then [e^k0 A : e^k A] <= |T| (the torsion order) leaves
+    fewer than bit_length(|T|) strict steps.  So the tower is ML iff
+    e^B A = e^(B+1) A, and then lim = e^B A.  A non-ML tower has
+    uncountable lim^1; its lim is computed on free groups through the
     unit-part lattice and reported Unknown otherwise.
     """
     if T.tail.is_constant:
@@ -462,63 +439,13 @@ def lim_lim1(T: Tower, budget: int = DEFAULT_BUDGET) -> LimResult:
     endo = T.tail.endo
     A = endo.target
     power = identity_hom(A)
-    prev = image(power)
-    steps = 0
-    max_steps = max(budget, 4 * (A.ngens + 2), _torsion_chain_bound(A))
-    while steps < max_steps:
+    for _ in range(_nilpotency_bound(A)):
         power = endo.compose(power)
-        cur = image(power)
-        if _subgroup_equal(prev, cur):
-            stable = cur.group
-            return LimResult(stable, Lim1Verdict.ZERO, True)
-        if _free_ranks_match(prev, cur) and not A.ring.is_field:
-            det = _transition_determinant(prev, cur, endo)
-            if det is not None and abs(det) >= 2:
-                lim = _non_ml_lim(A, endo)
-                return LimResult(lim, Lim1Verdict.NONZERO_UNCOUNTABLE, False)
-        prev = cur
-        steps += 1
-    return LimResult(UnknownValue("image chain did not resolve", budget),
-                     Lim1Verdict.UNKNOWN, None)
-
-
-def _torsion_chain_bound(A: FgAbGroup) -> int:
-    n = 1
-    for d in A.invariant_factors:
-        n *= d
-    return max(4, n.bit_length() * (A.ngens + 1) + 4)
-
-
-def _free_ranks_match(a: Subgroup, b: Subgroup) -> bool:
-    return a.group.free_rank == b.group.free_rank
-
-
-def _free_quotient_lattice(A: FgAbGroup, sub: Subgroup) -> IntMatrix:
-    """Image of the subgroup in A modulo torsion, as lattice columns."""
-    free_idx = [i for i, d in enumerate(A.orders) if d == 0]
-    return sub.basis.take_rows(free_idx)
-
-
-def _transition_determinant(prev: Subgroup, cur: Subgroup,
-                            endo: GroupHom) -> Optional[int]:
-    """det of the transition on the free quotient of the stable image."""
-    A = endo.target
-    lattice = span_lattice(_free_quotient_lattice(A, prev))
-    free_idx = [i for i, d in enumerate(A.orders) if d == 0]
-    endo_free = endo.matrix.take_rows(free_idx).take_columns(free_idx)
-    trans = lattice.coords(endo_free @ lattice.basis)
-    return None if trans is None else _det(trans)
-
-
-def _det(M: IntMatrix) -> int:
-    n = M.rows
-    if n == 0:
-        return 1
-    s = snf(M)
-    d = 1
-    for v in s.diag:
-        d *= v
-    return d
+    stable = image(power)
+    # e^(B+1) A lies in e^B A, so one containment decides equality
+    if image(endo.compose(power)).contains_hom(stable.inclusion):
+        return LimResult(stable.group, Lim1Verdict.ZERO, True)
+    return LimResult(_non_ml_lim(A, endo), Lim1Verdict.NONZERO_UNCOUNTABLE, False)
 
 
 def _non_ml_lim(A: FgAbGroup, endo: GroupHom) -> GroupOrUnknown:
@@ -569,7 +496,7 @@ class ColimResult:
     eventually_zero: bool = False
 
 
-def colim(D: DirectSystem, budget: int = DEFAULT_BUDGET) -> ColimResult:
+def colim(D: DirectSystem) -> ColimResult:
     """Colimit of a direct system of f.g. abelian groups under a tail policy.
 
     Computable when the tail endomorphism is an isomorphism (the colimit is
@@ -584,8 +511,7 @@ def colim(D: DirectSystem, budget: int = DEFAULT_BUDGET) -> ColimResult:
         return ColimResult(D.entry(N), stable_stage=N)
     if is_nilpotent(endo):
         return ColimResult(trivial_group(endo.target.ring), eventually_zero=True)
-    return ColimResult(UnknownValue("tail endomorphism neither invertible nor nilpotent",
-                                    budget))
+    return ColimResult(UnknownValue("tail endomorphism neither invertible nor nilpotent"))
 
 
 def hom_system(X: Tower, B: FgAbGroup) -> DirectSystem:
@@ -600,8 +526,7 @@ def hom_system(X: Tower, B: FgAbGroup) -> DirectSystem:
     return DirectSystem(entries, structure, X.tail.mapped(N, precompose))
 
 
-def _lim_of_colims(X: Tower, Y: Tower, system, entry, post,
-                   budget: int) -> GroupOrUnknown:
+def _lim_of_colims(X: Tower, Y: Tower, system, entry, post) -> GroupOrUnknown:
     """lim_t colim_s H(X_s, Y_t) for H contravariant in its first argument:
     system(B) is the direct system H(X_s, B), entry(A, B) = H(A, B) and
     post(A, g) = H(id_A, g).  Every colimit is read at one common stable
@@ -610,7 +535,7 @@ def _lim_of_colims(X: Tower, Y: Tower, system, entry, post,
     N = max(X.tail.start, Y.tail.start)
     per_t = []
     for t in range(N + 1):
-        res = colim(system(Y.entry(t)), budget)
+        res = colim(system(Y.entry(t)))
         if isinstance(res.value, UnknownValue):
             return res.value
         per_t.append(res)
@@ -627,11 +552,11 @@ def _lim_of_colims(X: Tower, Y: Tower, system, entry, post,
     structure = tuple(connecting(Y.structure_map(t), entries[t + 1], entries[t])
                       for t in range(N))
     tail = Y.tail.mapped(N, lambda endo: connecting(endo, entries[N], entries[N]))
-    return lim_lim1(Tower(entries, structure, tail), budget).lim
+    return lim_lim1(Tower(entries, structure, tail)).lim
 
 
-def pro_hom(X: Tower, Y: Tower, budget: int = DEFAULT_BUDGET) -> GroupOrUnknown:
+def pro_hom(X: Tower, Y: Tower) -> GroupOrUnknown:
     """pro-Hom(X, Y) = lim_t colim_s Hom(X_s, Y_t) under the tail policies."""
     return _lim_of_colims(X, Y, lambda B: hom_system(X, B),
                           lambda A, B: hom_group(A, B).group,
-                          lambda A, g: hom_functor(identity_hom(A), g), budget)
+                          lambda A, g: hom_functor(identity_hom(A), g))

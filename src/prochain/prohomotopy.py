@@ -18,9 +18,9 @@ from .chain import (ChainComplex, ChainMap, derived_hom, homology,
                     induced_map_on_derived_hom, identity_map)
 from .errors import PreconditionViolated, WindowViolation
 from .exactalg.groups import GroupHom
-from .pro import (DEFAULT_BUDGET, DirectSystem, GroupOrUnknown, Lim1Verdict,
-                  ProMap, Tower, UnknownValue, _lim_of_colims, colim,
-                  is_pro_isomorphism, level_map, lim_lim1)
+from .pro import (DirectSystem, GroupOrUnknown, Lim1Verdict, ProMap, Tower,
+                  UnknownValue, _lim_of_colims, colim, is_pro_isomorphism,
+                  level_map, lim_lim1)
 from .tstruct import (classify_map, is_degreewise_split_mono,
                       is_degreewise_surjection, truncate_below_free,
                       truncate_below_map, truncation_step)
@@ -194,14 +194,12 @@ def derived_hom_system(X: Tower, Y: ChainComplex, n: int) -> DirectSystem:
     return DirectSystem(entries, structure, X.tail.mapped(N, pre))
 
 
-def hom_to_constant(X: Tower, Y: ChainComplex, n: int,
-                    budget: int = DEFAULT_BUDGET) -> GroupOrUnknown:
+def hom_to_constant(X: Tower, Y: ChainComplex, n: int) -> GroupOrUnknown:
     """P(X, cY)_n = colim_s [X_s, Y]_n for Y bounded above."""
-    return colim(derived_hom_system(X, Y, n), budget).value
+    return colim(derived_hom_system(X, Y, n)).value
 
 
-def heart_hom(X: Tower, Y: Tower, n: int = 0,
-              budget: int = DEFAULT_BUDGET) -> GroupOrUnknown:
+def heart_hom(X: Tower, Y: Tower, n: int = 0) -> GroupOrUnknown:
     """lim_t colim_s [X_s, Y_t]_0 for X levelwise >= n and Y levelwise <= n.
 
     This equals the pro-homotopy-category hom exactly (heart towers have
@@ -213,8 +211,7 @@ def heart_hom(X: Tower, Y: Tower, n: int = 0,
         raise WindowViolation("target tower not levelwise bounded above at n")
     return _lim_of_colims(X, Y, lambda B: derived_hom_system(X, B, 0),
                           lambda A, B: derived_hom(A, B, 0),
-                          lambda A, g: induced_map_on_derived_hom(identity_map(A), g, 0),
-                          budget)
+                          lambda A, g: induced_map_on_derived_hom(identity_map(A), g, 0))
 
 
 @dataclass(frozen=True)
@@ -224,8 +221,7 @@ class HomFromConstantResult:
     lim1: Lim1Verdict
 
 
-def hom_from_constant(X: ChainComplex, Y: Tower, n: int,
-                      budget: int = DEFAULT_BUDGET) -> HomFromConstantResult:
+def hom_from_constant(X: ChainComplex, Y: Tower, n: int) -> HomFromConstantResult:
     """P(cX, Y)_n through the Postnikov replacement of Y and the lim^1
     sequence: the value is exact only when lim^1 vanishes."""
     Z, _ = postnikov_replacement(Y)
@@ -237,10 +233,10 @@ def hom_from_constant(X: ChainComplex, Y: Tower, n: int,
 
     structure = tuple(post(Z.structure[k]) for k in range(N))
     tower = Tower(entries, structure, Z.tail.mapped(N, post))
-    res = lim_lim1(tower, budget)
+    res = lim_lim1(tower)
     value: GroupOrUnknown
     if res.lim1 == Lim1Verdict.ZERO:
         value = res.lim
     else:
-        value = UnknownValue("lim1 obstruction", budget)
+        value = UnknownValue("lim1 obstruction")
     return HomFromConstantResult(value, res.lim, res.lim1)

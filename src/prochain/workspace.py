@@ -22,8 +22,8 @@ from .pro import IndexShift, ProMap, TailPolicy, Tower, _same_object
 
 @dataclass
 class Config:
-    # budget_filler and budget_reindex have no reader; workspace files and
-    # the canonical serialization still carry them
+    # budget_filler, budget_reindex and lim_window have no reader; workspace
+    # files and the canonical serialization still carry them
     budget_filler: int = 8
     budget_reindex: int = 8
     lim_window: int = 24

@@ -326,9 +326,9 @@ print(json.dumps(results))
 """
 
 
-def run_cases(tmp_path, cases, *flags):
+def run_cases(tmp_path, cases, *flags, workspace=GOLDEN):
     """Run the cases in one interpreter; their [exit code, stderr] pairs."""
-    p = run_python(*flags, "-c", RUN_COMMANDS, GOLDEN, str(tmp_path),
+    p = run_python(*flags, "-c", RUN_COMMANDS, workspace, str(tmp_path),
                    json.dumps(cases))
     assert p.returncode == 0, p.stderr
     return json.loads(p.stdout.splitlines()[-1])
@@ -427,6 +427,36 @@ class TestDriver:
         assert "Traceback" not in p.stderr
         lines = p.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        if not args:
+            # names may be empty (selftest, roundtrip), so only command is required
+            assert lines == ["error: the following arguments are required: command"]
+
+    def test_unknown_rows_name_a_reason_and_no_setting(self, tmp_path):
+        # an UNKNOWN row gives its reason; the lim_window key, which
+        # workspaces still carry, changes no report
+        with open(GOLDEN) as f:
+            doc = json.load(f)
+        doc["config"]["lim_window"] = 1
+        cases = [["pro-ahss", "tower2_Z0", "Z0"], ["prohom", "tower2_Z", "tower2_Z"],
+                 ["prohom-const", "Z0", "tower2_Z0", "0"],
+                 ["prohom-const", "tower2_Z0", "Z0", "0"]]
+        runs = []
+        for workspace in (GOLDEN, write(tmp_path, doc)):
+            out = tmp_path / ("golden" if workspace == GOLDEN else "window1")
+            assert run_cases(out, cases, workspace=workspace) == [[2, ""]] * len(cases)
+            runs.append({str(f.relative_to(out)): f.read_text()
+                         for f in out.rglob("*") if f.is_file()})
+        assert runs[0] == runs[1]
+        reports = runs[0]
+        assert reports["2/prohom_const_Z0_tower2_Z0_0.tsv"].splitlines()[1] == \
+            "from_constant\tUNKNOWN: lim1 obstruction\t0\tNonzeroUncountable"
+        unknown = "UNKNOWN: tail endomorphism neither invertible nor nilpotent"
+        assert reports["1/prohom_tower2_Z_tower2_Z.tsv"] == f"group\n{unknown}\n"
+        assert reports["3/prohom_const_tower2_Z0_Z0_0.tsv"].splitlines()[1] == \
+            f"to_constant\t{unknown}"
+        for name in ("e2", "abutment"):
+            rows = reports[f"0/pro_ahss_tower2_Z0_Z0_{name}.tsv"].splitlines()
+            assert [r.split("\t")[-1] for r in rows if "UNKNOWN" in r] == [unknown]
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -1,5 +1,7 @@
 """Towers, pro-maps, the pro-isomorphism decision, and the limit calculus."""
 
+import functools
+import math
 import random
 
 import pytest
@@ -7,14 +9,14 @@ import pytest
 from prochain.errors import PreconditionViolated, ValidationError
 from prochain.exactalg.groups import (cokernel_projection, free_group,
                                       group_from_orders, hom, identity_hom,
-                                      kernel, multiplication_hom,
+                                      image, kernel, multiplication_hom,
                                       trivial_group, zero_hom)
 from prochain.exactalg.matrices import IntMatrix
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import (DirectSystem, Lim1Verdict, TailPolicy, Tower,
                           UnknownValue, colim, comparison_to_reindexed,
                           compose_pro, constant_system, constant_tower,
-                          germ_equal, identity_pro_map, is_nilpotent,
+                          identity_pro_map, is_nilpotent,
                           is_pro_isomorphism, level_map,
                           lim_lim1, pro_hom, reindex_cofinal, reindex_pro_map,
                           repeat_tower)
@@ -23,6 +25,41 @@ Z = free_group(1)
 Z2 = group_from_orders([2])
 Z4 = group_from_orders([4])
 TRIV = trivial_group()
+
+
+# canonical orders of the groups the random endomorphisms act on
+Z_SHAPES = [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (4,), (4, 0), (2, 0), (2, 4),
+            (2, 8, 0, 0)]
+
+
+def _entry(rng, target_order, source_order):
+    """A random matrix entry for a map Z/source_order -> Z/target_order
+    (0 meaning Z) that respects the source relation."""
+    if source_order == 0:
+        return rng.randint(-2, 2)
+    if target_order == 0:
+        return 0
+    return rng.randint(-2, 2) * (target_order // math.gcd(target_order, source_order))
+
+
+@functools.lru_cache(maxsize=1)
+def seeded_endomorphisms():
+    """36 random endomorphisms of each group in Z_SHAPES and 30 each of
+    F_2^n and F_3^n, n <= 3."""
+    rng = random.Random(14)
+    out = []
+    for orders in Z_SHAPES:
+        A = group_from_orders(orders)
+        for _ in range(36):
+            rows = [[_entry(rng, d, c) for c in A.orders] for d in A.orders]
+            out.append(hom(A, A, IntMatrix.from_rows(rows, cols=A.ngens)))
+    for p in (2, 3):
+        F = GF(p)
+        for _ in range(30):
+            V = free_group(rng.randint(1, 3), F)
+            rows = [[rng.randrange(p) for _ in range(V.ngens)] for _ in range(V.ngens)]
+            out.append(hom(V, V, IntMatrix.from_rows(rows, F)))
+    return tuple(out)
 
 
 def times2_tower():
@@ -34,7 +71,11 @@ class TestProMaps:
         t = times2_tower()
         idm = identity_pro_map(t)
         assert idm.validate()
-        assert germ_equal(compose_pro(idm, idm), idm)
+        comp = compose_pro(idm, idm)
+        # levelwise equality, which is stronger than equality of germs
+        for t in range(idm.window + 3):
+            assert comp.theta(t) == t
+            assert comp.comp(t).equal(idm.comp(t))
 
     def test_level_map_validation(self):
         t = times2_tower()
@@ -176,6 +217,47 @@ class TestLimLim1:
                 continue
             r = lim_lim1(repeat_tower(e))
             assert r.mittag_leffler and r.lim1 == Lim1Verdict.ZERO
+
+    def test_decision_matches_a_high_power_oracle(self):
+        # the image chain of e has settled by e^24 on every group drawn
+        # here, so ML iff e^24 A = e^25 A, and then lim = e^24 A
+        ml_seen = set()
+        for e in seeded_endomorphisms():
+            A = e.source
+            power = identity_hom(A)
+            for _ in range(24):
+                power = e.compose(power)
+            s24, s25 = image(power), image(e.compose(power))
+            ml = s24.contains_hom(s25.inclusion) and s25.contains_hom(s24.inclusion)
+            r = lim_lim1(repeat_tower(e))
+            assert r.mittag_leffler is ml, (A.orders, e.matrix)
+            assert r.lim1 == (Lim1Verdict.ZERO if ml else Lim1Verdict.NONZERO_UNCOUNTABLE)
+            if ml:
+                assert r.lim.isomorphic(s24.group), (A.orders, e.matrix)
+            elif A.invariant_factors:
+                assert isinstance(r.lim, UnknownValue)
+            else:
+                assert r.lim.invariant_factors == ()
+            ml_seen.add(ml)
+        assert ml_seen == {True, False}
+
+    def test_non_ml_lim_is_the_unit_part(self):
+        # lim of a free non-ML tower has the rank of the factors q of the
+        # characteristic polynomial with q(0) = +-1 (sympy factors it)
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        checked = 0
+        for e in seeded_endomorphisms():
+            r = lim_lim1(repeat_tower(e))
+            if r.mittag_leffler or e.source.invariant_factors:
+                continue
+            m = e.matrix
+            chi = sympy.Matrix(m.rows, m.cols, list(m.entries)).charpoly(x)
+            rank = sum(sympy.degree(q, x) * k for q, k in sympy.factor_list(chi.as_expr())[1]
+                       if abs(sympy.Poly(q, x).eval(0)) == 1)
+            assert r.lim.free_rank == rank, m
+            checked += 1
+        assert checked >= 100
 
     def test_field_towers(self):
         F2 = GF(2)
