@@ -60,6 +60,15 @@ class ChainComplex:
         return f"Complex({self.ring}; " + " ".join(chunks) + ")"
 
 
+def _in_ring(M: IntMatrix, ring: RingTag) -> IntMatrix:
+    """M tagged with ring; over F_p its entries are taken mod p, over Z they
+    are exact already."""
+    p = ring.p
+    if p:
+        return IntMatrix(M.rows, M.cols, tuple(x % p for x in M.entries), ring)
+    return M if M.ring == ring else IntMatrix(M.rows, M.cols, M.entries, ring)
+
+
 def make_complex(ring: RingTag, ranks: Dict[int, int],
                  diffs: Dict[int, IntMatrix]) -> ChainComplex:
     """Assemble and validate a complex from degree->rank and degree->matrix maps."""
@@ -75,8 +84,7 @@ def make_complex(ring: RingTag, ranks: Dict[int, int],
             d = IntMatrix.zeros(rk[n - 1 - lo], rk[n - lo], ring)
         if d.shape != (rk[n - 1 - lo], rk[n - lo]):
             raise ValidationError(f"differential at degree {n} has shape {d.shape}")
-        ds.append(IntMatrix(d.rows, d.cols,
-                            tuple(ring.reduce(x) for x in d.entries), ring))
+        ds.append(_in_ring(d, ring))
     X = ChainComplex(ring, lo, hi, rk, tuple(ds))
     if not validate(X):
         raise ValidationError("d o d != 0")
@@ -174,8 +182,7 @@ def chain_map(source: ChainComplex, target: ChainComplex,
             c = IntMatrix.zeros(target.rank(n), source.rank(n), ring)
         if c.shape != (target.rank(n), source.rank(n)):
             raise ValidationError(f"component at degree {n} has shape {c.shape}")
-        cs.append(IntMatrix(c.rows, c.cols,
-                            tuple(ring.reduce(x) for x in c.entries), ring))
+        cs.append(_in_ring(c, ring))
     f = ChainMap(source, target, tuple(cs))
     if check and not is_chain_map(f):
         raise ValidationError("components do not commute with differentials")

@@ -2,15 +2,18 @@
 
 Entries are arbitrary-precision Python ints stored row-major in a tuple, so
 matrices are immutable and hashable; every expensive decomposition is cached
-on that hash.  The SNF routine carries all four transform matrices (U, U^-1,
-V, V^-1) so that group normalization downstream never has to invert anything.
+on that hash.  The SNF routine eliminates the matrix alone and logs its row
+and column operations; each of the four transforms (U, U^-1, V, V^-1) is
+replayed from a log when a caller first reads it, so group normalization
+downstream never has to invert anything, and a caller that reads one side,
+or only the diagonal, never builds the other.
 
 Matrix products read the ring once: over Z entries are exact and never
 reduced, over F_p every product entry is taken mod p.  The other
 constructors and operations reduce entry by entry through the ring tag.
-The SNF kernel likewise picks its arithmetic once per call: over Z entries
-are exact, over F_p the input is reduced once and every row or column
-combination is taken mod p.
+The SNF kernel and its replay likewise take the modulus from the ring once
+per call and pass it to every row combination: over Z entries are exact,
+over F_p the input is reduced once and every combination is taken mod p.
 
 A subgroup of ring^m is a `Lattice` (`kernel_lattice`, `span_lattice`): a
 basis with a matrix C from the same Smith form, C @ basis diagonal.  Its
@@ -21,7 +24,7 @@ checked by one more, instead of a second Smith form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from operator import add, floordiv, mod, mul, neg, sub, xor
 from typing import Iterable, Optional, Sequence
@@ -106,7 +109,8 @@ class IntMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(self.ring.reduce(x) == 0 for x in self.entries)
+        p = self.ring.p
+        return all(x % p == 0 for x in self.entries) if p else not any(self.entries)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -231,24 +235,100 @@ def kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return IntMatrix(A.rows * B.rows, A.cols * B.cols, entries, A.ring)
 
 
-@dataclass(frozen=True)
+# The kinds of the operations a Smith form logs, 4 ints each (kind, a, b, c):
+# swap rows or columns a and b; add c times row or column b to a; multiply
+# row a by the unit b, whose inverse is c.
+_SWAP, _ADD, _SCALE = 0, 1, 2
+
+
+def _axpy(x: list, y: list, c: int, p: int) -> list:
+    """The row x + c*y over Z (p == 0) or F_p."""
+    if p == 2:
+        return list(map(xor, x, y))  # c = 1 on entries 0 and 1
+    if p:
+        return [(a + c * b) % p for a, b in zip(x, y)]
+    if c == 1:
+        return list(map(add, x, y))
+    if c == -1:
+        return list(map(sub, x, y))
+    return list(map(add, x, map(mul, repeat(c), y)))
+
+
+def _scale(x: list, c: int, p: int) -> list:
+    """The row c*x for a unit c; over Z the only unit besides 1 is -1."""
+    return [c * a % p for a in x] if p else list(map(neg, x))
+
+
+def _replay(ops: list, size: int, p: int, inverse: bool) -> list:
+    """The rows of X, the logged operations applied in order as row
+    operations to the identity, or with `inverse` the rows of (X^-1)^T,
+    built by applying the inverse transpose of each operation instead, so
+    that X Y^T stays the identity after every step.  The row log gives U
+    and (U^-1)^T, the column log V^T and V^-1."""
+    X = [[0] * size for _ in range(size)]
+    for i in range(size):
+        X[i][i] = 1
+    it = iter(ops)
+    for kind, a, b, c in zip(it, it, it, it):
+        if kind == _SWAP:
+            X[a], X[b] = X[b], X[a]
+        elif kind == _ADD:
+            if inverse:
+                X[b] = _axpy(X[b], X[a], -c, p)
+            else:
+                X[a] = _axpy(X[a], X[b], c, p)
+        else:
+            X[a] = _scale(X[a], c if inverse else b, p)
+    return X
+
+
 class SnfResult:
     """U @ M @ V == S with U, V invertible over the ring and S diagonal.
 
     The diagonal satisfies d_1 | d_2 | ... ; invariant_factors lists the
     nonzero diagonal entries and zero_count the number of zero columns of S
-    beyond them.
+    beyond them.  The elimination logs its row and column operations; each
+    transform is replayed from its log when first read, and a log is dropped
+    once both transforms of its side are built.
     """
 
-    U: IntMatrix
-    Uinv: IntMatrix
-    V: IntMatrix
-    Vinv: IntMatrix
-    diag: tuple
+    def __init__(self, diag: tuple, m: int, n: int, ring: RingTag,
+                 row_ops: list, col_ops: list):
+        self.diag = diag
+        self.m, self.n, self.ring = m, n, ring
+        self._ops = {"U": row_ops, "V": col_ops}
+
+    def _transform(self, side: str, inverse: bool) -> IntMatrix:
+        """U or V, or with `inverse` its inverse, replayed from the side's
+        log; the log is dropped once the other transform of the side is
+        built too."""
+        size = self.m if side == "U" else self.n
+        rows = _replay(self._ops[side], size, self.ring.p, inverse)
+        if (side if inverse else side + "inv") in self.__dict__:
+            self._ops[side] = None
+        if inverse != (side == "V"):  # the replay gives (U^-1)^T and V^T
+            rows = zip(*rows)
+        return IntMatrix(size, size, tuple(chain.from_iterable(rows)), self.ring)
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return self._transform("U", False)
+
+    @cached_property
+    def Uinv(self) -> IntMatrix:
+        return self._transform("U", True)
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return self._transform("V", False)
+
+    @cached_property
+    def Vinv(self) -> IntMatrix:
+        return self._transform("V", True)
 
     @property
     def S(self) -> IntMatrix:
-        return IntMatrix.diagonal(self.diag, self.U.rows, self.V.rows, self.U.ring)
+        return IntMatrix.diagonal(self.diag, self.m, self.n, self.ring)
 
     @property
     def rank(self) -> int:
@@ -269,34 +349,25 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
     operations and then its row by column operations, re-pivoting on any
     nonzero remainder, and over Z adding in a row the pivot does not divide.
 
-    Every operation on a whole row of A or of a transform is one list
-    comprehension or map.  U^-1 and V, which row and column operations act
-    on from the right, are kept by columns (as rows of their transposes),
-    so those updates are row-wise too.  Rows and columns before the pivot
-    t are zero apart from their pivots, so the pivot search and the
-    clearing passes visit A[t:, t:] only; while column t is zero off the
-    pivot, a column operation on A changes row t alone.
+    Only A itself is eliminated here.  Every row operation is appended to
+    one flat int list and every column operation to another, 4 ints each
+    (see `_SWAP`), and `SnfResult` replays a list into U, U^-1, V or V^-1
+    when a caller first reads it.  Every operation on a whole row of A is
+    one list comprehension or map.  Rows and columns before the pivot t are
+    zero apart from their pivots, so the pivot search and the clearing
+    passes visit A[t:, t:] only; while column t is zero off the pivot, a
+    column operation on A changes row t alone.
     """
     ring = M.ring
     p = ring.p
     m, n = M.rows, M.cols
     e = tuple(x % p for x in M.entries) if p else M.entries
     A = [list(e[i * n:(i + 1) * n]) for i in range(m)]
-    U, UiT = IntMatrix.identity(m).to_lists(), IntMatrix.identity(m).to_lists()
-    VT, Vi = IntMatrix.identity(n).to_lists(), IntMatrix.identity(n).to_lists()
+    row_ops, col_ops = [], []
 
-    # the ring's arithmetic on rows: x + c*y, c*x for a unit c, the quotient
-    # that shrinks a against the pivot b, and the least nonzero norm in a
-    # row segment and the first place it occurs
+    # the quotient that shrinks a against the pivot b, and the least nonzero
+    # norm in a row segment and the first place it occurs
     if p:
-        def axpy(x, y, c):
-            if p == 2:
-                return list(map(xor, x, y))  # c = 1 on entries 0 and 1
-            return [(a + c * b) % p for a, b in zip(x, y)]
-
-        def scale(x, c):
-            return [c * a % p for a in x]
-
         def quot(a, b):
             return a * pow(b, -1, p) % p
 
@@ -306,16 +377,6 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
         def first(seg, w):
             return seg.index(w)
     else:
-        def axpy(x, y, c):
-            if c == 1:
-                return list(map(add, x, y))
-            if c == -1:
-                return list(map(sub, x, y))
-            return list(map(add, x, map(mul, repeat(c), y)))
-
-        def scale(x, c):
-            return list(map(neg, x))  # the only unit besides 1 is -1
-
         def quot(a, b):
             # round to nearest keeps entries small; the floor remainder
             # has the sign of b, so q + 1 recenters it
@@ -331,14 +392,12 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
     # swaps of row or column t, the current pivot, with row i or column j
     def row_swap(i):
         A[t], A[i] = A[i], A[t]
-        U[t], U[i] = U[i], U[t]
-        UiT[t], UiT[i] = UiT[i], UiT[t]
+        row_ops.extend((_SWAP, t, i, 0))
 
     def col_swap(j):
         for r in A[t:]:
             r[t], r[j] = r[j], r[t]
-        VT[t], VT[j] = VT[j], VT[t]
-        Vi[t], Vi[j] = Vi[j], Vi[t]
+        col_ops.extend((_SWAP, t, j, 0))
 
     t = 0
     limit = min(m, n)
@@ -366,9 +425,8 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
             for i in [i for i in range(t + 1, m) if A[i][t]]:
                 q = quot(A[i][t], A[t][t])
                 if q:
-                    A[i] = axpy(A[i], A[t], -q)
-                    U[i] = axpy(U[i], U[t], -q)
-                    UiT[t] = axpy(UiT[t], UiT[i], q)
+                    A[i] = _axpy(A[i], A[t], -q, p)
+                    row_ops.extend((_ADD, i, t, -q))
                 if A[i][t]:
                     row_swap(i)
                     dirty = True
@@ -383,8 +441,7 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
                     for r in (row,) if clean else A[t:]:
                         if r[t]:
                             r[j] = (r[j] - q * r[t]) % p if p else r[j] - q * r[t]
-                    VT[j] = axpy(VT[j], VT[t], -q)
-                    Vi[t] = axpy(Vi[t], Vi[j], q)
+                    col_ops.extend((_ADD, j, t, -q))
                 if row[j]:
                     col_swap(j)
                     dirty = True
@@ -399,27 +456,19 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
                              if any(x % piv for x in A[i][t + 1:])), None)
             if offender is None:
                 break
-            A[t] = axpy(A[t], A[offender], 1)
-            U[t] = axpy(U[t], U[offender], 1)
-            UiT[offender] = axpy(UiT[offender], UiT[t], -1)
+            A[t] = _axpy(A[t], A[offender], 1, p)
+            row_ops.extend((_ADD, t, offender, 1))
 
         # normalize the pivot, to a positive entry over Z and to 1 over F_p;
-        # U^-1 takes the inverse unit, which is the pivot itself over F_p
+        # the inverse unit is the pivot itself over F_p
         piv = A[t][t]
         u = pow(piv, -1, p) if p else (-1 if piv < 0 else 1)
         if u != 1:
-            A[t] = scale(A[t], u)
-            U[t] = scale(U[t], u)
-            UiT[t] = scale(UiT[t], piv if p else u)
+            A[t] = _scale(A[t], u, p)
+            row_ops.extend((_SCALE, t, u, piv if p else u))
         t += 1
 
-    return SnfResult(
-        U=IntMatrix(m, m, tuple(chain.from_iterable(U)), ring),
-        Uinv=IntMatrix(m, m, tuple(chain.from_iterable(zip(*UiT))), ring),
-        V=IntMatrix(n, n, tuple(chain.from_iterable(zip(*VT))), ring),
-        Vinv=IntMatrix(n, n, tuple(chain.from_iterable(Vi)), ring),
-        diag=tuple(A[i][i] for i in range(limit)),
-    )
+    return SnfResult(tuple(A[i][i] for i in range(limit)), m, n, ring, row_ops, col_ops)
 
 
 # A benchmark round factors up to about 2,200 distinct matrices (`spectral`);

@@ -145,6 +145,39 @@ class TestSnf:
                            s.Vinv.entries, s.diag)).encode())
         assert h.hexdigest() == SNF_PINNED_DIGEST
 
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([0, 2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_read_order_does_not_matter(self, seed, p):
+        # the transforms are replayed from the elimination's log on first
+        # read; two cold computations read in opposite orders must agree
+        rng = random.Random(seed)
+        top = 30 if p else 12
+        m, n = rng.randint(1, top), rng.randint(1, top)
+        density = rng.random()
+        M = IntMatrix(m, n, tuple((rng.randrange(p) if p else rng.randint(-3, 3))
+                                  if rng.random() < density else 0
+                                  for _ in range(m * n)), GF(p) if p else ZZ)
+        names = ("Vinv", "V", "Uinv", "U")
+        reads = []
+        for order in (names, names[::-1]):
+            snf.cache_clear()
+            s = snf(M)
+            reads.append({k: getattr(s, k).entries for k in order})
+        assert reads[0] == reads[1]
+        assert (s.U @ M @ s.V).entries == s.S.entries
+        assert (s.U @ s.Uinv).entries == IntMatrix.identity(m, M.ring).entries
+        assert (s.Vinv @ s.V).entries == IntMatrix.identity(n, M.ring).entries
+
+    def test_unread_sides_stay_unbuilt(self):
+        # a caller that reads one side, or only the diagonal, builds no more
+        rng = random.Random(11)
+        A = IntMatrix(6, 8, tuple(rng.randint(-4, 4) for _ in range(48)))
+        snf.cache_clear()
+        assert snf(A).rank == 6
+        assert not {"U", "Uinv", "V", "Vinv"} & set(vars(snf(A)))
+        kernel_lattice(A)
+        assert {"U", "Uinv", "V", "Vinv"} & set(vars(snf(A))) == {"V", "Vinv"}
+
     def test_checks_hold_under_optimize(self):
         # python -O strips assert statements; shape and entry checks stay
         p = run_python("-O", "-c", (
