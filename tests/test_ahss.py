@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_chain_tower
+from oracles import GenericPages
 from prochain import ahss
 from prochain.ahss import (SpectralSequence, abutment_filtration,
                            adapted_complex, build_exact_couple,
@@ -84,8 +85,7 @@ class TestPages:
             X = random_complex(seed + 45, ZZ, -1, 1, 2)
             Y = random_complex(seed + 55, ZZ, -1, 1, 2)
             ss = SpectralSequence(X, Y)
-            pages, _ = ss.run_to_stable()
-            for page in pages:
+            for page in GenericPages(ss).pages(ss.stable_r()):
                 for (p, q), d in page.differentials.items():
                     src = (p + page.r, q - page.r + 1)
                     din = page.differentials.get(src)
@@ -93,28 +93,18 @@ class TestPages:
                         assert d.compose(din).is_zero
 
     def test_next_page_is_homology_of_previous(self):
-        # recompute E_{r+1} independently through subquotient and compare
+        # recompute each generic E_{r+1} through subquotient and compare
         X = random_complex(71, ZZ, -1, 1, 2)
         Y = random_complex(72, ZZ, -1, 1, 2)
         ss = SpectralSequence(X, Y)
-        pages, _ = ss.run_to_stable()
-        from prochain.exactalg.groups import image, kernel
-        for idx in range(len(pages) - 1):
-            cur, nxt = pages[idx], pages[idx + 1]
+        pages = GenericPages(ss).pages(ss.stable_r())
+        for cur, nxt in zip(pages, pages[1:]):
             for (p, q), g in cur.groups.items():
                 d_out = cur.differentials.get((p, q))
-                src = (p + cur.r, q - cur.r + 1)
-                d_in = cur.differentials.get(src)
-                ker = kernel(d_out).group if d_out is not None else g
-                if d_out is not None and d_in is not None:
-                    sq = subquotient(g, kernel(d_out), image(d_in)).group
-                elif d_out is not None:
-                    sq = kernel(d_out).group
-                elif d_in is not None:
-                    from prochain.exactalg.groups import full_subgroup, image as im
-                    sq = subquotient(g, full_subgroup(g), im(d_in)).group
-                else:
-                    sq = g
+                d_in = cur.differentials.get((p + cur.r, q - cur.r + 1))
+                num = kernel(d_out) if d_out is not None else full_subgroup(g)
+                den = image(d_in) if d_in is not None else zero_subgroup(g)
+                sq = subquotient(g, num, den).group
                 got = nxt.groups.get((p, q))
                 if got is None:
                     assert sq.is_trivial
@@ -132,37 +122,37 @@ class TestPages:
             for slot, g in first.groups.items():
                 other = last.groups.get(slot)
                 assert other is not None and other.isomorphic(g)
-            for page in pages:
+            for page in GenericPages(ss).pages(ss.stable_r()):
                 assert all(d.is_zero for d in page.differentials.values())
 
     @pytest.mark.parametrize("ring", [ZZ, GF(2)])
     def test_boundaries_outside_the_cycles_are_refused(self, ring):
-        # den of E^2 with one more column e_j: refused exactly when the
-        # solve against the cycles finds no coordinates for e_j
+        # den of the generic E^2 with one more column e_j: refused exactly
+        # when the solve against the cycles finds no coordinates for e_j
         refused = 0
         for seed in range(3):
             X = random_complex(seed + 45, ring, -1, 1, 2)
             Y = random_complex(seed + 55, ring, -1, 1, 2)
             ss = SpectralSequence(X, Y)
-            C = ss.C
+            oracle, C = GenericPages(ss), ss.C
             for (p, q) in ss.window.slots():
                 n = p + q
                 if not C.rank(n):
                     continue
-                num = ss._cycles(n, q, q + 1)
-                den = hcat(ss._cycles(n, q + 1, q + 1).basis,
-                           C.diff(n + 1) @ ss._cycles(n + 1, q, q).basis)
-                ss._subquotient(n, num, den)
+                num = oracle.cycles(n, q, q + 1)
+                den = hcat(oracle.cycles(n, q + 1, q + 1).basis,
+                           C.diff(n + 1) @ oracle.cycles(n + 1, q, q).basis)
+                oracle.subquotient(n, num, den)
                 for j in range(C.rank(n)):
                     e = IntMatrix.from_columns([[int(i == j) for i in range(C.rank(n))]],
                                                C.rank(n), ring)
                     bad = hcat(den, e)
                     if solve(num.basis, e) is None:
                         with pytest.raises(ContainmentViolation):
-                            ss._subquotient(n, num, bad)
+                            oracle.subquotient(n, num, bad)
                         refused += 1
                     else:
-                        ss._subquotient(n, num, bad)
+                        oracle.subquotient(n, num, bad)
         assert refused >= 10
 
 
@@ -329,11 +319,13 @@ def big_pair(rng: random.Random, ring):
 
 
 def page_homology(page, slot, ring):
-    """H(E^r, d_r) at one slot, from the groups and maps of the page."""
+    """H(E^r, d_r) at one slot, from the groups and maps of the page.  A page
+    of the split reading carries no differentials: every d_r is zero."""
     (p, q), r = slot, page.r
     g = page.group_at(p, q, ring)
-    d_out = page.differentials.get(slot)
-    d_in = page.differentials.get((p + r, q - r + 1))
+    differentials = getattr(page, "differentials", {})
+    d_out = differentials.get(slot)
+    d_in = differentials.get((p + r, q - r + 1))
     num = kernel(d_out) if d_out is not None else full_subgroup(g)
     den = image(d_in) if d_in is not None else zero_subgroup(g)
     return subquotient(g, num, den).group
@@ -362,6 +354,53 @@ class TestFilteredEngine:
             assert sorted(graded) == list(range(ss.window.q_lo, ss.window.q_hi + 1))
             for q, gr in graded.items():
                 assert pages[-1].group_at(n - q, q, ring).isomorphic(gr.group)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([ZZ, GF(2)]))
+    @settings(max_examples=20, deadline=None)
+    def test_split_pages_against_the_generic_formula(self, seed, ring):
+        X, Y = big_pair(random.Random(seed), ring)
+        ss = SpectralSequence(X, Y)
+        pages, stable = ss.run_to_stable()
+        generic = GenericPages(ss).pages(stable)
+        assert [page.r for page in pages] == [page.r for page in generic]
+        # slot by slot on every page, the last pair being E-infinity; the
+        # generic d_r are all zero, as the split predicts
+        for split, page in zip(pages, generic):
+            assert all(d.is_zero for d in page.differentials.values())
+            assert sorted(split.data) == sorted(page.data)
+            for slot, g in page.groups.items():
+                assert split.groups[slot].isomorphic(g)
+
+    @pytest.mark.parametrize("seed, ring", [(1, ZZ), (3, ZZ), (5, GF(2))])
+    def test_entry_joining_two_levels_raises(self, monkeypatch, seed, ring):
+        # one entry of d from level q up to level q + 1 keeps d o d = 0 and
+        # d(F_q) inside F_q, but the filtration no longer splits
+        X, Y = big_pair(random.Random(seed), ring)
+        ss = SpectralSequence(X, Y)
+        hc, C, levels = ss.hom, ss.C, ss.levels
+        cases = 0
+        for t, d in enumerate(C.diffs):
+            n = C.lo + 1 + t
+            # a cycle target i and a source j that is no boundary's coordinate
+            cycles = [i for i in range(d.rows) if not any(C.diff(n - 1).column(i))]
+            free = [j for j in range(d.cols) if not any(C.diff(n + 1).row(j))]
+            for i in cycles:
+                for j in free:
+                    if levels[n - 1][i] != levels[n][j] + 1:
+                        continue
+                    entries = list(d.entries)
+                    entries[i * d.cols + j] = ring.reduce(entries[i * d.cols + j] + 1)
+                    diffs = C.diffs[:t] + (IntMatrix(d.rows, d.cols, tuple(entries), ring),) \
+                        + C.diffs[t + 1:]
+                    bad = dataclasses.replace(C, diffs=diffs)
+                    assert (C.diff(n - 1) @ bad.diff(n)).is_zero
+                    assert (bad.diff(n) @ C.diff(n + 1)).is_zero
+                    bad = dataclasses.replace(hc, complex=bad)
+                    monkeypatch.setattr(ahss, "hom_complex", lambda X, Y, bad=bad: bad)
+                    with pytest.raises(ContainmentViolation, match="joins level"):
+                        SpectralSequence(X, Y)
+                    cases += 1
+        assert cases
 
     def test_builds_no_exact_couple(self, monkeypatch):
         def refuse(*args):

@@ -1,5 +1,6 @@
 """Workspace parsing, serialization round-trip, and the command driver."""
 
+import hashlib
 import json
 import os
 import stat
@@ -310,6 +311,10 @@ EVERY_COMMAND = [
     ["pro-ahss", "const_M2", "M2"], ["selftest"], ["roundtrip"],
 ]
 
+# sha256 of every ahss and pro-ahss report on workspaces/moore.json, as
+# test_ahss_reports_are_pinned hashes them
+AHSS_REPORTS_SHA256 = "d4b14000053c8dcd872c9d46be3bdc6a25bdf05814b39b51f15774bf1379ce64"
+
 # python -c RUN_COMMANDS WORKSPACE OUT CASES: every case in one interpreter,
 # each into its own out dir; prints [exit code, stderr] per case as JSON
 RUN_COMMANDS = """
@@ -521,6 +526,26 @@ class TestDriver:
                   for lo, hi in (("-2", "3"), ("3", "-2"))]
         for args, (code, err) in zip(cases, run_cases(tmp_path, cases)):
             assert_report_or_one_error_line(args, code, err)
+
+    def test_ahss_reports_are_pinned(self, tmp_path):
+        # every ahss pair, and every pro-ahss pair with the default window and
+        # three others (one empty, one reversed), on workspaces/moore.json:
+        # exit codes, report names and report bytes, byte for byte
+        ws = parse_workspace(GOLDEN)
+        cases = [["ahss", X, Y] for X in sorted(ws.complexes) for Y in sorted(ws.complexes)]
+        cases += [["pro-ahss", T, Y, *window] for T in sorted(ws.towers)
+                  for Y in sorted(ws.complexes)
+                  for window in ([], ["-2", "3"], ["0", "0"], ["3", "-2"])]
+        digest = hashlib.sha256()
+        for k, args in enumerate(cases):
+            out = tmp_path / str(k)
+            code = main([*args, "--workspace", GOLDEN, "--out", str(out)])
+            digest.update(json.dumps([args, code]).encode())
+            for f in sorted(out.iterdir()):
+                body = f.read_bytes()
+                digest.update(f"{f.name} {len(body)}\n".encode() + body)
+        assert len(cases) == 20
+        assert digest.hexdigest() == AHSS_REPORTS_SHA256
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_reports_honour_the_umask(self, tmp_path, umask, mode):

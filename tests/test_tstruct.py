@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_composable_pair, random_map_into, random_map_out
 from prochain.chain import (CONE_CACHE_SIZE, cone, cone_les_exact, derived_hom, free_one_term,
@@ -13,9 +14,11 @@ from prochain.chain import (CONE_CACHE_SIZE, cone, cone_les_exact, derived_hom, 
                             multiplication_map, random_complex,
                             random_null_homotopic, shift, zero_complex,
                             zero_map, is_chain_map)
+from prochain import tstruct
 from prochain.errors import PreconditionViolated
 from prochain.exactalg.groups import (free_group, group_from_orders,
                                       is_isomorphism)
+from prochain.exactalg.matrices import solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.tstruct import (classify_map, classify_map_by_homology,
                               coefficient_complex,
@@ -26,7 +29,7 @@ from prochain.tstruct import (classify_map, classify_map_by_homology,
                               is_n_cofibration, is_n_equivalence,
                               layer_triangle_check, pushout_product_check,
                               truncate_above, truncate_below_free,
-                              truncation_tower)
+                              truncation_step, truncation_tower)
 
 INF = math.inf
 Z0 = free_one_term(ZZ, 0)
@@ -84,6 +87,19 @@ class TestTruncations:
         from prochain.chain import is_quasi_iso
         assert is_quasi_iso(tw.maps_below[1])
         assert not is_quasi_iso(tw.maps_below[2])
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    def test_truncation_step_is_the_solved_inclusion(self, ring):
+        # the step read off the inclusions is the map solved through
+        # tau_{>= n} X -> X, also with n past both ends of X
+        for seed in range(12):
+            X = random_complex(seed + 200, ring, -2, 2, 3)
+            for n in range(X.lo - 2, X.hi + 2):
+                step = truncation_step(X, n)
+                _, incl1 = truncate_above(X, n + 1)
+                _, incln = truncate_above(X, n)
+                for m in range(X.lo - 3, X.hi + 3):
+                    assert step.comp(m) == solve(incln.comp(m), incl1.comp(m)), (seed, n, m)
 
     def test_heart_homology(self):
         assert heart_homology(M2, 0).invariant_factors == (2,)
@@ -278,6 +294,25 @@ class TestWhitehead:
         assert tested > 20
 
 
+def factor_rounds(f, n):
+    """The rounds of cell attachment factor_n(f, n) uses (one snapshot
+    each), and its bound from the first cone: the degrees from
+    max(n + 1, lo) to hi, plus one."""
+    snapshots = []
+    take = tstruct._CellState.snapshot
+
+    def counting(state):
+        snapshots.append(take(state))
+        return snapshots[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tstruct._CellState, "snapshot", counting)
+        i, p = factor_n(f, n)
+    assert p.compose(i).equal(f)
+    C0 = cone(snapshots[0][1])[0]
+    return len(snapshots), max(C0.hi - max(n + 1, C0.lo) + 1, 0) + 1
+
+
 class TestFactorLift:
     def test_factor_identity(self):
         i, p = factor_n(identity_map(Z0), 0)
@@ -306,6 +341,20 @@ class TestFactorLift:
                 assert p.compose(i).equal(h)
                 assert is_n_cofibration(i, n)
                 assert is_co_n_fibration(p, n)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]), st.integers(min_value=-4, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_factor_rounds_within_the_bound(self, seed, ring, n):
+        f, _ = random_composable_pair(random.Random(seed), ring, lo=-1, hi=1)
+        used, bound = factor_rounds(f, n)
+        assert used <= bound
+
+    @pytest.mark.parametrize("n", [-2, -1, 0])
+    def test_factor_rounds_reach_the_bound(self, n):
+        # x2 on the Moore complex kills one degree per round up to the top
+        used, bound = factor_rounds(multiplication_map(M2, 2), n)
+        assert used == bound
 
     def test_lift_trivial_cases(self):
         # i = id: the lift is forced on the nose
