@@ -31,6 +31,14 @@ class ChainComplex:
     ranks: tuple               # ranks[i] = rank in degree lo + i
     diffs: tuple               # diffs[i]: degree lo+i+1 -> lo+i, shape ranks[i] x ranks[i+1]
 
+    def __hash__(self):
+        # frozen, so hashed once; the value lives outside the fields, and
+        # dataclasses.replace builds an instance that hashes afresh
+        d = self.__dict__
+        if "_hash" not in d:
+            d["_hash"] = hash((self.ring, self.lo, self.hi, self.ranks, self.diffs))
+        return d["_hash"]
+
     # -- access -------------------------------------------------------------
 
     def rank(self, n: int) -> int:
@@ -120,6 +128,12 @@ class ChainMap:
     source: ChainComplex
     target: ChainComplex
     comps: tuple  # comps[i]: component in degree lo+i, lo = min(src.lo, tgt.lo)
+
+    def __hash__(self):  # once, as ChainComplex.__hash__
+        d = self.__dict__
+        if "_hash" not in d:
+            d["_hash"] = hash((self.source, self.target, self.comps))
+        return d["_hash"]
 
     @property
     def lo(self) -> int:

@@ -1,4 +1,4 @@
-"""Exact dense matrices over Z or F_p and their Smith normal form.
+"""Exact matrices over Z or F_p and their Smith normal form.
 
 Entries are arbitrary-precision Python ints stored row-major in a tuple, so
 matrices are immutable and hashable; every expensive decomposition is cached
@@ -8,12 +8,16 @@ replayed from a log when a caller first reads it, so group normalization
 downstream never has to invert anything, and a caller that reads one side,
 or only the diagonal, never builds the other.
 
-Matrix products read the ring once: over Z entries are exact and never
-reduced, over F_p every product entry is taken mod p.  The other
-constructors and operations reduce entry by entry through the ring tag.
-The SNF kernel and its replay likewise take the modulus from the ring once
-per call and pass it to every row combination: over Z entries are exact,
-over F_p the input is reduced once and every combination is taken mod p.
+Storage is dense, but the arithmetic is not: products, the SNF elimination
+and its replay all run through one row kernel, `_axpy`, which adds c times
+a row into another in place and visits only the nonzero entries of the row
+it adds.  A product with an empty dimension or a zero left factor is zero at
+once.  Products and `kron` read the ring once: over Z entries are exact and
+never reduced, over F_p every entry is taken mod p.  The other constructors
+and operations reduce entry by entry through the ring tag.  The SNF kernel
+and its replay likewise take the modulus from the ring once per call and
+pass it to every row combination: over Z entries are exact, over F_p the
+input is reduced once and every combination is taken mod p.
 
 A subgroup of ring^m is a `Lattice` (`kernel_lattice`, `span_lattice`): a
 basis with a matrix C from the same Smith form, C @ basis diagonal.  Its
@@ -25,25 +29,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
-from operator import add, floordiv, mod, mul, neg, sub, xor
+from itertools import chain, compress
+from operator import floordiv, mod, neg
 from typing import Iterable, Optional, Sequence
 
 from ..errors import PreconditionViolated, ValidationError
 from .ring import RingTag, ZZ, check_same_ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntMatrix:
     rows: int
     cols: int
     entries: tuple  # row-major, length rows*cols
     ring: RingTag = ZZ
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValidationError(
-                f"{len(self.entries)} entries for a {self.rows}x{self.cols} matrix")
+    def __init__(self, rows: int, cols: int, entries: tuple, ring: RingTag = ZZ):
+        if len(entries) != rows * cols:
+            raise ValidationError(f"{len(entries)} entries for a {rows}x{cols} matrix")
+        # the instance is frozen: write the slots through their descriptors
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+        _set_ring(self, ring)
 
     # -- constructors -----------------------------------------------------
 
@@ -141,30 +149,23 @@ class IntMatrix:
         if self.cols != other.rows:
             raise PreconditionViolated(f"shape mismatch {self.shape}x{other.shape}")
         m, k, n = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [0] * (m * n)
-        for i in range(m):
-            arow = a[i * k:(i + 1) * k]
-            for t in range(k):
-                c = arow[t]
-                if c == 0:
-                    continue
-                boff = t * n
-                ooff = i * n
-                for j in range(n):
-                    out[ooff + j] += c * b[boff + j]
-        p = self.ring.p
-        return IntMatrix(m, n, tuple(x % p for x in out) if p else tuple(out), self.ring)
+        a = self.entries
+        if not (n and any(a)):  # also when m or k is 0
+            return IntMatrix(m, n, (0,) * (m * n), self.ring)
+        b = other.entries
+        brows = [b[t * n:(t + 1) * n] for t in range(k)]
+        out = []
+        for i in range(0, m * k, k):
+            row = [0] * n
+            for t in compress(range(k), a[i:i + k]):
+                _axpy(row, brows[t], a[i + t], 0)
+            out += row
+        return IntMatrix(m, n, _mod(out, self.ring.p), self.ring)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
             raise PreconditionViolated(f"vector of length {len(vec)} for {self.cols} columns")
-        red = self.ring.reduce
-        out = []
-        for i in range(self.rows):
-            off = i * self.cols
-            out.append(red(sum(self.entries[off + j] * vec[j] for j in range(self.cols))))
-        return tuple(out)
+        return (self @ IntMatrix(self.cols, 1, tuple(vec), self.ring)).entries
 
     @property
     def shape(self):
@@ -189,6 +190,15 @@ class IntMatrix:
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i))
                                for i in range(self.rows)) + "]"
+
+
+_set_rows, _set_cols, _set_entries, _set_ring = (
+    IntMatrix.__dict__[name].__set__ for name in ("rows", "cols", "entries", "ring"))
+
+
+def _mod(entries, p: int) -> tuple:
+    """The entries as a tuple, over F_p (p > 0) taken mod p."""
+    return tuple(x % p for x in entries) if p else tuple(entries)
 
 
 def _offsets(sizes):
@@ -228,11 +238,10 @@ def block_matrix(row_sizes, col_sizes, blocks: dict, ring: RingTag) -> IntMatrix
 def kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     """The Kronecker product: entry (i*B.rows + k, j*B.cols + l) is A[i,j] B[k,l]."""
     check_same_ring(A, B)
-    red = A.ring.reduce
     brows = [B.row(k) for k in range(B.rows)]
-    entries = tuple(red(a * b) for i in range(A.rows) for brow in brows
-                    for a in A.row(i) for b in brow)
-    return IntMatrix(A.rows * B.rows, A.cols * B.cols, entries, A.ring)
+    entries = [a * b for i in range(A.rows) for brow in brows
+               for a in A.row(i) for b in brow]
+    return IntMatrix(A.rows * B.rows, A.cols * B.cols, _mod(entries, A.ring.p), A.ring)
 
 
 # The kinds of the operations a Smith form logs, 4 ints each (kind, a, b, c):
@@ -241,17 +250,15 @@ def kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
 _SWAP, _ADD, _SCALE = 0, 1, 2
 
 
-def _axpy(x: list, y: list, c: int, p: int) -> list:
-    """The row x + c*y over Z (p == 0) or F_p."""
-    if p == 2:
-        return list(map(xor, x, y))  # c = 1 on entries 0 and 1
+def _axpy(x: list, y: Sequence[int], c: int, p: int) -> None:
+    """x += c*y in place over Z (p == 0) or F_p, visiting only the nonzero
+    entries of y; over F_p the entries it writes are taken mod p."""
     if p:
-        return [(a + c * b) % p for a, b in zip(x, y)]
-    if c == 1:
-        return list(map(add, x, y))
-    if c == -1:
-        return list(map(sub, x, y))
-    return list(map(add, x, map(mul, repeat(c), y)))
+        for j in compress(range(len(y)), y):
+            x[j] = (x[j] + c * y[j]) % p
+    else:
+        for j in compress(range(len(y)), y):
+            x[j] += c * y[j]
 
 
 def _scale(x: list, c: int, p: int) -> list:
@@ -274,9 +281,9 @@ def _replay(ops: list, size: int, p: int, inverse: bool) -> list:
             X[a], X[b] = X[b], X[a]
         elif kind == _ADD:
             if inverse:
-                X[b] = _axpy(X[b], X[a], -c, p)
+                _axpy(X[b], X[a], -c, p)
             else:
-                X[a] = _axpy(X[a], X[b], c, p)
+                _axpy(X[a], X[b], c, p)
         else:
             X[a] = _scale(X[a], c if inverse else b, p)
     return X
@@ -352,8 +359,9 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
     Only A itself is eliminated here.  Every row operation is appended to
     one flat int list and every column operation to another, 4 ints each
     (see `_SWAP`), and `SnfResult` replays a list into U, U^-1, V or V^-1
-    when a caller first reads it.  Every operation on a whole row of A is
-    one list comprehension or map.  Rows and columns before the pivot t are
+    when a caller first reads it.  Every row addition, here and in the
+    replay, is one in-place `_axpy`, which skips the zero entries of the row
+    it adds.  Rows and columns before the pivot t are
     zero apart from their pivots, so the pivot search and the clearing
     passes visit A[t:, t:] only; while column t is zero off the pivot, a
     column operation on A changes row t alone.
@@ -361,7 +369,7 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
     ring = M.ring
     p = ring.p
     m, n = M.rows, M.cols
-    e = tuple(x % p for x in M.entries) if p else M.entries
+    e = _mod(M.entries, p)
     A = [list(e[i * n:(i + 1) * n]) for i in range(m)]
     row_ops, col_ops = [], []
 
@@ -425,7 +433,7 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
             for i in [i for i in range(t + 1, m) if A[i][t]]:
                 q = quot(A[i][t], A[t][t])
                 if q:
-                    A[i] = _axpy(A[i], A[t], -q, p)
+                    _axpy(A[i], A[t], -q, p)
                     row_ops.extend((_ADD, i, t, -q))
                 if A[i][t]:
                     row_swap(i)
@@ -456,7 +464,7 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
                              if any(x % piv for x in A[i][t + 1:])), None)
             if offender is None:
                 break
-            A[t] = _axpy(A[t], A[offender], 1, p)
+            _axpy(A[t], A[offender], 1, p)
             row_ops.extend((_ADD, t, offender, 1))
 
         # normalize the pivot, to a positive entry over Z and to 1 over F_p;
@@ -530,9 +538,7 @@ class Lattice:
             if any(map(mod, X.entries, ds)):
                 return None
             X = IntMatrix(X.rows, X.cols, tuple(map(floordiv, X.entries, ds)), X.ring)
-        p = B.ring.p
-        want = tuple(x % p for x in B.entries) if p else B.entries
-        return X if (self.basis @ X).entries == want else None
+        return X if (self.basis @ X).entries == _mod(B.entries, B.ring.p) else None
 
 
 def kernel_lattice(A: IntMatrix) -> Lattice:

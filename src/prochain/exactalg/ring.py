@@ -2,10 +2,11 @@
 
 Every matrix and group in the package carries one of these tags.  Group
 arithmetic and most matrix constructors reduce entries through `reduce`.
-Matrix products, `IntMatrix.is_zero`, the Smith-form kernel in `matrices`
-and `chain.make_complex` and `chain.chain_map` read the tag once per call
-instead: over Z entries are exact and never reduced, over F_p they are
-residues, taken mod p after every product or row or column combination.
+Matrix products, `kron`, `IntMatrix.is_zero`, the Smith-form elimination
+and its replay in `matrices`, and `chain.make_complex` and `chain.chain_map`
+read the tag once per call instead: over Z entries are exact and never
+reduced, over F_p they are residues, taken mod p once per product and after
+every row or column combination of the shared row kernel.
 """
 
 from __future__ import annotations

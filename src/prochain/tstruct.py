@@ -73,15 +73,16 @@ def truncate_above(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
 
 def truncate_above_map(f: ChainMap, n: int) -> ChainMap:
     """The restriction tau_{>= n} f; chain maps preserve kernel subcomplexes.
-    It is solved degree by degree through the inclusion of the target."""
+    Above n its components are those of f; at n they are the coordinates of
+    f on the source's cycles in the target's, from the Smith form of d_n
+    that `truncate_above` made already."""
     TS, incl_s = truncate_above(f.source, n)
-    TT, incl_t = truncate_above(f.target, n)
-    comps = {}
-    for m in range(min(TS.lo, TT.lo), max(TS.hi, TT.hi) + 1):
-        sol = solve(incl_t.comp(m), f.comp(m) @ incl_s.comp(m))
-        if sol is None:
-            raise PostconditionViolated(f"f does not preserve tau_>={n} in degree {m}")
-        comps[m] = sol
+    TT, _ = truncate_above(f.target, n)
+    at_n = kernel_lattice(f.target.diff(n)).coords(f.comp(n) @ incl_s.comp(n))
+    if at_n is None:
+        raise PostconditionViolated(f"f does not preserve tau_>={n} in degree {n}")
+    comps = {m: f.comp(m) for m in range(n + 1, max(TS.hi, TT.hi) + 1)}
+    comps[n] = at_n
     return chain_map(TS, TT, comps)
 
 

@@ -1,5 +1,9 @@
 """Independent oracles for the test suite.
 
+`scalar_matmul` is the matrix product as a scalar triple loop over every
+entry of the right factor, the oracle of the zero-skipping row kernel of
+`IntMatrix.__matmul__`.
+
 `GenericPages` derives the pages of the filtered Hom complex of a
 `SpectralSequence` by the general formula of Romero, Rubio & Sergeraert,
 "Computing spectral sequences" (J. Symbolic Comput. 41, 2006), see also
@@ -21,6 +25,25 @@ from prochain.errors import ContainmentViolation
 from prochain.exactalg.groups import (GroupHom, SubquotientData, free_group,
                                       group_from_presentation, induced_hom)
 from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, kernel_lattice
+
+
+def scalar_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """A @ B entry by entry; over F_p the sums are taken mod p at the end."""
+    m, k, n = A.rows, A.cols, B.cols
+    a, b = A.entries, B.entries
+    out = [0] * (m * n)
+    for i in range(m):
+        arow = a[i * k:(i + 1) * k]
+        for t in range(k):
+            c = arow[t]
+            if c == 0:
+                continue
+            boff = t * n
+            ooff = i * n
+            for j in range(n):
+                out[ooff + j] += c * b[boff + j]
+    p = A.ring.p
+    return IntMatrix(m, n, tuple(x % p for x in out) if p else tuple(out), A.ring)
 
 
 @dataclass

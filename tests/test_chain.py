@@ -41,6 +41,21 @@ class TestBasics:
         b = random_complex(123, ZZ, -2, 2, 3)
         assert a == b  # reproducible
 
+    def test_replace_hashes_like_a_fresh_build(self):
+        # the hash is kept on the instance once computed; a replaced complex
+        # or map hashes like a freshly built equal one, not like its original
+        X = moore_complex(2)
+        assert hash(X) == hash(moore_complex(2))
+        Y = dataclasses.replace(X, diffs=(IntMatrix.from_rows([[3]]),))
+        fresh = moore_complex(3)
+        assert Y == fresh and hash(Y) == hash(fresh) != hash(X)
+        assert {fresh: 1}[Y] == 1
+        f = multiplication_map(X, 2)
+        assert hash(f) == hash(multiplication_map(moore_complex(2), 2))
+        g = dataclasses.replace(f, source=Y, target=Y)
+        assert g == multiplication_map(fresh, 2)
+        assert hash(g) == hash(multiplication_map(fresh, 2)) != hash(f)
+
     def test_shift(self):
         assert shift(M2, 0) == M2
         assert shift(free_one_term(ZZ, 0), 2).rank(2) == 1

@@ -1,5 +1,6 @@
 """Exact linear algebra and group arithmetic."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -20,11 +21,12 @@ from prochain.exactalg.groups import (GroupHom, cokernel,
 from prochain.exactalg.matrices import (IntMatrix, block_matrix, kernel_basis,
                                         kernel_lattice, kron, snf, solve,
                                         span_lattice)
-from prochain.exactalg.ring import GF, ZZ
+from prochain.exactalg.ring import GF, RingTag, ZZ
 from prochain.errors import (ContainmentViolation, PreconditionViolated,
                              RingMismatch, ValidationError)
 
 from conftest import run_python
+from oracles import scalar_matmul
 
 Z = free_group(1)
 Z2 = group_from_orders([2])
@@ -235,6 +237,60 @@ class TestSnf:
                        for rows, c in ((q, p), (r, q), (s, r)))
             vec = IntMatrix(r * q, 1, f.entries)
             assert (kron(b, a.transpose()) @ vec).entries == (b @ f @ a).entries
+
+
+def sparse_matrix(rng, m, n, ring, density):
+    """Entries beyond 2^70 over Z, residues over F_p, each nonzero with
+    probability `density`; about one row and one column in four are zero."""
+    zero_rows = {i for i in range(m) if rng.random() < 0.25}
+    zero_cols = {j for j in range(n) if rng.random() < 0.25}
+    big = 2 ** 80
+
+    def draw(i, j):
+        if i in zero_rows or j in zero_cols or rng.random() >= density:
+            return 0
+        return rng.randrange(ring.p) if ring.p else rng.randint(-big, big)
+    return IntMatrix(m, n, tuple(draw(i, j) for i in range(m) for j in range(n)), ring)
+
+
+class TestProduct:
+    """The row kernel that skips zeros, against the scalar triple loop."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]),
+           st.tuples(*[st.integers(min_value=0, max_value=9)] * 3),
+           st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_the_scalar_loop(self, seed, ring, shape, da, db):
+        rng = random.Random(seed)
+        m, k, n = shape
+        A, B = sparse_matrix(rng, m, k, ring, da), sparse_matrix(rng, k, n, ring, db)
+        want = scalar_matmul(A, B)
+        assert A @ B == want
+        for j in range(n):
+            assert A.apply(B.column(j)) == want.column(j)
+
+    def test_fields_are_frozen(self):
+        M = IntMatrix.identity(2)
+        for name in ("rows", "cols", "entries", "ring"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(M, name, 0)
+        assert M == IntMatrix.identity(2)
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    def test_kron_reads_the_ring_once(self, ring, monkeypatch):
+        # no reduction entry by entry; over F_p the entries come out reduced
+        A = IntMatrix(2, 3, (1, -2, 3, 4, 0, -5), ring)
+        B = IntMatrix(2, 2, (7, -1, 0, 2), ring)
+        calls = []
+        reduce = RingTag.reduce
+        monkeypatch.setattr(RingTag, "reduce", lambda self, a: calls.append(a) or reduce(self, a))
+        K = kron(A, B)
+        assert calls == []
+        p = ring.p
+        assert K.entries == tuple(A[i, j] * B[k, l] % p if p else A[i, j] * B[k, l]
+                                  for i in range(2) for k in range(2)
+                                  for j in range(3) for l in range(2))
 
 
 class TestGroups:

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_composable_pair, random_map_into, random_map_out
-from prochain.chain import (CONE_CACHE_SIZE, cone, cone_les_exact, derived_hom, free_one_term,
+from prochain.chain import (CONE_CACHE_SIZE, ChainMap, cone, cone_les_exact, derived_hom, free_one_term,
                             homology, homology_support, identity_map,
                             induced_homology_map, moore_complex,
                             multiplication_map, random_complex,
                             random_null_homotopic, shift, zero_complex,
                             zero_map, is_chain_map)
 from prochain import tstruct
-from prochain.errors import PreconditionViolated
+from prochain.errors import PostconditionViolated, PreconditionViolated
 from prochain.exactalg.groups import (free_group, group_from_orders,
                                       is_isomorphism)
-from prochain.exactalg.matrices import solve
+from prochain.exactalg.matrices import IntMatrix, solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.tstruct import (classify_map, classify_map_by_homology,
                               coefficient_complex,
@@ -100,6 +100,29 @@ class TestTruncations:
                 _, incln = truncate_above(X, n)
                 for m in range(X.lo - 3, X.hi + 3):
                     assert step.comp(m) == solve(incln.comp(m), incl1.comp(m)), (seed, n, m)
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    def test_truncate_above_map_is_the_solved_restriction(self, ring):
+        # components read off f and the cycles' coordinates equal those
+        # solved through the inclusion of the target's truncation
+        rng = random.Random(17 + (ring.p or 0))
+        for _ in range(12):
+            f, _ = random_composable_pair(rng, ring, -2, 2, 3)
+            for n in range(min(f.source.lo, f.target.lo) - 2,
+                           max(f.source.hi, f.target.hi) + 3):
+                g = tstruct.truncate_above_map(f, n)
+                _, incl_s = truncate_above(f.source, n)
+                _, incl_t = truncate_above(f.target, n)
+                for m in range(g.lo - 2, max(g.source.hi, g.target.hi) + 3):
+                    assert g.comp(m) == solve(incl_t.comp(m), f.comp(m) @ incl_s.comp(m))
+
+    def test_truncate_above_map_refuses_a_map_off_the_cycles(self):
+        # f_1 = 1 from Z[1] into M2 is no chain map: it sends a cycle to a
+        # non-cycle of M2, so tau_{>= 1} f does not exist
+        bad = ChainMap(free_one_term(ZZ, 1), M2,
+                       (IntMatrix.zeros(1, 0), IntMatrix.from_rows([[1]])))
+        with pytest.raises(PostconditionViolated):
+            tstruct.truncate_above_map(bad, 1)
 
     def test_heart_homology(self):
         assert heart_homology(M2, 0).invariant_factors == (2,)
