@@ -64,10 +64,9 @@ from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData,
 from .exactalg.matrices import IntMatrix, Lattice, kernel_lattice, snf
 from .exactalg.ring import check_same_ring
 from .pro import DirectSystem, GroupOrUnknown, Tower, UnknownValue, colim
-from .prohomotopy import derived_hom_system, hom_to_constant
-from .tstruct import (coefficient_complex, cohomology_with_coefficients,
-                      layer_complex, truncate_above, truncate_below_free,
-                      truncation_step)
+from .prohomotopy import hom_to_constant
+from .tstruct import (cohomology_with_coefficients, layer_complex,
+                      truncate_above, truncate_below_free, truncation_step)
 
 Slot = Tuple[int, int]
 
@@ -456,11 +455,13 @@ def pro_ahss(X: Tower, Y: ChainComplex,
              n_window: Optional[Tuple[int, int]] = None) -> ProAhssReport:
     """The tower spectral sequence with constant coefficients Y.
 
-    E2 slots are colimits over the tower of levelwise coefficient
-    cohomology; the abutment is colim_s [X_s, Y]_n; the comparison colimits
-    the levelwise E-infinity terms and filtration quotients (with induced
-    maps) and checks invariant-factor equality per slot.  Unknown
-    propagates slotwise.
+    Each E2 slot is the colimit over the tower of the levelwise E^2, with
+    the maps the structure maps induce; every level's filtration splits, so
+    that is also the colimit of the levelwise E-infinity, and naturally in
+    X_s it is colim_s H^{-p}(X_s; H_q Y) (e2_identification_check).  The
+    abutment is colim_s [X_s, Y]_n; the comparison colimits the levelwise
+    filtration quotients (with induced maps) and checks invariant-factor
+    equality against E2 per slot.  Unknown propagates slotwise.
     """
     N = X.tail.start
     ring = Y.ring
@@ -469,13 +470,6 @@ def pro_ahss(X: Tower, Y: ChainComplex,
     q_hi = max(w.q_hi for w in windows)
     n_lo, n_hi = n_window if n_window is not None else (
         min(w.n_lo for w in windows), max(w.n_hi for w in windows))
-
-    # E2 via colimits of coefficient cohomology
-    e2: Dict[Slot, GroupOrUnknown] = {}
-    for q in range(q_lo, q_hi + 1):
-        K = coefficient_complex(homology(Y, q))
-        for n in range(n_lo, n_hi + 1):
-            e2[(n - q, q)] = colim(derived_hom_system(X, K, n - q)).value
 
     # abutment
     abutment = {n: hom_to_constant(X, Y, n) for n in range(n_lo, n_hi + 1)}
@@ -489,17 +483,18 @@ def pro_ahss(X: Tower, Y: ChainComplex,
     levelwise_all_iso = all(seq.convergence().all_iso for seq in built.values())
     ss = [built[X.entry(s)] for s in range(N + 1)]
 
-    slots = list(e2)
+    slots = [(n - q, q) for q in range(q_lo, q_hi + 1) for n in range(n_lo, n_hi + 1)]
     structure = [_e2_maps(X.structure[s], ss[s], ss[s + 1], slots)
                  for s in range(N)]
     tail = X.tail.mapped(N, lambda endo: _e2_maps(endo, ss[N], ss[N], slots))
 
+    e2: Dict[Slot, GroupOrUnknown] = {}
     slot_comparison: Dict[Slot, str] = {}
     gr_colim: Dict[Slot, GroupOrUnknown] = {}
     for slot in slots:
         entries = tuple(seq.pages[0].group_at(*slot, ring) for seq in ss)
-        einf = colim(DirectSystem(entries, tuple(m[slot] for m in structure),
-                                  tail.mapped(N, lambda maps: maps[slot]))).value
+        e2[slot] = einf = colim(DirectSystem(entries, tuple(m[slot] for m in structure),
+                                             tail.mapped(N, lambda maps: maps[slot]))).value
         gr_colim[slot] = _colim_gr_slot(X, ss, Y, slot)
         if isinstance(einf, UnknownValue) or isinstance(gr_colim[slot], UnknownValue):
             slot_comparison[slot] = "unknown"
@@ -544,10 +539,9 @@ def _colim_gr_slot(X: Tower, ss: List[SpectralSequence], Y: ChainComplex,
     from the levelwise sequences ss; a q outside a level's window is zero."""
     p, q = slot
     n = p + q
-    N = X.tail.start
     idY = identity_map(Y)
     data = [seq.graded(n).get(q) for seq in ss]
-    entries = tuple(trivial_group(Y.ring) if d is None else d.group for d in data)
+    entries = [trivial_group(Y.ring) if d is None else d.group for d in data]
 
     def gr_map(g: ChainMap, s: int, t: int) -> GroupHom:
         if entries[s].is_trivial or entries[t].is_trivial:
@@ -555,6 +549,4 @@ def _colim_gr_slot(X: Tower, ss: List[SpectralSequence], Y: ChainComplex,
         rho = induced_map_on_derived_hom(g, idY, n)
         return induced_hom(data[s], rho.matrix, data[t])
 
-    structure = tuple(gr_map(X.structure[s], s, s + 1) for s in range(N))
-    tail = X.tail.mapped(N, lambda endo: gr_map(endo, N, N))
-    return colim(DirectSystem(entries, structure, tail)).value
+    return colim(X.levelwise(DirectSystem, entries.__getitem__, gr_map)).value

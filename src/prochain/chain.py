@@ -207,6 +207,8 @@ def is_chain_map(f: ChainMap) -> bool:
     lo = min(f.source.lo, f.target.lo)
     hi = max(f.source.hi, f.target.hi)
     for n in range(lo + 1, hi + 1):
+        if not (f.source.rank(n) and f.target.rank(n - 1)):
+            continue  # both products are empty matrices
         left = f.target.diff(n) @ f.comp(n)
         right = f.comp(n - 1) @ f.source.diff(n)
         if left.entries != right.entries:

@@ -4,7 +4,7 @@ from .ring import GF, RingTag, ZZ, check_same_ring
 from .matrices import (IntMatrix, Lattice, SnfResult, block_matrix, hcat,
                        kernel_basis, kernel_lattice, kron, snf, solve,
                        span_lattice)
-from .groups import (FgAbGroup, GroupHom, HomGroup, Subgroup, SubquotientData,
+from .groups import (FgAbGroup, GroupHom, Subgroup, SubquotientData,
                      cokernel, cokernel_projection, direct_sum, exact_at,
                      express_through, free_group, full_subgroup,
                      group_from_orders, group_from_presentation, hom,

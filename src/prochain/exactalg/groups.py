@@ -9,11 +9,14 @@ generators.  Over F_p there is no torsion and free_rank counts dimensions.
 Elements are coordinate tuples in canonical generators; homomorphisms are
 matrices in canonical generators, reduced modulo the target's relations.
 
-Subgroups, kernels, images, quotients and homology groups are subquotients
-(`SubquotientData`): the numerator is a `Lattice` of ambient generator
-vectors that contains the ambient relations, and the group is presented by
-the lattice coordinates of the denominator.  Membership, containment and
-encoding all ask `Lattice.coords`, so each answer is one checked product.
+Subgroups, kernels, images, quotients, homology groups and Hom groups are
+subquotients (`SubquotientData`): the numerator is a `Lattice` of ambient
+generator vectors that contains the ambient relations, and the group is
+presented by the lattice coordinates of the denominator.  A Hom group's
+ambient is the free group on the entries of a matrix, so every map a
+functor induces on Hom groups, like any other, is one `induced_hom`.
+Membership, containment and encoding all ask `Lattice.coords`, so each
+answer is one checked product.
 """
 
 from __future__ import annotations
@@ -427,96 +430,39 @@ def exact_at(f: GroupHom, g: GroupHom) -> bool:
 # Hom groups and constraint solving
 # ---------------------------------------------------------------------------
 
-def _pair_order(a: int, b: int, ring: RingTag):
-    """Order and generator multiplier of Hom(Z/a, Z/b); a, b = 0 mean free."""
-    if ring.is_field:
-        return 0, 1
-    if a == 0:
-        return b, 1          # Hom(Z, Z/b) = Z/b, generator 1 -> 1
-    if b == 0:
-        return 1, 0          # Hom(Z/a, Z) = 0
-    g = gcd(a, b)
-    return g, b // g         # generated by multiplication with b/g
-
-
-@dataclass(frozen=True)
-class HomGroup:
-    """Hom(A, B) as an FgAbGroup.
-
-    A homomorphism is written as its B.ngens x A.ngens matrix read row by
-    row, the layout of the hom complex, so that g -> post o g o pre acts as
-    kron(post, pre^T).  Natural coordinate k of `group` is the entry at
-    slots[k] in units of mults[k]; the other entries of a homomorphism
-    vanish.
-    """
-
-    A: FgAbGroup
-    B: FgAbGroup
-    group: FgAbGroup
-    slots: tuple      # j * A.ngens + i for the elementary map e_i -> mult e_j
-    mults: tuple
-
-    def _reduce(self, M: IntMatrix) -> IntMatrix:
-        """Reduce each row of M modulo the order of its slot's target generator."""
-        ring, nA = self.A.ring, self.A.ngens
-        out = []
-        for s in range(M.rows):
-            d = self.B.orders[s // nA]
-            out.extend(ring.reduce(x) % d if d else ring.reduce(x) for x in M.row(s))
-        return IntMatrix(M.rows, M.cols, tuple(out), ring)
-
-    def decode_matrix(self) -> IntMatrix:
-        """The homomorphisms of all canonical generators, as columns."""
-        fc = self.group.from_canonical
-        rows = [[0] * fc.cols for _ in range(self.A.ngens * self.B.ngens)]
-        for k, (s, mult) in enumerate(zip(self.slots, self.mults)):
-            rows[s] = [mult * x for x in fc.row(k)]
-        return self._reduce(IntMatrix.from_rows(rows, self.A.ring, cols=fc.cols))
-
-    def encode_matrix(self, V: IntMatrix) -> IntMatrix:
-        """Canonical coordinates of every column of V, a homomorphism written
-        row by row; raises ContainmentViolation for a column that is not a
-        homomorphism A -> B."""
-        if V.rows != self.A.ngens * self.B.ngens:
-            raise PreconditionViolated(f"{V.rows} rows do not write a map "
-                                       f"{self.A} -> {self.B} row by row")
-        R = self._reduce(V)
-        mult_of = dict(zip(self.slots, self.mults))
-        for s in range(R.rows):
-            mult = mult_of.get(s, 0)
-            if any(x % mult if mult else x for x in R.row(s)):
-                raise ContainmentViolation(
-                    f"column is not a homomorphism {self.A} -> {self.B}")
-        nat = [[x // mult for x in R.row(s)] for s, mult in zip(self.slots, self.mults)]
-        N = IntMatrix.from_rows(nat, self.A.ring, cols=V.cols)
-        return self.group.reduce_matrix(self.group.to_canonical @ N)
-
-
 @lru_cache(maxsize=HOM_GROUP_CACHE_SIZE)
-def hom_group(A: FgAbGroup, B: FgAbGroup) -> HomGroup:
+def hom_group(A: FgAbGroup, B: FgAbGroup) -> SubquotientData:
+    """Hom(A, B) as a subquotient of the free group on the entries of a
+    B.ngens x A.ngens matrix, read row by row as in the hom complex, so
+    that g -> post o g o pre acts as kron(post, pre^T).
+
+    With a_i, b_j the orders of the generators (0 for free ones), entry
+    (j, i) of a homomorphism is a multiple of b_j / gcd(a_i, b_j), and zero
+    when b_j is free and a_i is torsion; over F_p it is any entry.  These
+    multiples are the numerator, a diagonal lattice, and the multiples of
+    b_j in row j are the denominator.
+    """
     ring = check_same_ring(A, B)
-    slots = []
-    mults = []
-    orders = []
-    for i, a in enumerate(A.orders):
-        for j, b in enumerate(B.orders):
-            c, mult = _pair_order(a, b, ring)
-            if c == 1 and not ring.is_field:
-                continue
-            slots.append(j * A.ngens + i)
-            mults.append(mult)
-            orders.append(c)
-    grp = group_from_orders(orders, ring)
-    return HomGroup(A, B, grp, tuple(slots), tuple(mults))
+    m = A.ngens * B.ngens
+    # slot j * A.ngens + i holds entry (j, i), a map from order a_i to order b_j
+    pairs = [(a, b) for b in B.orders for a in A.orders]
+    slots = [k for k, (a, b) in enumerate(pairs) if b or not a]
+    mults = [b // gcd(a, b) if b else 1 for a, b in pairs]
+    lattice = Lattice(IntMatrix.diagonal(mults, m, m, ring).take_columns(slots),
+                      IntMatrix.identity(m, ring).take_rows(slots),
+                      tuple(mults[k] for k in slots))
+    # b_j e_slot has lattice coordinate b_j / mult = gcd(a_i, b_j)
+    r = len(slots)
+    rels = IntMatrix.diagonal([gcd(*pairs[k]) for k in slots], r, r, ring)
+    return SubquotientData(free_group(m, ring), group_from_presentation(rels), lattice)
 
 
 def hom_functor(pre: GroupHom, post: GroupHom) -> GroupHom:
     """Hom(pre, post): Hom(A, B) -> Hom(P, Q), g -> post o g o pre, for
     pre: P -> A and post: B -> Q."""
-    src = hom_group(pre.target, post.source)
-    tgt = hom_group(pre.source, post.target)
-    M = kron(post.matrix, pre.matrix.transpose()) @ src.decode_matrix()
-    return hom(src.group, tgt.group, tgt.encode_matrix(M))
+    return induced_hom(hom_group(pre.target, post.source),
+                       kron(post.matrix, pre.matrix.transpose()),
+                       hom_group(pre.source, post.target))
 
 
 def solve_hom_constraints(A: FgAbGroup, B: FgAbGroup,

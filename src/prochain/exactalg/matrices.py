@@ -532,6 +532,10 @@ class Lattice:
     def coords(self, B: IntMatrix) -> Optional[IntMatrix]:
         """The X with basis @ X == B, compared in reduced form, or None when
         some column of B is not in the lattice."""
+        if not B.cols:
+            return IntMatrix.zeros(len(self.divisors), 0, B.ring)
+        if not self.divisors:
+            return IntMatrix.zeros(0, B.cols, B.ring) if B.is_zero else None
         X = self.C @ B  # reduced already
         if any(d != 1 for d in self.divisors):
             ds = [d for d in self.divisors for _ in range(B.cols)]

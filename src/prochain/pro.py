@@ -117,6 +117,16 @@ class _TailedSequence:
             return _identity(self.entries[self.tail.start])
         return self.tail.endo
 
+    def levelwise(self, kind, entry, arrow, start: Optional[int] = None):
+        """A functor applied level by level, as kind(entries, structure,
+        tail): entry(s) for s <= N, arrow(structure_map(s), s, s + 1) for
+        s < N, and the tail maps to arrow(endo, N, N).  N is the tail start,
+        or `start` when the caller reads further."""
+        N = self.tail.start if start is None else start
+        return kind(tuple(entry(s) for s in range(N + 1)),
+                    tuple(arrow(self.structure_map(s), s, s + 1) for s in range(N)),
+                    self.tail.mapped(N, lambda endo: arrow(endo, N, N)))
+
 
 @dataclass(frozen=True)
 class Tower(_TailedSequence):
@@ -151,12 +161,6 @@ class Tower(_TailedSequence):
         for k in range(t, s):
             m = m.compose(self.structure_map(k))
         return m
-
-    def map_tower(self, obj_fn, map_fn) -> "Tower":
-        """Apply a functor given by obj_fn/map_fn levelwise; tails carry over."""
-        return Tower(tuple(obj_fn(e) for e in self.entries),
-                     tuple(map_fn(m) for m in self.structure),
-                     self.tail.mapped(self.tail.start, map_fn))
 
 
 def constant_tower(entry) -> Tower:
@@ -475,13 +479,6 @@ class DirectSystem(_TailedSequence):
     from `start` for constant tails, a repeated endomorphism otherwise);
     structure[s]: A_s -> A_{s+1}."""
 
-    def composite(self, t: int, s: int):
-        """A_s -> A_t for t >= s."""
-        m = _identity(self.entry(s))
-        for k in range(s, t):
-            m = self.structure_map(k).compose(m)
-        return m
-
 
 def constant_system(entry) -> DirectSystem:
     return DirectSystem((entry,), (), TailPolicy.constant_from(0))
@@ -516,14 +513,8 @@ def colim(D: DirectSystem) -> ColimResult:
 
 def hom_system(X: Tower, B: FgAbGroup) -> DirectSystem:
     """The direct system Hom(X_s, B) with precomposition transition maps."""
-    N = X.tail.start
-
-    def precompose(g):
-        return hom_functor(g, identity_hom(B))
-
-    entries = tuple(hom_group(X.entry(s), B).group for s in range(N + 1))
-    structure = tuple(precompose(m) for m in X.structure)
-    return DirectSystem(entries, structure, X.tail.mapped(N, precompose))
+    return X.levelwise(DirectSystem, lambda s: hom_group(X.entry(s), B).group,
+                       lambda g, s, t: hom_functor(g, identity_hom(B)))
 
 
 def _lim_of_colims(X: Tower, Y: Tower, system, entry, post) -> GroupOrUnknown:
@@ -541,18 +532,16 @@ def _lim_of_colims(X: Tower, Y: Tower, system, entry, post) -> GroupOrUnknown:
         per_t.append(res)
     A = X.entry(max([r.stable_stage for r in per_t if r.stable_stage >= 0],
                     default=X.tail.start))
-    entries = tuple(trivial_group(Y.entry(0).ring) if r.eventually_zero
-                    else entry(A, Y.entry(t)) for t, r in enumerate(per_t))
+    entries = [trivial_group(Y.entry(0).ring) if r.eventually_zero
+               else entry(A, Y.entry(t)) for t, r in enumerate(per_t)]
 
-    def connecting(g, src, tgt) -> GroupHom:
-        if src.is_trivial or tgt.is_trivial:
-            return zero_hom(src, tgt)
+    def connecting(g, lo: int, hi: int) -> GroupHom:
+        """H(A, g) from level hi to level lo; zero when either end is."""
+        if entries[hi].is_trivial or entries[lo].is_trivial:
+            return zero_hom(entries[hi], entries[lo])
         return post(A, g)
 
-    structure = tuple(connecting(Y.structure_map(t), entries[t + 1], entries[t])
-                      for t in range(N))
-    tail = Y.tail.mapped(N, lambda endo: connecting(endo, entries[N], entries[N]))
-    return lim_lim1(Tower(entries, structure, tail)).lim
+    return lim_lim1(Y.levelwise(Tower, entries.__getitem__, connecting, start=N)).lim
 
 
 def pro_hom(X: Tower, Y: Tower) -> GroupOrUnknown:

@@ -17,7 +17,6 @@ from .chain import (ChainComplex, ChainMap, derived_hom, homology,
                     homology_support, induced_homology_map,
                     induced_map_on_derived_hom, identity_map)
 from .errors import PreconditionViolated, WindowViolation
-from .exactalg.groups import GroupHom
 from .pro import (DirectSystem, GroupOrUnknown, Lim1Verdict, ProMap, Tower,
                   UnknownValue, _lim_of_colims, colim, is_pro_isomorphism,
                   level_map, lim_lim1)
@@ -52,8 +51,8 @@ def tower_homology_support(T: Tower) -> Optional[Tuple[int, int]]:
 
 def homology_tower(T: Tower, n: int) -> Tower:
     """Apply H_n levelwise; the tail policy carries over."""
-    return T.map_tower(lambda X: homology(X, n),
-                       lambda f: induced_homology_map(f, n))
+    return T.levelwise(Tower, lambda s: homology(T.entry(s), n),
+                       lambda f, s, t: induced_homology_map(f, n))
 
 
 def induced_homology_pro_map(f: ProMap, n: int) -> ProMap:
@@ -185,13 +184,8 @@ def _homology_within(T: Tower, lo: float, hi: float) -> bool:
 
 def derived_hom_system(X: Tower, Y: ChainComplex, n: int) -> DirectSystem:
     """The direct system [X_s, Y]_n with precomposition transitions."""
-    def pre(g: ChainMap) -> GroupHom:
-        return induced_map_on_derived_hom(g, identity_map(Y), n)
-
-    N = X.tail.start
-    entries = tuple(derived_hom(X.entry(s), Y, n) for s in range(N + 1))
-    structure = tuple(pre(X.structure[s]) for s in range(N))
-    return DirectSystem(entries, structure, X.tail.mapped(N, pre))
+    return X.levelwise(DirectSystem, lambda s: derived_hom(X.entry(s), Y, n),
+                       lambda g, s, t: induced_map_on_derived_hom(g, identity_map(Y), n))
 
 
 def hom_to_constant(X: Tower, Y: ChainComplex, n: int) -> GroupOrUnknown:
@@ -225,15 +219,9 @@ def hom_from_constant(X: ChainComplex, Y: Tower, n: int) -> HomFromConstantResul
     """P(cX, Y)_n through the Postnikov replacement of Y and the lim^1
     sequence: the value is exact only when lim^1 vanishes."""
     Z, _ = postnikov_replacement(Y)
-    N = Z.tail.start
-    entries = tuple(derived_hom(X, Z.entry(k), n) for k in range(N + 1))
-
-    def post(g: ChainMap) -> GroupHom:
-        return induced_map_on_derived_hom(identity_map(X), g, n)
-
-    structure = tuple(post(Z.structure[k]) for k in range(N))
-    tower = Tower(entries, structure, Z.tail.mapped(N, post))
-    res = lim_lim1(tower)
+    res = lim_lim1(Z.levelwise(Tower, lambda k: derived_hom(X, Z.entry(k), n),
+                               lambda g, s, t: induced_map_on_derived_hom(
+                                   identity_map(X), g, n)))
     value: GroupOrUnknown
     if res.lim1 == Lim1Verdict.ZERO:
         value = res.lim

@@ -155,8 +155,8 @@ def _parse_complex(name: str, data, ring: RingTag) -> ChainComplex:
                 f"complex '{name}': differential at degree {n} has shape "
                 f"{mat.shape}, expected {(ranks.get(n - 1, 0), ranks.get(n, 0))}")
         diffs[n] = mat
-    # d o d = 0 is checked here, not left to make_complex's assert, so that
-    # it holds under python -O; missing differentials are zero
+    # make_complex refuses d o d != 0 too, but its error names neither the
+    # complex nor the degree; missing differentials are zero
     for n in sorted(diffs):
         if n - 1 in diffs and not (diffs[n - 1] @ diffs[n]).is_zero:
             raise ValidationError(f"complex '{name}': d o d != 0 at degree {n}")

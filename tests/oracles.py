@@ -15,16 +15,29 @@ Z_s^q = {x in F_q C_n : dx in F_{q+s} C_{n-1}}, page r = s + 1 is
 a subquotient of C_n, and d_r is induced by d_n with bidegree (-r, r-1).  It
 assumes only that d keeps every F_q, not that it keeps every level, so it
 checks the split reading of `prochain.ahss` and does not rest on it.
+
+`coefficient_e2` is the pro-AHSS E2 by its definition, the colimit over
+the tower of the coefficient cohomology H^{-p}(X_s; H_q Y) = [X_s, K]_p with
+K the coefficient complex of H_q Y; `pro_ahss` reads E2 off its levelwise
+E^2 pages instead.
+
+`pair_order` is the closed form of Hom(Z/a, Z/b), the oracle of the hom
+groups, which `hom_group` presents as subquotients.
 """
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List
 
 from prochain.ahss import Page, Slot, _embed
+from prochain.chain import homology
 from prochain.errors import ContainmentViolation
 from prochain.exactalg.groups import (GroupHom, SubquotientData, free_group,
                                       group_from_presentation, induced_hom)
 from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, kernel_lattice
+from prochain.pro import colim
+from prochain.prohomotopy import derived_hom_system
+from prochain.tstruct import coefficient_complex
 
 
 def scalar_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -105,3 +118,25 @@ class GenericPages:
     def pages(self, r_top: int) -> List[GenericPage]:
         """E^2, ..., E^{r_top}."""
         return [self.page(r) for r in range(2, r_top + 1)]
+
+
+def coefficient_e2(X, Y, q_lo: int, q_hi: int, n_lo: int, n_hi: int) -> dict:
+    """E2 via colimits of coefficient cohomology, over the slots (n - q, q)."""
+    e2 = {}
+    for q in range(q_lo, q_hi + 1):
+        K = coefficient_complex(homology(Y, q))
+        for n in range(n_lo, n_hi + 1):
+            e2[(n - q, q)] = colim(derived_hom_system(X, K, n - q)).value
+    return e2
+
+
+def pair_order(a: int, b: int, ring):
+    """Order and generator multiplier of Hom(Z/a, Z/b); a, b = 0 mean free."""
+    if ring.is_field:
+        return 0, 1
+    if a == 0:
+        return b, 1          # Hom(Z, Z/b) = Z/b, generator 1 -> 1
+    if b == 0:
+        return 1, 0          # Hom(Z/a, Z) = 0
+    g = gcd(a, b)
+    return g, b // g         # generated by multiplication with b/g

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_chain_tower
-from oracles import GenericPages
+from oracles import GenericPages, coefficient_e2
 from prochain import ahss
 from prochain.ahss import (SpectralSequence, abutment_filtration,
                            adapted_complex, build_exact_couple,
@@ -24,7 +24,7 @@ from prochain.exactalg.groups import (full_subgroup, image, kernel,
 from prochain.exactalg.matrices import IntMatrix, hcat, solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import TailPolicy, Tower, UnknownValue, constant_tower, repeat_tower
-from prochain.tstruct import cohomology_with_coefficients
+from prochain.tstruct import cohomology_with_coefficients, truncate_above
 
 Z0 = free_one_term(ZZ, 0)
 M2 = moore_complex(2)
@@ -302,6 +302,40 @@ class TestProAhss:
             rep = pro_ahss(T, Y)
             assert rep.levelwise_all_iso
             assert rep.comparison_holds
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)])
+    def test_e2_against_coefficient_cohomology(self, ring):
+        # slot by slot, UNKNOWN reasons included, on ConstantFrom towers of
+        # depth 0-3, repeat tails x0, x1, x2, x3 and -1, and towers whose
+        # entries differ: a truncation inclusion and a zero entry
+        rng = random.Random(23)
+        unknown = 0
+        for k in range(2):
+            X = random_complex(rng.randrange(2 ** 30), ring, -1, 1, 2)
+            Y = random_complex(rng.randrange(2 ** 30), ring, -1, 1, 2)
+            towers = []
+            for depth in range(4):
+                maps = tuple(rng.choice([multiplication_map(X, rng.randint(0, 3)),
+                                         random_null_homotopic(rng, X, X)])
+                             for _ in range(depth))
+                towers.append(Tower((X,) * (depth + 1), maps, TailPolicy.constant_from(depth)))
+            towers += [repeat_tower(multiplication_map(X, m)) for m in (0, 1, 2, 3, -1)]
+            T, incl = truncate_above(X, rng.randint(X.lo, X.hi))
+            O = zero_complex(ring)
+            towers += [Tower((X, T), (incl,), TailPolicy.constant_from(1)),
+                       Tower((O, X), (zero_map(X, O),), TailPolicy.constant_from(1))]
+            for tower in towers:
+                e2 = pro_ahss(tower, Y).e2
+                qs, ns = {q for _, q in e2}, {p + q for p, q in e2}
+                want = coefficient_e2(tower, Y, min(qs), max(qs), min(ns), max(ns))
+                assert list(e2) == list(want)
+                for slot, v in e2.items():
+                    if isinstance(v, UnknownValue):
+                        unknown += 1
+                        assert v == want[slot]
+                    else:
+                        assert v.isomorphic(want[slot])
+        assert unknown if ring == ZZ else not unknown
 
 
 def big_pair(rng: random.Random, ring):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_map_into, random_map_out, run_python
-from prochain.chain import (ChainComplex, cone, cone_les_exact, derived_hom,
+from prochain.chain import (ChainComplex, chain_map, cone, cone_les_exact, derived_hom,
                             direct_sum_complex, free_one_term, hom_complex,
                             homology, homology_data, identity_map,
                             induced_homology_map, induced_map_on_derived_hom,
@@ -18,7 +18,7 @@ from prochain.chain import (ChainComplex, cone, cone_les_exact, derived_hom,
                             zero_complex, zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
                              ValidationError)
-from prochain.exactalg.matrices import IntMatrix
+from prochain.exactalg.matrices import IntMatrix, kernel_lattice, span_lattice
 from prochain.exactalg.ring import GF, ZZ
 
 Z0 = free_one_term(ZZ, 0)
@@ -68,6 +68,51 @@ class TestBasics:
         assert homology(Z0, 0).free_rank == 1
         assert homology(M2, 0).invariant_factors == (2,)
         assert homology(M2, 5).is_trivial
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)])
+    def test_empty_shapes_match_the_product_path(self, ring):
+        # Lattice.coords answers rank-0 lattices and column-free B without
+        # its products, and is_chain_map skips degrees where both squares
+        # are empty; both agree with computing every product
+        def product_coords(L, B):
+            # the divisors divide nothing on these shapes
+            X = L.C @ B
+            return X if (L.basis @ X).entries == B.entries else None
+
+        def products_commute(f):
+            return all((f.target.diff(n) @ f.comp(n)).entries
+                       == (f.comp(n - 1) @ f.source.diff(n)).entries
+                       for n in range(min(f.source.lo, f.target.lo) + 1,
+                                      max(f.source.hi, f.target.hi) + 1))
+
+        rng = random.Random(17)
+        rank0 = (kernel_lattice(IntMatrix.identity(3, ring)),
+                 span_lattice(IntMatrix.zeros(3, 2, ring)))
+        cases = [(L, B) for L in rank0 for k in (0, 1, 2)
+                 for B in (IntMatrix.zeros(3, k, ring),
+                           IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(k)]
+                                                for _ in range(3)], ring, cols=k))]
+        cases.append((span_lattice(IntMatrix.from_rows([[2, 0], [0, 1], [0, 0]], ring)),
+                      IntMatrix.zeros(3, 0, ring)))
+        for L, B in cases:
+            got, want = L.coords(B), product_coords(L, B)
+            assert (got is None) == (want is None)
+            assert got is None or (got.shape, got.entries) == (want.shape, want.entries)
+        disk = make_complex(ring, {0: 1, 1: 1}, {1: IntMatrix.from_rows([[1]], ring)})
+        complexes = [zero_complex(ring), free_one_term(ring, 0), free_one_term(ring, 2),
+                     disk, random_complex(3, ring, -1, 2, 2)]
+        verdicts = []
+        for X in complexes:
+            for Y in complexes:
+                for _ in range(3):
+                    comps = {n: IntMatrix.from_rows(
+                        [[rng.randint(-1, 1) for _ in range(X.rank(n))]
+                         for _ in range(Y.rank(n))], ring, cols=X.rank(n))
+                        for n in range(min(X.lo, Y.lo), max(X.hi, Y.hi) + 1)}
+                    f = chain_map(X, Y, comps, check=False)
+                    verdicts.append(is_chain_map(f))
+                    assert verdicts[-1] == products_commute(f)
+        assert len(set(verdicts)) == 2
 
 
 class TestCone:

@@ -315,6 +315,11 @@ EVERY_COMMAND = [
 # test_ahss_reports_are_pinned hashes them
 AHSS_REPORTS_SHA256 = "d4b14000053c8dcd872c9d46be3bdc6a25bdf05814b39b51f15774bf1379ce64"
 
+# sha256 of the limlim1, pro-iso, prohom, prohom-const, postnikov,
+# fibrant-check and whitehead reports on workspaces/moore.json, as
+# test_pro_reports_are_pinned hashes them
+PRO_REPORTS_SHA256 = "69965a104257323093b0af2fd3707b951c19a1c7157abdca8ae465ca54b48a93"
+
 # python -c RUN_COMMANDS WORKSPACE OUT CASES: every case in one interpreter,
 # each into its own out dir; prints [exit code, stderr] per case as JSON
 RUN_COMMANDS = """
@@ -546,6 +551,32 @@ class TestDriver:
                 digest.update(f"{f.name} {len(body)}\n".encode() + body)
         assert len(cases) == 20
         assert digest.hexdigest() == AHSS_REPORTS_SHA256
+
+    def test_pro_reports_are_pinned(self, tmp_path):
+        # the pro-layer commands on workspaces/moore.json, hashed as in
+        # test_ahss_reports_are_pinned; the workspace has group promaps only,
+        # so whitehead pins its clean error there
+        ws = parse_workspace(GOLDEN)
+        cases = [["limlim1", T] for T in sorted(ws.group_towers)]
+        cases += [["pro-iso", f] for f in sorted(ws.group_promaps)]
+        cases += [["prohom", X, Y] for X in sorted(ws.group_towers)
+                  for Y in sorted(ws.group_towers)]
+        cases += [["prohom-const", *pair, n] for T in sorted(ws.towers)
+                  for Y in sorted(ws.complexes) for pair in ((T, Y), (Y, T))
+                  for n in ("-1", "0", "1")]
+        cases += [[cmd, T] for T in sorted(ws.towers)
+                  for cmd in ("postnikov", "fibrant-check")]
+        cases += [["whitehead", f] for f in sorted(ws.promaps) + sorted(ws.group_promaps)]
+        digest = hashlib.sha256()
+        for k, args in enumerate(cases):
+            out = tmp_path / str(k)
+            code = main([*args, "--workspace", GOLDEN, "--out", str(out)])
+            digest.update(json.dumps([args, code]).encode())
+            for f in sorted(out.iterdir()):
+                body = f.read_bytes()
+                digest.update(f"{f.name} {len(body)}\n".encode() + body)
+        assert len(cases) == 36
+        assert digest.hexdigest() == PRO_REPORTS_SHA256
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_reports_honour_the_umask(self, tmp_path, umask, mode):

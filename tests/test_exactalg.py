@@ -26,7 +26,7 @@ from prochain.errors import (ContainmentViolation, PreconditionViolated,
                              RingMismatch, ValidationError)
 
 from conftest import run_python
-from oracles import scalar_matmul
+from oracles import pair_order, scalar_matmul
 
 Z = free_group(1)
 Z2 = group_from_orders([2])
@@ -376,6 +376,29 @@ class TestGroups:
         with pytest.raises(ContainmentViolation):
             hom_group(Z2, Z).encode_matrix(IntMatrix.from_rows([[1]]))
         assert hom_group(Z2, Z4).encode_matrix(IntMatrix.from_rows([[6]])).entries == (1,)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([ZZ, GF(3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_hom_group_against_the_closed_form(self, seed, ring):
+        # Hom(A, B) is the sum of the Hom(Z/a_i, Z/b_j); coordinates round
+        # trip; and a column that is not a homomorphism is refused
+        rng = random.Random(seed)
+        A, B = (group_from_orders([0 if ring.p else rng.choice([0, 2, 3, 4, 6, 8, 9])
+                                   for _ in range(rng.randint(0, 4))], ring)
+                for _ in range(2))
+        hg = hom_group(A, B)
+        pairs = {j * A.ngens + i: pair_order(a, b, ring)
+                 for j, b in enumerate(B.orders) for i, a in enumerate(A.orders)}
+        assert hg.group.isomorphic(group_from_orders([c for c, _ in pairs.values()], ring))
+        c = hg.group.reduce_matrix(IntMatrix.from_rows(
+            [[rng.randint(-20, 20) for _ in range(3)] for _ in range(hg.group.ngens)],
+            ring, cols=3))
+        assert hg.encode_matrix(hg.decode_matrix() @ c).entries == c.entries
+        for slot, (_, mult) in pairs.items():
+            if mult != 1:
+                unit = [[int(k == slot)] for k in range(A.ngens * B.ngens)]
+                with pytest.raises(ContainmentViolation):
+                    hg.encode_matrix(IntMatrix.from_rows(unit, ring))
 
     @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([ZZ, GF(3)]))
     @settings(max_examples=40, deadline=None)

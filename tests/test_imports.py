@@ -1,10 +1,12 @@
-"""Source hygiene: every module-level import in the package is read, no
+"""Source hygiene: every import in the package is read, no
 `assert` statement comes back into a module that is free of them, and every
 cache is bounded and emptied by `prochain.cache_clear()`.
 
 The package re-exports names from its `__init__.py` files, so those are
-exempt from the import check.  A name counts as read when it appears as a
-name anywhere in the module, quoted annotations included.  Invariants are
+exempt from the import check.  A name imported at module level counts as
+read when it appears as a name anywhere in the module, quoted annotations
+included; a name a function imports, when that function reads it.
+Invariants are
 enforced by typed errors, which `python -O` keeps; the assert-free list
 only grows.
 """
@@ -55,6 +57,30 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_local_imports(source: str) -> list:
+    """(line, name) of each name a function imports and never reads."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+        out += [(node.lineno, name) for node in ast.walk(func)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                if name not in read]
+    return sorted(out)
+
+
+def test_checker_finds_an_unused_local_import():
+    source = "def f():\n    import os, sys\n    return sys.argv\n"
+    assert unused_local_imports(source) == [(2, "os")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_function_level_import(path):
+    assert unused_local_imports(path.read_text()) == []
 
 
 # modules whose checks all raise typed errors; add a module once its last
