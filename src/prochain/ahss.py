@@ -1,41 +1,39 @@
 """The truncation-filtration spectral sequence of a pair of bounded complexes,
-read off one filtered complex whose filtration splits: pages, stabilization,
-convergence checking, and the tower version with colimit coefficients.
+read off the level pieces of the target: pages, stabilization, convergence
+checking, and the tower version with colimit coefficients.
 
-Write Y in a basis adapted to its cycles: in degree m the cycles come first
-(the kernel columns of the Smith V of d_m), then the rest of V.  A cycle
-generator of Y_m has level m and any other generator level m-1, and
-tau_{>= q} Y is the coordinate subcomplex of the generators of level >= q.
-So C = Hom(X, Y) has the decreasing filtration F_q C = Hom(X, tau_{>= q} Y):
-the coordinates whose Y-row has level >= q (McCleary, A User's Guide to
-Spectral Sequences, 2nd ed., sec. 2.2).
+Hom(X, Y) has the decreasing filtration F_q = Hom(X, tau_{>= q} Y) (McCleary,
+A User's Guide to Spectral Sequences, 2nd ed., sec. 2.2), with
+E^2_{p,q} = [X, layer_q Y]_{p+q}.  Over Z or F_p the layers split off: Y is
+the direct sum of its level pieces,
 
-The filtration splits.  d_Y maps a non-cycle of Y_m into ker d_{m-1}, which
-the level-(m-1) cycles of Y_{m-1} span, so d_Y preserves levels exactly; the
-Hom differential f -> d_Y f +- f d_X keeps the Y-row of f in its second term
-and applies d_Y in its first, so it preserves levels too.  This is the
-hereditary case: over Z or F_p every complex of free modules is
-quasi-isomorphic to the sum of its shifted homology (Weibel, An Introduction
-to Homological Algebra, sec. 3.6).  The construction proves the split for
-each input: it refuses any entry of d that joins two levels.  So C is the
-direct sum of its level-q subcomplexes C^(q), F_q C is the sum of the C^(q')
-with q' >= q, and
+    Y = (+)_q L_q Y,
 
-    E^2_{p,q} = H_{p+q}(C^(q)) = [X, layer_q Y]_{p+q}.
+where L_q Y maps the generators of Y_{q+1} that are not cycles (the first
+`rank` columns of the Smith V of d_{q+1}) onto the cycles of Y_q.  L_q Y has
+the homology H_q Y in degree q and no other, and tau_{>= q} Y is the sum of
+the L_{q'} Y with q' >= q.  This is the hereditary case: over Z or F_p every
+complex of free modules is quasi-isomorphic to the sum of its shifted
+homology (Weibel, An Introduction to Homological Algebra, sec. 3.6).  The
+split is proved for each input: the differential of L_q Y is the coordinates
+of the boundaries in the certified cycle lattice of Y_q, and `level_pieces`
+refuses Y when a boundary has none.  So Hom(X, Y) is the direct sum of the
+Hom(X, L_q Y), F_q is the sum of those with q' >= q, and
 
-Every class of E^2_{p,q} is represented by a cycle of C^(q), whose boundary
-is zero and not merely deeper in the filtration, so every d_r is zero and
-E^2 = E^r = E^infinity.  The later pages hold the data of E^2; they exist so
-that reports list every page up to the stable one.  The general formula with
-Z_s^q lattices (Romero, Rubio & Sergeraert, "Computing spectral sequences",
-J. Symbolic Comput. 41, 2006), which assumes only that d keeps every F_q,
-is the oracle of this reading in the test suite.
+    E^2_{p,q} = H_{p+q} Hom(X, L_q Y) = [X, L_q Y]_{p+q}.
 
-The filtration is finite: F_q C = C below the window and F_q C = 0 past it,
-so every D-column H_n(F_q C) = [X, tau_{>= q} Y]_n ends in zero and has
-lim = lim^1 = 0.  A map of towers acts by precomposition, which keeps the
-Y-row of every coordinate and so its level, so it induces its map on E^2
-directly.
+Every class of E^2_{p,q} is represented by a cycle of Hom(X, L_q Y), whose
+boundary is zero and not merely deeper in the filtration, so every d_r is
+zero and E^2 = E^r = E^infinity.  The later pages hold the data of E^2; they
+exist so that reports list every page up to the stable one.  The general
+formula with Z_s^q lattices (Romero, Rubio & Sergeraert, "Computing spectral
+sequences", J. Symbolic Comput. 41, 2006), which assumes only that d keeps
+every F_q, is the oracle of this reading in the test suite.
+
+The filtration is finite: F_q is everything below the window and zero past
+it, so every D-column [X, tau_{>= q} Y]_n ends in zero and has
+lim = lim^1 = 0.  A map of towers acts by precomposition, which keeps every
+piece, so it induces its map on E^2 as the map [X, L_q Y] -> [X', L_q Y].
 
 The exact couple of the truncation filtration (D^2 = [X, tau_{>= q} Y],
 E^2 = [X, layer_q Y], with i, j, k induced by the truncation inclusion, the
@@ -52,16 +50,15 @@ from math import prod
 from types import MappingProxyType, SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .chain import (ChainComplex, ChainMap, derived_hom, hom_chain_map,
-                    hom_complex, homology, homology_support, identity_map,
+from .chain import (ChainComplex, ChainMap, derived_hom, derived_hom_data,
+                    homology, homology_support, identity_map,
                     induced_map_on_derived_hom, make_complex,
                     shift_identification)
 from .errors import ContainmentViolation
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData,
-                              direct_sum, exact_at, free_group,
-                              group_from_presentation, image, induced_hom,
+                              direct_sum, exact_at, image, induced_hom,
                               subquotient, trivial_group, zero_hom)
-from .exactalg.matrices import IntMatrix, Lattice, kernel_lattice, snf
+from .exactalg.matrices import kernel_lattice, snf
 from .exactalg.ring import check_same_ring
 from .pro import DirectSystem, GroupOrUnknown, Tower, UnknownValue, colim
 from .prohomotopy import hom_to_constant
@@ -179,53 +176,40 @@ def build_exact_couple(X: ChainComplex, Y: ChainComplex) -> ExactCouple:
 
 
 # ---------------------------------------------------------------------------
-# The filtered Hom complex and its pages
+# The level pieces of Y and the pages
 # ---------------------------------------------------------------------------
 
 # one entry per coefficient complex; pro_ahss reuses it for every level
-ADAPTED_CACHE_SIZE = 64
+PIECES_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=ADAPTED_CACHE_SIZE)
-def adapted_complex(Y: ChainComplex) -> Tuple[ChainComplex, Mapping[int, tuple]]:
-    """Y in a basis adapted to its cycles, with the level of every generator.
+@lru_cache(maxsize=PIECES_CACHE_SIZE)
+def level_pieces(Y: ChainComplex) -> Mapping[int, ChainComplex]:
+    """{q: L_q Y} for the nonzero pieces; Y is their direct sum.
 
-    Degree m takes the columns of the Smith V of d_m, the kernel columns
-    first.  A cycle generator has level m and any other level m - 1, so
-    tau_{>= q} Y is spanned by the generators of level >= q."""
-    basis, inverse, levels = {}, {}, {}
-    for m in Y.degrees:
-        s = snf(Y.diff(m))
-        order = list(range(s.rank, Y.rank(m))) + list(range(s.rank))
-        basis[m] = s.V.take_columns(order)
-        inverse[m] = s.Vinv.take_rows(order)
-        levels[m] = (m,) * (Y.rank(m) - s.rank) + (m - 1,) * s.rank
-    diffs = {m: inverse[m - 1] @ Y.diff(m) @ basis[m] for m in range(Y.lo + 1, Y.hi + 1)}
-    return (make_complex(Y.ring, {m: Y.rank(m) for m in Y.degrees}, diffs),
-            MappingProxyType(levels))
-
-
-def _spread_rows(M: IntMatrix, rows: List[int], size: int) -> IntMatrix:
-    """M with its rows placed at `rows` of a size-row matrix, zero elsewhere."""
-    k = M.cols
-    e = [0] * (size * k)
-    for t, i in enumerate(rows):
-        e[i * k:(i + 1) * k] = M.row(t)
-    return IntMatrix(size, k, tuple(e), M.ring)
-
-
-def _embed(lattice: Lattice, rows: List[int], size: int) -> Lattice:
-    """The lattice with its basis rows and its C columns placed at `rows` of
-    size, zero elsewhere; C @ basis is unchanged."""
-    C = _spread_rows(lattice.C.transpose(), rows, size).transpose()
-    return Lattice(_spread_rows(lattice.basis, rows, size), C, lattice.divisors)
+    L_q Y maps the generators of Y_{q+1} that are not cycles (the first
+    `rank` columns of the Smith V of d_{q+1}) onto the cycles of Y_q, in the
+    coordinates of kernel_lattice(d_q).  Those coordinates exist only if
+    every boundary is a cycle, so computing them proves the split."""
+    pieces = {}
+    for q in Y.degrees:
+        cycles = kernel_lattice(Y.diff(q))
+        s = snf(Y.diff(q + 1))
+        d = cycles.coords(Y.diff(q + 1) @ s.V.take_columns(range(s.rank)))
+        if d is None:
+            raise ContainmentViolation(f"boundaries outside the cycles in degree {q}")
+        L = make_complex(Y.ring, {q: cycles.basis.cols, q + 1: s.rank}, {q + 1: d})
+        if not L.is_zero:
+            pieces[q] = L
+    return MappingProxyType(pieces)
 
 
 @dataclass
 class Page:
-    """One page of the spectral sequence: each nonzero slot as a subquotient
-    of C_n; everything else is zero.  The filtration splits, so every d_r is
-    zero and every page holds the data of E^2."""
+    """One page of the spectral sequence: slot (p, q) is a subquotient of
+    Hom(X, L_q Y)_{p+q} when it is nonzero, and zero otherwise.  The
+    filtration splits, so every d_r is zero and every page holds the data
+    of E^2."""
 
     r: int
     data: Dict[Slot, SubquotientData]
@@ -240,31 +224,15 @@ class Page:
 
 
 class SpectralSequence:
-    """The spectral sequence of the filtered complex C = Hom(X, Y): proves
-    that the filtration splits and reads E^2 off the level blocks of d."""
+    """The spectral sequence of Hom(X, Y) filtered by the truncations of Y,
+    read off the level pieces of Y: E^2_{p,q} = [X, L_q Y]_{p+q}."""
 
     def __init__(self, X: ChainComplex, Y: ChainComplex):
         check_same_ring(X, Y)
         self.X, self.Y = X, Y
         self.ring = X.ring
         self.window = _window(X, Y)
-        Ya, ylevels = adapted_complex(Y)
-        self.hom = hom_complex(X, Ya)
-        C = self.C = self.hom.complex
-        # block k of C_n holds a Y_{k+n} x X_k matrix row by row
-        self.levels = {n: tuple(lev for k in self.hom.block_degrees(n)
-                                for lev in ylevels[k + n] for _ in range(X.rank(k)))
-                       for n in C.degrees}
-        # with d o d = 0 and d preserving every level, C is the direct sum of
-        # its level subcomplexes
-        for n in range(C.lo + 1, C.hi + 1):
-            d, src, tgt = C.diff(n), self.levels[n], self.levels[n - 1]
-            if not (C.diff(n - 1) @ d).is_zero:
-                raise ContainmentViolation(f"im d_{n} is not inside ker d_{n - 1}")
-            for idx, x in enumerate(d.entries):
-                if x and tgt[idx // d.cols] != src[idx % d.cols]:
-                    raise ContainmentViolation(f"d_{n} joins level {src[idx % d.cols]} "
-                                               f"to level {tgt[idx // d.cols]}")
+        self.pieces = level_pieces(Y)
         self._graded_memo: Dict[int, Dict[int, SubquotientData]] = {}
         self.pages: List[Page] = [self._e2()]
 
@@ -274,28 +242,16 @@ class SpectralSequence:
     def states(self):
         return (SimpleNamespace(couple=self.window),)
 
-    def _at(self, n: int, q: int) -> List[int]:
-        """The coordinates of C_n at level q."""
-        return [j for j, lev in enumerate(self.levels.get(n, ())) if lev == q]
-
     def _e2(self) -> Page:
-        """E^2_{p,q} = H_{p+q} of the level-q block of d, embedded in C_n."""
-        C, data = self.C, {}
+        """E^2_{p,q} = H_{p+q} Hom(X, L_q Y)."""
+        data = {}
         for (p, q) in self.window.slots():
-            n = p + q
-            cols = self._at(n, q)
-            if not cols:
+            L = self.pieces.get(q)
+            if L is None:
                 continue
-            d_out = C.diff(n).take_rows(self._at(n - 1, q)).take_columns(cols)
-            d_in = C.diff(n + 1).take_rows(cols).take_columns(self._at(n + 1, q))
-            cycles = kernel_lattice(d_out)
-            coords = cycles.coords(d_in)
-            if coords is None:
-                raise ContainmentViolation(f"boundaries outside the cycles in degree {n}")
-            group = group_from_presentation(coords)
-            if not group.is_trivial:
-                data[(p, q)] = SubquotientData(free_group(C.rank(n), self.ring), group,
-                                               _embed(cycles, cols, C.rank(n)))
+            sq = derived_hom_data(self.X, L, p + q)
+            if not sq.group.is_trivial:
+                data[(p, q)] = sq
         return Page(2, data)
 
     def derive(self) -> Page:
@@ -328,15 +284,16 @@ class SpectralSequence:
         """Boardman-style conditions plus the slotwise E-infinity comparison.
 
         lim and lim^1 of every D-column vanish because the filtration is
-        finite: every level is at most q_hi, so F_{q_hi+1} C = 0 and each
-        column is zero from q_hi + 1 on.  The colimit condition is the
-        vanishing of [X, T_{<= n-q} Y]_n for large q; and the graded
-        comparison compares E-infinity slot by slot with `graded`.
+        finite: every piece of Y sits at q <= q_hi (or X is zero, and with
+        it Hom(X, Y)), so F_{q_hi+1} = 0 and each column is zero from
+        q_hi + 1 on.  The colimit condition is the vanishing of
+        [X, T_{<= n-q} Y]_n for large q; and the graded comparison compares
+        E-infinity slot by slot with `graded`.
         """
         X, Y, w = self.X, self.Y, self.window
         pages, stable = self.run_to_stable()
         einf = pages[-1]
-        finite = all(lev <= w.q_hi for levs in self.levels.values() for lev in levs)
+        finite = X.is_zero or all(q <= w.q_hi for q in self.pieces)
 
         colim_ok = True
         xsup = homology_support(X)
@@ -433,21 +390,14 @@ class ProAhssReport:
 def _e2_maps(g: ChainMap, src: SpectralSequence, tgt: SpectralSequence,
              slots) -> Dict[Slot, GroupHom]:
     """The maps g: X' -> X induces from E^2 of (X, Y) to E^2 of (X', Y),
-    slot by slot.  Precomposition with g maps Hom(X, Y) -> Hom(X', Y) level
-    by level, so each is one induced_hom."""
+    slot by slot: precomposition with g on [X, L_q Y]_{p+q}."""
     a, b = src.pages[0], tgt.pages[0]
-    idY = identity_map(src.hom.Y)
-    pre: Dict[int, IntMatrix] = {}
     out = {}
     for (p, q) in slots:
-        s, t = a.data.get((p, q)), b.data.get((p, q))
-        if s is None or t is None:
+        if (p, q) in a.data and (p, q) in b.data:
+            out[(p, q)] = induced_map_on_derived_hom(g, identity_map(src.pieces[q]), p + q)
+        else:
             out[(p, q)] = zero_hom(a.group_at(p, q, src.ring), b.group_at(p, q, tgt.ring))
-            continue
-        n = p + q
-        if n not in pre:
-            pre[n] = hom_chain_map(g, idY, n)
-        out[(p, q)] = induced_hom(s, pre[n], t)
     return out
 
 

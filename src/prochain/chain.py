@@ -423,10 +423,6 @@ class HomComplexView:
     Y: ChainComplex
     complex: ChainComplex
 
-    def block_degrees(self, n: int) -> Dict[int, int]:
-        """Source degree k -> rank of block k, for the blocks of degree n."""
-        return _hom_blocks(self.X, self.Y, n)
-
 
 @lru_cache(maxsize=HOM_COMPLEX_CACHE_SIZE)
 def hom_complex(X: ChainComplex, Y: ChainComplex) -> HomComplexView:
@@ -452,15 +448,14 @@ def hom_complex(X: ChainComplex, Y: ChainComplex) -> HomComplexView:
     return HomComplexView(X, Y, HC)
 
 
-def derived_hom_data(X: ChainComplex, Y: ChainComplex, n: int):
-    hc = hom_complex(X, Y)
-    return hc, homology_data(hc.complex, n)
+def derived_hom_data(X: ChainComplex, Y: ChainComplex, n: int) -> SubquotientData:
+    """[X,Y]_n as a subquotient of Hom(X, Y)_n."""
+    return homology_data(hom_complex(X, Y).complex, n)
 
 
 def derived_hom(X: ChainComplex, Y: ChainComplex, n: int) -> FgAbGroup:
     """[X,Y]_n, maps X -> Sigma^{-n} Y in the derived category."""
-    _, data = derived_hom_data(X, Y, n)
-    return data.group
+    return derived_hom_data(X, Y, n).group
 
 
 def hom_chain_map(a: ChainMap, b: ChainMap, n: int) -> IntMatrix:
@@ -477,8 +472,8 @@ def hom_chain_map(a: ChainMap, b: ChainMap, n: int) -> IntMatrix:
 
 def induced_map_on_derived_hom(a: ChainMap, b: ChainMap, n: int) -> GroupHom:
     """[a, b]: [X,Y]_n -> [X',Y']_n for a: X' -> X and b: Y -> Y'."""
-    _, data_s = derived_hom_data(a.target, b.source, n)
-    _, data_t = derived_hom_data(a.source, b.target, n)
+    data_s = derived_hom_data(a.target, b.source, n)
+    data_t = derived_hom_data(a.source, b.target, n)
     return induced_hom(data_s, hom_chain_map(a, b, n), data_t)
 
 
@@ -489,8 +484,8 @@ def shift_identification(X: ChainComplex, Z: ChainComplex, n: int) -> GroupHom:
     sign differs, so cycles and boundaries agree and the matrix is the
     coordinate identity.
     """
-    _, data_s = derived_hom_data(X, shift(Z, 1), n)
-    _, data_t = derived_hom_data(X, Z, n - 1)
+    data_s = derived_hom_data(X, shift(Z, 1), n)
+    data_t = derived_hom_data(X, Z, n - 1)
     return induced_hom(data_s, IntMatrix.identity(data_s.ambient.ngens, X.ring), data_t)
 
 

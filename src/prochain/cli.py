@@ -301,7 +301,7 @@ def cmd_roundtrip(ws, rep, args):
 
 def cmd_selftest(ws, rep, args):
     from . import selftest
-    results = selftest.run(seed=args.seed, quick=True)
+    results = selftest.run(seed=args.seed)
     rows = [[name, "pass" if ok else "FAIL"] for name, ok in results]
     rep.write("selftest.tsv", ["suite", "result"], rows)
     if not all(ok for _, ok in results):

@@ -6,7 +6,7 @@ from .matrices import (IntMatrix, Lattice, SnfResult, block_matrix, hcat,
                        span_lattice)
 from .groups import (FgAbGroup, GroupHom, Subgroup, SubquotientData,
                      cokernel, cokernel_projection, direct_sum, exact_at,
-                     express_through, free_group, full_subgroup,
+                     free_group, full_subgroup,
                      group_from_orders, group_from_presentation, hom,
                      hom_functor, hom_group, identity_hom, image, induced_hom,
                      is_injective, is_isomorphism, is_surjective, kernel,

@@ -400,14 +400,6 @@ def preimage_matrix(f: GroupHom, V: IntMatrix) -> Optional[IntMatrix]:
     return f.source.reduce_matrix(sol.take_rows(range(f.source.ngens)))
 
 
-def express_through(incl: GroupHom, g: GroupHom) -> GroupHom:
-    """h with incl o h = g, for incl a subgroup inclusion containing im(g)."""
-    m = preimage_matrix(incl, g.matrix)
-    if m is None:
-        raise ContainmentViolation("map does not factor through subgroup")
-    return hom(g.source, incl.source, m)
-
-
 def preimage_element(f: GroupHom, target_vec: Sequence[int]) -> Optional[tuple]:
     """Some x with f(x) = target element, or None."""
     col = IntMatrix.from_columns([list(target_vec)], f.target.ngens, f.target.ring)

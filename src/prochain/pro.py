@@ -178,16 +178,15 @@ def repeat_tower(endo) -> Tower:
 
 @dataclass(frozen=True)
 class IndexShift:
-    """A monotone reindexing t -> theta(t); past the stored values it
-    advances linearly with the declared slope."""
+    """A monotone reindexing t -> theta(t), the identity when no values are
+    stored; past the stored values it advances linearly with the slope."""
 
     values: tuple = ()
-    tail_delta: int = 0
     tail_slope: int = 1
 
     @staticmethod
     def level() -> "IndexShift":
-        return IndexShift((), 0)
+        return IndexShift()
 
 
 def _shift_call(shift: IndexShift, t: int) -> int:
@@ -196,7 +195,7 @@ def _shift_call(shift: IndexShift, t: int) -> int:
     if shift.values:
         last = shift.values[-1]
         return last + shift.tail_slope * (t - (len(shift.values) - 1))
-    return t + shift.tail_delta
+    return t
 
 
 @dataclass(frozen=True)
@@ -337,7 +336,7 @@ def _filler_exists(f: ProMap, t: int, s: int) -> Optional[GroupHom]:
 
 def _levelize(f: ProMap) -> ProMap:
     """Replace a shifted pro-map by the level map on the reindexed source."""
-    if not f.shift.values and f.shift.tail_delta == 0:
+    if not f.shift.values:
         return f
     X = f.source
     N = max(f.window, f.source.tail.start, f.target.tail.start) + 1

@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .chain import (ChainComplex, ChainMap, derived_hom, homology,
-                    homology_support, induced_homology_map,
-                    induced_map_on_derived_hom, identity_map)
-from .errors import PreconditionViolated, WindowViolation
+from .chain import (ChainComplex, derived_hom, homology, homology_support,
+                    induced_homology_map, induced_map_on_derived_hom,
+                    identity_map)
+from .errors import WindowViolation
 from .pro import (DirectSystem, GroupOrUnknown, Lim1Verdict, ProMap, Tower,
                   UnknownValue, _lim_of_colims, colim, is_pro_isomorphism,
                   level_map, lim_lim1)
 from .tstruct import (classify_map, is_degreewise_split_mono,
                       is_degreewise_surjection, truncate_below_free,
-                      truncate_below_map, truncation_step)
+                      truncate_below_map, truncate_below_step)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def postnikov_replacement(Y: Tower) -> Tuple[Tower, ProMap]:
     structure = []
     for k in range(K):
         # T_{<= cut(k+1)} Y_{k+1} -> T_{<= cut(k)} Y_{k+1} -> T_{<= cut(k)} Y_k
-        down = _truncation_tower_step(Y.entry(k + 1), cut(k + 1), cut(k))
+        down = truncate_below_step(Y.entry(k + 1), cut(k))
         across = truncate_below_map(Y.structure_map(k), cut(k))
         structure.append(across.compose(down))
     # beyond K the cut exceeds every module degree: T_{<= n} is the complex
@@ -128,22 +128,6 @@ def postnikov_replacement(Y: Tower) -> Tuple[Tower, ProMap]:
     Z = Tower(tuple(entries), tuple(structure), tail)
     canon = level_map(Y, Z, tuple(anchors))
     return Z, canon
-
-
-def _truncation_tower_step(X: ChainComplex, n_from: int, n_to: int) -> ChainMap:
-    """The composite T_{<= n_from} X -> ... -> T_{<= n_to} X."""
-    from .chain import cone_functor_map
-    from .tstruct import truncate_above
-    if n_from < n_to:
-        raise PreconditionViolated(f"truncation step from {n_from} down to {n_to}")
-    cur = identity_map(truncate_below_free(X, n_from)[0])
-    for n in range(n_from, n_to, -1):
-        _, incl_hi = truncate_above(X, n + 1)
-        _, incl_lo = truncate_above(X, n)
-        step = cone_functor_map(incl_hi, incl_lo, truncation_step(X, n),
-                                identity_map(X))
-        cur = step.compose(cur)
-    return cur
 
 
 def is_hstar_fibrant(Y: Tower) -> bool:

@@ -1,6 +1,5 @@
-"""Built-in invariant suites, shared between the CLI selftest command and
-the pytest acceptance module.  Each suite returns True on success; the
-`quick` flag trims the sample counts for interactive use."""
+"""Built-in invariant suites run by the CLI selftest command.  Each suite
+returns True on success; the sample counts are sized for interactive use."""
 
 from __future__ import annotations
 
@@ -108,14 +107,13 @@ def suite_ahss(seed: int, count: int) -> bool:
     return True
 
 
-def run(seed: int = 0, quick: bool = True):
-    n = 10 if quick else 50
+def run(seed: int = 0):
     return [
-        ("snf", suite_snf(seed, 5 * n)),
-        ("truncation_layers", suite_truncation(seed, max(2, n // 3))),
-        ("classification", suite_classify(seed, n)),
-        ("factor_lift", suite_factor_lift(seed, max(2, n // 3))),
+        ("snf", suite_snf(seed, 50)),
+        ("truncation_layers", suite_truncation(seed, 3)),
+        ("classification", suite_classify(seed, 10)),
+        ("factor_lift", suite_factor_lift(seed, 3)),
         ("derived_hom_oracle", suite_oracle()),
         ("pro_limits", suite_pro()),
-        ("ahss_convergence", suite_ahss(seed, max(2, n // 5))),
+        ("ahss_convergence", suite_ahss(seed, 2)),
     ]

@@ -103,6 +103,14 @@ def truncate_below_free(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap
     return C, from_target
 
 
+def truncate_below_step(X: ChainComplex, n: int) -> ChainMap:
+    """T_{<= n+1} X -> T_{<= n} X, by cone functoriality on the inclusion
+    tau_{>= n+2} X -> tau_{>= n+1} X over the identity of X."""
+    _, incl_hi = truncate_above(X, n + 2)
+    _, incl_lo = truncate_above(X, n + 1)
+    return cone_functor_map(incl_hi, incl_lo, truncation_step(X, n + 1), identity_map(X))
+
+
 def truncate_below_map(f: ChainMap, n: int) -> ChainMap:
     """T_{<= n} f via cone functoriality on the truncation square."""
     _, incl_s = truncate_above(f.source, n + 1)
@@ -141,11 +149,7 @@ def truncation_tower(X: ChainComplex) -> TruncationTower:
         C, anchor = truncate_below_free(X, n)
         below[n] = C
         anchors_below[n] = anchor
-    maps_below = {}
-    for n in range(n_lo + 1, n_hi + 1):
-        maps_below[n] = cone_functor_map(
-            anchors_above[n + 1], anchors_above[n],
-            maps_above[n], identity_map(X))
+    maps_below = {n: truncate_below_step(X, n - 1) for n in range(n_lo + 1, n_hi + 1)}
     return TruncationTower(X, n_lo, n_hi, below, above, maps_below, maps_above,
                            anchors_below, anchors_above)
 

@@ -4,17 +4,23 @@
 entry of the right factor, the oracle of the zero-skipping row kernel of
 `IntMatrix.__matmul__`.
 
-`GenericPages` derives the pages of the filtered Hom complex of a
-`SpectralSequence` by the general formula of Romero, Rubio & Sergeraert,
-"Computing spectral sequences" (J. Symbolic Comput. 41, 2006), see also
-McCleary, A User's Guide to Spectral Sequences (2nd ed., sec. 2.2).  With
+`GenericPages` derives the pages of the spectral sequence of a pair (X, Y)
+from the filtered complex C = Hom(X, adapted Y), by the general formula of
+Romero, Rubio & Sergeraert, "Computing spectral sequences" (J. Symbolic
+Comput. 41, 2006), see also McCleary, A User's Guide to Spectral Sequences
+(2nd ed., sec. 2.2).  `adapted_complex` writes Y in a basis adapted to its
+cycles: in degree m the cycles come first (the kernel columns of the Smith
+V of d_m), then the rest of V.  A cycle generator of Y_m has level m and
+any other generator level m-1, and F_q C = Hom(X, tau_{>= q} Y) is spanned
+by the coordinates whose Y-row has level >= q.  With
 Z_s^q = {x in F_q C_n : dx in F_{q+s} C_{n-1}}, page r = s + 1 is
 
     E^r_{p,q} = Z_s^q / (Z_{s-1}^{q+1} + d Z_{s-1}^{q-s+1}),  n = p + q,
 
 a subquotient of C_n, and d_r is induced by d_n with bidegree (-r, r-1).  It
 assumes only that d keeps every F_q, not that it keeps every level, so it
-checks the split reading of `prochain.ahss` and does not rest on it.
+checks the split reading of `prochain.ahss` (E^2 from the level pieces of Y)
+and does not rest on it.
 
 `coefficient_e2` is the pro-AHSS E2 by its definition, the colimit over
 the tower of the coefficient cohomology H^{-p}(X_s; H_q Y) = [X_s, K]_p with
@@ -26,15 +32,18 @@ groups, which `hom_group` presents as subquotients.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
-from typing import Dict, List
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
-from prochain.ahss import Page, Slot, _embed
-from prochain.chain import homology
+from prochain.ahss import Page, Slot
+from prochain.chain import (ChainComplex, _hom_blocks, hom_complex, homology,
+                            make_complex)
 from prochain.errors import ContainmentViolation
 from prochain.exactalg.groups import (GroupHom, SubquotientData, free_group,
                                       group_from_presentation, induced_hom)
-from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, kernel_lattice
+from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, kernel_lattice, snf
 from prochain.pro import colim
 from prochain.prohomotopy import derived_hom_system
 from prochain.tstruct import coefficient_complex
@@ -59,6 +68,41 @@ def scalar_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return IntMatrix(m, n, tuple(x % p for x in out) if p else tuple(out), A.ring)
 
 
+@lru_cache(maxsize=64)
+def adapted_complex(Y: ChainComplex) -> Tuple[ChainComplex, Mapping[int, tuple]]:
+    """Y in a basis adapted to its cycles, with the level of every generator.
+
+    Degree m takes the columns of the Smith V of d_m, the kernel columns
+    first.  A cycle generator has level m and any other level m - 1, so
+    tau_{>= q} Y is spanned by the generators of level >= q."""
+    basis, inverse, levels = {}, {}, {}
+    for m in Y.degrees:
+        s = snf(Y.diff(m))
+        order = list(range(s.rank, Y.rank(m))) + list(range(s.rank))
+        basis[m] = s.V.take_columns(order)
+        inverse[m] = s.Vinv.take_rows(order)
+        levels[m] = (m,) * (Y.rank(m) - s.rank) + (m - 1,) * s.rank
+    diffs = {m: inverse[m - 1] @ Y.diff(m) @ basis[m] for m in range(Y.lo + 1, Y.hi + 1)}
+    return (make_complex(Y.ring, {m: Y.rank(m) for m in Y.degrees}, diffs),
+            MappingProxyType(levels))
+
+
+def _spread_rows(M: IntMatrix, rows: List[int], size: int) -> IntMatrix:
+    """M with its rows placed at `rows` of a size-row matrix, zero elsewhere."""
+    k = M.cols
+    e = [0] * (size * k)
+    for t, i in enumerate(rows):
+        e[i * k:(i + 1) * k] = M.row(t)
+    return IntMatrix(size, k, tuple(e), M.ring)
+
+
+def _embed(lattice: Lattice, rows: List[int], size: int) -> Lattice:
+    """The lattice with its basis rows and its C columns placed at `rows` of
+    size, zero elsewhere; C @ basis is unchanged."""
+    C = _spread_rows(lattice.C.transpose(), rows, size).transpose()
+    return Lattice(_spread_rows(lattice.basis, rows, size), C, lattice.divisors)
+
+
 @dataclass
 class GenericPage(Page):
     """A page with its differentials of bidegree (-r, r-1) between nonzero
@@ -68,10 +112,18 @@ class GenericPage(Page):
 
 
 class GenericPages:
-    """The pages of ss.C under the filtration by ss.levels, over ss.window."""
+    """The pages of C = Hom(ss.X, adapted ss.Y) under the filtration by the
+    levels of its coordinates, over ss.window."""
 
     def __init__(self, ss):
-        self.C, self.levels, self.window, self.ring = ss.C, ss.levels, ss.window, ss.ring
+        X = ss.X
+        Ya, ylevels = adapted_complex(ss.Y)
+        self.C = hom_complex(X, Ya).complex
+        # block k of C_n holds a Y_{k+n} x X_k matrix row by row
+        self.levels = {n: tuple(lev for k in _hom_blocks(X, Ya, n)
+                                for lev in ylevels[k + n] for _ in range(X.rank(k)))
+                       for n in self.C.degrees}
+        self.window, self.ring = ss.window, ss.ring
         self._cycles_memo: Dict[tuple, Lattice] = {}
 
     def cycles(self, n: int, q: int, top: int) -> Lattice:

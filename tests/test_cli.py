@@ -578,6 +578,41 @@ class TestDriver:
         assert len(cases) == 36
         assert digest.hexdigest() == PRO_REPORTS_SHA256
 
+    def test_whitehead_reports_are_pinned(self, tmp_path):
+        # workspaces/moore.json has no chain promap; this workspace has three,
+        # on towers of Z0: the identity and x2 on the constant tower, and zero
+        # components from Z0 <-0- Z0 <-0- ... to the constant zero tower
+        doc = {
+            "ring": "Z",
+            "complexes": {"Z0": {"ranks": {"0": 1}, "diffs": {}},
+                          "O": {"ranks": {}, "diffs": {}}},
+            "maps": {"id_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["1"]]}},
+                     "x2_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["2"]]}},
+                     "x0_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["0"]]}},
+                     "to_O": {"source": "Z0", "target": "O", "comps": {}}},
+            "towers": {"const_Z0": {"entries": ["Z0"], "structure": [],
+                                    "tail": {"constant_from": 0}},
+                       "zero_Z0": {"entries": ["Z0"], "structure": [],
+                                   "tail": {"repeat_from": 0, "endo": "x0_Z0"}},
+                       "const_O": {"entries": ["O"], "structure": [],
+                                   "tail": {"constant_from": 0}}},
+            "promaps": {"id": {"source": "const_Z0", "target": "const_Z0", "comps": ["id_Z0"]},
+                        "x2": {"source": "const_Z0", "target": "const_Z0", "comps": ["x2_Z0"]},
+                        "to_zero": {"source": "zero_Z0", "target": "const_O",
+                                    "comps": ["to_O"]}},
+        }
+        cases = [["whitehead", f] for f in ("id", "x2", "to_zero")]
+        assert run_cases(tmp_path, cases, workspace=write(tmp_path, doc)) == [[0, ""]] * 3
+        reports = {str(f.relative_to(tmp_path)): f.read_bytes()
+                   for f in tmp_path.rglob("*.tsv")}
+        assert reports == {
+            "0/whitehead_id.tsv": b"field\tvalue\nverdict\tweak_equivalence\n",
+            "1/whitehead_x2.tsv":
+                b"field\tvalue\nverdict\tnot\nreason\tH_0 is not a pro-isomorphism\n",
+            "2/whitehead_to_zero.tsv":
+                b"field\tvalue\nverdict\tweak_equivalence\nm_witness\t0\n",
+        }
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_reports_honour_the_umask(self, tmp_path, umask, mode):
         old = os.umask(umask)

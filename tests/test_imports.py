@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package is read, no
-`assert` statement comes back into a module that is free of them, and every
-cache is bounded and emptied by `prochain.cache_clear()`.
+`assert` statement comes back into a module that is free of them, every
+cache is bounded and emptied by `prochain.cache_clear()`, and the names the
+benchmark (`bench/`) reads from the package still resolve.
 
 The package re-exports names from its `__init__.py` files, so those are
 exempt from the import check.  A name imported at module level counts as
@@ -13,6 +14,7 @@ only grows.
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import sys
 
@@ -22,7 +24,8 @@ from conftest import loaded_modules
 import prochain
 from prochain.exactalg.groups import free_group, group_from_orders, hom_group
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "prochain"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "prochain"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -145,3 +148,18 @@ def test_cache_clear_loads_nothing():
     # only loaded modules hold cache entries; clearing loads none
     loaded = loaded_modules("import prochain\nprochain.cache_clear()")
     assert {m for m in loaded if m.startswith("prochain.")} == set()
+
+
+def test_benchmark_hooks_resolve():
+    # bench/spans.py wraps these methods by name, and the convergence check
+    # of bench/workloads.py reads the window through states[0].couple
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, cls, method in spans.METHODS.values():
+        assert callable(getattr(getattr(importlib.import_module(module), cls), method))
+    from prochain.ahss import SpectralSequence
+    Y = prochain.moore_complex(2)
+    couple = SpectralSequence(Y, Y).states[0].couple
+    assert list(couple.slots())
+    assert all(isinstance(getattr(couple, k), int) for k in ("q_lo", "q_hi", "n_lo", "n_hi"))
