@@ -411,7 +411,7 @@ def _hom_blocks(X: ChainComplex, Y: ChainComplex, n: int) -> Dict[int, int]:
 
 @dataclass(frozen=True)
 class HomComplexView:
-    """The complex with degree-n module (+)_k Hom(X_k, Y_{k+n}).
+    """Hom(X, Y), the complex with degree-n module (+)_k Hom(X_k, Y_{k+n}).
 
     Differential D(f) = d_Y o f + (-1)^n f o d_X.  Blocks in degree n are
     indexed by the source degree k, in increasing order; block k holds a
@@ -419,8 +419,6 @@ class HomComplexView:
     kron(b, a^T).
     """
 
-    X: ChainComplex
-    Y: ChainComplex
     complex: ChainComplex
 
 
@@ -445,7 +443,7 @@ def hom_complex(X: ChainComplex, Y: ChainComplex) -> HomComplexView:
                 blocks[k + 1, k] = kron(signed, X.diff(k + 1).transpose())
         diffs[n] = block_matrix(tgt, src, blocks, ring)
     HC = make_complex(ring, ranks, diffs)
-    return HomComplexView(X, Y, HC)
+    return HomComplexView(HC)
 
 
 def derived_hom_data(X: ChainComplex, Y: ChainComplex, n: int) -> SubquotientData:

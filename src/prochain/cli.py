@@ -15,7 +15,12 @@ import sys
 from typing import List, Optional
 
 from .errors import ProchainError
-from .workspace import parse_workspace, serialize_workspace
+from .workspace import MAX_DEGREE, parse_workspace, serialize_workspace
+
+# the time and the report of pro-ahss grow linearly with its window, so a
+# few bytes of arguments could ask for days of work; the default window of
+# complexes within the workspace's degree bounds ends inside this range
+MAX_WINDOW_END = 2 * MAX_DEGREE + 2
 
 
 def fmt_class(v: float) -> str:
@@ -391,6 +396,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if cmd == "pro-ahss":
             ns.n = _int_arg(names[2]) if len(names) == 4 else None
             ns.second_n = _int_arg(names[3]) if len(names) == 4 else None
+            if len(names) == 4 and max(abs(ns.n), abs(ns.second_n)) > MAX_WINDOW_END:
+                raise ProchainError(f"pro-ahss window ends must lie within "
+                                    f"+-{MAX_WINDOW_END}")
         elif n_ints:
             ns.n = _int_arg(names[n_names])
         if ws is not None:

@@ -25,8 +25,8 @@ from .chain import (ChainComplex, ChainMap, chain_map, cone,
 from .errors import PostconditionViolated, PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
-from .exactalg.matrices import (IntMatrix, block_matrix, kernel_basis, kernel_lattice,
-                                kron, snf, solve)
+from .exactalg.matrices import (IntMatrix, block_matrix, hcat, kernel_basis,
+                                kernel_lattice, kron, snf, solve)
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -306,70 +306,20 @@ def pushout_product_check(f: ChainMap, j: int) -> bool:
 # Factorization: n-cofibration followed by co-n-fibration
 # ---------------------------------------------------------------------------
 
-class _CellState:
-    """Z = X (+) attached cells, with p: Z -> Y, built incrementally.
-
-    X occupies the leading coordinates of every degree and is never touched,
-    so the inclusion stays a split mono with free cokernel.  Differentials
-    and p-components are stored sparsely and materialized on snapshot.
-    """
-
-    def __init__(self, X: ChainComplex, f: ChainMap):
-        self.ring = X.ring
-        self.X = X
-        self.Y = f.target
-        self.ranks = {m: X.rank(m) for m in X.degrees}
-        self.d_entries = {}  # m -> {(i, j): v} for d: Z_m -> Z_{m-1}
-        for m in range(X.lo + 1, X.hi + 1):
-            d = X.diff(m)
-            self.d_entries[m] = {(i, j): d[i, j] for i in range(d.rows)
-                                 for j in range(d.cols) if d[i, j]}
-        self.p_entries = {}  # m -> {(i, j): v} for p: Z_m -> Y_m
-        for m in range(min(X.lo, self.Y.lo), max(X.hi, self.Y.hi) + 1):
-            c = f.comp(m)
-            self.p_entries[m] = {(i, j): c[i, j] for i in range(c.rows)
-                                 for j in range(c.cols) if c[i, j]}
-
-    def rank(self, m):
-        return self.ranks.get(m, 0)
-
-    def attach(self, m, boundary, p_value):
-        """New generator e in degree m with d(e) = boundary, p(e) = p_value."""
-        j = self.rank(m)
-        self.ranks[m] = j + 1
-        de = self.d_entries.setdefault(m, {})
-        for i, v in enumerate(boundary):
-            if v:
-                de[(i, j)] = v
-        pe = self.p_entries.setdefault(m, {})
-        for i, v in enumerate(p_value):
-            if v:
-                pe[(i, j)] = v
-
-    def snapshot(self):
-        ring = self.ring
-        ranks = {m: r for m, r in self.ranks.items()}
-        lo = min(list(ranks) + [self.Y.lo])
-        hi = max(list(ranks) + [self.Y.hi])
-        full = {m: ranks.get(m, 0) for m in range(lo, hi + 1)}
-        diffs = {}
-        for m in range(lo + 1, hi + 1):
-            rows, cols = full[m - 1], full[m]
-            M = [[0] * cols for _ in range(rows)]
-            for (i, j), v in self.d_entries.get(m, {}).items():
-                M[i][j] = v
-            diffs[m] = IntMatrix.from_rows(M, ring, cols=cols)
-        Z = make_complex(ring, full, diffs)
-        pc = {}
-        for m in range(lo, hi + 1):
-            rows, cols = self.Y.rank(m), full[m]
-            M = [[0] * cols for _ in range(rows)]
-            for (i, j), v in self.p_entries.get(m, {}).items():
-                M[i][j] = v
-            pc[m] = IntMatrix.from_rows(M, ring, cols=cols) if rows else \
-                IntMatrix.zeros(0, cols, ring)
-        p = chain_map(Z, self.Y, pc)
-        return Z, p
+def _attach(p: ChainMap, m: int, d: IntMatrix, y: IntMatrix) -> ChainMap:
+    """p: Z -> Y with new generators e_j in degree m after the old ones, with
+    d(e_j) the column j of d and p(e_j) the column j of y: d_m gains the
+    columns d, d_{m+1} gains zero rows and p_m gains the columns y."""
+    Z = p.source
+    ranks = {k: Z.rank(k) for k in Z.degrees}
+    ranks[m] = Z.rank(m) + d.cols
+    diffs = {k: Z.diff(k) for k in range(Z.lo + 1, Z.hi + 1)}
+    diffs[m] = hcat(Z.diff(m), d)
+    diffs[m + 1] = block_matrix((Z.rank(m), d.cols), (Z.rank(m + 1),),
+                                {(0, 0): Z.diff(m + 1)}, Z.ring)
+    comps = {k: p.comp(k) for k in range(p.lo, max(Z.hi, p.target.hi) + 1)}
+    comps[m] = hcat(p.comp(m), y)
+    return chain_map(make_complex(Z.ring, ranks, diffs), p.target, comps)
 
 
 def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
@@ -377,31 +327,36 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
     an n-equivalence) and p a co-n-fibration (degreewise surjection and
     co-n-equivalence).
 
-    Construction: for every degree where f is not surjective, attach one
-    disk pair per target generator (u -> y, du -> dy); then, ascending from
-    degree n+1, attach cells killing H_k(cone p).  Disk pairs contribute no
-    homology to the cokernel and the killing cells sit in degrees >= n+1, so
-    the inclusion is automatically an n-equivalence.
+    Construction: Z is X plus one disk pair per generator y of Y_m, for
+    every degree m where f is not surjective: u in degree m and v in degree
+    m - 1, with d(u) = v, p(u) = y and p(v) = d(y).  Degree k of Z holds
+    X_k, then the u's on Y_k, then the v's on Y_{k+1}.  Then, ascending from
+    degree n+1, each round attaches cells killing H_k(cone p), after the
+    generators Z_k has.  Disk pairs contribute no homology to the cokernel
+    and the killing cells sit in degrees >= n+1, so the inclusion is
+    automatically an n-equivalence.
     """
     X, Y = f.source, f.target
     ring = X.ring
-    state = _CellState(X, f)
+    disks = {m: Y.rank(m) for m in Y.degrees if not _is_surjective_matrix(f.comp(m))}
 
-    for m in range(Y.lo, Y.hi + 1):
-        if _is_surjective_matrix(f.comp(m)) or Y.rank(m) == 0:
-            continue
-        dY = Y.diff(m)
-        for g in range(Y.rank(m)):
-            # disk pair: v in degree m-1 with p(v) = d(y_g), u in degree m
-            yv = [0] * Y.rank(m)
-            yv[g] = 1
-            v_index = state.rank(m - 1)
-            state.attach(m - 1, [0] * state.rank(m - 2), list(dY.column(g)))
-            boundary = [0] * state.rank(m - 1)
-            boundary[v_index] = 1
-            state.attach(m, boundary, yv)
+    def sizes(k):  # X_k, the u's on Y_k, the v's on Y_{k+1}
+        return (X.rank(k), disks.get(k, 0), disks.get(k + 1, 0))
 
-    Z, p = state.snapshot()
+    def p_comp(k):  # f on X_k, p(u) = y and p(v) = d(y)
+        blocks = {(0, 0): f.comp(k)}
+        if k in disks:
+            blocks[0, 1] = IntMatrix.identity(disks[k], ring)
+        if k + 1 in disks:
+            blocks[0, 2] = Y.diff(k + 1)
+        return block_matrix((Y.rank(k),), sizes(k), blocks, ring)
+
+    degrees = range(min(X.lo, Y.lo - 1), max(X.hi, Y.hi) + 1)
+    Z = make_complex(ring, {k: sum(sizes(k)) for k in degrees},
+                     {k: block_matrix(sizes(k - 1), sizes(k), {
+                         (0, 0): X.diff(k), (2, 1): IntMatrix.identity(disks.get(k, 0), ring)},
+                         ring) for k in degrees[1:]})
+    p = chain_map(Z, Y, {k: p_comp(k) for k in degrees})
     C, _, _ = cone(p)
     # a round kills H_k(cone p) at the lowest bad degree k >= n + 1 and leaves
     # lower degrees alone, so that degree rises from round to round; the top
@@ -409,22 +364,21 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
     # free, so the new cells add no homology above it
     rounds = max(C.hi - max(n + 1, C.lo) + 1, 0) + 1
     for _ in range(rounds):
-        bad = [k for k in range(max(n + 1, C.lo), C.hi + 1)
-               if not homology(C, k).is_trivial]
-        if not bad:
+        k = next((k for k in range(max(n + 1, C.lo), C.hi + 1)
+                  if not homology(C, k).is_trivial), None)
+        if k is None:
             break
-        k = bad[0]
-        rY = p.target.rank(k)
         # one cell per homology generator: its cycle (y, x) in Y_k (+) Z_{k-1}
         # becomes a cell e with d(e) = -x and p(e) = y
-        for vec in homology_data(C, k).decode_matrix().columns():
-            state.attach(k, [-v for v in vec[rY:]], list(vec[:rY]))
-        Z, p = state.snapshot()
+        cycles = homology_data(C, k).decode_matrix()
+        p = _attach(p, k, -cycles.take_rows(range(Y.rank(k), cycles.rows)),
+                    cycles.take_rows(range(Y.rank(k))))
         C, _, _ = cone(p)
     else:
         raise PostconditionViolated(
             f"cell attachment did not finish within {rounds} rounds, its bound")
 
+    Z = p.source
     i = chain_map(X, Z, {m: block_matrix(
         (X.rank(m), Z.rank(m) - X.rank(m)), (X.rank(m),),
         {(0, 0): IntMatrix.identity(X.rank(m), ring)}, ring)
@@ -504,25 +458,17 @@ def find_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap,
                                       i.comp(m).transpose())
     rhs.extend([0] * sum(side_rows.values()))
     system = block_matrix({**chain_rows, **side_rows}, unknowns, blocks, ring)
-    # an equation without unknowns holds or the square has no lift
-    kept = []
-    for row, value in enumerate(rhs):
-        if any(system.row(row)):
-            kept.append(row)
-        elif value:
-            return None
-
+    # an equation without unknowns holds or the square has no lift; solve
+    # refuses a zero row with a nonzero right-hand side
+    sol = solve(system, IntMatrix(len(rhs), 1, tuple(rhs), ring))
+    if sol is None:
+        return None
     comps = {m: h0c(m) for m in range(lo, hi + 1)}
-    if system.cols:
-        sol = solve(system.take_rows(kept),
-                    IntMatrix(len(kept), 1, tuple(rhs[row] for row in kept), ring))
-        if sol is None:
-            return None
-        off = 0
-        for m, size in unknowns.items():
-            c = IntMatrix(kerbase[m].cols, B.rank(m), sol.entries[off:off + size], ring)
-            comps[m] = h0c(m) - (kerbase[m] @ c)
-            off += size
+    off = 0
+    for m, size in unknowns.items():
+        c = IntMatrix(kerbase[m].cols, B.rank(m), sol.entries[off:off + size], ring)
+        comps[m] = h0c(m) - (kerbase[m] @ c)
+        off += size
     h = chain_map(B, Xc, comps)
     if not (h.compose(i).equal(top) and p.compose(h).equal(bottom)):
         raise PostconditionViolated("the lift does not fill the square")

@@ -27,6 +27,13 @@ the tower of the coefficient cohomology H^{-p}(X_s; H_q Y) = [X_s, K]_p with
 K the coefficient complex of H_q Y; `pro_ahss` reads E2 off its levelwise
 E^2 pages instead.
 
+`cell_state_factor` is `tstruct.factor_n` as it was first written: a
+sparse builder that keeps every differential and every component of p as
+{(i, j): v} dicts, attaches the disks and the killing cells one generator
+at a time and rebuilds the dense complex and map after the disks and after
+every round.  `factor_n` builds the same generators in the same order as
+block matrices.
+
 `pair_order` is the closed form of Hom(Z/a, Z/b), the oracle of the hom
 groups, which `hom_group` presents as subquotients.
 """
@@ -38,15 +45,16 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 from prochain.ahss import Page, Slot
-from prochain.chain import (ChainComplex, _hom_blocks, hom_complex, homology,
-                            make_complex)
-from prochain.errors import ContainmentViolation
+from prochain.chain import (ChainComplex, ChainMap, _hom_blocks, chain_map, cone,
+                            hom_complex, homology, homology_data, make_complex)
+from prochain.errors import ContainmentViolation, PostconditionViolated
 from prochain.exactalg.groups import (GroupHom, SubquotientData, free_group,
                                       group_from_presentation, induced_hom)
-from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, kernel_lattice, snf
+from prochain.exactalg.matrices import (IntMatrix, Lattice, block_matrix, hcat,
+                                       kernel_lattice, snf)
 from prochain.pro import colim
 from prochain.prohomotopy import derived_hom_system
-from prochain.tstruct import coefficient_complex
+from prochain.tstruct import _is_surjective_matrix, coefficient_complex
 
 
 def scalar_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -180,6 +188,123 @@ def coefficient_e2(X, Y, q_lo: int, q_hi: int, n_lo: int, n_hi: int) -> dict:
         for n in range(n_lo, n_hi + 1):
             e2[(n - q, q)] = colim(derived_hom_system(X, K, n - q)).value
     return e2
+
+
+class _CellState:
+    """Z = X (+) attached cells, with p: Z -> Y, built incrementally.
+
+    X occupies the leading coordinates of every degree and is never touched,
+    so the inclusion stays a split mono with free cokernel.  Differentials
+    and p-components are stored sparsely and materialized on snapshot.
+    """
+
+    def __init__(self, X: ChainComplex, f: ChainMap):
+        self.ring = X.ring
+        self.X = X
+        self.Y = f.target
+        self.ranks = {m: X.rank(m) for m in X.degrees}
+        self.d_entries = {}  # m -> {(i, j): v} for d: Z_m -> Z_{m-1}
+        for m in range(X.lo + 1, X.hi + 1):
+            d = X.diff(m)
+            self.d_entries[m] = {(i, j): d[i, j] for i in range(d.rows)
+                                 for j in range(d.cols) if d[i, j]}
+        self.p_entries = {}  # m -> {(i, j): v} for p: Z_m -> Y_m
+        for m in range(min(X.lo, self.Y.lo), max(X.hi, self.Y.hi) + 1):
+            c = f.comp(m)
+            self.p_entries[m] = {(i, j): c[i, j] for i in range(c.rows)
+                                 for j in range(c.cols) if c[i, j]}
+
+    def rank(self, m):
+        return self.ranks.get(m, 0)
+
+    def attach(self, m, boundary, p_value):
+        """New generator e in degree m with d(e) = boundary, p(e) = p_value."""
+        j = self.rank(m)
+        self.ranks[m] = j + 1
+        de = self.d_entries.setdefault(m, {})
+        for i, v in enumerate(boundary):
+            if v:
+                de[(i, j)] = v
+        pe = self.p_entries.setdefault(m, {})
+        for i, v in enumerate(p_value):
+            if v:
+                pe[(i, j)] = v
+
+    def snapshot(self):
+        ring = self.ring
+        ranks = {m: r for m, r in self.ranks.items()}
+        lo = min(list(ranks) + [self.Y.lo])
+        hi = max(list(ranks) + [self.Y.hi])
+        full = {m: ranks.get(m, 0) for m in range(lo, hi + 1)}
+        diffs = {}
+        for m in range(lo + 1, hi + 1):
+            rows, cols = full[m - 1], full[m]
+            M = [[0] * cols for _ in range(rows)]
+            for (i, j), v in self.d_entries.get(m, {}).items():
+                M[i][j] = v
+            diffs[m] = IntMatrix.from_rows(M, ring, cols=cols)
+        Z = make_complex(ring, full, diffs)
+        pc = {}
+        for m in range(lo, hi + 1):
+            rows, cols = self.Y.rank(m), full[m]
+            M = [[0] * cols for _ in range(rows)]
+            for (i, j), v in self.p_entries.get(m, {}).items():
+                M[i][j] = v
+            pc[m] = IntMatrix.from_rows(M, ring, cols=cols) if rows else \
+                IntMatrix.zeros(0, cols, ring)
+        p = chain_map(Z, self.Y, pc)
+        return Z, p
+
+
+def cell_state_factor(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
+    """(i, p) with f = p o i, built on `_CellState`."""
+    X, Y = f.source, f.target
+    ring = X.ring
+    state = _CellState(X, f)
+
+    for m in range(Y.lo, Y.hi + 1):
+        if _is_surjective_matrix(f.comp(m)) or Y.rank(m) == 0:
+            continue
+        dY = Y.diff(m)
+        for g in range(Y.rank(m)):
+            # disk pair: v in degree m-1 with p(v) = d(y_g), u in degree m
+            yv = [0] * Y.rank(m)
+            yv[g] = 1
+            v_index = state.rank(m - 1)
+            state.attach(m - 1, [0] * state.rank(m - 2), list(dY.column(g)))
+            boundary = [0] * state.rank(m - 1)
+            boundary[v_index] = 1
+            state.attach(m, boundary, yv)
+
+    Z, p = state.snapshot()
+    C, _, _ = cone(p)
+    # a round kills H_k(cone p) at the lowest bad degree k >= n + 1 and leaves
+    # lower degrees alone, so that degree rises from round to round; the top
+    # degree of the cone stays put until a round reaches it, and there H_k is
+    # free, so the new cells add no homology above it
+    rounds = max(C.hi - max(n + 1, C.lo) + 1, 0) + 1
+    for _ in range(rounds):
+        bad = [k for k in range(max(n + 1, C.lo), C.hi + 1)
+               if not homology(C, k).is_trivial]
+        if not bad:
+            break
+        k = bad[0]
+        rY = p.target.rank(k)
+        # one cell per homology generator: its cycle (y, x) in Y_k (+) Z_{k-1}
+        # becomes a cell e with d(e) = -x and p(e) = y
+        for vec in homology_data(C, k).decode_matrix().columns():
+            state.attach(k, [-v for v in vec[rY:]], list(vec[:rY]))
+        Z, p = state.snapshot()
+        C, _, _ = cone(p)
+    else:
+        raise PostconditionViolated(
+            f"cell attachment did not finish within {rounds} rounds, its bound")
+
+    i = chain_map(X, Z, {m: block_matrix(
+        (X.rank(m), Z.rank(m) - X.rank(m)), (X.rank(m),),
+        {(0, 0): IntMatrix.identity(X.rank(m), ring)}, ring)
+        for m in range(min(X.lo, Z.lo), max(X.hi, Z.hi) + 1)})
+    return i, p
 
 
 def pair_order(a: int, b: int, ring):

@@ -1,6 +1,9 @@
 """Workspace parsing, serialization round-trip, and the command driver."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
 import stat
@@ -320,6 +323,11 @@ AHSS_REPORTS_SHA256 = "d4b14000053c8dcd872c9d46be3bdc6a25bdf05814b39b51f15774bf1
 # test_pro_reports_are_pinned hashes them
 PRO_REPORTS_SHA256 = "69965a104257323093b0af2fd3707b951c19a1c7157abdca8ae465ca54b48a93"
 
+# sha256 of the homology, truncate, classify, factor, cohomology,
+# derived-hom and lift runs on workspaces/moore.json, as
+# test_tstruct_reports_are_pinned hashes them
+TSTRUCT_REPORTS_SHA256 = "2a030fd9600cbe8416dc37a7568cc166dcef9500fb04cc2b3ddc1eb6e30c9633"
+
 # python -c RUN_COMMANDS WORKSPACE OUT CASES: every case in one interpreter,
 # each into its own out dir; prints [exit code, stderr] per case as JSON
 RUN_COMMANDS = """
@@ -578,6 +586,40 @@ class TestDriver:
         assert len(cases) == 36
         assert digest.hexdigest() == PRO_REPORTS_SHA256
 
+    def test_tstruct_reports_are_pinned(self, tmp_path):
+        # the t-structure commands on workspaces/moore.json, hashed as in
+        # test_ahss_reports_are_pinned and with stderr too: no 4-tuple of
+        # maps there is a lifting problem, so lift pins its clean errors
+        ws = parse_workspace(GOLDEN)
+        complexes, maps = sorted(ws.complexes), sorted(ws.maps)
+        degrees = ("-2", "-1", "0", "1", "3")
+        cases = [["homology", X] for X in complexes]
+        cases += [["truncate", X, n, "--mode", mode] for X in complexes
+                  for mode in ("above", "below") for n in degrees]
+        cases += [["classify", f] for f in maps]
+        cases += [["factor", f, n] for f in maps for n in degrees]
+        cases += [["cohomology", X, A, p] for X in complexes for A in sorted(ws.groups)
+                  for p in ("-1", "0", "1", "2")]
+        cases += [["derived-hom", X, Y, n] for X in complexes for Y in complexes
+                  for n in ("-1", "0", "1")]
+        cases += [["lift", *square, n] for square in itertools.product(maps, repeat=4)
+                  for n in ("-1", "0", "1")]
+        digest = hashlib.sha256()
+        codes = []
+        for k, args in enumerate(cases):
+            out = tmp_path / str(k)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*args, "--workspace", GOLDEN, "--out", str(out)])
+            codes.append(code)
+            digest.update(json.dumps([args, code, err.getvalue()]).encode())
+            for f in sorted(out.iterdir()):
+                body = f.read_bytes()
+                digest.update(f"{f.name} {len(body)}\n".encode() + body)
+        assert len(cases) == 319
+        assert (codes.count(0), codes.count(1)) == (76, 243)
+        assert digest.hexdigest() == TSTRUCT_REPORTS_SHA256
+
     def test_whitehead_reports_are_pinned(self, tmp_path):
         # workspaces/moore.json has no chain promap; this workspace has three,
         # on towers of Z0: the identity and x2 on the constant tower, and zero
@@ -666,6 +708,18 @@ class TestDriver:
         assert "Traceback" not in p.stderr
         assert "comparison_holds\ttrue" in \
             (tmp_path / "out" / "pro_ahss_T_M2_report.tsv").read_text()
+
+    def test_pro_ahss_window_ends_are_bounded(self, tmp_path):
+        # 2 * MAX_DEGREE + 2 = 2050 is the largest end a default window can
+        # have; one past it is refused before any work
+        cases = [["pro-ahss", "tower2_Z0", "M2", "0", "2051"],
+                 ["pro-ahss", "tower2_Z0", "M2", "-2051", "0"],
+                 ["pro-ahss", "tower2_Z0", "M2", "2050", "2050"]]
+        results = run_cases(tmp_path, cases)
+        assert results[:2] == [[1, "error: pro-ahss window ends must lie within +-2050\n"]] * 2
+        assert results[2] == [0, ""]
+        assert (tmp_path / "2" / "pro_ahss_tower2_Z0_M2_abutment.tsv").read_text() == \
+            "n\tgroup\n2050\t0\n"
 
     def test_pro_ahss(self, tmp_path):
         code, out = self.run(tmp_path, "pro-ahss", "tower2_Z0", "M2")

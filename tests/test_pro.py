@@ -306,6 +306,23 @@ class TestProHom:
     def test_zero_target(self):
         assert pro_hom(constant_tower(Z4), constant_tower(TRIV)).is_trivial
 
+    # towers of targets with a repeated tail: the connecting maps of the
+    # limit are post-composition with the endo, nonzero on Hom(A, Y_t)
+
+    def test_into_a_unit_tail(self):
+        # x3 is invertible on Z/4: the limit of Hom(Z, Z/4) <-x3- ... is Z/4
+        x3 = repeat_tower(multiplication_hom(Z4, 3))
+        assert pro_hom(constant_tower(Z), x3).isomorphic(Z4)
+        assert pro_hom(repeat_tower(multiplication_hom(Z, 3)), x3).isomorphic(Z4)
+
+    def test_into_a_non_unit_tail(self):
+        # lim of Z <-x2- Z <-x2- ... is 0, and x2 on Hom(Z/4, Z/8) = Z/4 is
+        # nilpotent, so that limit is 0 too
+        assert pro_hom(constant_tower(Z), times2_tower()).is_trivial
+        Z8 = group_from_orders([8])
+        assert pro_hom(constant_tower(Z4),
+                       repeat_tower(multiplication_hom(Z8, 2))).is_trivial
+
 
 class TestReindex:
     def test_step_one_identity(self):
@@ -319,3 +336,11 @@ class TestReindex:
 
     def test_constant_stays_constant(self):
         assert reindex_cofinal(constant_tower(Z), 3).tail.is_constant
+
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_comparison_of_constant_tails_is_a_pro_isomorphism(self, step):
+        # the comparison is shifted, so the decision levelizes it, and a
+        # ConstantFrom source keeps a constant tail there
+        two = Tower((Z, Z), (multiplication_hom(Z, 2),), TailPolicy.constant_from(1))
+        for T in (constant_tower(Z), two):
+            assert is_pro_isomorphism(comparison_to_reindexed(T, step))

@@ -159,6 +159,12 @@ class TestHeartHom:
         v = heart_hom(t2, constant_tower(coefficient_complex(Z2)), 0)
         assert v.is_trivial
 
+    def test_into_a_unit_tail(self):
+        # x3 is invertible on the Moore complex of Z/4, and [Z0, M4]_0 = Z/4
+        M4 = moore_complex(4)
+        v = heart_hom(constant_tower(Z0), repeat_tower(multiplication_map(M4, 3)), 0)
+        assert v.isomorphic(group_from_orders([4]))
+
     def test_window_vanishing(self):
         Z2 = group_from_orders([2])
         KX = coefficient_complex(Z2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_composable_pair, random_map_into, random_map_out
+from oracles import cell_state_factor
 from prochain.chain import (CONE_CACHE_SIZE, ChainMap, cone, cone_les_exact, derived_hom, free_one_term,
                             homology, homology_support, identity_map,
                             induced_homology_map, moore_complex,
@@ -318,22 +319,29 @@ class TestWhitehead:
 
 
 def factor_rounds(f, n):
-    """The rounds of cell attachment factor_n(f, n) uses (one snapshot
-    each), and its bound from the first cone: the degrees from
-    max(n + 1, lo) to hi, plus one."""
-    snapshots = []
-    take = tstruct._CellState.snapshot
+    """The complexes factor_n(f, n) builds (one after the disks and one per
+    round of cell attachment), and its bound from the first cone: the
+    degrees from max(n + 1, lo) to hi, plus one.  Each round decodes the
+    homology it kills, and only that loop calls homology_data in tstruct;
+    its first cone is the one of p after the disks."""
+    kills, cones = [], []
+    decode, take_cone = tstruct.homology_data, tstruct.cone
 
-    def counting(state):
-        snapshots.append(take(state))
-        return snapshots[-1]
+    def counting(C, k):
+        kills.append(k)
+        return decode(C, k)
+
+    def recording(p):
+        cones.append(p)
+        return take_cone(p)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tstruct._CellState, "snapshot", counting)
+        mp.setattr(tstruct, "homology_data", counting)
+        mp.setattr(tstruct, "cone", recording)
         i, p = factor_n(f, n)
     assert p.compose(i).equal(f)
-    C0 = cone(snapshots[0][1])[0]
-    return len(snapshots), max(C0.hi - max(n + 1, C0.lo) + 1, 0) + 1
+    C0 = take_cone(cones[0])[0]
+    return 1 + len(kills), max(C0.hi - max(n + 1, C0.lo) + 1, 0) + 1
 
 
 class TestFactorLift:
@@ -372,6 +380,15 @@ class TestFactorLift:
         f, _ = random_composable_pair(random.Random(seed), ring, lo=-1, hi=1)
         used, bound = factor_rounds(f, n)
         assert used <= bound
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]), st.integers(min_value=-4, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_factor_matches_the_cell_state_oracle(self, seed, ring, n):
+        # the block construction gives the sparse builder's Z, p and i
+        f, _ = random_composable_pair(random.Random(seed), ring, lo=-2, hi=2)
+        # ChainMap equality compares source, target and every component
+        assert factor_n(f, n) == cell_state_factor(f, n)
 
     @pytest.mark.parametrize("n", [-2, -1, 0])
     def test_factor_rounds_reach_the_bound(self, n):
