@@ -139,6 +139,11 @@ class ChainMap:
     def lo(self) -> int:
         return min(self.source.lo, self.target.lo)
 
+    @property
+    def degrees(self) -> range:
+        """The degrees where source or target may be nonzero."""
+        return range(self.lo, max(self.source.hi, self.target.hi) + 1)
+
     def comp(self, n: int) -> IntMatrix:
         i = n - self.lo
         if 0 <= i < len(self.comps):
@@ -163,14 +168,12 @@ class ChainMap:
     def __add__(self, other: "ChainMap") -> "ChainMap":
         self._check_parallel(other)
         return chain_map(self.source, self.target,
-                         {n: self.comp(n) + other.comp(n)
-                          for n in range(self.lo, max(self.source.hi, self.target.hi) + 1)})
+                         {n: self.comp(n) + other.comp(n) for n in self.degrees})
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         self._check_parallel(other)
         return chain_map(self.source, self.target,
-                         {n: self.comp(n) - other.comp(n)
-                          for n in range(self.lo, max(self.source.hi, self.target.hi) + 1)})
+                         {n: self.comp(n) - other.comp(n) for n in self.degrees})
 
     @property
     def is_zero(self) -> bool:
@@ -204,9 +207,7 @@ def chain_map(source: ChainComplex, target: ChainComplex,
 
 
 def is_chain_map(f: ChainMap) -> bool:
-    lo = min(f.source.lo, f.target.lo)
-    hi = max(f.source.hi, f.target.hi)
-    for n in range(lo + 1, hi + 1):
+    for n in f.degrees[1:]:
         if not (f.source.rank(n) and f.target.rank(n - 1)):
             continue  # both products are empty matrices
         left = f.target.diff(n) @ f.comp(n)
@@ -246,7 +247,7 @@ def shift(X: ChainComplex, k: int) -> ChainComplex:
 
 def shift_map(f: ChainMap, k: int) -> ChainMap:
     return chain_map(shift(f.source, k), shift(f.target, k),
-                     {n + k: f.comp(n) for n in range(f.lo, max(f.source.hi, f.target.hi) + 1)})
+                     {n + k: f.comp(n) for n in f.degrees})
 
 
 def direct_sum_complex(A: ChainComplex, B: ChainComplex):

@@ -1,6 +1,10 @@
 """Batch front end: parse a workspace, dispatch one subcommand, write
 deterministic TSV reports.
 
+DISPATCH is the one place where a command's operands are declared: main
+checks their count, parses the integers and looks up the objects, then
+calls the handler with them.
+
 Exit codes: 0 success, 1 error, 2 when any output contains UNKNOWN.  Output
 files are written atomically (temp file + rename) and contain no timestamps,
 so identical inputs produce byte-identical outputs.  Each handler imports
@@ -71,135 +75,111 @@ def _write_atomic(out_dir: str, name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def cmd_homology(ws, rep, args):
+def cmd_homology(ws, rep, args, X):
     from .chain import homology
-    X = ws.lookup(args.object, "complex")
-    rep.write(f"homology_{args.object}.tsv", ["degree", "group"],
+    rep.write(f"homology_{args.names[0]}.tsv", ["degree", "group"],
               [[str(n), str(homology(X, n))]
                for n in range(X.lo - 1, X.hi + 2)])
 
 
-def cmd_derived_hom(ws, rep, args):
+def cmd_derived_hom(ws, rep, args, X, Y, n):
     from .chain import derived_hom
-    X = ws.lookup(args.object, "complex")
-    Y = ws.lookup(args.second, "complex")
-    n = args.n
     g = derived_hom(X, Y, n)
-    rep.write(f"derived_hom_{args.object}_{args.second}_{n}.tsv",
+    rep.write(f"derived_hom_{args.names[0]}_{args.names[1]}_{n}.tsv",
               ["n", "group"], [[str(n), str(g)]])
 
 
-def cmd_truncate(ws, rep, args):
+def cmd_truncate(ws, rep, args, X, n):
     from .chain import homology
     from .tstruct import truncate_above, truncate_below_free
-    X = ws.lookup(args.object, "complex")
-    n = args.n
     if args.mode == "above":
         T, _ = truncate_above(X, n)
     else:
         T, _ = truncate_below_free(X, n)
     rows = [[str(m), str(T.rank(m)), str(homology(T, m))]
             for m in range(T.lo - 1, T.hi + 2)]
-    rep.write(f"truncate_{args.mode}_{args.object}_{n}.tsv",
+    rep.write(f"truncate_{args.mode}_{args.names[0]}_{n}.tsv",
               ["degree", "rank", "homology"], rows)
 
 
-def cmd_classify(ws, rep, args):
+def cmd_classify(ws, rep, args, f):
     from .tstruct import classify_map
-    f = ws.lookup(args.object, "map")
     c = classify_map(f)
-    rep.write(f"classify_{args.object}.tsv",
+    rep.write(f"classify_{args.names[0]}.tsv",
               ["max_n_equivalence", "min_co_n_equivalence", "weak_equivalence"],
               [[fmt_class(c.max_n_equivalence), fmt_class(c.min_co_n_equivalence),
                 str(c.is_weak_equivalence).lower()]])
 
 
-def cmd_factor(ws, rep, args):
+def cmd_factor(ws, rep, args, f, n):
     from .tstruct import factor_n, is_co_n_fibration, is_n_cofibration
-    f = ws.lookup(args.object, "map")
-    n = args.n
     i, p = factor_n(f, n)
     rows = [["i_is_n_cofibration", str(is_n_cofibration(i, n)).lower()],
             ["p_is_co_n_fibration", str(is_co_n_fibration(p, n)).lower()],
             ["composite_equals_f", str(p.compose(i).equal(f)).lower()],
             ["middle_total_rank", str(i.target.total_rank())]]
-    rep.write(f"factor_{args.object}_{n}.tsv", ["check", "value"], rows)
+    rep.write(f"factor_{args.names[0]}_{n}.tsv", ["check", "value"], rows)
 
 
-def cmd_lift(ws, rep, args):
+def cmd_lift(ws, rep, args, i, p, top, bottom, n):
     from .tstruct import find_lift
-    i = ws.lookup(args.object, "map")
-    p = ws.lookup(args.second, "map")
-    top = ws.lookup(args.third, "map")
-    bottom = ws.lookup(args.fourth, "map")
-    n = args.n
     h = find_lift(i, p, top, bottom, n)
+    name = f"lift_{args.names[0]}_{args.names[1]}_{n}.tsv"
     if h is None:
-        rep.write(f"lift_{args.object}_{args.second}_{n}.tsv",
-                  ["found"], [["false"]])
+        rep.write(name, ["found"], [["false"]])
     else:
-        rep.write(f"lift_{args.object}_{args.second}_{n}.tsv",
-                  ["found", "upper_triangle", "lower_triangle"],
+        rep.write(name, ["found", "upper_triangle", "lower_triangle"],
                   [["true", str(h.compose(i).equal(top)).lower(),
                     str(p.compose(h).equal(bottom)).lower()]])
 
 
-def cmd_cohomology(ws, rep, args):
+def cmd_cohomology(ws, rep, args, X, A, p):
     from .tstruct import cohomology_with_coefficients
-    X = ws.lookup(args.object, "complex")
-    A = ws.lookup(args.second, "group")
-    p = args.n
     g = cohomology_with_coefficients(X, A, p)
-    rep.write(f"cohomology_{args.object}_{args.second}_{p}.tsv",
+    rep.write(f"cohomology_{args.names[0]}_{args.names[1]}_{p}.tsv",
               ["p", "group"], [[str(p), str(g)]])
 
 
-def cmd_pro_iso(ws, rep, args):
+def cmd_pro_iso(ws, rep, args, f):
     from .pro import is_pro_isomorphism
-    f = ws.lookup(args.object, "group promap")
     v = is_pro_isomorphism(f)
     rows = [["verdict", v.kind]]
     if v:
         rows.append(["witness_levels", ";".join(str(t) for t, _, _ in v.witness)])
     else:
         rows.append(["certificate_level", str(v.certificate_level)])
-    rep.write(f"pro_iso_{args.object}.tsv", ["field", "value"], rows)
+    rep.write(f"pro_iso_{args.names[0]}.tsv", ["field", "value"], rows)
 
 
-def cmd_limlim1(ws, rep, args):
+def cmd_limlim1(ws, rep, args, T):
     from .pro import lim_lim1
-    T = ws.lookup(args.object, "group tower")
     r = lim_lim1(T)
     rows = [["lim", str(r.lim)], ["lim1", r.lim1.value],
             ["mittag_leffler", str(r.mittag_leffler).lower()]]
-    rep.write(f"limlim1_{args.object}.tsv", ["field", "value"], rows)
+    rep.write(f"limlim1_{args.names[0]}.tsv", ["field", "value"], rows)
 
 
-def cmd_prohom(ws, rep, args):
+def cmd_prohom(ws, rep, args, X, Y):
     from .pro import pro_hom
-    X = ws.lookup(args.object, "group tower")
-    Y = ws.lookup(args.second, "group tower")
     v = pro_hom(X, Y)
-    rep.write(f"prohom_{args.object}_{args.second}.tsv",
+    rep.write(f"prohom_{args.names[0]}_{args.names[1]}.tsv",
               ["group"], [[str(v)]])
 
 
-def cmd_whitehead(ws, rep, args):
+def cmd_whitehead(ws, rep, args, f):
     from .prohomotopy import is_hstar_weak_equivalence
-    f = ws.lookup(args.object, "promap")
     v = is_hstar_weak_equivalence(f)
     rows = [["verdict", v.verdict]]
     if v.reason:
         rows.append(["reason", v.reason])
     if v.m_witness is not None:
         rows.append(["m_witness", str(v.m_witness)])
-    rep.write(f"whitehead_{args.object}.tsv", ["field", "value"], rows)
+    rep.write(f"whitehead_{args.names[0]}.tsv", ["field", "value"], rows)
 
 
-def cmd_postnikov(ws, rep, args):
+def cmd_postnikov(ws, rep, args, Y):
     from .chain import homology_support
     from .prohomotopy import is_hstar_weak_equivalence, postnikov_replacement
-    Y = ws.lookup(args.object, "tower")
     Z, canon = postnikov_replacement(Y)
     v = is_hstar_weak_equivalence(canon)
     rows = [["entries", str(Z.tail.start + 1)],
@@ -209,50 +189,43 @@ def cmd_postnikov(ws, rep, args):
         sup = homology_support(Z.entry(k))
         rows.append([f"entry_{k}_homology_window",
                      "empty" if sup is None else f"[{sup[0]},{sup[1]}]"])
-    rep.write(f"postnikov_{args.object}.tsv", ["field", "value"], rows)
+    rep.write(f"postnikov_{args.names[0]}.tsv", ["field", "value"], rows)
 
 
-def cmd_fibrant_check(ws, rep, args):
+def cmd_fibrant_check(ws, rep, args, Y):
     from .prohomotopy import is_hstar_fibrant
-    Y = ws.lookup(args.object, "tower")
-    rep.write(f"fibrant_{args.object}.tsv", ["fibrant"],
+    rep.write(f"fibrant_{args.names[0]}.tsv", ["fibrant"],
               [[str(is_hstar_fibrant(Y)).lower()]])
 
 
-def cmd_prohom_const(ws, rep, args):
+def cmd_prohom_const(ws, rep, args, X, Y, n):
+    from .chain import ChainComplex
+    from .pro import Tower
     from .prohomotopy import hom_from_constant, hom_to_constant
-    n = args.n
-    if args.object in ws.towers and args.second in ws.complexes:
-        X = ws.towers[args.object]
-        Y = ws.complexes[args.second]
+
+    def is_tower(T):  # of complexes, not of groups
+        return isinstance(T, Tower) and isinstance(T.entry(0), ChainComplex)
+
+    name = f"prohom_const_{args.names[0]}_{args.names[1]}_{n}.tsv"
+    if is_tower(X) and isinstance(Y, ChainComplex):
         v = hom_to_constant(X, Y, n)
-        rep.write(f"prohom_const_{args.object}_{args.second}_{n}.tsv",
-                  ["direction", "group"],
-                  [["to_constant", str(v)]])
-    elif args.object in ws.complexes and args.second in ws.towers:
-        X = ws.complexes[args.object]
-        Y = ws.towers[args.second]
+        rep.write(name, ["direction", "group"], [["to_constant", str(v)]])
+    elif isinstance(X, ChainComplex) and is_tower(Y):
         r = hom_from_constant(X, Y, n)
-        rep.write(f"prohom_const_{args.object}_{args.second}_{n}.tsv",
-                  ["direction", "value", "lim", "lim1"],
-                  [["from_constant", str(r.value), str(r.lim),
-                    r.lim1.value]])
+        rep.write(name, ["direction", "value", "lim", "lim1"],
+                  [["from_constant", str(r.value), str(r.lim), r.lim1.value]])
     else:
         raise ProchainError("prohom-const needs one tower and one complex")
 
 
-def cmd_ahss(ws, rep, args):
+def cmd_ahss(ws, rep, args, X, Y):
     from .ahss import SpectralSequence
-    X = ws.lookup(args.object, "complex")
-    Y = ws.lookup(args.second, "complex")
     ss = SpectralSequence(X, Y)
     pages, stable = ss.run_to_stable()
-    base = f"ahss_{args.object}_{args.second}"
+    base = f"ahss_{args.names[0]}_{args.names[1]}"
     for page in pages:
-        rows = []
-        for (p, q), g in sorted(page.groups.items()):
-            rows.append([str(p), str(q), ",".join(str(d) for d in g.invariant_factors),
-                         str(g.free_rank)])
+        rows = [[str(p), str(q), ",".join(str(d) for d in g.invariant_factors),
+                 str(g.free_rank)] for (p, q), g in sorted(page.groups.items())]
         rep.write(f"{base}_e{page.r}.tsv",
                   ["p", "q", "invariant_factors", "free_rank"], rows)
         # the filtration splits, so every differential is zero
@@ -270,33 +243,20 @@ def cmd_ahss(ws, rep, args):
     rep.write(f"{base}_report.tsv", ["field", "value"], rows)
 
 
-def cmd_pro_ahss(ws, rep, args):
+def cmd_pro_ahss(ws, rep, args, X, Y, *window):
     from .ahss import pro_ahss
-    X = ws.lookup(args.object, "tower")
-    Y = ws.lookup(args.second, "complex")
-    window = None
-    if args.n is not None and args.second_n is not None:
-        window = (args.n, args.second_n)
-    report = pro_ahss(X, Y, window)
-    base = f"pro_ahss_{args.object}_{args.second}"
-    rows = []
-    for (p, q), g in sorted(report.e2.items()):
-        rows.append([str(p), str(q), str(g)])
+    report = pro_ahss(X, Y, window or None)
+    base = f"pro_ahss_{args.names[0]}_{args.names[1]}"
+    rows = [[str(p), str(q), str(g)] for (p, q), g in sorted(report.e2.items())]
     rep.write(f"{base}_e2.tsv", ["p", "q", "group"], rows)
     rows = [[str(n), str(g)] for n, g in sorted(report.abutment.items())]
     rep.write(f"{base}_abutment.tsv", ["n", "group"], rows)
     rows = [["levelwise_all_iso", str(report.levelwise_all_iso).lower()],
             ["comparison_holds", str(report.comparison_holds).lower()]]
-    for (p, q), verdict in sorted(report.slot_comparison.items()):
-        if verdict != "iso":
-            rows.append([f"slot_{p}_{q}", verdict])
-            if verdict == "unknown":
-                rep.saw_unknown = True
-    for n, verdict in sorted(report.total_comparison.items()):
-        if verdict != "iso":
-            rows.append([f"total_{n}", verdict])
-            if verdict == "unknown":
-                rep.saw_unknown = True
+    verdicts = [[f"slot_{p}_{q}", v] for (p, q), v in sorted(report.slot_comparison.items())]
+    verdicts += [[f"total_{n}", v] for n, v in sorted(report.total_comparison.items())]
+    rows += [row for row in verdicts if row[1] != "iso"]
+    rep.saw_unknown |= any(v == "unknown" for _, v in verdicts)
     rep.write(f"{base}_report.tsv", ["field", "value"], rows)
 
 
@@ -313,26 +273,29 @@ def cmd_selftest(ws, rep, args):
         raise ProchainError("selftest failures")
 
 
-# command -> (handler, object names, integer arguments)
+# command -> (handler, operand kinds).  This is the one place a command's
+# operands are declared: a kind of workspace.lookup for an object name, None
+# for an object of any kind (prohom-const takes a tower and a complex in
+# either order), int for an integer.  pro-ahss may leave out its window.
 DISPATCH = {
-    "homology": (cmd_homology, 1, 0),
-    "truncate": (cmd_truncate, 1, 1),
-    "classify": (cmd_classify, 1, 0),
-    "factor": (cmd_factor, 1, 1),
-    "lift": (cmd_lift, 4, 1),
-    "cohomology": (cmd_cohomology, 2, 1),
-    "pro-iso": (cmd_pro_iso, 1, 0),
-    "limlim1": (cmd_limlim1, 1, 0),
-    "prohom": (cmd_prohom, 2, 0),
-    "whitehead": (cmd_whitehead, 1, 0),
-    "postnikov": (cmd_postnikov, 1, 0),
-    "fibrant-check": (cmd_fibrant_check, 1, 0),
-    "prohom-const": (cmd_prohom_const, 2, 1),
-    "derived-hom": (cmd_derived_hom, 2, 1),
-    "ahss": (cmd_ahss, 2, 0),
-    "pro-ahss": (cmd_pro_ahss, 2, 0),
-    "selftest": (cmd_selftest, 0, 0),
-    "roundtrip": (cmd_roundtrip, 0, 0),
+    "homology": (cmd_homology, ("complex",)),
+    "truncate": (cmd_truncate, ("complex", int)),
+    "classify": (cmd_classify, ("map",)),
+    "factor": (cmd_factor, ("map", int)),
+    "lift": (cmd_lift, ("map", "map", "map", "map", int)),
+    "cohomology": (cmd_cohomology, ("complex", "group", int)),
+    "pro-iso": (cmd_pro_iso, ("group promap",)),
+    "limlim1": (cmd_limlim1, ("group tower",)),
+    "prohom": (cmd_prohom, ("group tower", "group tower")),
+    "whitehead": (cmd_whitehead, ("promap",)),
+    "postnikov": (cmd_postnikov, ("tower",)),
+    "fibrant-check": (cmd_fibrant_check, ("tower",)),
+    "prohom-const": (cmd_prohom_const, (None, None, int)),
+    "derived-hom": (cmd_derived_hom, ("complex", "complex", int)),
+    "ahss": (cmd_ahss, ("complex", "complex")),
+    "pro-ahss": (cmd_pro_ahss, ("tower", "complex", int, int)),
+    "selftest": (cmd_selftest, ()),
+    "roundtrip": (cmd_roundtrip, ()),
 }
 COMMANDS = list(DISPATCH)
 
@@ -369,43 +332,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _operands(ws, cmd: str, kinds: tuple, names: List[str]) -> list:
+    """The operands of cmd, its integers parsed and its objects looked up.
+    Each check runs over every operand before the next check starts: the
+    count, the integers, pro-ahss's window ends, unknown names, kinds."""
+    if cmd == "pro-ahss" and len(names) == 2:
+        kinds = kinds[:2]
+    if len(names) != len(kinds):
+        if cmd == "pro-ahss":
+            raise ProchainError("pro-ahss takes X Y [n_lo n_hi]")
+        raise ProchainError(f"{cmd} takes {len(kinds)} arguments, got {len(names)}")
+    operands = [_int_arg(name) if kind is int else name
+                for kind, name in zip(kinds, names)]
+    if cmd == "pro-ahss" and max(map(abs, operands[2:]), default=0) > MAX_WINDOW_END:
+        raise ProchainError(f"pro-ahss window ends must lie within +-{MAX_WINDOW_END}")
+    for kind, name in zip(kinds, names):
+        if kind is not int:
+            ws.lookup(name)  # every unknown name before any wrong kind
+    return [v if kind is int else ws.lookup(v, kind) for kind, v in zip(kinds, operands)]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cmd = args.command
-        fn, n_names, n_ints = DISPATCH[cmd]
-        if cmd == "selftest":
+        fn, kinds = DISPATCH[args.command]
+        if args.command == "selftest":
             ws = None
+        elif not args.workspace:
+            raise ProchainError("--workspace is required for this command")
         else:
-            if not args.workspace:
-                raise ProchainError("--workspace is required for this command")
             ws = parse_workspace(args.workspace)
         rep = Reporter(args.out)
-        # unpack positional names into fields the handlers expect
-        names = list(args.names)
-        want = n_names + n_ints
-        if cmd == "pro-ahss":
-            if len(names) not in (2, 4):
-                raise ProchainError("pro-ahss takes X Y [n_lo n_hi]")
-        elif len(names) != want:
-            raise ProchainError(f"{cmd} takes {want} arguments, got {len(names)}")
-        ns = argparse.Namespace(**vars(args))
-        fields = ["object", "second", "third", "fourth"]
-        for idx in range(n_names):
-            setattr(ns, fields[idx], names[idx])
-        if cmd == "pro-ahss":
-            ns.n = _int_arg(names[2]) if len(names) == 4 else None
-            ns.second_n = _int_arg(names[3]) if len(names) == 4 else None
-            if len(names) == 4 and max(abs(ns.n), abs(ns.second_n)) > MAX_WINDOW_END:
-                raise ProchainError(f"pro-ahss window ends must lie within "
-                                    f"+-{MAX_WINDOW_END}")
-        elif n_ints:
-            ns.n = _int_arg(names[n_names])
-        if ws is not None:
-            # resolve references early for a clean unknown-name error
-            for idx in range(n_names):
-                ws.lookup(names[idx])
-        fn(ws, rep, ns)
+        fn(ws, rep, args, *_operands(ws, args.command, kinds, args.names))
         return 2 if rep.saw_unknown else 0
     except ProchainError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -370,7 +370,7 @@ def quotient(g: FgAbGroup, by: Subgroup) -> SubquotientData:
 
 
 def cokernel(f: GroupHom) -> SubquotientData:
-    """Cokernel of f together with the projection (via .encode_hom/.encode)."""
+    """Cokernel of f together with the projection (via .encode_hom)."""
     return quotient(f.target, image(f))
 
 

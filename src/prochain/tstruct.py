@@ -237,7 +237,7 @@ def classify_map_by_homology(f: ChainMap) -> MapClassification:
 
 def is_degreewise_split_mono(f: ChainMap) -> bool:
     """Every component a split monomorphism (then the cokernel is free)."""
-    for n in range(min(f.source.lo, f.target.lo), max(f.source.hi, f.target.hi) + 1):
+    for n in f.degrees:
         c = f.comp(n)
         s = snf(c)
         if s.rank != c.cols or any(d != 1 for d in s.invariant_factors):
@@ -252,8 +252,7 @@ def _is_surjective_matrix(c: IntMatrix) -> bool:
 
 
 def is_degreewise_surjection(f: ChainMap) -> bool:
-    return all(_is_surjective_matrix(f.comp(n)) for n in
-               range(min(f.source.lo, f.target.lo), max(f.source.hi, f.target.hi) + 1))
+    return all(_is_surjective_matrix(f.comp(n)) for n in f.degrees)
 
 
 def is_n_cofibration(f: ChainMap, n: int) -> bool:
@@ -269,20 +268,17 @@ def cokernel_complex(f: ChainMap) -> ChainComplex:
     if not is_degreewise_split_mono(f):
         raise PreconditionViolated("not a degreewise split mono")
     ring = f.source.ring
-    lo = min(f.source.lo, f.target.lo)
-    hi = max(f.source.hi, f.target.hi)
     proj = {}
     sect = {}
     ranks = {}
-    for m in range(lo, hi + 1):
+    for m in f.degrees:
         c = f.comp(m)
         s = snf(c)
         idx = list(range(s.rank, c.rows))
         proj[m] = s.U.take_rows(idx)
         sect[m] = s.Uinv.take_columns(idx)
         ranks[m] = len(idx)
-    diffs = {m: proj[m - 1] @ f.target.diff(m) @ sect[m]
-             for m in range(lo + 1, hi + 1)}
+    diffs = {m: proj[m - 1] @ f.target.diff(m) @ sect[m] for m in f.degrees[1:]}
     return make_complex(ring, ranks, diffs)
 
 

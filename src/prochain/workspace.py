@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .chain import ChainComplex, ChainMap, chain_map, is_chain_map, make_complex
-from .errors import ParseError, ValidationError
+from .errors import ParseError, PreconditionViolated, ValidationError
 from .exactalg.groups import FgAbGroup, GroupHom, group_from_presentation, hom
 from .exactalg.matrices import IntMatrix
 from .exactalg.ring import GF, RingTag, ZZ
@@ -45,6 +45,8 @@ class Workspace:
     group_towers: Dict[str, Tower] = field(default_factory=dict)
     promaps: Dict[str, ProMap] = field(default_factory=dict)
     group_promaps: Dict[str, ProMap] = field(default_factory=dict)
+    # the parsed JSON document, which serialize_workspace normalizes
+    raw: dict = field(default_factory=dict, repr=False)
 
     def lookup(self, name: str, kind: Optional[str] = None):
         """The object called `name`; with `kind` given, it must be of that
@@ -172,10 +174,14 @@ def _ends(data, table, where: str):
     return src, tgt
 
 
-def _names(data, key: str, where: str) -> list:
-    """The array of object names under key."""
-    return [_typed(x, str, f"{where} {key}")
-            for x in _typed(data.get(key, []), list, f"{where} {key}")]
+def _named(data, key: str, table, where: str, what: str) -> list:
+    """The objects of table named by the array of names under key."""
+    names = [_typed(x, str, f"{where} {key}")
+             for x in _typed(data.get(key, []), list, f"{where} {key}")]
+    for x in names:
+        if x not in table:
+            raise ParseError(f"{where}: unknown {what} '{x}'")
+    return [table[x] for x in names]
 
 
 def _parse_chain_map(name, data, ws: Workspace) -> ChainMap:
@@ -222,22 +228,14 @@ def _parse_group_map(name, data, ws: Workspace) -> GroupHom:
                               f"!= {(tgt.ngens, src.ngens)}")
     try:
         return hom(src, tgt, mat)
-    except Exception:
+    except PreconditionViolated:
         raise ValidationError(f"group map '{name}': does not respect relations")
 
 
 def _parse_tower(name, data, entry_table, map_table) -> Tower:
     where = f"tower '{name}'"
-    entries = []
-    for e in _names(data, "entries", where):
-        if e not in entry_table:
-            raise ParseError(f"tower '{name}': unknown entry '{e}'")
-        entries.append(entry_table[e])
-    structure = []
-    for m in _names(data, "structure", where):
-        if m not in map_table:
-            raise ParseError(f"tower '{name}': unknown structure map '{m}'")
-        structure.append(map_table[m])
+    entries = _named(data, "entries", entry_table, where, "entry")
+    structure = _named(data, "structure", map_table, where, "structure map")
     tail = _typed(data.get("tail", {}), dict, f"{where} tail")
     if "constant_from" in tail:
         policy = TailPolicy.constant_from(
@@ -259,11 +257,7 @@ def _parse_tower(name, data, entry_table, map_table) -> Tower:
 
 def _parse_promap(name, data, tower_table, map_table) -> ProMap:
     src, tgt = _ends(data, tower_table, f"promap '{name}'")
-    comps = []
-    for m in _names(data, "comps", f"promap '{name}'"):
-        if m not in map_table:
-            raise ParseError(f"promap '{name}': unknown component '{m}'")
-        comps.append(map_table[m])
+    comps = _named(data, "comps", map_table, f"promap '{name}'", "component")
     if not comps:
         raise ValidationError(f"promap '{name}': no components")
     # checked here rather than by level_map, so that the error names the
@@ -299,14 +293,8 @@ def parse_workspace(path: str) -> Workspace:
     config = Config(**{key: _int(cfg_data.get(key, default), f"config {key}")
                        for key, default in vars(Config()).items()})
     config.validate()
-    ws = Workspace(ring=ring, config=config)
+    ws = Workspace(ring=ring, config=config, raw=data)
     seen = set()
-
-    def claim(name):
-        if name in seen:
-            raise ValidationError(f"duplicate object name '{name}'")
-        seen.add(name)
-
     parsers = {
         "complexes": lambda name, d: _parse_complex(name, d, ring),
         "maps": lambda name, d: _parse_chain_map(name, d, ws),
@@ -321,11 +309,11 @@ def parse_workspace(path: str) -> Workspace:
     # in the order of _TABLES, so every object is parsed after those it names
     for kind, section in _TABLES:
         for name, d in _typed(data.get(section, {}), dict, section).items():
-            claim(name)
+            if name in seen:
+                raise ValidationError(f"duplicate object name '{name}'")
+            seen.add(name)
             getattr(ws, section)[name] = parsers[section](
                 name, _typed(d, dict, f"{kind} '{name}'"))
-    # stash raw names for serialization
-    ws._raw = data
     return ws
 
 
@@ -333,8 +321,37 @@ def parse_workspace(path: str) -> Workspace:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-def _stringify_matrix(data):
-    return [[str(int(x)) for x in row] for row in data]
+def _same(value, name):
+    return value
+
+
+def _strings(matrix, name):
+    return [[str(int(x)) for x in row] for row in matrix]
+
+
+def _by_degree(form):
+    return lambda value, name: {str(k): form(v, name) for k, v in value.items()}
+
+
+def _tail(tail, name):
+    return {k: v if k == "endo" else _int(v, f"tower '{name}' tail")
+            for k, v in tail.items()}
+
+
+# section -> field -> (default, canonical form of the value given the
+# object's name); the parser has checked every value, and the canonical
+# form drops every field outside this table
+_ENDS = {"source": (None, _same), "target": (None, _same)}
+_TOWER = {"entries": ([], _same), "structure": ([], _same), "tail": ({}, _tail)}
+_CANONICAL = {
+    "complexes": {"ranks": ({}, _by_degree(_int)), "diffs": ({}, _by_degree(_strings))},
+    "maps": {**_ENDS, "comps": ({}, _by_degree(_strings))},
+    "groups": {"generators": (0, _int), "relations": ([], _strings)},
+    "group_maps": {**_ENDS, "matrix": ([], _strings)},
+    "towers": _TOWER, "group_towers": _TOWER,
+    "promaps": {**_ENDS, "comps": ([], _same)},
+    "group_promaps": {**_ENDS, "comps": ([], _same)},
+}
 
 
 def serialize_workspace(ws: Workspace) -> str:
@@ -344,70 +361,11 @@ def serialize_workspace(ws: Workspace) -> str:
     output is idempotent: serialize(parse(serialize(parse(f)))) equals
     serialize(parse(f)) byte for byte.
     """
-    raw = getattr(ws, "_raw", {})
-    out = {}
-    out["ring"] = "Z" if not ws.ring.is_field else {"p": ws.ring.p}
-    out["config"] = {
-        "budget_filler": ws.config.budget_filler,
-        "budget_reindex": ws.config.budget_reindex,
-        "lim_window": ws.config.lim_window,
-    }
-    if raw.get("complexes"):
-        out["complexes"] = {
-            name: {
-                "ranks": {str(k): int(v) for k, v in d.get("ranks", {}).items()},
-                "diffs": {str(k): _stringify_matrix(m)
-                          for k, m in d.get("diffs", {}).items()},
-            }
-            for name, d in raw["complexes"].items()
-        }
-    if raw.get("maps"):
-        out["maps"] = {
-            name: {
-                "source": d["source"],
-                "target": d["target"],
-                "comps": {str(k): _stringify_matrix(m)
-                          for k, m in d.get("comps", {}).items()},
-            }
-            for name, d in raw["maps"].items()
-        }
-    if raw.get("groups"):
-        out["groups"] = {
-            name: {
-                "generators": int(d.get("generators", 0)),
-                "relations": [[str(int(x)) for x in rel]
-                              for rel in d.get("relations", [])],
-            }
-            for name, d in raw["groups"].items()
-        }
-    if raw.get("group_maps"):
-        out["group_maps"] = {
-            name: {
-                "source": d["source"],
-                "target": d["target"],
-                "matrix": _stringify_matrix(d.get("matrix", [])),
-            }
-            for name, d in raw["group_maps"].items()
-        }
-    for section in ("towers", "group_towers"):
-        if raw.get(section):
-            out[section] = {
-                name: {
-                    "entries": list(d.get("entries", [])),
-                    "structure": list(d.get("structure", [])),
-                    "tail": {k: (v if k == "endo" else _int(v, f"tower '{name}' tail"))
-                             for k, v in d.get("tail", {}).items()},
-                }
-                for name, d in raw[section].items()
-            }
-    for section in ("promaps", "group_promaps"):
-        if raw.get(section):
-            out[section] = {
-                name: {
-                    "source": d["source"],
-                    "target": d["target"],
-                    "comps": list(d.get("comps", [])),
-                }
-                for name, d in raw[section].items()
-            }
+    out = {"ring": "Z" if not ws.ring.is_field else {"p": ws.ring.p},
+           "config": vars(ws.config)}
+    for section, fields in _CANONICAL.items():
+        if ws.raw.get(section):
+            out[section] = {name: {key: form(d.get(key, default), name)
+                                   for key, (default, form) in fields.items()}
+                            for name, d in ws.raw[section].items()}
     return json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import loaded_modules, run_python
-from prochain.cli import COMMANDS, main
+from prochain.cli import COMMANDS, DISPATCH, main
 from prochain.errors import ParseError, ValidationError
-from prochain.workspace import parse_workspace, serialize_workspace
+from prochain.workspace import _TABLES, parse_workspace, serialize_workspace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "workspaces", "moore.json")
 
@@ -29,6 +29,80 @@ def write(tmp_path, doc, name="ws.json"):
 MINIMAL = {
     "ring": "Z",
     "complexes": {"Z0": {"ranks": {"0": 1}, "diffs": {}}},
+}
+
+
+# every section, with integers where the canonical form has strings and
+# strings where it has integers, optional fields left out, and keys that no
+# parser reads (which the canonical form drops, but for a tower's tail)
+NONCANONICAL = {
+    "ring": "Z",
+    "config": {"budget_filler": "9", "colour": "red"},
+    "comment": "not a section",
+    "complexes": {"M3": {"ranks": {"0": "1", "1": 1}, "diffs": {"1": [[3]]}, "note": 1},
+                  "Z0": {"ranks": {"0": 1}}, "O": {}},
+    "maps": {"id_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [[1]]}},
+             "x3_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["3"]]},
+                       "note": True},
+             "to_O": {"source": "Z0", "target": "O"}},
+    "groups": {"Z": {"generators": 1}, "Z3": {"generators": "1", "relations": [[3]]},
+               "T": {}},
+    "group_maps": {"g3": {"source": "Z", "target": "Z", "matrix": [[3]]},
+                   "g_id": {"source": "Z", "target": "Z", "matrix": [["1"]], "note": 0},
+                   "g0": {"source": "Z", "target": "Z3"}},
+    "towers": {"const_Z0": {"entries": ["Z0"], "tail": {"constant_from": "0"}},
+               "x3_tower": {"entries": ["Z0", "Z0"], "structure": ["x3_Z0"],
+                            "tail": {"repeat_from": 1, "endo": "x3_Z0", "period": "2"},
+                            "note": "x"}},
+    "group_towers": {"const_Z": {"entries": ["Z"], "structure": [],
+                                 "tail": {"constant_from": 0}},
+                     "g3_Z": {"entries": ["Z"], "tail": {"repeat_from": "0", "endo": "g3"}}},
+    "promaps": {"id_P": {"source": "const_Z0", "target": "const_Z0", "comps": ["id_Z0"],
+                         "note": []},
+                "x3_P": {"source": "const_Z0", "target": "const_Z0", "comps": ["x3_Z0"]}},
+    "group_promaps": {"g_id_P": {"source": "const_Z", "target": "const_Z",
+                                 "comps": ["g_id"], "note": {}}},
+}
+
+NONCANONICAL_SERIALIZED = {
+    "complexes": {"M3": {"diffs": {"1": [["3"]]}, "ranks": {"0": 1, "1": 1}},
+                  "O": {"diffs": {}, "ranks": {}},
+                  "Z0": {"diffs": {}, "ranks": {"0": 1}}},
+    "config": {"budget_filler": 9, "budget_reindex": 8, "lim_window": 24},
+    "group_maps": {"g0": {"matrix": [], "source": "Z", "target": "Z3"},
+                   "g3": {"matrix": [["3"]], "source": "Z", "target": "Z"},
+                   "g_id": {"matrix": [["1"]], "source": "Z", "target": "Z"}},
+    "group_promaps": {"g_id_P": {"comps": ["g_id"], "source": "const_Z",
+                                 "target": "const_Z"}},
+    "group_towers": {"const_Z": {"entries": ["Z"], "structure": [],
+                                 "tail": {"constant_from": 0}},
+                     "g3_Z": {"entries": ["Z"], "structure": [],
+                              "tail": {"endo": "g3", "repeat_from": 0}}},
+    "groups": {"T": {"generators": 0, "relations": []},
+               "Z": {"generators": 1, "relations": []},
+               "Z3": {"generators": 1, "relations": [["3"]]}},
+    "maps": {"id_Z0": {"comps": {"0": [["1"]]}, "source": "Z0", "target": "Z0"},
+             "to_O": {"comps": {}, "source": "Z0", "target": "O"},
+             "x3_Z0": {"comps": {"0": [["3"]]}, "source": "Z0", "target": "Z0"}},
+    "promaps": {"id_P": {"comps": ["id_Z0"], "source": "const_Z0", "target": "const_Z0"},
+                "x3_P": {"comps": ["x3_Z0"], "source": "const_Z0", "target": "const_Z0"}},
+    "ring": "Z",
+    "towers": {"const_Z0": {"entries": ["Z0"], "structure": [],
+                            "tail": {"constant_from": 0}},
+               "x3_tower": {"entries": ["Z0", "Z0"], "structure": ["x3_Z0"],
+                            "tail": {"endo": "x3_Z0", "period": 2, "repeat_from": 1}}},
+}
+
+# a field ring given as a string, and empty sections, which the canonical
+# form leaves out; matrix entries keep the digits the document gave them
+SMALL_F3 = {"ring": {"p": "3"},
+            "complexes": {"A": {"ranks": {"0": 1, "1": "1"}, "diffs": {"1": [[4]]}}},
+            "maps": {}, "groups": {}}
+
+SMALL_F3_SERIALIZED = {
+    "complexes": {"A": {"diffs": {"1": [["4"]]}, "ranks": {"0": 1, "1": 1}}},
+    "config": {"budget_filler": 8, "budget_reindex": 8, "lim_window": 24},
+    "ring": {"p": 3},
 }
 
 
@@ -124,6 +198,18 @@ class TestParsing:
                "maps": {"f": {"source": "nope", "target": "nope", "comps": {}}}}
         with pytest.raises(ParseError):
             parse_workspace(write(tmp_path, doc))
+
+    def test_group_map_off_the_relations_is_one_error_line(self, tmp_path, capsys):
+        # 1: Z/2 -> Z sends the generator, of order 2, to one of infinite order
+        doc = {"complexes": {"Z0": {"ranks": {"0": 1}}},
+               "groups": {"Z2": {"generators": 1, "relations": [[2]]},
+                          "Z": {"generators": 1}},
+               "group_maps": {"bad": {"source": "Z2", "target": "Z", "matrix": [[1]]}}}
+        code = main(["homology", "Z0", "--workspace", write(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: group map 'bad': does not respect relations\n"
 
     def test_duplicate_names(self, tmp_path):
         doc = {"ring": "Z",
@@ -222,6 +308,10 @@ class TestParsing:
         ({"complexes": {"Z0": Z0}, "towers": {"T": {
             "entries": [["Z0"]], "structure": [], "tail": {"constant_from": 0}}}},
          "error: tower 'T' entries: expected a string, got [\"Z0\"]"),
+        # every name is checked to be a string before any is looked up
+        ({"complexes": {"Z0": Z0}, "towers": {"T": {
+            "entries": ["nosuch", 5], "structure": [], "tail": {"constant_from": 1}}}},
+         "error: tower 'T' entries: expected a string, got 5"),
     ])
     def test_wrong_json_type_is_one_error_line(self, tmp_path, capsys, doc, message):
         code = main(["homology", "Z0", "--workspace", write(tmp_path, doc),
@@ -300,6 +390,29 @@ class TestRoundTrip:
         q.write_text(once)
         assert serialize_workspace(parse_workspace(str(q))) == once
 
+    @pytest.mark.parametrize("doc, canonical", [
+        (NONCANONICAL, NONCANONICAL_SERIALIZED), (SMALL_F3, SMALL_F3_SERIALIZED),
+    ], ids=["every-section", "field-ring"])
+    def test_noncanonical_document(self, tmp_path, doc, canonical):
+        once = serialize_workspace(parse_workspace(write(tmp_path, doc)))
+        assert once == json.dumps(canonical, indent=2, sort_keys=True) + "\n"
+        q = tmp_path / "canon.json"
+        q.write_text(once)
+        assert serialize_workspace(parse_workspace(str(q))) == once
+
+    def test_non_integer_extra_tail_key_is_one_error_line(self, tmp_path, capsys):
+        # parsing reads only the tail keys it knows; the canonical form
+        # writes every tail key but endo as an integer
+        doc = {"complexes": {"Z0": {"ranks": {"0": 1}}},
+               "towers": {"T": {"entries": ["Z0"],
+                                "tail": {"constant_from": 0, "period": "x"}}}}
+        code = main(["roundtrip", "--workspace", write(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: tower 'T' tail: expected an integer, got \"x\"\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 # one name tuple per command on workspaces/moore.json; lift and whitehead
 # reach only clean errors there, after their handler's imports
@@ -358,6 +471,101 @@ def assert_report_or_one_error_line(args, code, err):
         assert len(lines) == 1 and lines[0].startswith("error:"), (args, err)
     else:
         assert code in (0, 2) and lines == [], (args, err)
+
+
+# the operands of each command as a user writes them: the kind of object
+# each name must be, or int for an integer; prohom-const takes a complex and
+# a tower in either order, written here in one of them
+OPERANDS = {
+    "homology": ("complex",), "truncate": ("complex", int), "classify": ("map",),
+    "factor": ("map", int), "lift": ("map", "map", "map", "map", int),
+    "cohomology": ("complex", "group", int), "pro-iso": ("group promap",),
+    "limlim1": ("group tower",), "prohom": ("group tower", "group tower"),
+    "whitehead": ("promap",), "postnikov": ("tower",), "fibrant-check": ("tower",),
+    "prohom-const": ("complex", "tower", int),
+    "derived-hom": ("complex", "complex", int), "ahss": ("complex", "complex"),
+    "pro-ahss": ("tower", "complex", int, int), "selftest": (), "roundtrip": (),
+}
+
+# one object of each kind on workspaces/moore.json, which has no chain promap
+NAME_OF_KIND = {"complex": "M2", "map": "times2", "group": "Z2", "group map": "g_times2",
+                "tower": "const_M2", "group tower": "tower2_Z",
+                "group promap": "id_tower2"}
+KIND_OF_NAME = {name: kind for kind, name in NAME_OF_KIND.items()}
+
+
+def operand_error_cases(cmd):
+    """(names, stderr) for the operand errors of cmd on workspaces/moore.json,
+    each case with one fault, and then a few with two, which show the order
+    of the checks: count, integers, window ends, unknown names, kinds."""
+    kinds = OPERANDS[cmd]
+    # no case looks up whitehead's base name: a promap would be valid there
+    base = ["0" if kind is int else NAME_OF_KIND.get(kind, "nosuch") for kind in kinds]
+    objects = [k for k, kind in enumerate(kinds) if kind is not int]
+    ints = [k for k, kind in enumerate(kinds) if kind is int]
+
+    def at(k, name, names=base):
+        return names[:k] + [name] + names[k + 1:]
+
+    def wrong(k):
+        return next(name for kind, name in NAME_OF_KIND.items() if kind != kinds[k])
+
+    def count_error(got):
+        if cmd == "pro-ahss":
+            return "error: pro-ahss takes X Y [n_lo n_hi]\n"
+        return f"error: {cmd} takes {len(kinds)} arguments, got {got}\n"
+
+    def kind_error(k, name):
+        if cmd == "prohom-const":
+            return "error: prohom-const needs one tower and one complex\n"
+        return f"error: '{name}' is a {KIND_OF_NAME[name]}, expected a {kinds[k]}\n"
+
+    unknown = "error: unknown object 'nosuch'\n"
+    not_int = "error: expected an integer argument, got 'x'\n"
+    cases = [(base + ["x"], count_error(len(base) + 1))]
+    if base:
+        cases.append((base[:-1], count_error(len(base) - 1)))
+    if cmd == "pro-ahss":
+        cases.append((base[:1], count_error(1)))
+    for k in objects:
+        cases.append((at(k, "nosuch"), unknown))
+        cases += [(at(k, name), kind_error(k, name))
+                  for kind, name in NAME_OF_KIND.items() if kind != kinds[k]]
+    cases += [(at(k, "x"), not_int) for k in ints]
+    if len(objects) > 1:
+        first, last = objects[0], objects[-1]
+        cases.append((at(last, "nosuch", at(first, wrong(first))), unknown))
+        cases.append((at(last, wrong(last), at(first, wrong(first))),
+                      kind_error(first, wrong(first))))
+    if objects and ints:
+        cases.append((at(ints[-1], "x", at(objects[0], "nosuch")), not_int))
+    if cmd == "pro-ahss":
+        bound = "error: pro-ahss window ends must lie within +-2050\n"
+        cases.append((at(3, "2051", at(0, "nosuch")), bound))
+        cases.append((at(3, "x", at(2, "2051")), not_int))
+    return cases
+
+
+class TestOperandErrors:
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_operand_errors_are_pinned(self, tmp_path, cmd):
+        # exit code 1, one error line on stderr, nothing on stdout and no report
+        cases = operand_error_cases(cmd)
+        results = []
+        for k, (names, _) in enumerate(cases):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([cmd, *names, "--workspace", GOLDEN,
+                             "--out", str(tmp_path / str(k))])
+            results.append((names, code, err.getvalue(), out.getvalue()))
+        assert results == [(names, 1, stderr, "") for names, stderr in cases]
+        assert [f for f in tmp_path.rglob("*") if f.is_file()] == []
+
+    def test_operand_kinds_are_known(self):
+        # a mistyped kind in DISPATCH would fail only on a user's command line
+        known = {kind for kind, _ in _TABLES} | {int, None}
+        assert [(cmd, kind) for cmd, (_, kinds) in DISPATCH.items()
+                for kind in kinds if kind not in known] == []
 
 
 class TestDriver:
@@ -654,6 +862,39 @@ class TestDriver:
             "2/whitehead_to_zero.tsv":
                 b"field\tvalue\nverdict\tweak_equivalence\nm_witness\t0\n",
         }
+
+    def test_lift_reports_are_pinned(self, tmp_path):
+        # the squares i -> i, p -> p of factor_n(times2, n) = (i, p) on the
+        # Moore complex M2: the identity of the middle complex lifts them.
+        # By the lifting axiom every square that meets find_lift's
+        # preconditions has a lift, so no workspace reaches "found false".
+        from prochain.tstruct import factor_n
+
+        def complex_doc(X):
+            return {"ranks": {str(k): X.rank(k) for k in X.degrees},
+                    "diffs": {str(k): X.diff(k).to_lists() for k in X.degrees[1:]}}
+
+        def map_doc(f, source, target):
+            # a component without rows is written as [], which has no shape
+            return {"source": source, "target": target,
+                    "comps": {str(k): f.comp(k).to_lists()
+                              for k in range(f.lo, f.lo + len(f.comps)) if f.comp(k).rows}}
+
+        times2 = parse_workspace(GOLDEN).maps["times2"]
+        doc = {"complexes": {"M2": complex_doc(times2.source)}, "maps": {}}
+        degrees = ("-1", "0", "1")
+        for n in degrees:
+            i, p = factor_n(times2, int(n))
+            doc["complexes"][f"Z{n}"] = complex_doc(i.target)
+            doc["maps"][f"i{n}"] = map_doc(i, "M2", f"Z{n}")
+            doc["maps"][f"p{n}"] = map_doc(p, f"Z{n}", "M2")
+        cases = [["lift", f"i{n}", f"p{n}", f"i{n}", f"p{n}", n] for n in degrees]
+        assert run_cases(tmp_path, cases, workspace=write(tmp_path, doc)) == [[0, ""]] * 3
+        reports = {str(f.relative_to(tmp_path)): f.read_bytes()
+                   for f in tmp_path.rglob("*.tsv")}
+        found = b"found\tupper_triangle\tlower_triangle\ntrue\ttrue\ttrue\n"
+        assert reports == {f"{k}/lift_i{n}_p{n}_{n}.tsv": found
+                           for k, n in enumerate(degrees)}
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_reports_honour_the_umask(self, tmp_path, umask, mode):
