@@ -35,11 +35,18 @@ it, so every D-column [X, tau_{>= q} Y]_n ends in zero and has
 lim = lim^1 = 0.  A map of towers acts by precomposition, which keeps every
 piece, so it induces its map on E^2 as the map [X, L_q Y] -> [X', L_q Y].
 
-The exact couple of the truncation filtration (D^2 = [X, tau_{>= q} Y],
-E^2 = [X, layer_q Y], with i, j, k induced by the truncation inclusion, the
-cone inclusion and the cone projection) is kept as an independent oracle.
-Everything outside the finite window is zero, which the bounded supports
-justify.
+Two readings stay apart from the level pieces.  The convergence check
+compares E^2 with the graded abutment F_q / F_{q+1} of [X, Y]_n, where
+F_q = im([X, tau_{>= q} Y]_n -> [X, Y]_n).  That filtration is computed in
+the one complex C = Hom(X, Y): the inclusion of Hom(X, tau_{>= q} Y) is
+injective in each degree, so F_q is spanned by the classes in H_n(C) of the
+cycles of C in its image.  It reads only `truncate_above`, `hom_chain_map`
+and the homology of C, so a wrong split shows as a mismatch and is not
+compared with itself.  The exact couple of the truncation filtration
+(D^2 = [X, tau_{>= q} Y], E^2 = [X, layer_q Y], with i, j, k induced by the
+truncation inclusion, the cone inclusion and the cone projection) is kept
+as an independent oracle.  Everything outside the finite window is zero,
+which the bounded supports justify.
 """
 
 from __future__ import annotations
@@ -50,15 +57,17 @@ from math import prod
 from types import MappingProxyType, SimpleNamespace
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from . import chain
 from .chain import (ChainComplex, ChainMap, derived_hom, derived_hom_data,
-                    homology, homology_support, identity_map,
+                    hom_chain_map, homology, homology_support, identity_map,
                     induced_map_on_derived_hom, make_complex,
                     shift_identification)
 from .errors import ContainmentViolation
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData,
-                              direct_sum, exact_at, image, induced_hom,
-                              subquotient, trivial_group, zero_hom)
-from .exactalg.matrices import kernel_lattice, snf
+                              direct_sum, exact_at, full_subgroup, induced_hom,
+                              subgroup_from_columns, subquotient, trivial_group,
+                              zero_hom, zero_subgroup)
+from .exactalg.matrices import kernel_basis, kernel_lattice, snf
 from .exactalg.ring import check_same_ring
 from .pro import DirectSystem, GroupOrUnknown, Tower, UnknownValue, colim
 from .prohomotopy import hom_to_constant
@@ -270,9 +279,10 @@ class SpectralSequence:
 
     def graded(self, n: int) -> Dict[int, SubquotientData]:
         """{q: F_q / F_{q+1}} of abutment_filtration(X, Y, n) for q in the
-        window, computed once per n.  It comes from derived Homs against the
-        truncations of Y, apart from the pages, so comparing it with
-        E-infinity is a check and not a tautology."""
+        window, computed once per n.  F_q is the part of [X, Y]_n carried
+        by the cycles of Hom(X, tau_{>= q} Y) inside Hom(X, Y); it reads the
+        truncations of Y and not the level pieces the pages come from, so
+        comparing it with E-infinity is a check and not a tautology."""
         gr = self._graded_memo.get(n)
         if gr is None:
             total, filt = abutment_filtration(self.X, self.Y, n)
@@ -288,7 +298,9 @@ class SpectralSequence:
         it Hom(X, Y)), so F_{q_hi+1} = 0 and each column is zero from
         q_hi + 1 on.  The colimit condition is the vanishing of
         [X, T_{<= n-q} Y]_n for large q; and the graded comparison compares
-        E-infinity slot by slot with `graded`.
+        E-infinity slot by slot with `graded`, whose filtration is read off
+        the cycles of Hom(X, Y) that come from Hom(X, tau_{>= q} Y), apart
+        from the level pieces.
         """
         X, Y, w = self.X, self.Y, self.window
         pages, stable = self.run_to_stable()
@@ -334,17 +346,39 @@ def e2_identification_check(X: ChainComplex, Y: ChainComplex) -> bool:
 def abutment_filtration(X: ChainComplex, Y: ChainComplex, n: int):
     """Decreasing filtration F_q = im([X, tau_{>= q} Y]_n -> [X, Y]_n).
 
-    Returns (total group, list of (q, Subgroup)); F exhausts at the bottom
-    of the window and vanishes past the top.
+    Returns (total group, list of (q, Subgroup)), every subgroup in the
+    canonical coordinates of [X, Y]_n; F exhausts at the bottom of the
+    window and vanishes past the top.
+
+    Everything is read inside the one complex C = Hom(X, Y).  In each degree
+    the inclusion Hom(X, tau_{>= q} Y) -> C is injective, with matrix S_q =
+    Hom(id_X, incl_q), so the cycles of the truncated complex are S_q times
+    the kernel of d_n o S_q, and F_q is the span of their classes in
+    H_n(C).  F_q is all of [X, Y]_n for q <= Y.lo, where the truncation is
+    Y, and zero for q > Y.hi, where it is zero.
     """
     w = _window(X, Y)
+    data = derived_hom_data(X, Y, n)
+    total = data.group
+    zero = zero_subgroup(total)
+    qs = range(w.q_lo, w.q_hi + 2)
+    if total.is_trivial:
+        return total, [(q, zero) for q in qs]
+    whole = full_subgroup(total)
+    # the lookup derived_hom_data makes, so that d and H_n(C) share one C
+    d = chain.hom_complex(X, Y).complex.diff(n)
     idX = identity_map(X)
-    total = derived_hom(X, Y, n)
     out = []
-    for q in range(w.q_lo, w.q_hi + 2):
-        T, incl = truncate_above(Y, q)
-        anchor = induced_map_on_derived_hom(idX, incl, n)
-        out.append((q, image(anchor)))
+    for q in qs:
+        if q <= Y.lo:
+            F = whole
+        elif q > Y.hi:
+            F = zero
+        else:
+            S = hom_chain_map(idX, truncate_above(Y, q)[1], n)
+            cycles = S @ kernel_basis(d @ S)
+            F = subgroup_from_columns(total, data.encode_matrix(cycles))
+        out.append((q, F))
     return total, out
 
 

@@ -329,7 +329,7 @@ def cone_functor_map(f: ChainMap, g: ChainMap, alpha: ChainMap, xi: ChainMap) ->
 # ---------------------------------------------------------------------------
 
 # bounds at about twice the most distinct arguments one benchmark round
-# passes (1,750 homology groups and 409 hom complexes, both in `spectral`)
+# passes (2,088 homology groups and 374 hom complexes, both in `spectral`)
 HOMOLOGY_CACHE_SIZE = 4096
 HOM_COMPLEX_CACHE_SIZE = 1024
 

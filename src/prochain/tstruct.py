@@ -37,7 +37,7 @@ NEG_INF = -math.inf
 # ---------------------------------------------------------------------------
 
 # bounds at about twice the most distinct arguments one benchmark round
-# passes (599 truncations, 6 coefficient groups)
+# passes (593 truncations, 6 coefficient groups)
 TRUNCATION_CACHE_SIZE = 1024
 COEFFICIENT_CACHE_SIZE = 64
 

@@ -73,11 +73,15 @@ def _shown(value) -> str:
 
 
 def _int(value, where: str) -> int:
-    """A workspace number; anything else is a ParseError naming its place."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}: expected an integer, got {_shown(value)}")
+    """A workspace number: a JSON integer or an integer string.  Anything
+    else, a float or a bool included, is a ParseError naming its place,
+    since int() would cut 1.9 to 1 and read true as 1."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{where}: expected an integer, got {_shown(value)}")
 
 
 # a few bytes of JSON must not ask for a huge matrix or a long primality

@@ -1,0 +1,61 @@
+"""Micro-benchmarks of the `ahss` layer: the abutment filtration against its
+truncation-by-truncation oracle, and the convergence check as a whole, on
+fixed pairs of total rank 3 to 8 over Z and F_2, from cold caches.
+
+    PYTHONPATH=src python -m pytest tests/bench_ahss.py --benchmark-only
+
+It needs pytest-benchmark.  Its name does not match `test_*.py`, so the
+default test run does not collect it.
+"""
+
+import itertools
+
+import pytest
+
+import prochain
+from oracles import abutment_filtration_by_truncations
+from prochain.ahss import _window, abutment_filtration, convergence_check
+from prochain.chain import random_complex
+from prochain.exactalg.ring import GF, ZZ
+
+pytest.importorskip("pytest_benchmark")
+
+CASES = [(rank, ring) for ring in (ZZ, GF(2)) for rank in (3, 5, 8)]
+IDS = [f"rank{rank}-{ring}" for rank, ring in CASES]
+
+
+def of_rank(ring, rank, start):
+    """The first random_complex in degrees -1..1 from seed `start` on with
+    the given total rank."""
+    for seed in itertools.count(start):
+        X = random_complex(seed, ring, -1, 1, 3)
+        if X.total_rank() == rank:
+            return X
+
+
+def pair(rank, ring):
+    X = of_rank(ring, rank, 0)
+    return X, of_rank(ring, rank, 1000)
+
+
+def filtration_along_the_window(filtration, X, Y):
+    w = _window(X, Y)
+    return [filtration(X, Y, n) for n in range(w.n_lo, w.n_hi + 1)]
+
+
+@pytest.mark.parametrize("rank, ring", CASES, ids=IDS)
+@pytest.mark.parametrize("filtration", [abutment_filtration,
+                                        abutment_filtration_by_truncations],
+                         ids=["hom-cycles", "truncations"])
+def test_abutment_filtration(benchmark, filtration, rank, ring):
+    X, Y = pair(rank, ring)
+    benchmark.pedantic(filtration_along_the_window, args=(filtration, X, Y),
+                       setup=prochain.cache_clear, rounds=20)
+
+
+@pytest.mark.parametrize("rank, ring", CASES, ids=IDS)
+def test_convergence_check(benchmark, rank, ring):
+    X, Y = pair(rank, ring)
+    report = benchmark.pedantic(convergence_check, args=(X, Y),
+                                setup=prochain.cache_clear, rounds=20)
+    assert report.all_iso

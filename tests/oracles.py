@@ -36,6 +36,12 @@ block matrices.
 
 `pair_order` is the closed form of Hom(Z/a, Z/b), the oracle of the hom
 groups, which `hom_group` presents as subquotients.
+
+`abutment_filtration_by_truncations` is `ahss.abutment_filtration` as it was
+first written: F_q as the image of the map [X, tau_{>= q} Y]_n -> [X, Y]_n
+that the truncation inclusion induces, with the homology of a hom complex
+per truncation.  `abutment_filtration` reads the same subgroups off the
+cycles of Hom(X, Y) alone.
 """
 
 from dataclasses import dataclass
@@ -44,17 +50,21 @@ from math import gcd
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from prochain.ahss import Page, Slot
+from prochain.ahss import Page, Slot, _window
 from prochain.chain import (ChainComplex, ChainMap, _hom_blocks, chain_map, cone,
-                            hom_complex, homology, homology_data, make_complex)
+                            derived_hom, hom_complex, homology, homology_data,
+                            identity_map, induced_map_on_derived_hom,
+                            make_complex)
 from prochain.errors import ContainmentViolation, PostconditionViolated
 from prochain.exactalg.groups import (GroupHom, SubquotientData, free_group,
-                                      group_from_presentation, induced_hom)
+                                      group_from_presentation, image,
+                                      induced_hom)
 from prochain.exactalg.matrices import (IntMatrix, Lattice, block_matrix, hcat,
                                        kernel_lattice, snf)
 from prochain.pro import colim
 from prochain.prohomotopy import derived_hom_system
-from prochain.tstruct import _is_surjective_matrix, coefficient_complex
+from prochain.tstruct import (_is_surjective_matrix, coefficient_complex,
+                              truncate_above)
 
 
 def scalar_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -317,3 +327,20 @@ def pair_order(a: int, b: int, ring):
         return 1, 0          # Hom(Z/a, Z) = 0
     g = gcd(a, b)
     return g, b // g         # generated by multiplication with b/g
+
+
+def abutment_filtration_by_truncations(X: ChainComplex, Y: ChainComplex, n: int):
+    """Decreasing filtration F_q = im([X, tau_{>= q} Y]_n -> [X, Y]_n).
+
+    Returns (total group, list of (q, Subgroup)); F exhausts at the bottom
+    of the window and vanishes past the top.
+    """
+    w = _window(X, Y)
+    idX = identity_map(X)
+    total = derived_hom(X, Y, n)
+    out = []
+    for q in range(w.q_lo, w.q_hi + 2):
+        T, incl = truncate_above(Y, q)
+        anchor = induced_map_on_derived_hom(idX, incl, n)
+        out.append((q, image(anchor)))
+    return total, out

@@ -5,19 +5,20 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_chain_tower
-from oracles import GenericPages, coefficient_e2
+from oracles import (GenericPages, abutment_filtration_by_truncations,
+                     coefficient_e2)
 from prochain import ahss, chain
 from prochain.ahss import (SpectralSequence, abutment_filtration,
                            build_exact_couple, convergence_check,
                            e2_identification_check, level_pieces, pro_ahss,
                            run_to_stable)
-from prochain.chain import (chain_map, direct_sum_complex, free_one_term,
-                            homology, moore_complex, multiplication_map,
-                            random_complex, random_null_homotopic,
-                            zero_complex, zero_map)
+from prochain.chain import (_random_unimodular, chain_map, direct_sum_complex,
+                            free_one_term, homology, make_complex, moore_complex,
+                            multiplication_map, random_complex,
+                            random_null_homotopic, zero_complex, zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
                              PreconditionViolated)
 from prochain.exactalg.groups import (full_subgroup, image, kernel,
@@ -185,6 +186,77 @@ class TestAbutment:
     def test_zero_target(self):
         total, filt = abutment_filtration(M2, zero_complex(), 0)
         assert total.is_trivial
+
+
+@st.composite
+def small_complexes(draw, ring):
+    """A complex of total rank at most 8 in one to four consecutive degrees:
+    a sum of spheres and of disks Z --m--> Z, in a basis changed by random
+    shears in each degree.  No cells give the zero complex."""
+    lo = draw(st.integers(-2, 1))
+    hi = lo + draw(st.integers(0, 3))
+    cells = draw(st.lists(st.tuples(st.integers(lo, hi), st.sampled_from([0, 1, 2, 3, -2, 6])),
+                          max_size=8))
+    ranks = dict.fromkeys(range(lo, hi + 1), 0)
+    disks = []
+    for k, m in cells:
+        disk = bool(m) and k > lo         # a disk onto k - 1
+        if sum(ranks.values()) + 1 + disk > 8:
+            break
+        if disk:
+            disks.append((k, ranks[k], ranks[k - 1], m))
+            ranks[k - 1] += 1
+        ranks[k] += 1
+    d = {k: [[0] * ranks[k] for _ in range(ranks[k - 1])] for k in range(lo + 1, hi + 1)}
+    for k, j, i, m in disks:
+        d[k][i][j] = m
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    shears = {k: _random_unimodular(rng, r, ring) for k, r in ranks.items()}
+    return make_complex(ring, ranks, {
+        k: shears[k - 1][0] @ IntMatrix.from_rows(d[k], ring, cols=ranks[k]) @ shears[k][1]
+        for k in d})
+
+
+pairs = st.sampled_from([ZZ, GF(2)]).flatmap(
+    lambda ring: st.tuples(small_complexes(ring), small_complexes(ring)))
+
+
+class TestAbutmentAgainstTruncations:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=pairs)
+    @example(pair=(zero_complex(), M2))
+    @example(pair=(random_complex(5, GF(2), -1, 1, 2), zero_complex(GF(2))))
+    @example(pair=(M2, free_one_term(ZZ, 0, 3)))
+    def test_same_subgroups_as_the_truncations(self, pair):
+        # every n of the window and one past each end, where [X, Y]_n = 0
+        X, Y = pair
+        w = ahss._window(X, Y)
+        for n in range(w.n_lo - 1, w.n_hi + 2):
+            total, filt = abutment_filtration(X, Y, n)
+            want_total, want = abutment_filtration_by_truncations(X, Y, n)
+            assert total.orders == want_total.orders
+            assert [q for q, _ in filt] == [q for q, _ in want]
+            for (q, F), (_, G) in zip(filt, want):
+                assert F.contains_hom(G.inclusion) and G.contains_hom(F.inclusion), (n, q)
+
+    def test_reads_only_the_hom_complex_of_x_and_y(self, monkeypatch):
+        # no hom complex, and so no homology, per truncation of Y
+        asked = []
+        hom_complex = chain.hom_complex
+
+        def recording(X, Y):
+            asked.append((X, Y))
+            return hom_complex(X, Y)
+
+        monkeypatch.setattr(chain, "hom_complex", recording)
+        cases = [(M2, M2)] + [(random_complex(seed, ZZ, -1, 1, 2),
+                               random_complex(seed + 1, ZZ, -1, 1, 2)) for seed in (3, 7)]
+        for X, Y in cases:
+            asked.clear()
+            w = ahss._window(X, Y)
+            for n in range(w.n_lo, w.n_hi + 1):
+                abutment_filtration(X, Y, n)
+            assert set(asked) == {(X, Y)}
 
 
 class TestConvergence:

@@ -293,6 +293,23 @@ class TestParsing:
         assert capsys.readouterr().err.splitlines() == [message]
 
     @pytest.mark.parametrize("doc, message", [
+        ({"complexes": {"Z0": {"ranks": {"0": 1.9}}}},
+         "error: complex 'Z0' rank: expected an integer, got 1.9"),
+        ({"complexes": {"Z0": Z0}, "maps": {"f": {
+            "source": "Z0", "target": "Z0", "comps": {"0": [[2.7]]}}}},
+         "error: map 'f' degree 0 row 0: expected an integer, got 2.7"),
+        ({"complexes": {"Z0": {"ranks": {"0": True}}}},
+         "error: complex 'Z0' rank: expected an integer, got true"),
+    ], ids=["fractional-rank", "fractional-entry", "bool-rank"])
+    def test_float_or_bool_is_one_error_line(self, tmp_path, capsys, doc, message):
+        # int() would take 1.9 as 1, 2.7 as 2 and true as 1
+        code = main(["roundtrip", "--workspace", write(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
         ({"complexes": {"Z0": Z0}, "config": [1]},
          "error: config: expected an object, got [1]"),
         ({"complexes": {"Z0": Z0, "x": [1]}},
