@@ -328,8 +328,8 @@ def cone_functor_map(f: ChainMap, g: ChainMap, alpha: ChainMap, xi: ChainMap) ->
 # Homology
 # ---------------------------------------------------------------------------
 
-# bounds at about twice the most distinct arguments one benchmark round
-# passes (2,088 homology groups and 374 hom complexes, both in `spectral`)
+# bounds at twice or more the most distinct arguments one benchmark round
+# passes (1,616 homology groups and 295 hom complexes, both in `spectral`)
 HOMOLOGY_CACHE_SIZE = 4096
 HOM_COMPLEX_CACHE_SIZE = 1024
 

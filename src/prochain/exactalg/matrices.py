@@ -479,7 +479,7 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
     return SnfResult(tuple(A[i][i] for i in range(limit)), m, n, ring, row_ops, col_ops)
 
 
-# A benchmark round factors up to about 2,200 distinct matrices (`spectral`);
+# A benchmark round factors up to about 800 distinct matrices (`maps`);
 # the bound keeps the table from growing for the life of the process.
 SNF_CACHE_SIZE = 4096
 

@@ -325,32 +325,40 @@ def parse_workspace(path: str) -> Workspace:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-def _same(value, name):
+def _same(value, ring):
     return value
 
 
-def _strings(matrix, name):
-    return [[str(int(x)) for x in row] for row in matrix]
+def _number(value, ring):
+    return int(value)
+
+
+def _strings(matrix, ring):
+    return [[str(ring.reduce(int(x))) for x in row] for row in matrix]
 
 
 def _by_degree(form):
-    return lambda value, name: {str(k): form(v, name) for k, v in value.items()}
+    return lambda value, ring: {str(k): form(v, ring) for k, v in value.items()}
 
 
-def _tail(tail, name):
-    return {k: v if k == "endo" else _int(v, f"tower '{name}' tail")
-            for k, v in tail.items()}
+def _tail(tail, ring):
+    """The tail keys the parser reads: constant_from, or else repeat_from
+    and endo."""
+    if "constant_from" in tail:
+        return {"constant_from": int(tail["constant_from"])}
+    return {"repeat_from": int(tail["repeat_from"]), "endo": tail["endo"]}
 
 
-# section -> field -> (default, canonical form of the value given the
-# object's name); the parser has checked every value, and the canonical
-# form drops every field outside this table
+# section -> field -> (default, canonical form of the value over the ring);
+# the parser has checked every value, the canonical form drops every field
+# outside this table, and it writes matrix entries reduced for the ring
 _ENDS = {"source": (None, _same), "target": (None, _same)}
 _TOWER = {"entries": ([], _same), "structure": ([], _same), "tail": ({}, _tail)}
 _CANONICAL = {
-    "complexes": {"ranks": ({}, _by_degree(_int)), "diffs": ({}, _by_degree(_strings))},
+    "complexes": {"ranks": ({}, _by_degree(_number)),
+                  "diffs": ({}, _by_degree(_strings))},
     "maps": {**_ENDS, "comps": ({}, _by_degree(_strings))},
-    "groups": {"generators": (0, _int), "relations": ([], _strings)},
+    "groups": {"generators": (0, _number), "relations": ([], _strings)},
     "group_maps": {**_ENDS, "matrix": ([], _strings)},
     "towers": _TOWER, "group_towers": _TOWER,
     "promaps": {**_ENDS, "comps": ([], _same)},
@@ -359,7 +367,8 @@ _CANONICAL = {
 
 
 def serialize_workspace(ws: Workspace) -> str:
-    """Canonical form: sorted keys, two-space indent, string matrix entries.
+    """Canonical form: sorted keys, two-space indent, string matrix entries
+    reduced for the ring.
 
     Normalizes the parsed document rather than reconstructing it, so the
     output is idempotent: serialize(parse(serialize(parse(f)))) equals
@@ -369,7 +378,7 @@ def serialize_workspace(ws: Workspace) -> str:
            "config": vars(ws.config)}
     for section, fields in _CANONICAL.items():
         if ws.raw.get(section):
-            out[section] = {name: {key: form(d.get(key, default), name)
+            out[section] = {name: {key: form(d.get(key, default), ws.ring)
                                    for key, (default, form) in fields.items()}
                             for name, d in ws.raw[section].items()}
     return json.dumps(out, indent=2, sort_keys=True) + "\n"

@@ -1,6 +1,7 @@
 """Micro-benchmarks of the `ahss` layer: the abutment filtration against its
-truncation-by-truncation oracle, and the convergence check as a whole, on
-fixed pairs of total rank 3 to 8 over Z and F_2, from cold caches.
+truncation-by-truncation oracle, the colimit condition on the quotient model
+of T_{<= k} Y against the cone model, and the convergence check as a whole,
+on fixed pairs of total rank 3 to 8 over Z and F_2, from cold caches.
 
     PYTHONPATH=src python -m pytest tests/bench_ahss.py --benchmark-only
 
@@ -14,9 +15,11 @@ import pytest
 
 import prochain
 from oracles import abutment_filtration_by_truncations
+from prochain import ahss
 from prochain.ahss import _window, abutment_filtration, convergence_check
 from prochain.chain import random_complex
 from prochain.exactalg.ring import GF, ZZ
+from prochain.tstruct import truncate_below_free
 
 pytest.importorskip("pytest_benchmark")
 
@@ -51,6 +54,22 @@ def test_abutment_filtration(benchmark, filtration, rank, ring):
     X, Y = pair(rank, ring)
     benchmark.pedantic(filtration_along_the_window, args=(filtration, X, Y),
                        setup=prochain.cache_clear, rounds=20)
+
+
+def cone_below(Y, k):
+    """T_{<= k} Y as the cone of tau_{>= k+1} Y -> Y."""
+    return truncate_below_free(Y, k)[0]
+
+
+@pytest.mark.parametrize("rank, ring", CASES, ids=IDS)
+@pytest.mark.parametrize("model", [ahss._quotient_below, cone_below],
+                         ids=["quotient", "cone"])
+def test_colimit_condition(benchmark, monkeypatch, model, rank, ring):
+    X, Y = pair(rank, ring)
+    monkeypatch.setattr(ahss, "_quotient_below", model)
+    ok = benchmark.pedantic(ahss._colimit_condition, args=(X, Y, _window(X, Y)),
+                            setup=prochain.cache_clear, rounds=20)
+    assert ok
 
 
 @pytest.mark.parametrize("rank, ring", CASES, ids=IDS)

@@ -15,8 +15,9 @@ from prochain.ahss import (SpectralSequence, abutment_filtration,
                            build_exact_couple, convergence_check,
                            e2_identification_check, level_pieces, pro_ahss,
                            run_to_stable)
-from prochain.chain import (_random_unimodular, chain_map, direct_sum_complex,
-                            free_one_term, homology, make_complex, moore_complex,
+from prochain.chain import (_random_unimodular, chain_map, derived_hom,
+                            direct_sum_complex, free_one_term, homology,
+                            make_complex, moore_complex,
                             multiplication_map, random_complex,
                             random_null_homotopic, zero_complex, zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
@@ -26,7 +27,8 @@ from prochain.exactalg.groups import (full_subgroup, image, kernel,
 from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import TailPolicy, Tower, UnknownValue, constant_tower, repeat_tower
-from prochain.tstruct import cohomology_with_coefficients, truncate_above
+from prochain.tstruct import (cohomology_with_coefficients, truncate_above,
+                              truncate_below_free)
 
 Z0 = free_one_term(ZZ, 0)
 M2 = moore_complex(2)
@@ -295,6 +297,67 @@ class TestConvergence:
         rep = convergence_check(X, Y)
         assert not rep.lim_ok
         assert not rep.all_iso
+
+
+# Z --1--> Z in degrees 0, -1 beside Z in degree 1: homology only in degree 1,
+# above the lowest chain degree
+ABOVE_ITS_CHAINS = make_complex(ZZ, {-1: 1, 0: 1, 1: 1},
+                                {0: IntMatrix.from_rows([[1]], ZZ)})
+# Z/2 in degree 0 and Z in degree 1, so that Y / tau_{>= 1} Y is neither Y nor 0
+M2_Z1 = make_complex(ZZ, {0: 1, 1: 2}, {1: IntMatrix.from_rows([[2, 0]], ZZ)})
+
+
+class TestColimitCondition:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=st.sampled_from([ZZ, GF(2), GF(3)]).flatmap(
+        lambda ring: st.tuples(small_complexes(ring), small_complexes(ring))))
+    @example(pair=(zero_complex(), M2))
+    @example(pair=(M2, zero_complex()))
+    @example(pair=(ABOVE_ITS_CHAINS, M2_Z1))
+    def test_quotient_against_the_cone(self, pair):
+        # the cone of tau_{>= k+1} Y -> Y is the oracle of T_{<= k} Y, for
+        # every k from two below Y to one past it and every n of the Hom
+        # range and one past each end
+        X, Y = pair
+        for k in range(Y.lo - 2, Y.hi + 2):
+            Q = ahss._quotient_below(Y, k)
+            C, _ = truncate_below_free(Y, k)
+            for n in range(Y.lo - X.hi - 1, Y.hi - X.lo + 2):
+                assert derived_hom(X, Q, n).isomorphic(derived_hom(X, C, n)), (k, n)
+
+    @pytest.mark.parametrize("X, Y", [
+        (M2, M2), (ABOVE_ITS_CHAINS, M2_Z1),
+        (random_complex(90, ZZ, -1, 1, 2), random_complex(95, ZZ, -1, 1, 2)),
+        (random_complex(100, GF(2), -1, 1, 2), random_complex(105, GF(2), -1, 1, 2)),
+    ])
+    def test_builds_no_cone(self, monkeypatch, X, Y):
+        # every call of cone, under any name, shows in its cache statistics
+        quotients, targets = [], []
+        quotient_below, hom_complex = ahss._quotient_below, chain.hom_complex
+
+        def recording_quotient(Y, k):
+            quotients.append(quotient_below(Y, k))
+            return quotients[-1]
+
+        def recording_hom(X, Y):
+            targets.append(Y)
+            return hom_complex(X, Y)
+
+        monkeypatch.setattr(ahss, "_quotient_below", recording_quotient)
+        monkeypatch.setattr(chain, "hom_complex", recording_hom)
+        chain.cone.cache_clear()
+        rep = convergence_check(X, Y)
+        info = chain.cone.cache_info()
+        assert info.hits + info.misses == 0
+        assert rep.colim_ok and rep.all_iso
+        if X is ABOVE_ITS_CHAINS:
+            # computed on a proper quotient of Y, not assumed
+            assert any(not Q.is_zero and Q != Y and Q in targets for Q in quotients)
+
+    def test_a_wrong_model_fails(self, monkeypatch):
+        # Y itself in place of every T_{<= k} Y: [X, Y]_n is not zero
+        monkeypatch.setattr(ahss, "_quotient_below", lambda Y, k: Y)
+        assert not convergence_check(ABOVE_ITS_CHAINS, M2_Z1).colim_ok
 
 
 class TestProAhss:
