@@ -358,11 +358,22 @@ def subquotient(ambient: FgAbGroup, numerator: Subgroup,
 
 
 def full_subgroup(g: FgAbGroup) -> Subgroup:
-    return subgroup_from_columns(g, IntMatrix.identity(g.ngens, g.ring))
+    """g itself: the lattice of every generator vector, presented by the
+    canonical relations; no Smith form is needed."""
+    one = IntMatrix.identity(g.ngens, g.ring)
+    return Subgroup(g, group_from_presentation(g.relation_matrix()),
+                    Lattice(one, one, (1,) * g.ngens))
 
 
 def zero_subgroup(g: FgAbGroup) -> Subgroup:
-    return subgroup_from_columns(g, IntMatrix.zeros(g.ngens, 0, g.ring))
+    """0 in g: the lattice of the canonical relations d_i e_i.  The first t
+    rows of the identity read relation i as d_i, so its divisors are the
+    invariant factors, and each relation is its own relation in the group."""
+    t = len(g.invariant_factors)
+    return Subgroup(g, group_from_presentation(IntMatrix.identity(t, g.ring)),
+                    Lattice(g.relation_matrix(),
+                            IntMatrix.identity(g.ngens, g.ring).take_rows(range(t)),
+                            g.orders[:t]))
 
 
 def quotient(g: FgAbGroup, by: Subgroup) -> SubquotientData:

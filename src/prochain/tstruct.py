@@ -20,8 +20,8 @@ from typing import Optional, Tuple
 from .chain import (ChainComplex, ChainMap, chain_map, cone,
                     cone_functor_map, derived_hom, free_one_term, homology,
                     homology_data, homology_support, identity_map,
-                    induced_homology_map, make_complex, shift, zero_complex,
-                    zero_map)
+                    induced_homology_map, make_complex, minimal_model, shift,
+                    zero_complex, zero_map)
 from .errors import PostconditionViolated, PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
@@ -488,10 +488,20 @@ def coefficient_complex(A: FgAbGroup) -> ChainComplex:
 
 
 def cohomology_with_coefficients(X: ChainComplex, A: FgAbGroup, p: int) -> FgAbGroup:
-    """H^p(X; A) = [X, K(A)]_{-p}."""
-    return derived_hom(X, coefficient_complex(A), -p)
+    """H^p(X; A) = [X, K(A)]_{-p}, computed as [M, K(A)]_{-p} on the
+    minimal model M of X.
+
+    Over Z and F_p, X is homotopy equivalent to M = (+)_k Sigma^k P(H_k X)
+    (see `minimal_model`), and [-, K(A)]_{-p} is homology of a Hom complex,
+    which sends homotopy equivalences to isomorphisms.  So the group is
+    isomorphic to derived_hom(X, K(A), -p), but presented on Hom(M, K(A)),
+    whose rank depends on the homology of X and not on its cells."""
+    return derived_hom(minimal_model(X), coefficient_complex(A), -p)
 
 
 def induced_map_on_cohomology(f: ChainMap, A: FgAbGroup, p: int) -> GroupHom:
+    """f^*: H^p(Y; A) -> H^p(X; A) for f: X -> Y.  Its source and target are
+    presented on Hom(Y, K(A)) and Hom(X, K(A)), so they are isomorphic to,
+    not equal to, the groups `cohomology_with_coefficients` returns."""
     from .chain import induced_map_on_derived_hom
     return induced_map_on_derived_hom(f, identity_map(coefficient_complex(A)), -p)

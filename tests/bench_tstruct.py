@@ -1,0 +1,43 @@
+"""Micro-benchmarks of cohomology with coefficients: [X, K(A)]_{-p} through
+the minimal model of X against the unreduced Hom(X, K(A)), from cold
+caches, on two spaces of the benchmark's `cells` workload in its changed
+basis over Z: the torus grid k = 4 (96 cells) and the boundary of the
+6-simplex (126 cells).
+
+    PYTHONPATH=src python -m pytest tests/bench_tstruct.py --benchmark-only
+
+It needs pytest-benchmark.  Its name does not match `test_*.py`, so the
+default test run does not collect it.
+"""
+
+import pytest
+
+import prochain
+from conftest import cells_spaces
+from prochain.chain import derived_hom
+from prochain.exactalg.groups import group_from_orders
+from prochain.tstruct import coefficient_complex, cohomology_with_coefficients
+
+pytest.importorskip("pytest_benchmark")
+
+SPACES = ["torus4-changed", "sphere6-changed"]
+COEFFICIENTS = [group_from_orders([2]), group_from_orders([3])]
+
+
+def unreduced(X, A, p):
+    return derived_hom(X, coefficient_complex(A), -p)
+
+
+def cohomology_of(cohomology, X):
+    return [cohomology(X, A, p) for A in COEFFICIENTS for p in X.degrees]
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("cohomology", [cohomology_with_coefficients, unreduced],
+                         ids=["model", "unreduced"])
+def test_cohomology(benchmark, cohomology, space):
+    X = dict(cells_spaces(0))[space]
+    groups = benchmark.pedantic(cohomology_of, args=(cohomology, X),
+                                setup=prochain.cache_clear, rounds=10)
+    want = cohomology_of(unreduced, X)
+    assert [g.orders for g in groups] == [g.orders for g in want]

@@ -1,6 +1,7 @@
 """Shared generators for the test suite: a zoo of chain maps with varied
 classification behavior, composable pairs, and towers with tail policies."""
 
+import importlib
 import json
 import os
 import random
@@ -18,6 +19,26 @@ from prochain.tstruct import truncate_above, truncate_below_free
 
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+
+
+def cells_spaces(p: int, seed: int = 5):
+    """The spaces of the benchmark's `cells` workload over Z (p = 0) or F_p,
+    built by bench/gen.py in the standard basis and in a changed basis
+    drawn as the workload draws it: a list of (label, complex).  The bench
+    modules import each other by plain name, so bench/ goes on the path."""
+    if BENCH not in sys.path:
+        sys.path.append(BENCH)
+    gen, workloads = importlib.import_module("gen"), importlib.import_module("workloads")
+    rng = gen.Draw("cells", seed).values
+    out = []
+    for name, size in workloads.SPACES:
+        ranks, diffs, _ = gen.space(name, size)
+        P = gen.Plain(p, ranks, diffs)
+        Q = gen.conjugate(P, gen.basis_change(rng, P, workloads.CHANGED_BASIS_SHEARS))
+        out += [(f"{name}{size}", gen.to_complex(P)),
+                (f"{name}{size}-changed", gen.to_complex(Q))]
+    return out
 
 
 def run_python(*args, cwd=None):

@@ -6,19 +6,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_map_into, random_map_out, run_python
+from conftest import cells_spaces, random_map_into, random_map_out, run_python
 from prochain.chain import (ChainComplex, chain_map, cone, cone_les_exact, derived_hom,
                             direct_sum_complex, free_one_term, hom_complex,
                             homology, homology_data, identity_map,
                             induced_homology_map, induced_map_on_derived_hom,
                             is_acyclic, is_chain_map, is_quasi_iso,
-                            make_complex, moore_complex, multiplication_map,
+                            make_complex, minimal_model, moore_complex,
+                            multiplication_map,
                             quasi_iso_thickening, random_complex,
                             random_null_homotopic, shift, validate,
                             zero_complex, zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
                              ValidationError)
-from prochain.exactalg.matrices import IntMatrix, kernel_lattice, span_lattice
+from prochain.exactalg.matrices import (IntMatrix, kernel_lattice, snf,
+                                       span_lattice)
 from prochain.exactalg.ring import GF, ZZ
 
 Z0 = free_one_term(ZZ, 0)
@@ -164,11 +166,11 @@ class TestCone:
             assert is_quasi_iso(q)
 
 
-def big_complex(rng: random.Random, ring, lo: int, hi: int):
-    """A random complex of total rank at least 12, past the sizes the
+def big_complex(rng: random.Random, ring, lo: int, hi: int, min_rank: int = 12):
+    """A random complex of total rank at least min_rank, past the sizes the
     examples check by hand."""
     X = random_complex(rng.randrange(2 ** 30), ring, lo, hi, 4)
-    while X.total_rank() < 12:
+    while X.total_rank() < min_rank:
         W = random_complex(rng.randrange(2 ** 30), ring, lo, hi, 4)
         X = direct_sum_complex(X, W)[0]
     return X
@@ -339,3 +341,51 @@ class TestHomComplex:
             Y = random_complex(seed, F2, -2, 2, 2)
             for n in range(-3, 4):
                 assert derived_hom(Z0f, Y, n).isomorphic(homology(Y, n))
+
+
+def check_minimal_model(X):
+    """The same homology as X in every degree; over Z, rank M_n = rank X_n
+    minus the unit invariant factors of d_n and d_{n+1}; over F_p, d = 0."""
+    M = minimal_model(X)
+    for n in range(min(X.lo, M.lo) - 1, max(X.hi, M.hi) + 2):
+        assert homology(M, n).orders == homology(X, n).orders, n
+    if X.ring.p:
+        assert all(d.is_zero for d in M.diffs)
+        return
+
+    def units(n):
+        return snf(X.diff(n)).invariant_factors.count(1)
+
+    for n in range(X.lo, X.hi + 1):
+        assert M.rank(n) == X.rank(n) - units(n) - units(n + 1), n
+
+
+class TestMinimalModel:
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]))
+    @settings(max_examples=25, deadline=None)
+    def test_large_complexes(self, seed, ring):
+        X = big_complex(random.Random(seed), ring, -3, 3, min_rank=40)
+        check_minimal_model(X)
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_cells_spaces(self, p):
+        for label, X in cells_spaces(p):
+            check_minimal_model(X)
+            # homology, and so the model, does not see the change of basis
+            if label.endswith("-changed"):
+                assert minimal_model(X) == minimal_model(standard)
+            standard = X
+
+    def test_examples(self):
+        assert minimal_model(M2) == M2
+        assert minimal_model(zero_complex()).is_zero
+        disk = make_complex(ZZ, {0: 1, 1: 1}, {1: IntMatrix.from_rows([[1]])})
+        assert minimal_model(disk).is_zero
+        # H_0 = Z/2 + Z/6 + Z and H_1 = Z: degree 1 holds the generator of
+        # H_1, then the two relations of H_0, sent onto its torsion generators
+        X = make_complex(ZZ, {0: 3, 1: 3}, {1: IntMatrix.from_rows(
+            [[0, 0, 6], [2, 0, 0], [0, 0, 0]])})
+        M = minimal_model(X)
+        assert (M.rank(0), M.rank(1)) == (3, 3)
+        assert M.diff(1).entries == (0, 2, 0, 0, 0, 6, 0, 0, 0)

@@ -346,6 +346,31 @@ class TestGroups:
         with pytest.raises(ContainmentViolation):
             subquotient(A, T, S)
 
+    @given(st.sampled_from([ZZ, GF(2), GF(3)]),
+           st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+                    max_size=4),
+           st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_trivial_subgroups_are_built_as_spans_build_them(self, ring, cols, rows):
+        # zero_subgroup and full_subgroup write down the relation lattice and
+        # the whole lattice; subgroup_from_columns finds them by Smith form
+        g = group_from_presentation(IntMatrix.from_columns(
+            [c[:rows] for c in cols], rows, ring))
+        assert zero_subgroup(g) == subgroup_from_columns(
+            g, IntMatrix.zeros(g.ngens, 0, ring))
+        assert full_subgroup(g) == subgroup_from_columns(
+            g, IntMatrix.identity(g.ngens, ring))
+
+    def test_trivial_subgroups_examples(self):
+        # the trivial group, and a group presented off its canonical basis
+        g = group_from_presentation(IntMatrix.from_rows([[2, 0], [2, 3]]))
+        assert g.to_canonical.entries != IntMatrix.identity(g.ngens).entries
+        for G in (free_group(0), g, group_from_orders([2, 6, 0, 0])):
+            zero, full = zero_subgroup(G), full_subgroup(G)
+            assert zero == subgroup_from_columns(G, IntMatrix.zeros(G.ngens, 0))
+            assert full == subgroup_from_columns(G, IntMatrix.identity(G.ngens))
+            assert zero.group.is_trivial and full.group.orders == G.orders
+
     def test_encode_rejects_non_members(self):
         A = free_group(2)
         S = subgroup_from_columns(A, IntMatrix.from_columns([(1, 0), (0, 2)], 2))

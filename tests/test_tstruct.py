@@ -7,11 +7,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_composable_pair, random_map_into, random_map_out
+from conftest import (cells_spaces, random_composable_pair, random_map_into,
+                      random_map_out)
 from oracles import cell_state_factor
+from prochain import chain
 from prochain.chain import (CONE_CACHE_SIZE, ChainMap, cone, cone_les_exact, derived_hom, free_one_term,
                             homology, homology_support, identity_map,
-                            induced_homology_map, moore_complex,
+                            induced_homology_map, minimal_model, moore_complex,
                             multiplication_map, random_complex,
                             random_null_homotopic, shift, zero_complex,
                             zero_map, is_chain_map)
@@ -439,6 +441,58 @@ class TestCohomology:
         K = coefficient_complex(A)
         assert homology(K, 0).isomorphic(A)
         assert homology(K, 1).is_trivial
+
+    # free, cyclic and mixed coefficients; over F_p each is a vector space
+    COEFFICIENTS = [[0, 0], [2], [4], [0, 2, 6]]
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]),
+           st.sampled_from(COEFFICIENTS))
+    @settings(max_examples=100, deadline=None)
+    def test_model_against_the_unreduced_hom(self, seed, ring, orders):
+        # the unreduced [X, K(A)]_{-p} stays the oracle, for every p of X's
+        # range and one past each end
+        X = random_complex(seed, ring, -2, 2, 4)
+        A = group_from_orders(orders, ring)
+        K = coefficient_complex(A)
+        for p in range(X.lo - 1, X.hi + 2):
+            assert cohomology_with_coefficients(X, A, p).isomorphic(
+                derived_hom(X, K, -p)), p
+
+    def test_cells_spaces_against_the_unreduced_hom(self):
+        for p in (0, 2, 3):
+            ring = ZZ if not p else GF(p)
+            for label, X in cells_spaces(p)[:8]:
+                for orders in self.COEFFICIENTS:
+                    A = group_from_orders(orders, ring)
+                    K = coefficient_complex(A)
+                    for q in range(X.lo - 1, X.hi + 2):
+                        assert cohomology_with_coefficients(X, A, q).isomorphic(
+                            derived_hom(X, K, -q)), (label, orders, q)
+
+    def test_builds_no_hom_complex_on_x(self, monkeypatch):
+        # cohomology reads Hom(M, K(A)) of the minimal model M, never
+        # Hom(X, K(A)) of X itself
+        asked = []
+        hom_complex = chain.hom_complex
+
+        def recording(X, Y):
+            asked.append((X, Y))
+            return hom_complex(X, Y)
+
+        monkeypatch.setattr(chain, "hom_complex", recording)
+        cases = [X for _, X in cells_spaces(0)[:4]]
+        cases += [X for X in (random_complex(seed, ring, -2, 2, 3)
+                              for seed in range(12) for ring in (ZZ, GF(2)))
+                  if minimal_model(X) != X][:4]
+        assert len(cases) == 8
+        for X in cases:
+            asked.clear()
+            for orders in self.COEFFICIENTS:
+                A = group_from_orders(orders, X.ring)
+                for p in range(X.lo - 1, X.hi + 2):
+                    cohomology_with_coefficients(X, A, p)
+            assert {S for S, _ in asked} == {minimal_model(X)}
 
 
 class TestPushoutProduct:
