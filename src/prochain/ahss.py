@@ -58,7 +58,6 @@ twice that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from types import MappingProxyType, SimpleNamespace
@@ -80,18 +79,21 @@ from .pro import DirectSystem, GroupOrUnknown, Tower, UnknownValue, colim
 from .prohomotopy import hom_to_constant
 from .tstruct import (cohomology_with_coefficients, layer_complex,
                       truncate_above, truncation_step)
+from .value import Record, Value, store
 
 Slot = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Value):
     """The slots (p, q) with q_lo <= q <= q_hi and n_lo <= p + q <= n_hi."""
 
-    q_lo: int
-    q_hi: int
-    n_lo: int
-    n_hi: int
+    _fields = ("q_lo", "q_hi", "n_lo", "n_hi")
+
+    def __init__(self, q_lo: int, q_hi: int, n_lo: int, n_hi: int):
+        store(self, "q_lo", q_lo)
+        store(self, "q_hi", q_hi)
+        store(self, "n_lo", n_lo)
+        store(self, "n_hi", n_hi)
 
     def slots(self):
         for q in range(self.q_lo, self.q_hi + 1):
@@ -113,16 +115,22 @@ def _window(X: ChainComplex, Y: ChainComplex) -> Window:
 # Exact couple (the independent oracle)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ExactCouple(Window):
     """Bigraded D, E with i, j, k over a window; zero outside."""
 
-    ring: object
-    D: Dict[Slot, FgAbGroup]
-    E: Dict[Slot, FgAbGroup]
-    i: Dict[Slot, GroupHom]   # D(p,q) -> D(p+1,q-1)
-    j: Dict[Slot, GroupHom]   # D(p,q) -> E(p,q)
-    k: Dict[Slot, GroupHom]   # E(p,q) -> D(p-2,q+1)
+    _fields = Window._fields + ("ring", "D", "E", "i", "j", "k")
+
+    def __init__(self, q_lo: int, q_hi: int, n_lo: int, n_hi: int, ring,
+                 D: Dict[Slot, FgAbGroup], E: Dict[Slot, FgAbGroup],
+                 i: Dict[Slot, GroupHom], j: Dict[Slot, GroupHom],
+                 k: Dict[Slot, GroupHom]):
+        super().__init__(q_lo, q_hi, n_lo, n_hi)
+        store(self, "ring", ring)
+        store(self, "D", D)
+        store(self, "E", E)
+        store(self, "i", i)  # D(p,q) -> D(p+1,q-1)
+        store(self, "j", j)  # D(p,q) -> E(p,q)
+        store(self, "k", k)  # E(p,q) -> D(p-2,q+1)
 
     def D_at(self, p, q) -> FgAbGroup:
         return self.D.get((p, q), trivial_group(self.ring))
@@ -220,15 +228,17 @@ def level_pieces(Y: ChainComplex) -> Mapping[int, ChainComplex]:
     return MappingProxyType(pieces)
 
 
-@dataclass
-class Page:
+class Page(Record):
     """One page of the spectral sequence: slot (p, q) is a subquotient of
     Hom(X, L_q Y)_{p+q} when it is nonzero, and zero otherwise.  The
     filtration splits, so every d_r is zero and every page holds the data
     of E^2."""
 
-    r: int
-    data: Dict[Slot, SubquotientData]
+    _fields = ("r", "data")
+
+    def __init__(self, r: int, data: Dict[Slot, SubquotientData]):
+        self.r = r
+        self.data = data
 
     @property
     def groups(self) -> Dict[Slot, FgAbGroup]:
@@ -425,13 +435,16 @@ def _quotient_below(Y: ChainComplex, k: int) -> ChainComplex:
     return make_complex(Y.ring, ranks, diffs)
 
 
-@dataclass
-class ConvergenceReport:
-    lim_ok: bool
-    lim1_ok: bool
-    colim_ok: bool
-    stable_page: int
-    graded_comparison: Dict[Slot, bool]
+class ConvergenceReport(Record):
+    _fields = ("lim_ok", "lim1_ok", "colim_ok", "stable_page", "graded_comparison")
+
+    def __init__(self, lim_ok: bool, lim1_ok: bool, colim_ok: bool, stable_page: int,
+                 graded_comparison: Dict[Slot, bool]):
+        self.lim_ok = lim_ok
+        self.lim1_ok = lim1_ok
+        self.colim_ok = colim_ok
+        self.stable_page = stable_page
+        self.graded_comparison = graded_comparison
 
     @property
     def all_iso(self) -> bool:
@@ -449,13 +462,18 @@ def convergence_check(X: ChainComplex, Y: ChainComplex) -> ConvergenceReport:
 # Pro (tower) version
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProAhssReport:
-    e2: Dict[Slot, GroupOrUnknown]
-    abutment: Dict[int, GroupOrUnknown]
-    slot_comparison: Dict[Slot, str]   # "iso" | "mismatch" | "unknown"
-    total_comparison: Dict[int, str]   # per n: "iso" | "order_match" | ...
-    levelwise_all_iso: bool
+class ProAhssReport(Record):
+    _fields = ("e2", "abutment", "slot_comparison", "total_comparison",
+               "levelwise_all_iso")
+
+    def __init__(self, e2: Dict[Slot, GroupOrUnknown], abutment: Dict[int, GroupOrUnknown],
+                 slot_comparison: Dict[Slot, str], total_comparison: Dict[int, str],
+                 levelwise_all_iso: bool):
+        self.e2 = e2
+        self.abutment = abutment
+        self.slot_comparison = slot_comparison    # "iso" | "mismatch" | "unknown"
+        self.total_comparison = total_comparison  # per n: "iso" | "order_match" | ...
+        self.levelwise_all_iso = levelwise_all_iso
 
     @property
     def comparison_holds(self) -> bool:

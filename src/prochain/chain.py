@@ -10,7 +10,6 @@ the derived category because sources are bounded complexes of frees.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict
 
@@ -21,19 +20,31 @@ from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
 from .exactalg.matrices import (IntMatrix, Lattice, block_matrix, kernel_lattice,
                                 kron)
 from .exactalg.ring import RingTag, ZZ, check_same_ring
+from .value import Value, store
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    ring: RingTag
-    lo: int
-    hi: int                    # support interval; ranks vanish outside
-    ranks: tuple               # ranks[i] = rank in degree lo + i
-    diffs: tuple               # diffs[i]: degree lo+i+1 -> lo+i, shape ranks[i] x ranks[i+1]
+class ChainComplex(Value):
+    """ranks[i] is the rank in degree lo + i, over the support interval
+    [lo, hi] (ranks vanish outside); diffs[i] is the differential from
+    degree lo+i+1 to lo+i, of shape ranks[i] x ranks[i+1]."""
+
+    _fields = ("ring", "lo", "hi", "ranks", "diffs")
+
+    def __init__(self, ring: RingTag, lo: int, hi: int, ranks: tuple, diffs: tuple):
+        store(self, "ring", ring)
+        store(self, "lo", lo)
+        store(self, "hi", hi)
+        store(self, "ranks", ranks)
+        store(self, "diffs", diffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ring, self.lo, self.hi, self.ranks, self.diffs)
+                == (other.ring, other.lo, other.hi, other.ranks, other.diffs))
 
     def __hash__(self):
-        # frozen, so hashed once; the value lives outside the fields, and
-        # dataclasses.replace builds an instance that hashes afresh
+        # frozen, so hashed once; the value lives outside the fields
         d = self.__dict__
         if "_hash" not in d:
             d["_hash"] = hash((self.ring, self.lo, self.hi, self.ranks, self.diffs))
@@ -123,11 +134,21 @@ def validate(X: ChainComplex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ChainMap:
-    source: ChainComplex
-    target: ChainComplex
-    comps: tuple  # comps[i]: component in degree lo+i, lo = min(src.lo, tgt.lo)
+class ChainMap(Value):
+    """comps[i] is the component in degree lo + i, lo = min(source.lo, target.lo)."""
+
+    _fields = ("source", "target", "comps")
+
+    def __init__(self, source: ChainComplex, target: ChainComplex, comps: tuple):
+        store(self, "source", source)
+        store(self, "target", target)
+        store(self, "comps", comps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.comps)
+                == (other.source, other.target, other.comps))
 
     def __hash__(self):  # once, as ChainComplex.__hash__
         d = self.__dict__
@@ -448,8 +469,7 @@ def _hom_blocks(X: ChainComplex, Y: ChainComplex, n: int) -> Dict[int, int]:
             if X.rank(k) and Y.rank(k + n)}
 
 
-@dataclass(frozen=True)
-class HomComplexView:
+class HomComplexView(Value):
     """Hom(X, Y), the complex with degree-n module (+)_k Hom(X_k, Y_{k+n}).
 
     Differential D(f) = d_Y o f + (-1)^n f o d_X.  Blocks in degree n are
@@ -458,7 +478,10 @@ class HomComplexView:
     kron(b, a^T).
     """
 
-    complex: ChainComplex
+    _fields = ("complex",)
+
+    def __init__(self, complex: ChainComplex):
+        store(self, "complex", complex)
 
 
 @lru_cache(maxsize=HOM_COMPLEX_CACHE_SIZE)

@@ -25,6 +25,11 @@ class PostconditionViolated(ProchainError):
     """A result failed an identity that its construction guarantees."""
 
 
+class SizeBudgetExceeded(ProchainError):
+    """An object would be larger than the package builds; the message names
+    the object and its shape."""
+
+
 class ParseError(ProchainError):
     """Workspace file could not be parsed; message carries the location."""
 

@@ -21,32 +21,45 @@ answer is one checked product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
 from ..errors import ContainmentViolation, PreconditionViolated
+from ..value import Value, store
 from .matrices import (IntMatrix, Lattice, block_matrix, hcat, kernel_basis, kron,
                        snf, solve, span_lattice)
 from .ring import RingTag, ZZ, check_same_ring
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Value):
     """A f.g. abelian group in canonical (SNF) form.
 
     orders[i] is the order of the i-th canonical generator: the invariant
-    factor for torsion generators, 0 for free ones.  to_canonical and
-    from_canonical translate between the generators of the original
-    presentation and the canonical ones, so homomorphisms written on either
-    side survive normalization.
+    factor for torsion generators, 0 for free ones, so orders is
+    (d_1, ..., d_t, 0, ..., 0) with 2 <= d_1 | d_2 | ...  to_canonical
+    (ngens_canonical x ngens_presented) and from_canonical translate between
+    the generators of the original presentation and the canonical ones, so
+    homomorphisms written on either side survive normalization.
     """
 
-    ring: RingTag
-    orders: tuple            # (d_1, ..., d_t, 0, ..., 0) with 2 <= d_1 | d_2 | ...
-    to_canonical: IntMatrix  # ngens_canonical x ngens_presented
-    from_canonical: IntMatrix
+    _fields = ("ring", "orders", "to_canonical", "from_canonical")
+
+    def __init__(self, ring: RingTag, orders: tuple, to_canonical: IntMatrix,
+                 from_canonical: IntMatrix):
+        store(self, "ring", ring)
+        store(self, "orders", orders)
+        store(self, "to_canonical", to_canonical)
+        store(self, "from_canonical", from_canonical)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ring, self.orders, self.to_canonical, self.from_canonical)
+                == (other.ring, other.orders, other.to_canonical, other.from_canonical))
+
+    def __hash__(self):
+        return hash((self.ring, self.orders, self.to_canonical, self.from_canonical))
 
     @property
     def ngens(self) -> int:
@@ -185,20 +198,30 @@ def direct_sum(groups: Sequence[FgAbGroup], ring: Optional[RingTag] = None) -> F
     return group_from_orders(orders, ring)
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    """A homomorphism between canonical-form groups, as a reduced matrix."""
+class GroupHom(Value):
+    """A homomorphism between canonical-form groups, as a reduced matrix of
+    shape target.ngens x source.ngens."""
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix  # target.ngens x source.ngens
+    _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        check_same_ring(self.source, self.target, self.matrix)
-        if self.matrix.shape != (self.target.ngens, self.source.ngens):
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
+        check_same_ring(source, target, matrix)
+        if matrix.shape != (target.ngens, source.ngens):
             raise PreconditionViolated(
-                f"a {self.matrix.shape} matrix for a map "
-                f"{self.source.ngens} -> {self.target.ngens} generators")
+                f"a {matrix.shape} matrix for a map "
+                f"{source.ngens} -> {target.ngens} generators")
+        store(self, "source", source)
+        store(self, "target", target)
+        store(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.matrix)
+                == (other.source, other.target, other.matrix))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix))
 
     def apply(self, vec: Sequence[int]) -> tuple:
         return self.target.reduce(self.matrix.apply(vec))
@@ -266,8 +289,7 @@ def multiplication_hom(g: FgAbGroup, m: int) -> GroupHom:
 # Subgroups, quotients, kernels, images
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubquotientData:
+class SubquotientData(Value):
     """A subquotient of `ambient` in explicit coordinates.
 
     `group` is presented on the basis columns of `lattice`, a lattice of
@@ -277,9 +299,21 @@ class SubquotientData:
     subquotient coordinates are encoded and decoded.
     """
 
-    ambient: FgAbGroup
-    group: FgAbGroup
-    lattice: Lattice
+    _fields = ("ambient", "group", "lattice")
+
+    def __init__(self, ambient: FgAbGroup, group: FgAbGroup, lattice: Lattice):
+        store(self, "ambient", ambient)
+        store(self, "group", group)
+        store(self, "lattice", lattice)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ambient, self.group, self.lattice)
+                == (other.ambient, other.group, other.lattice))
+
+    def __hash__(self):
+        return hash((self.ambient, self.group, self.lattice))
 
     @property
     def basis(self) -> IntMatrix:
@@ -309,7 +343,6 @@ def induced_hom(src: SubquotientData, M: IntMatrix,
     return hom(src.group, tgt.group, tgt.encode_matrix(M @ src.decode_matrix()))
 
 
-@dataclass(frozen=True)
 class Subgroup(SubquotientData):
     """A subgroup of `ambient`: the subquotient with nothing divided out.
     The lattice is the preimage of the subgroup in the generator lattice,

@@ -27,22 +27,19 @@ checked by one more, instead of a second Smith form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 from operator import floordiv, mod, neg
 from typing import Iterable, Optional, Sequence
 
-from ..errors import PreconditionViolated, ValidationError
+from ..errors import PreconditionViolated, SizeBudgetExceeded, ValidationError
+from ..value import Value, store
 from .ring import RingTag, ZZ, check_same_ring
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple  # row-major, length rows*cols
-    ring: RingTag = ZZ
+class IntMatrix(Value):
+    # entries is row-major, of length rows * cols
+    __slots__ = _fields = ("rows", "cols", "entries", "ring")
 
     def __init__(self, rows: int, cols: int, entries: tuple, ring: RingTag = ZZ):
         if len(entries) != rows * cols:
@@ -52,6 +49,15 @@ class IntMatrix:
         _set_cols(self, cols)
         _set_entries(self, entries)
         _set_ring(self, ring)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rows, self.cols, self.entries, self.ring)
+                == (other.rows, other.cols, other.entries, other.ring))
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries, self.ring))
 
     # -- constructors -----------------------------------------------------
 
@@ -214,6 +220,19 @@ def _offsets(sizes):
     return out, off
 
 
+# the most entries of a dense matrix that kron and block_matrix build: a
+# square with MAX_GENERATORS (workspace.py) rows and columns, so any matrix
+# between the modules of a workspace complex fits
+MAX_DENSE_ENTRIES = 4096 * 4096
+
+
+def _check_size(what: str, m: int, n: int) -> None:
+    """Refuse an m x n result past MAX_DENSE_ENTRIES, before it is allocated."""
+    if m * n > MAX_DENSE_ENTRIES:
+        raise SizeBudgetExceeded(f"{what} of shape {m}x{n} would have {m * n} entries, "
+                                 f"more than the {MAX_DENSE_ENTRIES} allowed")
+
+
 def block_matrix(row_sizes, col_sizes, blocks: dict, ring: RingTag) -> IntMatrix:
     """The matrix with block (i, j) equal to blocks[i, j] and zero elsewhere.
 
@@ -222,6 +241,7 @@ def block_matrix(row_sizes, col_sizes, blocks: dict, ring: RingTag) -> IntMatrix
     labels)."""
     rows, m = _offsets(row_sizes)
     cols, n = _offsets(col_sizes)
+    _check_size("block matrix", m, n)
     out = [0] * (m * n)
     for (i, j), b in blocks.items():
         (ro, r), (co, c) = rows[i], cols[j]
@@ -238,6 +258,7 @@ def block_matrix(row_sizes, col_sizes, blocks: dict, ring: RingTag) -> IntMatrix
 def kron(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     """The Kronecker product: entry (i*B.rows + k, j*B.cols + l) is A[i,j] B[k,l]."""
     check_same_ring(A, B)
+    _check_size("Kronecker product", A.rows * B.rows, A.cols * B.cols)
     brows = [B.row(k) for k in range(B.rows)]
     entries = [a * b for i in range(A.rows) for brow in brows
                for a in A.row(i) for b in brow]
@@ -516,18 +537,30 @@ def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     return s.V @ IntMatrix(A.cols, k, tuple(Y), A.ring)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Value):
     """A sublattice (a subspace over F_p) of ring^m with a certificate.
 
-    The columns of `basis` are independent, and C @ basis is the diagonal
-    matrix of `divisors`.  So the coordinates of a member B are
-    (C @ B) / divisors, and `coords` accepts them only when basis @ c == B.
+    The columns of `basis` (m x r) are independent, and C (r x m) @ basis is
+    the diagonal matrix of the r nonzero `divisors`.  So the coordinates of
+    a member B are (C @ B) / divisors, and `coords` accepts them only when
+    basis @ c == B.
     """
 
-    basis: IntMatrix    # m x r
-    C: IntMatrix        # r x m
-    divisors: tuple     # r nonzero entries
+    _fields = ("basis", "C", "divisors")
+
+    def __init__(self, basis: IntMatrix, C: IntMatrix, divisors: tuple):
+        store(self, "basis", basis)
+        store(self, "C", C)
+        store(self, "divisors", divisors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.basis, self.C, self.divisors)
+                == (other.basis, other.C, other.divisors))
+
+    def __hash__(self):
+        return hash((self.basis, self.C, self.divisors))
 
     def coords(self, B: IntMatrix) -> Optional[IntMatrix]:
         """The X with basis @ X == B, compared in reduced form, or None when

@@ -11,9 +11,8 @@ every row or column combination of the shared row kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import RingMismatch, ValidationError
+from ..value import Value, store
 
 
 def _is_prime(p: int) -> bool:
@@ -27,15 +26,23 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingTag:
+class RingTag(Value):
     """Either the integers (p == 0) or the prime field F_p (p >= 2)."""
 
-    p: int = 0
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p != 0 and not _is_prime(self.p):
-            raise ValidationError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int = 0):
+        if p != 0 and not _is_prime(p):
+            raise ValidationError(f"modulus {p} is not prime")
+        store(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
 
     @property
     def is_field(self) -> bool:

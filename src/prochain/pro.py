@@ -16,7 +16,6 @@ that is neither invertible nor nilpotent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .chain import identity_map as chain_identity
@@ -27,6 +26,7 @@ from .exactalg.groups import (FgAbGroup, GroupHom, cokernel, free_group,
                               is_isomorphism, kernel, solve_hom_constraints,
                               trivial_group, zero_hom)
 from .exactalg.ring import check_same_ring
+from .value import Value, store
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +52,13 @@ class Lim1Verdict(enum.Enum):
     NONZERO_UNCOUNTABLE = "NonzeroUncountable"
 
 
-@dataclass(frozen=True)
-class UnknownValue:
+class UnknownValue(Value):
     """A value the engine declines to claim, with the reason why."""
-    reason: str
+
+    _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        store(self, "reason", reason)
 
     def __str__(self):
         return f"UNKNOWN: {self.reason}"
@@ -68,14 +71,16 @@ GroupOrUnknown = Union[FgAbGroup, UnknownValue]
 # Tail policies and towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailPolicy:
+class TailPolicy(Value):
     """ConstantFrom(N): identities from index N on.  RepeatFrom(N, endo):
     entries from N on all equal entry N and the structure maps repeat endo."""
 
-    kind: str             # "constant" | "repeat"
-    start: int
-    endo: object = None   # GroupHom | ChainMap for "repeat"
+    _fields = ("kind", "start", "endo")
+
+    def __init__(self, kind: str, start: int, endo=None):
+        store(self, "kind", kind)  # "constant" | "repeat"
+        store(self, "start", start)
+        store(self, "endo", endo)  # GroupHom | ChainMap for "repeat"
 
     @staticmethod
     def constant_from(N: int) -> "TailPolicy":
@@ -96,14 +101,16 @@ class TailPolicy:
         return TailPolicy.repeat_from(start, f(self.endo))
 
 
-@dataclass(frozen=True)
-class _TailedSequence:
+class _TailedSequence(Value):
     """Entries and structure maps stored through index tail.start; the
     accessors extend both past it by the tail."""
 
-    entries: tuple
-    structure: tuple
-    tail: TailPolicy
+    _fields = ("entries", "structure", "tail")
+
+    def __init__(self, entries: tuple, structure: tuple, tail: TailPolicy):
+        store(self, "entries", entries)
+        store(self, "structure", structure)
+        store(self, "tail", tail)
 
     def entry(self, s: int):
         return self.entries[min(s, self.tail.start)]
@@ -128,7 +135,6 @@ class _TailedSequence:
                     self.tail.mapped(N, lambda endo: arrow(endo, N, N)))
 
 
-@dataclass(frozen=True)
 class Tower(_TailedSequence):
     """An inverse system T_0 <- T_1 <- ... with a declared tail.
 
@@ -136,7 +142,8 @@ class Tower(_TailedSequence):
     s < tail.start.
     """
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple, structure: tuple, tail: TailPolicy):
+        super().__init__(entries, structure, tail)
         N = self.tail.start
         if len(self.entries) != N + 1:
             raise ValidationError("entries must reach the tail start")
@@ -176,13 +183,15 @@ def repeat_tower(endo) -> Tower:
 # Pro-maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexShift:
+class IndexShift(Value):
     """A monotone reindexing t -> theta(t), the identity when no values are
     stored; past the stored values it advances linearly with the slope."""
 
-    values: tuple = ()
-    tail_slope: int = 1
+    _fields = ("values", "tail_slope")
+
+    def __init__(self, values: tuple = (), tail_slope: int = 1):
+        store(self, "values", values)
+        store(self, "tail_slope", tail_slope)
 
     @staticmethod
     def level() -> "IndexShift":
@@ -198,18 +207,20 @@ def _shift_call(shift: IndexShift, t: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class ProMap:
+class ProMap(Value):
     """A germ-represented morphism of towers: components X_{theta(t)} -> Y_t.
 
     comps[t] is stored for t <= window; beyond, components repeat the last
     stored one (well-typed because tails repeat entries).
     """
 
-    source: Tower
-    target: Tower
-    shift: IndexShift
-    comps: tuple
+    _fields = ("source", "target", "shift", "comps")
+
+    def __init__(self, source: Tower, target: Tower, shift: IndexShift, comps: tuple):
+        store(self, "source", source)
+        store(self, "target", target)
+        store(self, "shift", shift)
+        store(self, "comps", comps)
 
     def theta(self, t: int) -> int:
         return _shift_call(self.shift, t)
@@ -312,11 +323,17 @@ def comparison_to_reindexed(T: Tower, step: int) -> ProMap:
 # Pro-isomorphism decision for group towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProIsoVerdict:
-    kind: str                      # "true" | "false"
-    witness: tuple = ()            # for true: ((t, s, filler), ...)
-    certificate_level: int = -1    # for false: a level with no filler
+class ProIsoVerdict(Value):
+    """kind is "true" or "false"; a true verdict has the witness
+    ((t, s, filler), ...), a false one the certificate_level, a level with
+    no filler."""
+
+    _fields = ("kind", "witness", "certificate_level")
+
+    def __init__(self, kind: str, witness: tuple = (), certificate_level: int = -1):
+        store(self, "kind", kind)
+        store(self, "witness", witness)
+        store(self, "certificate_level", certificate_level)
 
     def __bool__(self):
         return self.kind == "true"
@@ -416,11 +433,13 @@ def is_pro_isomorphism(f: ProMap) -> ProIsoVerdict:
 # lim and lim^1
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LimResult:
-    lim: GroupOrUnknown
-    lim1: Lim1Verdict
-    mittag_leffler: bool
+class LimResult(Value):
+    _fields = ("lim", "lim1", "mittag_leffler")
+
+    def __init__(self, lim: GroupOrUnknown, lim1: Lim1Verdict, mittag_leffler: bool):
+        store(self, "lim", lim)
+        store(self, "lim1", lim1)
+        store(self, "mittag_leffler", mittag_leffler)
 
 
 def lim_lim1(T: Tower) -> LimResult:
@@ -472,7 +491,6 @@ def _non_ml_lim(A: FgAbGroup, endo: GroupHom) -> GroupOrUnknown:
 # Colimits of direct systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DirectSystem(_TailedSequence):
     """A direct system A_0 -> A_1 -> ... with a declared tail (identities
     from `start` for constant tails, a repeated endomorphism otherwise);
@@ -483,13 +501,16 @@ def constant_system(entry) -> DirectSystem:
     return DirectSystem((entry,), (), TailPolicy.constant_from(0))
 
 
-@dataclass(frozen=True)
-class ColimResult:
-    value: GroupOrUnknown
-    # index at which the colimit is realized by the entry (stable stage);
-    # -1 when value is Unknown or zero-by-nilpotence
-    stable_stage: int = -1
-    eventually_zero: bool = False
+class ColimResult(Value):
+    _fields = ("value", "stable_stage", "eventually_zero")
+
+    def __init__(self, value: GroupOrUnknown, stable_stage: int = -1,
+                 eventually_zero: bool = False):
+        store(self, "value", value)
+        # index at which the colimit is realized by the entry (stable
+        # stage); -1 when value is Unknown or zero-by-nilpotence
+        store(self, "stable_stage", stable_stage)
+        store(self, "eventually_zero", eventually_zero)
 
 
 def colim(D: DirectSystem) -> ColimResult:

@@ -10,7 +10,6 @@ towers.  The homology support is finite, so the check is a finite loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .chain import (ChainComplex, derived_hom, homology, homology_support,
@@ -23,14 +22,18 @@ from .pro import (DirectSystem, GroupOrUnknown, Lim1Verdict, ProMap, Tower,
 from .tstruct import (classify_map, is_degreewise_split_mono,
                       is_degreewise_surjection, truncate_below_free,
                       truncate_below_map, truncate_below_step)
+from .value import Value, store
 
 
-@dataclass(frozen=True)
-class HStarVerdict:
-    verdict: str                      # "weak_equivalence" | "not"; always decided
-    reason: str = ""
-    failed_degree: Optional[int] = None
-    m_witness: Optional[int] = None   # uniform levelwise m-equivalence bound
+class HStarVerdict(Value):
+    _fields = ("verdict", "reason", "failed_degree", "m_witness")
+
+    def __init__(self, verdict: str, reason: str = "",
+                 failed_degree: Optional[int] = None, m_witness: Optional[int] = None):
+        store(self, "verdict", verdict)  # "weak_equivalence" | "not"; always decided
+        store(self, "reason", reason)
+        store(self, "failed_degree", failed_degree)
+        store(self, "m_witness", m_witness)  # uniform levelwise m-equivalence bound
 
     def __bool__(self):
         return self.verdict == "weak_equivalence"
@@ -192,11 +195,13 @@ def heart_hom(X: Tower, Y: Tower, n: int = 0) -> GroupOrUnknown:
                           lambda A, g: induced_map_on_derived_hom(identity_map(A), g, 0))
 
 
-@dataclass(frozen=True)
-class HomFromConstantResult:
-    value: GroupOrUnknown      # claimed only when lim1 is Zero
-    lim: GroupOrUnknown
-    lim1: Lim1Verdict
+class HomFromConstantResult(Value):
+    _fields = ("value", "lim", "lim1")
+
+    def __init__(self, value: GroupOrUnknown, lim: GroupOrUnknown, lim1: Lim1Verdict):
+        store(self, "value", value)  # claimed only when lim1 is Zero
+        store(self, "lim", lim)
+        store(self, "lim1", lim1)
 
 
 def hom_from_constant(X: ChainComplex, Y: Tower, n: int) -> HomFromConstantResult:

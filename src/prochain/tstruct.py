@@ -13,7 +13,6 @@ system, which succeeds because the relevant graded hom group vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -27,6 +26,7 @@ from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
 from .exactalg.matrices import (IntMatrix, block_matrix, hcat, kernel_basis,
                                 kernel_lattice, kron, snf, solve)
+from .value import Value, store
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -118,19 +118,24 @@ def truncate_below_map(f: ChainMap, n: int) -> ChainMap:
     return cone_functor_map(incl_s, incl_t, truncate_above_map(f, n + 1), f)
 
 
-@dataclass(frozen=True)
-class TruncationTower:
+class TruncationTower(Value):
     """All truncations of one complex with strictly commuting structure maps."""
 
-    base: ChainComplex
-    n_lo: int
-    n_hi: int
-    below: dict          # n -> T_{<= n} X (free cone model)
-    above: dict          # n -> tau_{>= n} X (kernel subcomplex)
-    maps_below: dict     # n -> (T_{<= n} X -> T_{<= n-1} X)
-    maps_above: dict     # n -> (tau_{>= n+1} X -> tau_{>= n} X)
-    anchors_below: dict  # n -> (X -> T_{<= n} X)
-    anchors_above: dict  # n -> (tau_{>= n} X -> X)
+    _fields = ("base", "n_lo", "n_hi", "below", "above", "maps_below", "maps_above",
+               "anchors_below", "anchors_above")
+
+    def __init__(self, base: ChainComplex, n_lo: int, n_hi: int, below: dict,
+                 above: dict, maps_below: dict, maps_above: dict,
+                 anchors_below: dict, anchors_above: dict):
+        store(self, "base", base)
+        store(self, "n_lo", n_lo)
+        store(self, "n_hi", n_hi)
+        store(self, "below", below)                  # n -> T_{<= n} X (free cone model)
+        store(self, "above", above)                  # n -> tau_{>= n} X (kernel subcomplex)
+        store(self, "maps_below", maps_below)        # n -> (T_{<= n} X -> T_{<= n-1} X)
+        store(self, "maps_above", maps_above)        # n -> (tau_{>= n+1} X -> tau_{>= n} X)
+        store(self, "anchors_below", anchors_below)  # n -> (X -> T_{<= n} X)
+        store(self, "anchors_above", anchors_above)  # n -> (tau_{>= n} X -> X)
 
 
 def truncation_tower(X: ChainComplex) -> TruncationTower:
@@ -180,10 +185,14 @@ def layer_triangle_check(X: ChainComplex, n: int) -> bool:
 # Classification of maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MapClassification:
-    max_n_equivalence: float     # largest n with f an n-equivalence, or +inf
-    min_co_n_equivalence: float  # smallest n with f a co-n-equivalence, or -inf
+class MapClassification(Value):
+    _fields = ("max_n_equivalence", "min_co_n_equivalence")
+
+    def __init__(self, max_n_equivalence: float, min_co_n_equivalence: float):
+        # the largest n with f an n-equivalence, or +inf
+        store(self, "max_n_equivalence", max_n_equivalence)
+        # the smallest n with f a co-n-equivalence, or -inf
+        store(self, "min_co_n_equivalence", min_co_n_equivalence)
 
     @property
     def is_weak_equivalence(self) -> bool:

@@ -9,8 +9,7 @@ parse/serialize round-trip byte-identically on canonical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from .chain import ChainComplex, ChainMap, chain_map, is_chain_map, make_complex
 from .errors import ParseError, PreconditionViolated, ValidationError
@@ -18,35 +17,51 @@ from .exactalg.groups import FgAbGroup, GroupHom, group_from_presentation, hom
 from .exactalg.matrices import IntMatrix
 from .exactalg.ring import GF, RingTag, ZZ
 from .pro import IndexShift, ProMap, TailPolicy, Tower, _same_object
+from .value import Record
 
 
-@dataclass
-class Config:
+class Config(Record):
     # budget_filler, budget_reindex and lim_window have no reader; workspace
     # files and the canonical serialization still carry them
-    budget_filler: int = 8
-    budget_reindex: int = 8
-    lim_window: int = 24
+    _fields = ("budget_filler", "budget_reindex", "lim_window")
+
+    def __init__(self, budget_filler: int = 8, budget_reindex: int = 8,
+                 lim_window: int = 24):
+        self.budget_filler = budget_filler
+        self.budget_reindex = budget_reindex
+        self.lim_window = lim_window
 
     def validate(self):
         if min(self.budget_filler, self.budget_reindex, self.lim_window) <= 0:
             raise ValidationError("budgets must be positive")
 
 
-@dataclass
-class Workspace:
-    ring: RingTag
-    config: Config
-    complexes: Dict[str, ChainComplex] = field(default_factory=dict)
-    maps: Dict[str, ChainMap] = field(default_factory=dict)
-    groups: Dict[str, FgAbGroup] = field(default_factory=dict)
-    group_maps: Dict[str, GroupHom] = field(default_factory=dict)
-    towers: Dict[str, Tower] = field(default_factory=dict)
-    group_towers: Dict[str, Tower] = field(default_factory=dict)
-    promaps: Dict[str, ProMap] = field(default_factory=dict)
-    group_promaps: Dict[str, ProMap] = field(default_factory=dict)
-    # the parsed JSON document, which serialize_workspace normalizes
-    raw: dict = field(default_factory=dict, repr=False)
+class Workspace(Record):
+    """The objects of one workspace file: one table per kind (see _TABLES)
+    from name to object, empty when left out."""
+
+    _fields = ("ring", "config", "complexes", "maps", "groups", "group_maps",
+               "towers", "group_towers", "promaps", "group_promaps", "raw")
+
+    def __init__(self, ring: RingTag, config: Config, complexes=None, maps=None,
+                 groups=None, group_maps=None, towers=None, group_towers=None,
+                 promaps=None, group_promaps=None, raw: Optional[dict] = None):
+        self.ring = ring
+        self.config = config
+        self.complexes = {} if complexes is None else complexes
+        self.maps = {} if maps is None else maps
+        self.groups = {} if groups is None else groups
+        self.group_maps = {} if group_maps is None else group_maps
+        self.towers = {} if towers is None else towers
+        self.group_towers = {} if group_towers is None else group_towers
+        self.promaps = {} if promaps is None else promaps
+        self.group_promaps = {} if group_promaps is None else group_promaps
+        # the parsed JSON document, which serialize_workspace normalizes
+        self.raw = {} if raw is None else raw
+
+    def __repr__(self):  # without raw, the whole parsed document
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields[:-1])
+        return f"{self.__class__.__qualname__}({shown})"
 
     def lookup(self, name: str, kind: Optional[str] = None):
         """The object called `name`; with `kind` given, it must be of that

@@ -41,6 +41,14 @@ def cells_spaces(p: int, seed: int = 5):
     return out
 
 
+def package_module_names() -> list:
+    """The dotted names of the package's modules, its __init__ files left out."""
+    paths = [os.path.relpath(os.path.join(d, f), SRC)
+             for d, _, files in os.walk(os.path.join(SRC, "prochain")) for f in files
+             if f.endswith(".py") and f != "__init__.py"]
+    return sorted(p[:-3].replace(os.sep, ".") for p in paths)
+
+
 def run_python(*args, cwd=None):
     """A fresh interpreter with the package on its path."""
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -44,7 +44,6 @@ per truncation.  `abutment_filtration` reads the same subgroups off the
 cycles of Hom(X, Y) alone.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
@@ -121,12 +120,16 @@ def _embed(lattice: Lattice, rows: List[int], size: int) -> Lattice:
     return Lattice(_spread_rows(lattice.basis, rows, size), C, lattice.divisors)
 
 
-@dataclass
 class GenericPage(Page):
     """A page with its differentials of bidegree (-r, r-1) between nonzero
     slots."""
 
-    differentials: Dict[Slot, GroupHom]
+    _fields = Page._fields + ("differentials",)
+
+    def __init__(self, r: int, data: Dict[Slot, SubquotientData],
+                 differentials: Dict[Slot, GroupHom]):
+        super().__init__(r, data)
+        self.differentials = differentials
 
 
 class GenericPages:

@@ -12,7 +12,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import loaded_modules, run_python
+from conftest import loaded_modules, package_module_names, run_python
 from prochain.cli import COMMANDS, DISPATCH, main
 from prochain.errors import ParseError, ValidationError
 from prochain.workspace import _TABLES, parse_workspace, serialize_workspace
@@ -585,6 +585,57 @@ class TestOperandErrors:
                 for kind in kinds if kind not in known] == []
 
 
+# workspaces/moore.json has no chain promap; this workspace has three,
+# on towers of Z0: the identity and x2 on the constant tower, and zero
+# components from Z0 <-0- Z0 <-0- ... to the constant zero tower
+WHITEHEAD_WORKSPACE = {
+    "ring": "Z",
+    "complexes": {"Z0": {"ranks": {"0": 1}, "diffs": {}},
+                  "O": {"ranks": {}, "diffs": {}}},
+    "maps": {"id_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["1"]]}},
+             "x2_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["2"]]}},
+             "x0_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["0"]]}},
+             "to_O": {"source": "Z0", "target": "O", "comps": {}}},
+    "towers": {"const_Z0": {"entries": ["Z0"], "structure": [],
+                            "tail": {"constant_from": 0}},
+               "zero_Z0": {"entries": ["Z0"], "structure": [],
+                           "tail": {"repeat_from": 0, "endo": "x0_Z0"}},
+               "const_O": {"entries": ["O"], "structure": [],
+                           "tail": {"constant_from": 0}}},
+    "promaps": {"id": {"source": "const_Z0", "target": "const_Z0", "comps": ["id_Z0"]},
+                "x2": {"source": "const_Z0", "target": "const_Z0", "comps": ["x2_Z0"]},
+                "to_zero": {"source": "zero_Z0", "target": "const_O",
+                            "comps": ["to_O"]}},
+}
+
+
+def lift_squares_workspace():
+    """The squares i -> i, p -> p of factor_n(times2, n) = (i, p) on the
+    Moore complex M2, n in degrees, which the identity of the middle complex
+    lifts: (the workspace document, degrees)."""
+    from prochain.tstruct import factor_n
+
+    def complex_doc(X):
+        return {"ranks": {str(k): X.rank(k) for k in X.degrees},
+                "diffs": {str(k): X.diff(k).to_lists() for k in X.degrees[1:]}}
+
+    def map_doc(f, source, target):
+        # a component without rows is written as [], which has no shape
+        return {"source": source, "target": target,
+                "comps": {str(k): f.comp(k).to_lists()
+                          for k in range(f.lo, f.lo + len(f.comps)) if f.comp(k).rows}}
+
+    times2 = parse_workspace(GOLDEN).maps["times2"]
+    doc = {"complexes": {"M2": complex_doc(times2.source)}, "maps": {}}
+    degrees = ("-1", "0", "1")
+    for n in degrees:
+        i, p = factor_n(times2, int(n))
+        doc["complexes"][f"Z{n}"] = complex_doc(i.target)
+        doc["maps"][f"i{n}"] = map_doc(i, "M2", f"Z{n}")
+        doc["maps"][f"p{n}"] = map_doc(p, f"Z{n}", "M2")
+    return doc, degrees
+
+
 class TestDriver:
     def run(self, tmp_path, *args):
         out = tmp_path / "out"
@@ -616,6 +667,24 @@ class TestDriver:
         assert code == 2
         body = (out / "prohom_const_Z0_tower2_Z0_0.tsv").read_text()
         assert "UNKNOWN" in body and "NonzeroUncountable" in body
+
+    def test_dense_matrix_past_the_budget_is_one_error_line(self, tmp_path):
+        # Hom(B, B) has 2 * 1500^2 generators in degree 0, and its
+        # differential would be built from a Kronecker product with
+        # 5 * 10^12 entries; the size check refuses it before allocating.
+        # The address-space limit of the child only keeps a regression from
+        # filling the machine's memory
+        path = tmp_path / "B.json"
+        path.write_text('{"ring":"Z","complexes":{"B":{"ranks":{"0":1500,"1":1500},"diffs":{}}}}')
+        p = run_python("-c", "import resource, sys\n"
+                       "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+                       "from prochain.cli import main\n"
+                       "sys.exit(main(sys.argv[1:]))",
+                       "derived-hom", "B", "B", "0", "--workspace", str(path),
+                       "--out", str(tmp_path / "out"))
+        assert p.returncode == 1
+        assert p.stderr == ("error: Kronecker product of shape 2250000x2250000 would have "
+                            "5062500000000 entries, more than the 16777216 allowed\n")
 
     def test_error_exit_code(self, tmp_path):
         code = main(["homology", "missing_object", "--workspace", GOLDEN,
@@ -846,30 +915,9 @@ class TestDriver:
         assert digest.hexdigest() == TSTRUCT_REPORTS_SHA256
 
     def test_whitehead_reports_are_pinned(self, tmp_path):
-        # workspaces/moore.json has no chain promap; this workspace has three,
-        # on towers of Z0: the identity and x2 on the constant tower, and zero
-        # components from Z0 <-0- Z0 <-0- ... to the constant zero tower
-        doc = {
-            "ring": "Z",
-            "complexes": {"Z0": {"ranks": {"0": 1}, "diffs": {}},
-                          "O": {"ranks": {}, "diffs": {}}},
-            "maps": {"id_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["1"]]}},
-                     "x2_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["2"]]}},
-                     "x0_Z0": {"source": "Z0", "target": "Z0", "comps": {"0": [["0"]]}},
-                     "to_O": {"source": "Z0", "target": "O", "comps": {}}},
-            "towers": {"const_Z0": {"entries": ["Z0"], "structure": [],
-                                    "tail": {"constant_from": 0}},
-                       "zero_Z0": {"entries": ["Z0"], "structure": [],
-                                   "tail": {"repeat_from": 0, "endo": "x0_Z0"}},
-                       "const_O": {"entries": ["O"], "structure": [],
-                                   "tail": {"constant_from": 0}}},
-            "promaps": {"id": {"source": "const_Z0", "target": "const_Z0", "comps": ["id_Z0"]},
-                        "x2": {"source": "const_Z0", "target": "const_Z0", "comps": ["x2_Z0"]},
-                        "to_zero": {"source": "zero_Z0", "target": "const_O",
-                                    "comps": ["to_O"]}},
-        }
         cases = [["whitehead", f] for f in ("id", "x2", "to_zero")]
-        assert run_cases(tmp_path, cases, workspace=write(tmp_path, doc)) == [[0, ""]] * 3
+        assert run_cases(tmp_path, cases,
+                         workspace=write(tmp_path, WHITEHEAD_WORKSPACE)) == [[0, ""]] * 3
         reports = {str(f.relative_to(tmp_path)): f.read_bytes()
                    for f in tmp_path.rglob("*.tsv")}
         assert reports == {
@@ -881,30 +929,9 @@ class TestDriver:
         }
 
     def test_lift_reports_are_pinned(self, tmp_path):
-        # the squares i -> i, p -> p of factor_n(times2, n) = (i, p) on the
-        # Moore complex M2: the identity of the middle complex lifts them.
-        # By the lifting axiom every square that meets find_lift's
-        # preconditions has a lift, so no workspace reaches "found false".
-        from prochain.tstruct import factor_n
-
-        def complex_doc(X):
-            return {"ranks": {str(k): X.rank(k) for k in X.degrees},
-                    "diffs": {str(k): X.diff(k).to_lists() for k in X.degrees[1:]}}
-
-        def map_doc(f, source, target):
-            # a component without rows is written as [], which has no shape
-            return {"source": source, "target": target,
-                    "comps": {str(k): f.comp(k).to_lists()
-                              for k in range(f.lo, f.lo + len(f.comps)) if f.comp(k).rows}}
-
-        times2 = parse_workspace(GOLDEN).maps["times2"]
-        doc = {"complexes": {"M2": complex_doc(times2.source)}, "maps": {}}
-        degrees = ("-1", "0", "1")
-        for n in degrees:
-            i, p = factor_n(times2, int(n))
-            doc["complexes"][f"Z{n}"] = complex_doc(i.target)
-            doc["maps"][f"i{n}"] = map_doc(i, "M2", f"Z{n}")
-            doc["maps"][f"p{n}"] = map_doc(p, f"Z{n}", "M2")
+        # by the lifting axiom every square that meets find_lift's
+        # preconditions has a lift, so no workspace reaches "found false"
+        doc, degrees = lift_squares_workspace()
         cases = [["lift", f"i{n}", f"p{n}", f"i{n}", f"p{n}", n] for n in degrees]
         assert run_cases(tmp_path, cases, workspace=write(tmp_path, doc)) == [[0, ""]] * 3
         reports = {str(f.relative_to(tmp_path)): f.read_bytes()
@@ -942,6 +969,28 @@ class TestDriver:
         assert "prochain.workspace" in loaded
         loaded = loaded_by("limlim1", "tower2_Z")
         assert "prochain.exactalg.poly" in loaded and "sympy" not in loaded
+
+    def test_cold_start_loads_no_code_generator(self, tmp_path):
+        # @dataclass runs exec on source it writes, at every import, and
+        # importing dataclasses loads inspect: every command, in one fresh
+        # interpreter, with every module of the package loaded after them
+        moore = os.path.abspath(GOLDEN)
+        squares = write(tmp_path, lift_squares_workspace()[0], "squares.json")
+        whitehead = write(tmp_path, WHITEHEAD_WORKSPACE, "whitehead.json")
+        cases = [[*args, "--workspace", moore] for args in EVERY_COMMAND
+                 if args[0] not in ("lift", "whitehead")]
+        cases += [["lift", "i0", "p0", "i0", "p0", "0", "--workspace", squares],
+                  ["whitehead", "x2", "--workspace", whitehead]]
+        assert {args[0] for args in cases} == set(DISPATCH)
+        modules = package_module_names()
+        loaded = loaded_modules(
+            "import importlib\nfrom prochain.cli import main\n"
+            f"for k, args in enumerate({cases!r}):\n"
+            f"    assert main(args + ['--out', {str(tmp_path)!r} + f'/{{k}}']) in (0, 2), args\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n")
+        assert set(modules) <= loaded
+        assert loaded & {"dataclasses", "inspect"} == set()
 
     def test_commands_run_without_sympy(self, tmp_path):
         # a None entry in sys.modules makes every import of sympy fail

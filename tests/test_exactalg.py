@@ -1,7 +1,9 @@
 """Exact linear algebra and group arithmetic."""
 
-import dataclasses
+import functools
 import hashlib
+import importlib
+import pickle
 import random
 
 import pytest
@@ -21,11 +23,13 @@ from prochain.exactalg.groups import (GroupHom, cokernel,
 from prochain.exactalg.matrices import (IntMatrix, block_matrix, kernel_basis,
                                         kernel_lattice, kron, snf, solve,
                                         span_lattice)
+from prochain.exactalg import matrices
 from prochain.exactalg.ring import GF, RingTag, ZZ
+from prochain.value import Value
 from prochain.errors import (ContainmentViolation, PreconditionViolated,
-                             RingMismatch, ValidationError)
+                             RingMismatch, SizeBudgetExceeded, ValidationError)
 
-from conftest import run_python
+from conftest import package_module_names, run_python
 from oracles import pair_order, scalar_matmul
 
 Z = free_group(1)
@@ -239,6 +243,35 @@ class TestSnf:
             assert (kron(b, a.transpose()) @ vec).entries == (b @ f @ a).entries
 
 
+# every frozen value class of the package, with each of its fields
+FROZEN_FIELDS = [(v, name) for mod in map(importlib.import_module, package_module_names())
+                 for v in vars(mod).values()
+                 if isinstance(v, type) and issubclass(v, Value) and v is not Value
+                 and v.__module__ == mod.__name__ for name in v._fields]
+
+
+@functools.lru_cache(maxsize=1)
+def frozen_values() -> dict:
+    """One instance of every frozen value class, by class."""
+    from prochain import ahss, chain, pro, prohomotopy, tstruct
+    M2 = chain.moore_complex(2)
+    g = identity_hom(Z2)
+    T = pro.constant_tower(Z2)
+    D = pro.constant_system(Z2)
+    f = pro.level_map(T, T, [g])
+    examples = [ZZ, IntMatrix.identity(2), kernel_lattice(IntMatrix.zeros(1, 2)), Z2, g,
+                chain.homology_data(M2, 0), image(g), M2, chain.identity_map(M2),
+                chain.hom_complex(M2, M2), pro.UnknownValue("a reason"), T.tail,
+                pro._TailedSequence(T.entries, T.structure, T.tail), T,
+                pro.IndexShift((0, 2), 2), f, pro.is_pro_isomorphism(f), pro.lim_lim1(T),
+                D, pro.colim(D), tstruct.truncation_tower(M2),
+                tstruct.classify_map(chain.identity_map(M2)),
+                prohomotopy.HStarVerdict("not", "a reason", 0),
+                prohomotopy.hom_from_constant(M2, pro.constant_tower(M2), 0),
+                ahss.Window(0, 1, 0, 1), ahss.build_exact_couple(M2, M2)]
+    return {type(v): v for v in examples}
+
+
 def sparse_matrix(rng, m, n, ring, density):
     """Entries beyond 2^70 over Z, residues over F_p, each nonzero with
     probability `density`; about one row and one column in four are zero."""
@@ -270,12 +303,18 @@ class TestProduct:
         for j in range(n):
             assert A.apply(B.column(j)) == want.column(j)
 
-    def test_fields_are_frozen(self):
-        M = IntMatrix.identity(2)
-        for name in ("rows", "cols", "entries", "ring"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(M, name, 0)
-        assert M == IntMatrix.identity(2)
+    @pytest.mark.parametrize("cls, name", FROZEN_FIELDS,
+                             ids=[f"{c.__name__}.{n}" for c, n in FROZEN_FIELDS])
+    def test_fields_are_frozen(self, cls, name):
+        v = frozen_values()[cls]
+        before = getattr(v, name)
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+        assert getattr(v, name) is before
+        # pickle and copy rebuild through the constructor
+        assert pickle.loads(pickle.dumps(v)) == v
 
     @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
     def test_kron_reads_the_ring_once(self, ring, monkeypatch):
@@ -291,6 +330,17 @@ class TestProduct:
         assert K.entries == tuple(A[i, j] * B[k, l] % p if p else A[i, j] * B[k, l]
                                   for i in range(2) for k in range(2)
                                   for j in range(3) for l in range(2))
+
+    def test_dense_results_past_the_budget_are_refused(self, monkeypatch):
+        # the check reads the shapes only, so a refused result is never built
+        monkeypatch.setattr(matrices, "MAX_DENSE_ENTRIES", 6)
+        assert kron(IntMatrix.zeros(2, 1), IntMatrix.zeros(1, 3)).shape == (2, 3)
+        assert block_matrix((2,), (1, 2), {}, ZZ).shape == (2, 3)
+        with pytest.raises(SizeBudgetExceeded,
+                           match="Kronecker product of shape 4x4 would have 16 entries"):
+            kron(IntMatrix.identity(2), IntMatrix.identity(2))
+        with pytest.raises(SizeBudgetExceeded, match="block matrix of shape 7x1 "):
+            block_matrix((3, 4), (1,), {}, ZZ)
 
 
 class TestGroups:
