@@ -48,12 +48,11 @@ truncation inclusion, the cone inclusion and the cone projection) is kept
 as an independent oracle.  Everything outside the finite window is zero,
 which the bounded supports justify.
 
-The colimit condition of the convergence check maps X into T_{<= k} Y.  It
-takes the quotient Y / tau_{>= k+1} Y as the model, not the cone of
-tau_{>= k+1} Y -> Y that `truncate_below_free` builds: the quotient is free
-over Z or F_p, so the cone maps onto it by a quasi-isomorphism, which
-Hom(X, -) keeps, and it has at most the rank of Y where the cone has up to
-twice that.
+The colimit condition of the convergence check maps X into T_{<= k} Y, the
+quotient Y / tau_{>= k+1} Y that `tstruct.truncate_below` builds, the one
+model of T_{<= k} in the package.  It has at most the rank of Y, and the
+cone of tau_{>= k+1} Y -> Y, which has up to twice that, is its oracle in
+the test suite.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from . import chain
 from .chain import (ChainComplex, ChainMap, derived_hom, derived_hom_data,
                     hom_chain_map, homology, homology_support, identity_map,
                     induced_map_on_derived_hom, make_complex,
-                    shift_identification, zero_complex)
+                    shift_identification)
 from .errors import ContainmentViolation
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData,
                               direct_sum, exact_at, full_subgroup, induced_hom,
@@ -78,7 +77,7 @@ from .exactalg.ring import check_same_ring
 from .pro import DirectSystem, GroupOrUnknown, Tower, UnknownValue, colim
 from .prohomotopy import hom_to_constant
 from .tstruct import (cohomology_with_coefficients, layer_complex,
-                      truncate_above, truncation_step)
+                      truncate_above, truncate_below, truncation_step)
 from .value import Record, Value, store
 
 Slot = Tuple[int, int]
@@ -394,45 +393,16 @@ def _colimit_condition(X: ChainComplex, Y: ChainComplex, w: Window) -> bool:
     """[X, T_{<= n-q} Y]_n = 0 for every n of the window and q = 1-m, 2-m,
     with m the lowest degree of H_* X (true when X is acyclic).
 
-    T_{<= k} Y is the quotient Y / tau_{>= k+1} Y of `_quotient_below`,
-    which is quasi-isomorphic to the cone of tau_{>= k+1} Y -> Y and smaller.
-    (n, 1-m) and (n+1, 2-m) share k, so each quotient is built once."""
+    T_{<= k} Y is the quotient Y / tau_{>= k+1} Y of `truncate_below`,
+    read without its anchor.  (n, 1-m) and (n+1, 2-m) share k, so each
+    quotient is built once."""
     xsup = homology_support(X)
     if xsup is None:
         return True
     m = xsup[0]
-    below = {k: _quotient_below(Y, k) for k in range(w.n_lo - 2 + m, w.n_hi + m)}
+    below = {k: truncate_below(Y, k) for k in range(w.n_lo - 2 + m, w.n_hi + m)}
     return all(derived_hom(X, below[n - q], n).is_trivial
                for n in range(w.n_lo, w.n_hi + 1) for q in (1 - m, 2 - m))
-
-
-def _quotient_below(Y: ChainComplex, k: int) -> ChainComplex:
-    """Q_k = Y / tau_{>= k+1} Y, the model of T_{<= k} Y that the colimit
-    condition maps X into.
-
-    Q_k is Y in degrees <= k and zero above k + 1.  In degree k + 1 it is
-    Y_{k+1} / ker d_{k+1}, with basis the `rank` non-cycle columns of the
-    Smith V of d_{k+1} (the snf that `truncate_above` and `level_pieces`
-    read) and differential d_{k+1} on them.  Where tau_{>= k+1} Y is Y
-    (k < Y.lo) the quotient is 0, and where it is 0 (k >= Y.hi) it is Y.
-
-    Over Z or F_p the quotient is free, so 0 -> tau_{>= k+1} Y -> Y -> Q_k
-    -> 0 splits in each degree and the map from the cone of the inclusion
-    onto Q_k is a quasi-isomorphism.  Hom(X, -) from a bounded complex of
-    free modules keeps quasi-isomorphisms, so [X, Q_k]_n is [X, T_{<= k} Y]_n,
-    on at most rank Y generators instead of the cone's rank Y plus
-    rank tau_{>= k+1} Y.
-    """
-    if k < Y.lo:
-        return zero_complex(Y.ring)
-    if k >= Y.hi:
-        return Y
-    s = snf(Y.diff(k + 1))
-    ranks = {m: Y.rank(m) for m in range(Y.lo, k + 1)}
-    ranks[k + 1] = s.rank
-    diffs = {m: Y.diff(m) for m in range(Y.lo + 1, k + 1)}
-    diffs[k + 1] = Y.diff(k + 1) @ s.V.take_columns(range(s.rank))
-    return make_complex(Y.ring, ranks, diffs)
 
 
 class ConvergenceReport(Record):

@@ -307,9 +307,8 @@ def cone(f: ChainMap):
     """Mapping cone C(f)_n = Y_n (+) X_{n-1}, with inclusion of Y and
     projection onto shift(X, 1).
 
-    One shared table serves every consumer (classification, truncation
-    below, layers, cone functoriality); the result is a tuple of frozen
-    values, so sharing it is safe."""
+    One shared table serves every consumer (classification, factorization,
+    layers); the result is a tuple of frozen values, so sharing it is safe."""
     X, Y = f.source, f.target
     ring = X.ring
     lo = min(Y.lo, X.lo + 1)
@@ -329,20 +328,6 @@ def cone(f: ChainMap):
     proj = chain_map(C, shift(X, 1), {n: block_matrix((X.rank(n - 1),), sizes(n), {
         (0, 1): IntMatrix.identity(X.rank(n - 1), ring)}, ring) for n in degrees})
     return C, incl, proj
-
-
-def cone_functor_map(f: ChainMap, g: ChainMap, alpha: ChainMap, xi: ChainMap) -> ChainMap:
-    """cone(f) -> cone(g) for a strictly commuting square xi o f = g o alpha."""
-    if not xi.compose(f).equal(g.compose(alpha)):
-        raise PreconditionViolated("the square xi o f = g o alpha does not commute")
-    Cf, _, _ = cone(f)
-    Cg, _, _ = cone(g)
-    comps = {n: block_matrix((g.target.rank(n), g.source.rank(n - 1)),
-                             (f.target.rank(n), f.source.rank(n - 1)),
-                             {(0, 0): xi.comp(n), (1, 1): alpha.comp(n - 1)},
-                             f.source.ring)
-             for n in range(min(Cf.lo, Cg.lo), max(Cf.hi, Cg.hi) + 1)}
-    return chain_map(Cf, Cg, comps)
 
 
 # ---------------------------------------------------------------------------

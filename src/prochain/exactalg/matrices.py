@@ -79,6 +79,7 @@ class IntMatrix(Value):
 
     @staticmethod
     def identity(n: int, ring: RingTag = ZZ) -> "IntMatrix":
+        _check_size("identity matrix", n, n)
         e = [0] * (n * n)
         for i in range(n):
             e[i * n + i] = ring.reduce(1)
@@ -220,9 +221,9 @@ def _offsets(sizes):
     return out, off
 
 
-# the most entries of a dense matrix that kron and block_matrix build: a
-# square with MAX_GENERATORS (workspace.py) rows and columns, so any matrix
-# between the modules of a workspace complex fits
+# the most entries of a dense matrix that kron, block_matrix, identity and a
+# Smith transform build: a square with MAX_GENERATORS (workspace.py) rows and
+# columns, so any matrix between the modules of a workspace complex fits
 MAX_DENSE_ENTRIES = 4096 * 4096
 
 
@@ -331,6 +332,7 @@ class SnfResult:
         log; the log is dropped once the other transform of the side is
         built too."""
         size = self.m if side == "U" else self.n
+        _check_size("Smith transform", size, size)
         rows = _replay(self._ops[side], size, self.ring.p, inverse)
         if (side if inverse else side + "inv") in self.__dict__:
             self._ops[side] = None

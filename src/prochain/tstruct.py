@@ -1,8 +1,9 @@
 """The standard truncation calculus on bounded complexes, made executable.
 
 tau_{>= n} is the kernel subcomplex (free over a PID, so complexes stay
-free); the below-truncation T_{<= n} is the mapping cone of its inclusion,
-which keeps a free model at the cost of extra generators.  Classification of
+free); the below-truncation T_{<= n} is the quotient by tau_{>= n+1}, free
+over Z or F_p and no larger than the complex, and the Smith form of d_{n+1}
+gives its anchor, its tower steps and its action on maps.  Classification of
 maps into n-equivalences and co-n-equivalences reads off the homology
 support of the mapping cone.  Factorization attaches free generators
 (surjectivity disks anywhere, homology-killing cells in degrees >= n+1);
@@ -16,11 +17,10 @@ import math
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .chain import (ChainComplex, ChainMap, chain_map, cone,
-                    cone_functor_map, derived_hom, free_one_term, homology,
-                    homology_data, homology_support, identity_map,
-                    induced_homology_map, make_complex, minimal_model, shift,
-                    zero_complex, zero_map)
+from .chain import (ChainComplex, ChainMap, chain_map, cone, derived_hom,
+                    free_one_term, homology, homology_data, homology_support,
+                    identity_map, induced_homology_map, make_complex,
+                    minimal_model, shift, zero_complex, zero_map)
 from .errors import PostconditionViolated, PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
@@ -71,21 +71,6 @@ def truncate_above(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     return T, incl
 
 
-def truncate_above_map(f: ChainMap, n: int) -> ChainMap:
-    """The restriction tau_{>= n} f; chain maps preserve kernel subcomplexes.
-    Above n its components are those of f; at n they are the coordinates of
-    f on the source's cycles in the target's, from the Smith form of d_n
-    that `truncate_above` made already."""
-    TS, incl_s = truncate_above(f.source, n)
-    TT, _ = truncate_above(f.target, n)
-    at_n = kernel_lattice(f.target.diff(n)).coords(f.comp(n) @ incl_s.comp(n))
-    if at_n is None:
-        raise PostconditionViolated(f"f does not preserve tau_>={n} in degree {n}")
-    comps = {m: f.comp(m) for m in range(n + 1, max(TS.hi, TT.hi) + 1)}
-    comps[n] = at_n
-    return chain_map(TS, TT, comps)
-
-
 def truncation_step(X: ChainComplex, n: int) -> ChainMap:
     """The inclusion tau_{>= n+1} X -> tau_{>= n} X.  Above n both inclusions
     into X are identities on tau_{>= n} X, so its components are those of
@@ -95,27 +80,61 @@ def truncation_step(X: ChainComplex, n: int) -> ChainMap:
     return chain_map(Tn1, Tn, {m: incl1.comp(m) for m in range(n + 1, X.hi + 1)})
 
 
+def truncate_below(X: ChainComplex, n: int) -> ChainComplex:
+    """T_{<= n} X as the quotient X / tau_{>= n+1} X: X up to degree n and,
+    in degree n + 1, X_{n+1} / ker d_{n+1} on the `rank` non-cycle columns
+    of the Smith V of d_{n+1}, with d_{n+1} on them.  It is 0 for n < X.lo
+    and X for n >= X.hi.  Over Z or F_p the quotient is free, and H_m agrees
+    with X for m <= n and vanishes above."""
+    if n < X.lo:
+        return zero_complex(X.ring)
+    if n >= X.hi:
+        return X
+    s = snf(X.diff(n + 1))
+    ranks = {m: X.rank(m) for m in range(X.lo, n + 1)}
+    ranks[n + 1] = s.rank
+    diffs = {m: X.diff(m) for m in range(X.lo + 1, n + 1)}
+    diffs[n + 1] = X.diff(n + 1) @ s.V.take_columns(range(s.rank))
+    return make_complex(X.ring, ranks, diffs)
+
+
+def _onto_non_cycles(X: ChainComplex, n: int) -> IntMatrix:
+    """X_{n+1} -> (T_{<= n} X)_{n+1}: the first `rank` rows of the Smith
+    V^-1 of d_{n+1}; the other rows read the cycles, which the quotient
+    kills."""
+    s = snf(X.diff(n + 1))
+    return s.Vinv.take_rows(range(s.rank))
+
+
 def truncate_below_free(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
-    """Free model of tau_{<= n} X: the cone on tau_{>= n+1} X -> X, with the
-    anchor map X -> T_{<= n} X."""
-    _, incl = truncate_above(X, n + 1)
-    C, from_target, _ = cone(incl)
-    return C, from_target
+    """T_{<= n} X with its anchor X -> T_{<= n} X, the quotient map: the
+    identity up to degree n and `_onto_non_cycles` in degree n + 1."""
+    Q = truncate_below(X, n)
+    comps = {m: IntMatrix.identity(X.rank(m), X.ring)
+             for m in range(X.lo, min(n, X.hi) + 1)}
+    comps[n + 1] = _onto_non_cycles(X, n)
+    return Q, chain_map(X, Q, comps)
 
 
 def truncate_below_step(X: ChainComplex, n: int) -> ChainMap:
-    """T_{<= n+1} X -> T_{<= n} X, by cone functoriality on the inclusion
-    tau_{>= n+2} X -> tau_{>= n+1} X over the identity of X."""
-    _, incl_hi = truncate_above(X, n + 2)
-    _, incl_lo = truncate_above(X, n + 1)
-    return cone_functor_map(incl_hi, incl_lo, truncation_step(X, n + 1), identity_map(X))
+    """T_{<= n+1} X -> T_{<= n} X: the anchor X -> T_{<= n} X read on
+    T_{<= n+1} X, which is X up to degree n + 1."""
+    Q, anchor = truncate_below_free(X, n)
+    return chain_map(truncate_below(X, n + 1), Q,
+                     {m: anchor.comp(m) for m in range(X.lo, min(n + 1, X.hi) + 1)})
 
 
 def truncate_below_map(f: ChainMap, n: int) -> ChainMap:
-    """T_{<= n} f via cone functoriality on the truncation square."""
-    _, incl_s = truncate_above(f.source, n + 1)
-    _, incl_t = truncate_above(f.target, n + 1)
-    return cone_functor_map(incl_s, incl_t, truncate_above_map(f, n + 1), f)
+    """T_{<= n} f: f up to degree n and, in degree n + 1, f on the source's
+    non-cycle columns read through the target's `_onto_non_cycles`.  f keeps
+    cycles and the target's anchor kills them, so T_{<= n} f o anchor =
+    anchor o f."""
+    S, T = f.source, f.target
+    s = snf(S.diff(n + 1))
+    comps = {m: f.comp(m) for m in range(f.lo, min(n, max(S.hi, T.hi)) + 1)}
+    comps[n + 1] = (_onto_non_cycles(T, n) @ f.comp(n + 1)
+                    @ s.V.take_columns(range(s.rank)))
+    return chain_map(truncate_below(S, n), truncate_below(T, n), comps)
 
 
 class TruncationTower(Value):
@@ -130,7 +149,7 @@ class TruncationTower(Value):
         store(self, "base", base)
         store(self, "n_lo", n_lo)
         store(self, "n_hi", n_hi)
-        store(self, "below", below)                  # n -> T_{<= n} X (free cone model)
+        store(self, "below", below)                  # n -> T_{<= n} X (quotient model)
         store(self, "above", above)                  # n -> tau_{>= n} X (kernel subcomplex)
         store(self, "maps_below", maps_below)        # n -> (T_{<= n} X -> T_{<= n-1} X)
         store(self, "maps_above", maps_above)        # n -> (tau_{>= n+1} X -> tau_{>= n} X)

@@ -14,12 +14,12 @@ import itertools
 import pytest
 
 import prochain
-from oracles import abutment_filtration_by_truncations
+from oracles import abutment_filtration_by_truncations, cone_below
 from prochain import ahss
 from prochain.ahss import _window, abutment_filtration, convergence_check
 from prochain.chain import random_complex
 from prochain.exactalg.ring import GF, ZZ
-from prochain.tstruct import truncate_below_free
+from prochain.tstruct import truncate_below
 
 pytest.importorskip("pytest_benchmark")
 
@@ -56,17 +56,12 @@ def test_abutment_filtration(benchmark, filtration, rank, ring):
                        setup=prochain.cache_clear, rounds=20)
 
 
-def cone_below(Y, k):
-    """T_{<= k} Y as the cone of tau_{>= k+1} Y -> Y."""
-    return truncate_below_free(Y, k)[0]
-
-
 @pytest.mark.parametrize("rank, ring", CASES, ids=IDS)
-@pytest.mark.parametrize("model", [ahss._quotient_below, cone_below],
+@pytest.mark.parametrize("model", [truncate_below, lambda Y, k: cone_below(Y, k)[0]],
                          ids=["quotient", "cone"])
 def test_colimit_condition(benchmark, monkeypatch, model, rank, ring):
     X, Y = pair(rank, ring)
-    monkeypatch.setattr(ahss, "_quotient_below", model)
+    monkeypatch.setattr(ahss, "truncate_below", model)
     ok = benchmark.pedantic(ahss._colimit_condition, args=(X, Y, _window(X, Y)),
                             setup=prochain.cache_clear, rounds=20)
     assert ok

@@ -70,6 +70,16 @@ def perturb(rng: random.Random, f: ChainMap) -> ChainMap:
     return f + random_null_homotopic(rng, f.source, f.target)
 
 
+def big_complex(rng: random.Random, ring, lo: int, hi: int, min_rank: int = 12):
+    """A random complex of total rank at least min_rank, past the sizes the
+    examples check by hand."""
+    X = random_complex(rng.randrange(2 ** 30), ring, lo, hi, 4)
+    while X.total_rank() < min_rank:
+        W = random_complex(rng.randrange(2 ** 30), ring, lo, hi, 4)
+        X = direct_sum_complex(X, W)[0]
+    return X
+
+
 def random_map_into(rng: random.Random, B: ChainComplex):
     """A map f: A -> B with varied connectivity."""
     kind = rng.randrange(4)

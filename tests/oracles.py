@@ -37,6 +37,12 @@ block matrices.
 `pair_order` is the closed form of Hom(Z/a, Z/b), the oracle of the hom
 groups, which `hom_group` presents as subquotients.
 
+`cone_below` is `tstruct.truncate_below_free` as it was first written:
+T_{<= n} X as the mapping cone of tau_{>= n+1} X -> X, with the cone's
+inclusion of X as its anchor.  It has up to twice the rank of the quotient
+X / tau_{>= n+1} X that `truncate_below` builds, and the quotient map out of
+the cone is a quasi-isomorphism.
+
 `abutment_filtration_by_truncations` is `ahss.abutment_filtration` as it was
 first written: F_q as the image of the map [X, tau_{>= q} Y]_n -> [X, Y]_n
 that the truncation inclusion induces, with the homology of a hom complex
@@ -347,3 +353,10 @@ def abutment_filtration_by_truncations(X: ChainComplex, Y: ChainComplex, n: int)
         anchor = induced_map_on_derived_hom(idX, incl, n)
         out.append((q, image(anchor)))
     return total, out
+
+
+def cone_below(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
+    """T_{<= n} X as the cone of tau_{>= n+1} X -> X, with its anchor
+    X -> T_{<= n} X."""
+    C, anchor, _ = cone(truncate_above(X, n + 1)[1])
+    return C, anchor

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_chain_tower
 from oracles import (GenericPages, abutment_filtration_by_truncations,
-                     coefficient_e2)
+                     coefficient_e2, cone_below)
 from prochain import ahss, chain
 from prochain.ahss import (SpectralSequence, abutment_filtration,
                            build_exact_couple, convergence_check,
@@ -27,7 +27,7 @@ from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import TailPolicy, Tower, UnknownValue, constant_tower, repeat_tower
 from prochain.tstruct import (cohomology_with_coefficients, truncate_above,
-                              truncate_below_free)
+                              truncate_below)
 
 Z0 = free_one_term(ZZ, 0)
 M2 = moore_complex(2)
@@ -319,8 +319,8 @@ class TestColimitCondition:
         # range and one past each end
         X, Y = pair
         for k in range(Y.lo - 2, Y.hi + 2):
-            Q = ahss._quotient_below(Y, k)
-            C, _ = truncate_below_free(Y, k)
+            Q = truncate_below(Y, k)
+            C, _ = cone_below(Y, k)
             for n in range(Y.lo - X.hi - 1, Y.hi - X.lo + 2):
                 assert derived_hom(X, Q, n).isomorphic(derived_hom(X, C, n)), (k, n)
 
@@ -332,17 +332,17 @@ class TestColimitCondition:
     def test_builds_no_cone(self, monkeypatch, X, Y):
         # every call of cone, under any name, shows in its cache statistics
         quotients, targets = [], []
-        quotient_below, hom_complex = ahss._quotient_below, chain.hom_complex
+        below, hom_complex = ahss.truncate_below, chain.hom_complex
 
         def recording_quotient(Y, k):
-            quotients.append(quotient_below(Y, k))
+            quotients.append(below(Y, k))
             return quotients[-1]
 
         def recording_hom(X, Y):
             targets.append(Y)
             return hom_complex(X, Y)
 
-        monkeypatch.setattr(ahss, "_quotient_below", recording_quotient)
+        monkeypatch.setattr(ahss, "truncate_below", recording_quotient)
         monkeypatch.setattr(chain, "hom_complex", recording_hom)
         chain.cone.cache_clear()
         rep = convergence_check(X, Y)
@@ -355,7 +355,7 @@ class TestColimitCondition:
 
     def test_a_wrong_model_fails(self, monkeypatch):
         # Y itself in place of every T_{<= k} Y: [X, Y]_n is not zero
-        monkeypatch.setattr(ahss, "_quotient_below", lambda Y, k: Y)
+        monkeypatch.setattr(ahss, "truncate_below", lambda Y, k: Y)
         assert not convergence_check(ABOVE_ITS_CHAINS, M2_Z1).colim_ok
 
 

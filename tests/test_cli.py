@@ -432,7 +432,9 @@ class TestRoundTrip:
 
 
 # one name tuple per command on workspaces/moore.json; lift and whitehead
-# reach only clean errors there, after their handler's imports
+# reach only clean errors there, lift after its handler's imports and
+# whitehead at the kind check before its handler, so that
+# test_whitehead_reports_are_pinned runs whitehead under python -O
 EVERY_COMMAND = [
     ["homology", "M2"], ["truncate", "M2", "0"], ["classify", "times2"],
     ["factor", "times2", "0"], ["lift", "times2", "times2", "times2", "times2", "0"],
@@ -456,7 +458,7 @@ PRO_REPORTS_SHA256 = "69965a104257323093b0af2fd3707b951c19a1c7157abdca8ae465ca54
 # sha256 of the homology, truncate, classify, factor, cohomology,
 # derived-hom and lift runs on workspaces/moore.json, as
 # test_tstruct_reports_are_pinned hashes them
-TSTRUCT_REPORTS_SHA256 = "2a030fd9600cbe8416dc37a7568cc166dcef9500fb04cc2b3ddc1eb6e30c9633"
+TSTRUCT_REPORTS_SHA256 = "ea47363ad617781aee9d944e2d05db25d5153ae3468132a36e58fe22b1051471"
 
 # python -c RUN_COMMANDS WORKSPACE OUT CASES: every case in one interpreter,
 # each into its own out dir; prints [exit code, stderr] per case as JSON
@@ -668,23 +670,40 @@ class TestDriver:
         body = (out / "prohom_const_Z0_tower2_Z0_0.tsv").read_text()
         assert "UNKNOWN" in body and "NonzeroUncountable" in body
 
+    @staticmethod
+    def derived_hom_b_b_0(tmp_path, document):
+        """derived-hom B B 0 on the workspace document in a child process.
+        The address-space limit of the child only keeps a regression from
+        filling the machine's memory; the size checks refuse before any
+        allocation."""
+        path = tmp_path / "B.json"
+        path.write_text(document)
+        return run_python("-c", "import resource, sys\n"
+                          "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+                          "from prochain.cli import main\n"
+                          "sys.exit(main(sys.argv[1:]))",
+                          "derived-hom", "B", "B", "0", "--workspace", str(path),
+                          "--out", str(tmp_path / "out"))
+
     def test_dense_matrix_past_the_budget_is_one_error_line(self, tmp_path):
         # Hom(B, B) has 2 * 1500^2 generators in degree 0, and its
         # differential would be built from a Kronecker product with
-        # 5 * 10^12 entries; the size check refuses it before allocating.
-        # The address-space limit of the child only keeps a regression from
-        # filling the machine's memory
-        path = tmp_path / "B.json"
-        path.write_text('{"ring":"Z","complexes":{"B":{"ranks":{"0":1500,"1":1500},"diffs":{}}}}')
-        p = run_python("-c", "import resource, sys\n"
-                       "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
-                       "from prochain.cli import main\n"
-                       "sys.exit(main(sys.argv[1:]))",
-                       "derived-hom", "B", "B", "0", "--workspace", str(path),
-                       "--out", str(tmp_path / "out"))
+        # 5 * 10^12 entries
+        p = self.derived_hom_b_b_0(
+            tmp_path, '{"ring":"Z","complexes":{"B":{"ranks":{"0":1500,"1":1500},"diffs":{}}}}')
         assert p.returncode == 1
         assert p.stderr == ("error: Kronecker product of shape 2250000x2250000 would have "
                             "5062500000000 entries, more than the 16777216 allowed\n")
+
+    def test_smith_transform_past_the_budget_is_one_error_line(self, tmp_path):
+        # Hom(B, B) has 3000^2 generators in degree 0 and a 0 x 9 * 10^6
+        # differential, whose cycles would be read off a Smith V with
+        # 8.1 * 10^13 entries
+        p = self.derived_hom_b_b_0(
+            tmp_path, '{"ring":"Z","complexes":{"B":{"ranks":{"0":3000},"diffs":{}}}}')
+        assert p.returncode == 1
+        assert p.stderr == ("error: Smith transform of shape 9000000x9000000 would have "
+                            "81000000000000 entries, more than the 16777216 allowed\n")
 
     def test_error_exit_code(self, tmp_path):
         code = main(["homology", "missing_object", "--workspace", GOLDEN,
@@ -915,18 +934,22 @@ class TestDriver:
         assert digest.hexdigest() == TSTRUCT_REPORTS_SHA256
 
     def test_whitehead_reports_are_pinned(self, tmp_path):
+        # plain and under python -O, which strips assert statements: on
+        # workspaces/moore.json whitehead stops at the kind check, so here
+        # is where is_hstar_weak_equivalence runs under -O
         cases = [["whitehead", f] for f in ("id", "x2", "to_zero")]
-        assert run_cases(tmp_path, cases,
-                         workspace=write(tmp_path, WHITEHEAD_WORKSPACE)) == [[0, ""]] * 3
-        reports = {str(f.relative_to(tmp_path)): f.read_bytes()
-                   for f in tmp_path.rglob("*.tsv")}
-        assert reports == {
-            "0/whitehead_id.tsv": b"field\tvalue\nverdict\tweak_equivalence\n",
-            "1/whitehead_x2.tsv":
-                b"field\tvalue\nverdict\tnot\nreason\tH_0 is not a pro-isomorphism\n",
-            "2/whitehead_to_zero.tsv":
-                b"field\tvalue\nverdict\tweak_equivalence\nm_witness\t0\n",
-        }
+        workspace = write(tmp_path, WHITEHEAD_WORKSPACE)
+        for flags in ([], ["-O"]):
+            out = tmp_path / ("O" if flags else "plain")
+            assert run_cases(out, cases, *flags, workspace=workspace) == [[0, ""]] * 3
+            reports = {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*.tsv")}
+            assert reports == {
+                "0/whitehead_id.tsv": b"field\tvalue\nverdict\tweak_equivalence\n",
+                "1/whitehead_x2.tsv":
+                    b"field\tvalue\nverdict\tnot\nreason\tH_0 is not a pro-isomorphism\n",
+                "2/whitehead_to_zero.tsv":
+                    b"field\tvalue\nverdict\tweak_equivalence\nm_witness\t0\n",
+            }, flags
 
     def test_lift_reports_are_pinned(self, tmp_path):
         # by the lifting axiom every square that meets find_lift's

@@ -341,6 +341,12 @@ class TestProduct:
             kron(IntMatrix.identity(2), IntMatrix.identity(2))
         with pytest.raises(SizeBudgetExceeded, match="block matrix of shape 7x1 "):
             block_matrix((3, 4), (1,), {}, ZZ)
+        with pytest.raises(SizeBudgetExceeded, match="identity matrix of shape 3x3 "):
+            IntMatrix.identity(3)
+        s = snf.__wrapped__(IntMatrix.zeros(1, 3))  # past the table, so V is unread
+        with pytest.raises(SizeBudgetExceeded, match="Smith transform of shape 3x3 "):
+            s.V
+        assert s.U.shape == (1, 1)
 
 
 class TestGroups:

@@ -7,21 +7,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (cells_spaces, random_composable_pair, random_map_into,
-                      random_map_out)
+from conftest import (big_complex, cells_spaces, random_chain_tower,
+                      random_composable_pair, random_map_into, random_map_out)
 from oracles import cell_state_factor
 from prochain import chain
-from prochain.chain import (CONE_CACHE_SIZE, ChainMap, cone, cone_les_exact, derived_hom, free_one_term,
+from prochain.chain import (CONE_CACHE_SIZE, cone, cone_les_exact, derived_hom, free_one_term,
                             homology, homology_support, identity_map,
                             induced_homology_map, minimal_model, moore_complex,
                             multiplication_map, random_complex,
                             random_null_homotopic, shift, zero_complex,
                             zero_map, is_chain_map)
 from prochain import tstruct
-from prochain.errors import PostconditionViolated, PreconditionViolated
+from prochain.errors import PreconditionViolated
 from prochain.exactalg.groups import (free_group, group_from_orders,
                                       is_isomorphism)
-from prochain.exactalg.matrices import IntMatrix, solve
+from prochain.exactalg.matrices import solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.tstruct import (classify_map, classify_map_by_homology,
                               coefficient_complex,
@@ -32,6 +32,7 @@ from prochain.tstruct import (classify_map, classify_map_by_homology,
                               is_n_cofibration, is_n_equivalence,
                               layer_triangle_check, pushout_product_check,
                               truncate_above, truncate_below_free,
+                              truncate_below_map, truncate_below_step,
                               truncation_step, truncation_tower)
 
 INF = math.inf
@@ -72,6 +73,43 @@ class TestTruncations:
                     else:
                         assert homology(C, m).isomorphic(homology(X, m))
 
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_quotient_model_is_the_truncation(self, seed, ring):
+        # on A -> B -> C with B of total rank 12 or more, for every k from
+        # two below B to one past it: the anchor is an iso on H_m for m <= k,
+        # the quotient has no homology above k, the step and the maps commute
+        # with the anchors, and T_{<= k} keeps composites
+        rng = random.Random(seed)
+        B = big_complex(rng, ring, -2, 2)
+        f, g = random_map_into(rng, B), random_map_out(rng, B)
+        for k in range(B.lo - 2, B.hi + 2):
+            Q, anchor = truncate_below_free(B, k)
+            for m in range(B.lo - 1, B.hi + 2):
+                if m <= k:
+                    assert is_isomorphism(induced_homology_map(anchor, m)), (k, m)
+                else:
+                    assert homology(Q, m).is_trivial, (k, m)
+            up = truncate_below_free(B, k + 1)[1]
+            assert truncate_below_step(B, k).compose(up).equal(anchor), k
+            Qf = truncate_below_map(f, k)
+            source_anchor = truncate_below_free(f.source, k)[1]
+            assert Qf.compose(source_anchor).equal(anchor.compose(f)), k
+            assert truncate_below_map(g.compose(f), k).equal(
+                truncate_below_map(g, k).compose(Qf)), k
+
+    def test_towers_build_no_cone(self):
+        # every call of cone, under any name, shows in its cache statistics
+        from prochain.prohomotopy import postnikov_replacement
+        rng = random.Random(26)
+        chain.cone.cache_clear()
+        for ring in (ZZ, GF(2), GF(3)):
+            truncation_tower(big_complex(rng, ring, -2, 2))
+            postnikov_replacement(random_chain_tower(rng, ring))
+        info = chain.cone.cache_info()
+        assert info.hits + info.misses == 0
+
     def test_tower_squares_commute(self):
         X = random_complex(3, ZZ, -1, 2, 2)
         tw = truncation_tower(X)
@@ -103,29 +141,6 @@ class TestTruncations:
                 _, incln = truncate_above(X, n)
                 for m in range(X.lo - 3, X.hi + 3):
                     assert step.comp(m) == solve(incln.comp(m), incl1.comp(m)), (seed, n, m)
-
-    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
-    def test_truncate_above_map_is_the_solved_restriction(self, ring):
-        # components read off f and the cycles' coordinates equal those
-        # solved through the inclusion of the target's truncation
-        rng = random.Random(17 + (ring.p or 0))
-        for _ in range(12):
-            f, _ = random_composable_pair(rng, ring, -2, 2, 3)
-            for n in range(min(f.source.lo, f.target.lo) - 2,
-                           max(f.source.hi, f.target.hi) + 3):
-                g = tstruct.truncate_above_map(f, n)
-                _, incl_s = truncate_above(f.source, n)
-                _, incl_t = truncate_above(f.target, n)
-                for m in range(g.lo - 2, max(g.source.hi, g.target.hi) + 3):
-                    assert g.comp(m) == solve(incl_t.comp(m), f.comp(m) @ incl_s.comp(m))
-
-    def test_truncate_above_map_refuses_a_map_off_the_cycles(self):
-        # f_1 = 1 from Z[1] into M2 is no chain map: it sends a cycle to a
-        # non-cycle of M2, so tau_{>= 1} f does not exist
-        bad = ChainMap(free_one_term(ZZ, 1), M2,
-                       (IntMatrix.zeros(1, 0), IntMatrix.from_rows([[1]])))
-        with pytest.raises(PostconditionViolated):
-            tstruct.truncate_above_map(bad, 1)
 
     def test_heart_homology(self):
         assert heart_homology(M2, 0).invariant_factors == (2,)
