@@ -145,7 +145,7 @@ def cmd_pro_iso(ws, rep, args, f):
     v = is_pro_isomorphism(f)
     rows = [["verdict", v.kind]]
     if v:
-        rows.append(["witness_levels", ";".join(str(t) for t, _, _ in v.witness)])
+        rows.append(["witness_levels", ";".join(map(str, v.witness_levels))])
     else:
         rows.append(["certificate_level", str(v.certificate_level)])
     rep.write(f"pro_iso_{args.names[0]}.tsv", ["field", "value"], rows)

@@ -6,8 +6,10 @@ Infinite towers are finitely presented by a tail policy: either all
 structure maps are identities from some index on (ConstantFrom), or the
 entries and the structure map repeat a declared endomorphism (RepeatFrom).
 Every completeness claim is relative to the declared tail.  Pro-isomorphism
-and the Mittag-Leffler condition are always decided: each by one
-computation at a depth read off the group, the nilpotency bound.  Unknown
+and the Mittag-Leffler condition are always decided, both through the
+nilpotency bound read off a group: a map is a pro-isomorphism iff the maps
+its tail induces on the kernel and the cokernel are nilpotent, and only a
+false verdict solves for fillers, to name its certificate level.  Unknown
 is a first-class result, not an error: lim answers it only for a tower
 with torsion that is not Mittag-Leffler, colim for a tail endomorphism
 that is neither invertible nor nilpotent.
@@ -23,8 +25,8 @@ from .errors import (PostconditionViolated, PreconditionViolated,
                      ValidationError)
 from .exactalg.groups import (FgAbGroup, GroupHom, cokernel, free_group,
                               hom_functor, hom_group, identity_hom, image,
-                              is_isomorphism, kernel, solve_hom_constraints,
-                              trivial_group, zero_hom)
+                              induced_hom, is_isomorphism, kernel,
+                              solve_hom_constraints, trivial_group, zero_hom)
 from .exactalg.ring import check_same_ring
 from .value import Value, store
 
@@ -324,15 +326,16 @@ def comparison_to_reindexed(T: Tower, step: int) -> ProMap:
 # ---------------------------------------------------------------------------
 
 class ProIsoVerdict(Value):
-    """kind is "true" or "false"; a true verdict has the witness
-    ((t, s, filler), ...), a false one the certificate_level, a level with
-    no filler."""
+    """kind is "true" or "false".  A true verdict lists witness_levels, the
+    levels 0, ..., T* at each of which a filler exists (is_pro_isomorphism
+    says at which depth); a false one has the certificate_level, the first
+    level with no filler at that depth."""
 
-    _fields = ("kind", "witness", "certificate_level")
+    _fields = ("kind", "witness_levels", "certificate_level")
 
-    def __init__(self, kind: str, witness: tuple = (), certificate_level: int = -1):
+    def __init__(self, kind: str, witness_levels: tuple = (), certificate_level: int = -1):
         store(self, "kind", kind)
-        store(self, "witness", witness)
+        store(self, "witness_levels", witness_levels)
         store(self, "certificate_level", certificate_level)
 
     def __bool__(self):
@@ -397,36 +400,41 @@ def is_nilpotent(endo: GroupHom) -> bool:
 def is_pro_isomorphism(f: ProMap) -> ProIsoVerdict:
     """Decide pro-isomorphism of a map of f.g. abelian group towers.
 
-    f is a pro-isomorphism iff for every t some s >= t admits a filler
-    g: Y_s -> X_t compatible with both structure composites, and
-    solvability is monotone in s.  Pro-objects of an abelian category form
-    an abelian category with levelwise kernels and cokernels, so for the
-    levelized f this holds iff the kernel and cokernel towers are pro-zero.
-    From T* = max(tail starts, window) on they repeat K = ker f_{T*} and
-    C = coker f_{T*} under the tail maps, which are then nilpotent with
-    index at most a = _nilpotency_bound(K) and b = _nilpotency_bound(C).
-    In that case, for t >= T*, y |-> X(t+a -> t)(a lift through f of
-    Y(s -> t+a) y) is a filler at s = t + a + b, well defined because
-    K_{t+a} -> K_t is zero; composing with X(T* -> t) gives one for t < T*.
-    So one solve per level t <= T* at s = T* + a + b decides: "true" with
-    the fillers as witness, or "false" at the first level without one.
-    ConstantFrom tails on both sides have identity tail maps and depth 0.
+    Pro-objects of an abelian category form an abelian category with
+    levelwise kernels and cokernels (Artin-Mazur, Etale Homotopy, appendix),
+    so the levelized f is a pro-isomorphism iff its kernel and cokernel
+    towers are pro-zero.  From T* = max(tail starts, window) on they repeat
+    K = ker f_{T*} and C = coker f_{T*} under the maps the tail induces, so
+    the verdict is "true" iff both induced maps are nilpotent.
+
+    The certificate is the filler criterion: f is a pro-isomorphism iff for
+    every t some s >= t admits g: Y_s -> X_t with g f_s = X(s -> t) and
+    f_t g = Y(s -> t), and solvability is monotone in s.  With a and b the
+    nilpotency bounds of K and C, for t >= T* the map
+    y |-> X(t+a -> t)(a lift through f of Y(s -> t+a) y) is a filler at
+    s = t + a + b, well defined because K_{t+a} -> K_t is zero; composing
+    with X(T* -> t) gives one for t < T*.  So a true verdict lists the
+    levels 0, ..., T*, each with a filler at s = T* + a + b, and a false one
+    solves at that s, level by level, for its certificate_level: the first
+    t with no filler.  Only the false path solves.  ConstantFrom tails on
+    both sides have identity tail maps and depth 0.
     """
     f = _levelize(f)
     X, Y = f.source, f.target
     T_star = max(X.tail.start, Y.tail.start, f.window)
+    f_top = f.comp(T_star)
+    K, C = kernel(f_top), cokernel(f_top)
+    if (is_nilpotent(induced_hom(K, X.structure_map(T_star).matrix, K))
+            and is_nilpotent(induced_hom(C, Y.structure_map(T_star).matrix, C))):
+        return ProIsoVerdict("true", witness_levels=tuple(range(T_star + 1)))
     s = T_star
     if not (X.tail.is_constant and Y.tail.is_constant):
-        f_top = f.comp(T_star)
-        s += (_nilpotency_bound(kernel(f_top).group)
-              + _nilpotency_bound(cokernel(f_top).group))
-    witnesses = []
+        s += _nilpotency_bound(K.group) + _nilpotency_bound(C.group)
     for t in range(T_star + 1):
-        g = _filler_exists(f, t, s)
-        if g is None:
+        if _filler_exists(f, t, s) is None:
             return ProIsoVerdict("false", certificate_level=t)
-        witnesses.append((t, s, g))
-    return ProIsoVerdict("true", witness=tuple(witnesses))
+    raise PostconditionViolated(
+        f"a tail map is not nilpotent, yet every level up to {T_star} has a filler")
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .chain import (ChainComplex, derived_hom, homology, homology_support,
-                    induced_homology_map, induced_map_on_derived_hom,
-                    identity_map)
+from .chain import (ChainComplex, chain_map, derived_hom, homology,
+                    homology_support, induced_homology_map,
+                    induced_map_on_derived_hom, identity_map)
 from .errors import WindowViolation
 from .pro import (DirectSystem, GroupOrUnknown, Lim1Verdict, ProMap, Tower,
                   UnknownValue, _lim_of_colims, colim, is_pro_isomorphism,
                   level_map, lim_lim1)
 from .tstruct import (classify_map, is_degreewise_split_mono,
-                      is_degreewise_surjection, truncate_below_free,
-                      truncate_below_map, truncate_below_step)
+                      is_degreewise_surjection, truncate_below_free)
 from .value import Value, store
 
 
@@ -121,13 +120,16 @@ def postnikov_replacement(Y: Tower) -> Tuple[Tower, ProMap]:
         anchors.append(anchor)
     structure = []
     for k in range(K):
-        # T_{<= cut(k+1)} Y_{k+1} -> T_{<= cut(k)} Y_{k+1} -> T_{<= cut(k)} Y_k
-        down = truncate_below_step(Y.entry(k + 1), cut(k))
-        across = truncate_below_map(Y.structure_map(k), cut(k))
-        structure.append(across.compose(down))
+        # T_{<= cut(k)+1} Y_{k+1} -> T_{<= cut(k)} Y_k: f up to degree
+        # cut(k), where both ends are Y's own, and in degree cut(k) + 1,
+        # where only the source is, f followed by the anchor of Y_k
+        f = Y.structure_map(k)
+        comps = {m: f.comp(m) for m in range(f.lo, cut(k) + 1)}
+        comps[cut(k) + 1] = anchors[k].comp(cut(k) + 1) @ f.comp(cut(k) + 1)
+        structure.append(chain_map(entries[k + 1], entries[k], comps))
     # beyond K the cut exceeds every module degree: T_{<= n} is the complex
-    # itself and the n-step is the identity, so the truncated endo repeats
-    tail = Y.tail.mapped(K, lambda endo: truncate_below_map(endo, cut(K)))
+    # itself, so the tail carries over unchanged
+    tail = Y.tail.mapped(K, lambda endo: endo)
     Z = Tower(tuple(entries), tuple(structure), tail)
     canon = level_map(Y, Z, tuple(anchors))
     return Z, canon

@@ -1,0 +1,57 @@
+"""Micro-benchmarks of the pro-isomorphism decision: the nilpotency of the
+tail maps on the kernel and the cokernel (`is_pro_isomorphism`) against one
+filler solve per level (`oracles.pro_iso_by_fillers`), from cold caches, on
+the homology pro-maps of the towers of the benchmark's `maps` workload at
+seed 5.  The true cases are the homology maps of the canonical maps into
+the Postnikov replacements; the false ones are those of levelwise
+multiplication by 2 that are not pro-isomorphisms.
+
+    PYTHONPATH=src python -m pytest tests/bench_pro.py --benchmark-only
+
+It needs pytest-benchmark.  Its name does not match `test_*.py`, so the
+default test run does not collect it.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+import prochain
+from conftest import maps_postnikov_towers
+from oracles import pro_iso_by_fillers
+from prochain.chain import multiplication_map
+from prochain.pro import is_pro_isomorphism, level_map
+from prochain.prohomotopy import (induced_homology_pro_map, postnikov_replacement,
+                                  tower_homology_support)
+
+pytest.importorskip("pytest_benchmark")
+
+
+@lru_cache(maxsize=1)
+def homology_pro_maps():
+    """{verdict: the homology pro-maps with that verdict}."""
+    out = {"true": [], "false": []}
+    for Y in maps_postnikov_towers():
+        _, canon = postnikov_replacement(Y)
+        double = level_map(Y, Y, tuple(multiplication_map(Y.entry(s), 2)
+                                       for s in range(Y.tail.start + 1)))
+        lo, hi = tower_homology_support(Y)
+        for n in range(lo, hi + 1):
+            for f in (induced_homology_pro_map(canon, n),
+                      induced_homology_pro_map(double, n)):
+                out[pro_iso_by_fillers(f).kind].append(f)
+    return out
+
+
+def kinds(decide, maps):
+    return [decide(f).kind for f in maps]
+
+
+@pytest.mark.parametrize("verdict", ["true", "false"])
+@pytest.mark.parametrize("decide", [is_pro_isomorphism, pro_iso_by_fillers],
+                         ids=["nilpotency", "fillers"])
+def test_pro_isomorphism(benchmark, decide, verdict):
+    maps = homology_pro_maps()[verdict]
+    got = benchmark.pedantic(kinds, args=(decide, maps),
+                             setup=prochain.cache_clear, rounds=10)
+    assert maps and got == [verdict] * len(maps)

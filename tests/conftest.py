@@ -41,6 +41,17 @@ def cells_spaces(p: int, seed: int = 5):
     return out
 
 
+def maps_postnikov_towers(seed: int = 5):
+    """The towers of the `postnikov` items of the benchmark's `maps`
+    workload, taken from the items the workload builds (each item's run
+    takes its tower as its default argument)."""
+    if BENCH not in sys.path:
+        sys.path.append(BENCH)
+    workloads = importlib.import_module("workloads")
+    return [item.run.__defaults__[0] for item in workloads.maps_items(seed)
+            if item.label == "postnikov"]
+
+
 def package_module_names() -> list:
     """The dotted names of the package's modules, its __init__ files left out."""
     paths = [os.path.relpath(os.path.join(d, f), SRC)

@@ -43,6 +43,17 @@ inclusion of X as its anchor.  It has up to twice the rank of the quotient
 X / tau_{>= n+1} X that `truncate_below` builds, and the quotient map out of
 the cone is a quasi-isomorphism.
 
+`postnikov_step_by_composite` is a structure map of
+`prohomotopy.postnikov_replacement` as it was first built: the tower step
+T_{<= n+1} Y_{k+1} -> T_{<= n} Y_{k+1} followed by the truncated structure
+map T_{<= n} Y_{k+1} -> T_{<= n} Y_k, each with its own quotients.
+
+`pro_iso_by_fillers` is `pro.is_pro_isomorphism` as it was first written:
+one filler solve per level t <= T*, at the depth s the docstring of
+`is_pro_isomorphism` derives, and the first level with no filler as the
+certificate.  `is_pro_isomorphism` decides by the nilpotency of the tail
+maps on the kernel and the cokernel and solves only for a false verdict.
+
 `abutment_filtration_by_truncations` is `ahss.abutment_filtration` as it was
 first written: F_q as the image of the map [X, tau_{>= q} Y]_n -> [X, Y]_n
 that the truncation inclusion induces, with the homology of a hom complex
@@ -61,15 +72,17 @@ from prochain.chain import (ChainComplex, ChainMap, _hom_blocks, chain_map, cone
                             identity_map, induced_map_on_derived_hom,
                             make_complex)
 from prochain.errors import ContainmentViolation, PostconditionViolated
-from prochain.exactalg.groups import (GroupHom, SubquotientData, free_group,
-                                      group_from_presentation, image,
-                                      induced_hom)
+from prochain.exactalg.groups import (GroupHom, SubquotientData, cokernel,
+                                      free_group, group_from_presentation,
+                                      image, induced_hom, kernel)
 from prochain.exactalg.matrices import (IntMatrix, Lattice, block_matrix, hcat,
                                        kernel_lattice, snf)
-from prochain.pro import colim
+from prochain.pro import (ProIsoVerdict, ProMap, _filler_exists, _levelize,
+                          _nilpotency_bound, colim)
 from prochain.prohomotopy import derived_hom_system
 from prochain.tstruct import (_is_surjective_matrix, coefficient_complex,
-                              truncate_above)
+                              truncate_above, truncate_below_map,
+                              truncate_below_step)
 
 
 def scalar_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -360,3 +373,24 @@ def cone_below(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     X -> T_{<= n} X."""
     C, anchor, _ = cone(truncate_above(X, n + 1)[1])
     return C, anchor
+
+
+def postnikov_step_by_composite(f: ChainMap, n: int) -> ChainMap:
+    """T_{<= n+1} S -> T_{<= n} T for f: S -> T, through T_{<= n} S."""
+    return truncate_below_map(f, n).compose(truncate_below_step(f.source, n))
+
+
+def pro_iso_by_fillers(f: ProMap) -> ProIsoVerdict:
+    """The pro-isomorphism verdict from one filler solve per level."""
+    f = _levelize(f)
+    X, Y = f.source, f.target
+    T_star = max(X.tail.start, Y.tail.start, f.window)
+    s = T_star
+    if not (X.tail.is_constant and Y.tail.is_constant):
+        f_top = f.comp(T_star)
+        s += (_nilpotency_bound(kernel(f_top).group)
+              + _nilpotency_bound(cokernel(f_top).group))
+    for t in range(T_star + 1):
+        if _filler_exists(f, t, s) is None:
+            return ProIsoVerdict("false", certificate_level=t)
+    return ProIsoVerdict("true", witness_levels=tuple(range(T_star + 1)))

@@ -5,12 +5,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prochain.errors import PreconditionViolated, ValidationError
-from prochain.exactalg.groups import (cokernel_projection, free_group,
+from conftest import random_chain_tower, run_python
+from oracles import pro_iso_by_fillers
+from prochain import pro
+from prochain.errors import (PostconditionViolated, PreconditionViolated,
+                             ValidationError)
+from prochain.exactalg.groups import (cokernel, cokernel_projection, free_group,
                                       group_from_orders, hom, identity_hom,
-                                      image, kernel, multiplication_hom,
-                                      trivial_group, zero_hom)
+                                      image, induced_hom, kernel,
+                                      multiplication_hom, trivial_group,
+                                      zero_hom)
 from prochain.exactalg.matrices import IntMatrix
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import (DirectSystem, Lim1Verdict, TailPolicy, Tower,
@@ -20,6 +26,7 @@ from prochain.pro import (DirectSystem, Lim1Verdict, TailPolicy, Tower,
                           is_pro_isomorphism, level_map,
                           lim_lim1, pro_hom, reindex_cofinal, reindex_pro_map,
                           repeat_tower)
+from prochain.prohomotopy import induced_homology_pro_map, postnikov_replacement
 
 Z = free_group(1)
 Z2 = group_from_orders([2])
@@ -64,6 +71,63 @@ def seeded_endomorphisms():
 
 def times2_tower():
     return repeat_tower(multiplication_hom(Z, 2))
+
+
+# groups with torsion beside a free part, and two F_p spaces
+MIXED_SHAPES = [(ZZ, (2, 0)), (ZZ, (4, 0)), (ZZ, (3, 0)), (ZZ, (2, 0, 0)),
+                (ZZ, (2, 4, 0)), (ZZ, (2, 6, 0)), (ZZ, (3, 9, 0)), (ZZ, (2, 4)),
+                (GF(2), (0, 0)), (GF(3), (0, 0, 0))]
+
+
+def _polynomial(rng, e):
+    """a0 + a1 e + a2 e^2 for small random a_i; it commutes with e."""
+    A = e.source
+    out, power = zero_hom(A, A), identity_hom(A)
+    for _ in range(3):
+        out = out + multiplication_hom(A, rng.randint(-2, 2)).compose(power)
+        power = e.compose(power)
+    return out
+
+
+def _induced_tower(T, data):
+    """T on a subquotient of its group that every structure map keeps."""
+    return T.levelwise(Tower, lambda s: data.group,
+                       lambda g, s, t: induced_hom(data, g.matrix, data))
+
+
+def random_group_pro_map(rng):
+    """A pro-map of group towers over a group A with a random endomorphism
+    e.  Head structure maps, the tail endo (or a ConstantFrom tail) and the
+    component c are polynomials in e, so every square commutes.  The map
+    is c on the tower X, or the projection after c onto X / im r(e), or c
+    on the subtower ker r(e) of X.  It is used as it is, restricted to a
+    cofinal subsequence (`reindex_pro_map`), or composed with
+    `comparison_to_reindexed`, which shifts the indices."""
+    ring, orders = rng.choice(MIXED_SHAPES)
+    A = group_from_orders(orders, ring)
+    e = hom(A, A, IntMatrix.from_rows([[_entry(rng, d, c) for c in orders]
+                                       for d in orders], ring))
+    depth = rng.randint(0, 2)
+    head = tuple(_polynomial(rng, e) for _ in range(depth))
+    tail = (TailPolicy.constant_from(depth) if rng.random() < 0.25
+            else TailPolicy.repeat_from(depth, _polynomial(rng, e)))
+    X = Tower((A,) * (depth + 1), head, tail)
+    c, r = _polynomial(rng, e), _polynomial(rng, e)
+    f = rng.choice([
+        lambda: level_map(X, X, (c,)),
+        lambda: level_map(X, _induced_tower(X, cokernel(r)),
+                          (cokernel_projection(r).compose(c),)),
+        lambda: level_map(_induced_tower(X, kernel(r)), X,
+                          (c.compose(kernel(r).inclusion),)),
+    ])()
+    step = rng.choice((2, 3))
+    return rng.choice([
+        lambda: f,
+        lambda: reindex_pro_map(f, step),
+        lambda: compose_pro(reindex_pro_map(f, step),
+                            comparison_to_reindexed(f.source, step)),
+        lambda: compose_pro(comparison_to_reindexed(f.target, step), f),
+    ])()
 
 
 class TestProMaps:
@@ -169,6 +233,59 @@ class TestProIso:
         assert is_pro_isomorphism(f).kind == "true"
         assert is_pro_isomorphism(reindex_pro_map(f, 2)).kind == "true"
         assert is_pro_isomorphism(comparison_to_reindexed(t, 3)).kind == "true"
+
+    def test_nilpotency_decides_as_the_fillers_do(self):
+        # the kind, certificate level and witness levels of one filler
+        # solve per level, on random group pro-maps; both verdicts occur
+        seen = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.integers(min_value=0, max_value=2 ** 30))
+        def agrees(seed):
+            f = random_group_pro_map(random.Random(seed))
+            v, w = is_pro_isomorphism(f), pro_iso_by_fillers(f)
+            assert (v.kind, v.certificate_level, v.witness_levels) == (
+                w.kind, w.certificate_level, w.witness_levels)
+            seen.add(v.kind)
+
+        agrees()
+        assert seen == {"true", "false"}
+
+    def test_a_true_verdict_solves_nothing(self, monkeypatch):
+        solve, calls = pro.solve_hom_constraints, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(pro, "solve_hom_constraints", counted)
+        rng = random.Random(5)
+        maps = [identity_pro_map(times2_tower()),
+                comparison_to_reindexed(times2_tower(), 3)]
+        for _ in range(4):
+            _, canon = postnikov_replacement(random_chain_tower(rng))
+            maps += [induced_homology_pro_map(canon, n) for n in range(-2, 3)]
+        assert all(is_pro_isomorphism(f) for f in maps)
+        assert calls == []
+        f = level_map(times2_tower(), constant_tower(TRIV), (zero_hom(Z, TRIV),))
+        assert is_pro_isomorphism(f).certificate_level == 0
+        assert calls
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+    def test_fillers_at_every_level_break_the_postcondition(self, flags):
+        # with is_nilpotent always False a pro-isomorphism takes the false
+        # path, finds a filler at every level and raises a typed error,
+        # also where python -O strips asserts
+        p = run_python(*flags, "-c", (
+            "from prochain import pro\n"
+            "from prochain.exactalg.groups import free_group, multiplication_hom\n"
+            "pro.is_nilpotent = lambda endo: False\n"
+            "T = pro.repeat_tower(multiplication_hom(free_group(1), 2))\n"
+            "try:\n"
+            "    pro.is_pro_isomorphism(pro.identity_pro_map(T))\n"
+            "except Exception as exc:\n"
+            "    print(__debug__, type(exc).__name__)\n"))
+        assert p.stdout.split() == [str(not flags), "PostconditionViolated"], p.stderr
 
 
 class TestLimLim1:

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from conftest import random_chain_tower
+from conftest import maps_postnikov_towers, random_chain_tower
+from oracles import postnikov_step_by_composite
 from prochain.chain import (derived_hom, direct_sum_complex, free_one_term,
                             homology, identity_map, moore_complex,
                             multiplication_map, random_complex, shift,
@@ -19,8 +20,9 @@ from prochain.prohomotopy import (heart_hom, hom_from_constant,
                                   hom_to_constant, is_hstar_fibrant,
                                   is_hstar_weak_equivalence,
                                   is_levelwise_cofibration,
-                                  postnikov_replacement)
-from prochain.tstruct import coefficient_complex
+                                  postnikov_replacement,
+                                  tower_homology_support)
+from prochain.tstruct import coefficient_complex, truncate_below_map
 
 Z0 = free_one_term(ZZ, 0)
 M2 = moore_complex(2)
@@ -84,6 +86,28 @@ class TestPostnikov:
             T = random_chain_tower(rng)
             Z, canon = postnikov_replacement(T)
             assert is_hstar_weak_equivalence(canon), _
+
+    def test_structure_maps_are_the_step_then_the_map(self):
+        # entry k is T_{<= n0+k} Y_k; each structure map, built as one
+        # chain map, is the tower step T_{<= n0+k+1} -> T_{<= n0+k} on
+        # Y_{k+1} followed by T_{<= n0+k} of Y's structure map, and the
+        # tail is the truncated tail endo
+        rng = random.Random(4)
+        towers = maps_postnikov_towers() + [
+            random_chain_tower(rng, ring, max_rank=3) for ring in (ZZ, GF(2), GF(3))
+            for _ in range(4)]
+        towers += [repeat_tower(multiplication_map(Z0, 2)), constant_tower(ZC),
+                   repeat_tower(multiplication_map(M2, 3))]
+        for Y in towers:
+            Z, _ = postnikov_replacement(Y)
+            sup = tower_homology_support(Y)
+            n0 = sup[0] if sup else max(Y.entry(s).hi for s in range(Y.tail.start + 1))
+            for k in range(Z.tail.start):
+                assert Z.structure[k].equal(
+                    postnikov_step_by_composite(Y.structure_map(k), n0 + k)), k
+            if not Z.tail.is_constant:
+                assert Z.tail.endo.equal(
+                    truncate_below_map(Y.tail.endo, n0 + Z.tail.start))
 
 
 class TestFibrancy:
