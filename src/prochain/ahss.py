@@ -509,7 +509,7 @@ def pro_ahss(X: Tower, Y: ChainComplex,
     for slot in slots:
         entries = tuple(seq.pages[0].group_at(*slot, ring) for seq in ss)
         e2[slot] = einf = colim(DirectSystem(entries, tuple(m[slot] for m in structure),
-                                             tail.mapped(N, lambda maps: maps[slot]))).value
+                                             tail.mapped(N, lambda maps: maps[slot])))
         gr_colim[slot] = _colim_gr_slot(X, ss, Y, slot)
         if isinstance(einf, UnknownValue) or isinstance(gr_colim[slot], UnknownValue):
             slot_comparison[slot] = "unknown"
@@ -564,4 +564,4 @@ def _colim_gr_slot(X: Tower, ss: List[SpectralSequence], Y: ChainComplex,
         rho = induced_map_on_derived_hom(g, idY, n)
         return induced_hom(data[s], rho.matrix, data[t])
 
-    return colim(X.levelwise(DirectSystem, entries.__getitem__, gr_map)).value
+    return colim(X.levelwise(DirectSystem, entries.__getitem__, gr_map))

@@ -10,6 +10,6 @@ from .groups import (FgAbGroup, GroupHom, Subgroup, SubquotientData,
                      group_from_orders, group_from_presentation, hom,
                      hom_functor, hom_group, identity_hom, image, induced_hom,
                      is_injective, is_isomorphism, is_surjective, kernel,
-                     multiplication_hom, preimage_element, preimage_matrix,
-                     quotient, solve_hom_constraints, subgroup_from_columns,
-                     subquotient, trivial_group, zero_hom, zero_subgroup)
+                     multiplication_hom, quotient, solve_hom_constraints,
+                     subgroup_from_columns, subquotient, trivial_group,
+                     zero_hom, zero_subgroup)

@@ -435,22 +435,6 @@ def is_isomorphism(f: GroupHom) -> bool:
     return is_injective(f) and is_surjective(f)
 
 
-def preimage_matrix(f: GroupHom, V: IntMatrix) -> Optional[IntMatrix]:
-    """Columns x with f(x) = the columns of V, from one solve; None when some
-    column is not in the image."""
-    sol = solve(hcat(f.matrix, f.target.relation_matrix()), V)
-    if sol is None:
-        return None
-    return f.source.reduce_matrix(sol.take_rows(range(f.source.ngens)))
-
-
-def preimage_element(f: GroupHom, target_vec: Sequence[int]) -> Optional[tuple]:
-    """Some x with f(x) = target element, or None."""
-    col = IntMatrix.from_columns([list(target_vec)], f.target.ngens, f.target.ring)
-    x = preimage_matrix(f, col)
-    return None if x is None else x.column(0)
-
-
 def exact_at(f: GroupHom, g: GroupHom) -> bool:
     """Exactness of A --f--> B --g--> C at B: im f = ker g as subgroups."""
     if f.target.orders != g.source.orders:

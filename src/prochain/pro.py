@@ -5,14 +5,16 @@ systems, and cofinal reindexing.
 Infinite towers are finitely presented by a tail policy: either all
 structure maps are identities from some index on (ConstantFrom), or the
 entries and the structure map repeat a declared endomorphism (RepeatFrom).
-Every completeness claim is relative to the declared tail.  Pro-isomorphism
-and the Mittag-Leffler condition are always decided, both through the
-nilpotency bound read off a group: a map is a pro-isomorphism iff the maps
-its tail induces on the kernel and the cokernel are nilpotent, and only a
-false verdict solves for fillers, to name its certificate level.  Unknown
-is a first-class result, not an error: lim answers it only for a tower
-with torsion that is not Mittag-Leffler, colim for a tail endomorphism
-that is neither invertible nor nilpotent.
+Every completeness claim is relative to the declared tail.  One
+computation decides the rest: the stable image e^B A of a tail
+endomorphism e of A, at the nilpotency bound B read off the group.  e is
+nilpotent iff e^B = 0; a tower is Mittag-Leffler iff e^B A = e^(B+1) A,
+and the stable image is then both its lim and the colimit along e.  A map
+is a pro-isomorphism iff the maps its tail induces on the kernel and the
+cokernel are nilpotent, and only a false verdict solves for fillers, to
+name its certificate level.  Unknown is a first-class result, not an
+error: colim answers it only when the colimit is not finitely generated
+(Z --2--> Z --2--> ... is Z[1/2]), and pro_hom passes it on.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from typing import Optional, Sequence, Union
 from .chain import identity_map as chain_identity
 from .errors import (PostconditionViolated, PreconditionViolated,
                      ValidationError)
-from .exactalg.groups import (FgAbGroup, GroupHom, cokernel, free_group,
-                              hom_functor, hom_group, identity_hom, image,
-                              induced_hom, is_isomorphism, kernel,
-                              solve_hom_constraints, trivial_group, zero_hom)
+from .exactalg.groups import (FgAbGroup, GroupHom, Subgroup, cokernel,
+                              direct_sum, free_group, full_subgroup,
+                              group_from_orders, hom, hom_functor, hom_group,
+                              identity_hom, image, induced_hom, kernel,
+                              solve_hom_constraints)
 from .exactalg.ring import check_same_ring
 from .value import Value, store
 
@@ -67,6 +70,7 @@ class UnknownValue(Value):
 
 
 GroupOrUnknown = Union[FgAbGroup, UnknownValue]
+NOT_FINITELY_GENERATED = UnknownValue("colimit not finitely generated")
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +238,10 @@ class ProMap(Value):
     def comp(self, t: int):
         return self.comps[min(t, self.window)]
 
-    def validate(self, check_depth: int = 2) -> bool:
+    def validate(self) -> bool:
         """Compatibility squares commute exactly through the stored window
-        plus check_depth tail steps."""
-        top = self.window + check_depth
+        plus two tail steps."""
+        top = self.window + 2
         for t in range(top):
             left = self.comp(t).compose(
                 self.source.composite(self.theta(t + 1), self.theta(t)))
@@ -287,16 +291,10 @@ def reindex_cofinal(T: Tower, step: int) -> Tower:
     top = (N + step - 1) // step  # first index with k*step >= N
     entries = tuple(T.entry(k * step) for k in range(top + 1))
     structure = tuple(T.composite((k + 1) * step, k * step) for k in range(top))
-
-    def power(endo):
-        # entries at indices top, top+1, ... sit at k*step >= N where the
-        # composite of `step` structure maps is endo^step up to head overlap
-        m = _identity(T.entry(N))
-        for _ in range(step):
-            m = m.compose(endo)
-        return m
-
-    return Tower(entries, structure, T.tail.mapped(top, power))
+    # entries from index top on sit at k*step >= N, where the composite of
+    # `step` structure maps is endo^step
+    return Tower(entries, structure,
+                 T.tail.mapped(top, lambda endo: T.composite(N + step, N)))
 
 
 def reindex_pro_map(f: ProMap, step: int) -> ProMap:
@@ -386,15 +384,44 @@ def _nilpotency_bound(A: FgAbGroup) -> int:
     return A.free_rank + order.bit_length()
 
 
-def is_nilpotent(endo: GroupHom) -> bool:
-    """Whether endo^k = 0 for some k; the power at the nilpotency bound
-    decides, and the loop stops early at zero."""
-    power = identity_hom(endo.source)
-    for _ in range(_nilpotency_bound(endo.source)):
+def _stable_power(e: GroupHom) -> GroupHom:
+    """e^B for the nilpotency bound B of e's group, stopping early at the
+    zero power."""
+    power = identity_hom(e.source)
+    for _ in range(_nilpotency_bound(e.source)):
         if power.is_zero:
-            return True
-        power = power.compose(endo)
-    return power.is_zero
+            break
+        power = e.compose(power)
+    return power
+
+
+def _stable_image(e: GroupHom) -> Optional[Subgroup]:
+    """The stable image e^B A of an endomorphism e of A, or None when the
+    image chain e^k A never settles.
+
+    It settles by k = B = _nilpotency_bound(A) if it settles at all: its
+    rank stops falling at some k0 <= r (the free rank); from there the
+    free quotients either shrink by |det| >= 2 at every step, or stay
+    fixed, and then [e^k0 A : e^k A] <= |T| (the torsion order) leaves
+    fewer than bit_length(|T|) strict steps.  On the stable image e is a
+    surjective endomorphism of a finitely generated module, so an
+    automorphism, and the image is both the lim of A <- A <- ... and the
+    colim of A -> A -> ... along e.  If the chain never settles, that
+    colim is not finitely generated: were it, some stage k would map onto
+    it, so A = e A + ker e^j for j large, and e^j A = e^(j+1) A.
+    """
+    power = _stable_power(e)
+    stable = image(power)
+    # e^(B+1) A lies in e^B A, so one containment decides equality
+    if image(e.compose(power)).contains_hom(stable.inclusion):
+        return stable
+    return None
+
+
+def is_nilpotent(endo: GroupHom) -> bool:
+    """Whether endo^k = 0 for some k: the power at the nilpotency bound
+    decides."""
+    return _stable_power(endo).is_zero
 
 
 def is_pro_isomorphism(f: ProMap) -> ProIsoVerdict:
@@ -453,46 +480,41 @@ class LimResult(Value):
 def lim_lim1(T: Tower) -> LimResult:
     """lim and the lim^1 dichotomy for a tower of f.g. abelian groups.
 
-    ConstantFrom tails are immediate.  For a RepeatFrom tail with
-    endomorphism e of A, the image chain e^k A decides Mittag-Leffler, and
-    it settles by k = B = _nilpotency_bound(A) if it settles at all: its
-    rank stops falling at some k0 <= r (the free rank); from there the
-    free quotients either shrink by |det| >= 2 at every step, or stay
-    fixed, and then [e^k0 A : e^k A] <= |T| (the torsion order) leaves
-    fewer than bit_length(|T|) strict steps.  So the tower is ML iff
-    e^B A = e^(B+1) A, and then lim = e^B A.  A non-ML tower has
-    uncountable lim^1; its lim is computed on free groups through the
-    unit-part lattice and reported Unknown otherwise.
+    ConstantFrom tails are immediate.  A RepeatFrom tail with endomorphism
+    e is Mittag-Leffler iff its stable image settles, and then lim is the
+    stable image (_stable_image).  A non-ML tower has uncountable lim^1,
+    and _non_ml_lim computes its lim.
     """
     if T.tail.is_constant:
         return LimResult(T.entry(T.tail.start), Lim1Verdict.ZERO, True)
-    endo = T.tail.endo
-    A = endo.target
-    power = identity_hom(A)
-    for _ in range(_nilpotency_bound(A)):
-        power = endo.compose(power)
-    stable = image(power)
-    # e^(B+1) A lies in e^B A, so one containment decides equality
-    if image(endo.compose(power)).contains_hom(stable.inclusion):
+    stable = _stable_image(T.tail.endo)
+    if stable is not None:
         return LimResult(stable.group, Lim1Verdict.ZERO, True)
-    return LimResult(_non_ml_lim(A, endo), Lim1Verdict.NONZERO_UNCOUNTABLE, False)
+    return LimResult(_non_ml_lim(T.tail.endo), Lim1Verdict.NONZERO_UNCOUNTABLE, False)
 
 
-def _non_ml_lim(A: FgAbGroup, endo: GroupHom) -> GroupOrUnknown:
-    """lim of (A <- A <- ...) when images do not stabilize.
+def _non_ml_lim(endo: GroupHom) -> FgAbGroup:
+    """lim of (A <- A <- ...) along endo when images do not stabilize.
 
-    For free A the limit is the largest sublattice on which the transition
-    is an automorphism: the kernel of the unit part of the characteristic
-    polynomial, the product of its irreducible factors q with q(0) = +-1.
-    By the primary decomposition its rank is the degree of that part.
-    Mixed torsion is not attempted.
+    In canonical coordinates endo maps the torsion T into itself.  T is
+    finite, so its tower is Mittag-Leffler, lim^1 T = 0, and
+    0 -> lim T -> lim A -> lim A/T -> 0 is exact; lim A/T is free, so
+    lim A = lim T (+) lim A/T.  lim T is the stable image of endo on T.
+    For the free A/T the limit is the largest sublattice on which the
+    transition is an automorphism: the kernel of the unit part of the
+    characteristic polynomial, the product of its irreducible factors q
+    with q(0) = +-1.  By the primary decomposition its rank is the degree
+    of that part.
     """
-    if A.invariant_factors:
-        return UnknownValue("mixed torsion in a non-Mittag-Leffler tower")
     from .exactalg.poly import charpoly, factor  # so no other command compiles it
-    rank = sum((len(q) - 1) * m for q, m in factor(charpoly(endo.matrix))
-               if abs(q[0]) == 1)
-    return free_group(rank, A.ring)
+    A = endo.source
+    t = len(A.invariant_factors)
+    torsion, free = range(t), range(t, A.ngens)
+    T = group_from_orders(A.invariant_factors, A.ring)
+    on_T = hom(T, T, endo.matrix.take_rows(torsion).take_columns(torsion))
+    on_free = endo.matrix.take_rows(free).take_columns(free)
+    rank = sum((len(q) - 1) * m for q, m in factor(charpoly(on_free)) if abs(q[0]) == 1)
+    return direct_sum([image(_stable_power(on_T)).group, free_group(rank, A.ring)])
 
 
 # ---------------------------------------------------------------------------
@@ -509,34 +531,15 @@ def constant_system(entry) -> DirectSystem:
     return DirectSystem((entry,), (), TailPolicy.constant_from(0))
 
 
-class ColimResult(Value):
-    _fields = ("value", "stable_stage", "eventually_zero")
-
-    def __init__(self, value: GroupOrUnknown, stable_stage: int = -1,
-                 eventually_zero: bool = False):
-        store(self, "value", value)
-        # index at which the colimit is realized by the entry (stable
-        # stage); -1 when value is Unknown or zero-by-nilpotence
-        store(self, "stable_stage", stable_stage)
-        store(self, "eventually_zero", eventually_zero)
-
-
-def colim(D: DirectSystem) -> ColimResult:
-    """Colimit of a direct system of f.g. abelian groups under a tail policy.
-
-    Computable when the tail endomorphism is an isomorphism (the colimit is
-    the stable entry) or nilpotent (the colimit vanishes); everything
-    else is Unknown (e.g. Z --2--> Z --2--> ... is not finitely generated).
-    """
-    N = D.tail.start
+def colim(D: DirectSystem) -> GroupOrUnknown:
+    """Colimit of a direct system of f.g. abelian groups under a tail policy:
+    the stable entry for a constant tail, the stable image of the tail
+    endomorphism when it settles, and Unknown otherwise, because the
+    colimit is then not finitely generated (_stable_image)."""
     if D.tail.is_constant:
-        return ColimResult(D.entry(N), stable_stage=N)
-    endo = D.tail.endo
-    if is_isomorphism(endo):
-        return ColimResult(D.entry(N), stable_stage=N)
-    if is_nilpotent(endo):
-        return ColimResult(trivial_group(endo.target.ring), eventually_zero=True)
-    return ColimResult(UnknownValue("tail endomorphism neither invertible nor nilpotent"))
+        return D.entry(D.tail.start)
+    stable = _stable_image(D.tail.endo)
+    return NOT_FINITELY_GENERATED if stable is None else stable.group
 
 
 def hom_system(X: Tower, B: FgAbGroup) -> DirectSystem:
@@ -545,35 +548,33 @@ def hom_system(X: Tower, B: FgAbGroup) -> DirectSystem:
                        lambda g, s, t: hom_functor(g, identity_hom(B)))
 
 
-def _lim_of_colims(X: Tower, Y: Tower, system, entry, post) -> GroupOrUnknown:
+def _lim_of_colims(X: Tower, Y: Tower, system, post) -> GroupOrUnknown:
     """lim_t colim_s H(X_s, Y_t) for H contravariant in its first argument:
-    system(B) is the direct system H(X_s, B), entry(A, B) = H(A, B) and
-    post(A, g) = H(id_A, g).  Every colimit is read at one common stable
-    stage of X; an eventually-zero colimit enters as the zero group."""
+    system(B) is the direct system H(X_s, B) and post(A, g) = H(id_A, g).
+
+    With A the tail entry of X, colim_s H(X_s, Y_t) is the stable subgroup
+    S_t of H(A, Y_t) under the tail map of system(Y_t) (all of H(A, Y_t)
+    for a constant tail).  Pre- and post-composition commute, so
+    H(id_A, g) carries S_{t+1} into S_t, and the lim is read on the tower
+    of the S_t."""
     check_same_ring(X.entry(0), Y.entry(0))
+    A = X.entry(X.tail.start)
     N = max(X.tail.start, Y.tail.start)
-    per_t = []
+    stable = []
     for t in range(N + 1):
-        res = colim(system(Y.entry(t)))
-        if isinstance(res.value, UnknownValue):
-            return res.value
-        per_t.append(res)
-    A = X.entry(max([r.stable_stage for r in per_t if r.stable_stage >= 0],
-                    default=X.tail.start))
-    entries = [trivial_group(Y.entry(0).ring) if r.eventually_zero
-               else entry(A, Y.entry(t)) for t, r in enumerate(per_t)]
-
-    def connecting(g, lo: int, hi: int) -> GroupHom:
-        """H(A, g) from level hi to level lo; zero when either end is."""
-        if entries[hi].is_trivial or entries[lo].is_trivial:
-            return zero_hom(entries[hi], entries[lo])
-        return post(A, g)
-
-    return lim_lim1(Y.levelwise(Tower, entries.__getitem__, connecting, start=N)).lim
+        D = system(Y.entry(t))
+        S = (full_subgroup(D.entry(D.tail.start)) if D.tail.is_constant
+             else _stable_image(D.tail.endo))
+        if S is None:
+            return NOT_FINITELY_GENERATED
+        stable.append(S)
+    return lim_lim1(Y.levelwise(
+        Tower, lambda t: stable[t].group,
+        lambda g, lo, hi: induced_hom(stable[hi], post(A, g).matrix, stable[lo]),
+        start=N)).lim
 
 
 def pro_hom(X: Tower, Y: Tower) -> GroupOrUnknown:
     """pro-Hom(X, Y) = lim_t colim_s Hom(X_s, Y_t) under the tail policies."""
     return _lim_of_colims(X, Y, lambda B: hom_system(X, B),
-                          lambda A, B: hom_group(A, B).group,
                           lambda A, g: hom_functor(identity_hom(A), g))

@@ -179,7 +179,7 @@ def derived_hom_system(X: Tower, Y: ChainComplex, n: int) -> DirectSystem:
 
 def hom_to_constant(X: Tower, Y: ChainComplex, n: int) -> GroupOrUnknown:
     """P(X, cY)_n = colim_s [X_s, Y]_n for Y bounded above."""
-    return colim(derived_hom_system(X, Y, n)).value
+    return colim(derived_hom_system(X, Y, n))
 
 
 def heart_hom(X: Tower, Y: Tower, n: int = 0) -> GroupOrUnknown:
@@ -193,7 +193,6 @@ def heart_hom(X: Tower, Y: Tower, n: int = 0) -> GroupOrUnknown:
     if not _homology_within(Y, float("-inf"), n):
         raise WindowViolation("target tower not levelwise bounded above at n")
     return _lim_of_colims(X, Y, lambda B: derived_hom_system(X, B, 0),
-                          lambda A, B: derived_hom(A, B, 0),
                           lambda A, g: induced_map_on_derived_hom(identity_map(A), g, 0))
 
 

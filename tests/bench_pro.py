@@ -1,10 +1,15 @@
-"""Micro-benchmarks of the pro-isomorphism decision: the nilpotency of the
-tail maps on the kernel and the cokernel (`is_pro_isomorphism`) against one
-filler solve per level (`oracles.pro_iso_by_fillers`), from cold caches, on
-the homology pro-maps of the towers of the benchmark's `maps` workload at
-seed 5.  The true cases are the homology maps of the canonical maps into
-the Postnikov replacements; the false ones are those of levelwise
-multiplication by 2 that are not pro-isomorphisms.
+"""Micro-benchmarks of the pro layer, from cold caches.
+
+The pro-isomorphism decision: the nilpotency of the tail maps on the kernel
+and the cokernel (`is_pro_isomorphism`) against one filler solve per level
+(`oracles.pro_iso_by_fillers`), on the homology pro-maps of the towers of
+the benchmark's `maps` workload at seed 5.  The true cases are the homology
+maps of the canonical maps into the Postnikov replacements; the false ones
+are those of levelwise multiplication by 2 that are not pro-isomorphisms.
+
+`lim_lim1` and `colim` on the tails of the first 100 block towers of
+`oracles.block_tower`, Mittag-Leffler or not, with finitely generated
+colimits or not.
 
     PYTHONPATH=src python -m pytest tests/bench_pro.py --benchmark-only
 
@@ -18,9 +23,10 @@ import pytest
 
 import prochain
 from conftest import maps_postnikov_towers
-from oracles import pro_iso_by_fillers
+from oracles import block_tower, pro_iso_by_fillers
 from prochain.chain import multiplication_map
-from prochain.pro import is_pro_isomorphism, level_map
+from prochain.pro import (DirectSystem, TailPolicy, colim, is_pro_isomorphism,
+                          level_map, lim_lim1, repeat_tower)
 from prochain.prohomotopy import (induced_homology_pro_map, postnikov_replacement,
                                   tower_homology_support)
 
@@ -55,3 +61,25 @@ def test_pro_isomorphism(benchmark, decide, verdict):
     got = benchmark.pedantic(kinds, args=(decide, maps),
                              setup=prochain.cache_clear, rounds=10)
     assert maps and got == [verdict] * len(maps)
+
+
+@lru_cache(maxsize=1)
+def block_endos():
+    return [block_tower(seed)[0] for seed in range(100)]
+
+
+def lims(endos):
+    return [lim_lim1(repeat_tower(e)) for e in endos]
+
+
+def colims(endos):
+    return [colim(DirectSystem((e.source,), (), TailPolicy.repeat_from(0, e)))
+            for e in endos]
+
+
+@pytest.mark.parametrize("compute", [lims, colims], ids=["lim_lim1", "colim"])
+def test_block_towers(benchmark, compute):
+    endos = block_endos()
+    got = benchmark.pedantic(compute, args=(endos,), setup=prochain.cache_clear,
+                             rounds=10)
+    assert len(got) == len(endos)

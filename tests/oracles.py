@@ -59,8 +59,14 @@ first written: F_q as the image of the map [X, tau_{>= q} Y]_n -> [X, Y]_n
 that the truncation inclusion induces, with the homology of a hom complex
 per truncation.  `abutment_filtration` reads the same subgroups off the
 cycles of Hom(X, Y) alone.
+
+`block_tower` draws a tail endomorphism that is a direct sum of blocks
+whose lim, Mittag-Leffler verdict and colimit are known in closed form,
+in a basis changed by unimodular shears, as the oracle of `pro.lim_lim1`
+and `pro.colim`.
 """
 
+import random
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
@@ -73,10 +79,12 @@ from prochain.chain import (ChainComplex, ChainMap, _hom_blocks, chain_map, cone
                             make_complex)
 from prochain.errors import ContainmentViolation, PostconditionViolated
 from prochain.exactalg.groups import (GroupHom, SubquotientData, cokernel,
-                                      free_group, group_from_presentation,
-                                      image, induced_hom, kernel)
+                                      free_group, group_from_orders,
+                                      group_from_presentation, hom, image,
+                                      induced_hom, kernel)
 from prochain.exactalg.matrices import (IntMatrix, Lattice, block_matrix, hcat,
                                        kernel_lattice, snf)
+from prochain.exactalg.ring import ZZ
 from prochain.pro import (ProIsoVerdict, ProMap, _filler_exists, _levelize,
                           _nilpotency_bound, colim)
 from prochain.prohomotopy import derived_hom_system
@@ -218,7 +226,7 @@ def coefficient_e2(X, Y, q_lo: int, q_hi: int, n_lo: int, n_hi: int) -> dict:
     for q in range(q_lo, q_hi + 1):
         K = coefficient_complex(homology(Y, q))
         for n in range(n_lo, n_hi + 1):
-            e2[(n - q, q)] = colim(derived_hom_system(X, K, n - q)).value
+            e2[(n - q, q)] = colim(derived_hom_system(X, K, n - q))
     return e2
 
 
@@ -394,3 +402,64 @@ def pro_iso_by_fillers(f: ProMap) -> ProIsoVerdict:
         if _filler_exists(f, t, s) is None:
             return ProIsoVerdict("false", certificate_level=t)
     return ProIsoVerdict("true", witness_levels=tuple(range(T_star + 1)))
+
+
+def _shears(rng, n: int):
+    """A unimodular P and its inverse, as row lists, from 2n random shears
+    row_i += c row_j (none when n = 1)."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        P[i] = [u + c * v for u, v in zip(P[i], P[j])]
+        for row in Pinv:  # times (I - c e_ij) on the right
+            row[j] -= c * row[i]
+    return IntMatrix.from_rows(P), IntMatrix.from_rows(Pinv)
+
+
+def block_tower(seed: int):
+    """(e, lim, mittag_leffler, colim) for an endomorphism e of a direct sum
+    of one to three blocks, written in a basis changed by seeded shears;
+    colim is None when the colimit is not finitely generated.
+
+    - Z along a in {0, +-1, +-2, 3}: lim Z for a = +-1 and 0 otherwise;
+      ML iff the image chain a^k Z settles, that is iff a is 0 or +-1.
+    - Z/p^k along a: finite, so ML; lim Z/p^k when p does not divide a
+      (a is invertible) and 0 otherwise (a is nilpotent).
+    - Z/2 (+) Z along [[x, y], [0, a]]: the answers of Z/2 along x beside
+      those of Z along a; y, which sends the free generator into the
+      torsion, changes none of them.
+
+    lim and colim of a sum are the sums.  The colim of an ML block is its
+    lim (the stable image); a non-ML block Z along a has colimit Z[1/a]."""
+    rng = random.Random(seed)
+    orders, blocks, lim, ml = [], [], [], True
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("Z", "Z/p^k", "Z/2+Z"))
+        if kind == "Z/p^k":
+            q = rng.choice((2, 3)) ** rng.randint(1, 2)
+            a = rng.randrange(q)
+            block, rows = (q,), [[a]]
+            lim += [q] if gcd(a, q) == 1 else []
+        else:
+            a = rng.choice((0, 1, -1, 2, -2, 3))
+            block, rows = (0,), [[a]]
+            if kind == "Z/2+Z":
+                x = rng.randrange(2)
+                block, rows = (2, 0), [[x, rng.randrange(2)], [0, a]]
+                lim += [2] if x else []
+            lim += [0] if abs(a) == 1 else []
+            ml = ml and abs(a) <= 1
+        orders += block
+        blocks.append(rows)
+    n, sizes = len(orders), tuple(len(b) for b in blocks)
+    M = block_matrix(sizes, sizes, {(k, k): IntMatrix.from_rows(b)
+                                    for k, b in enumerate(blocks)}, ZZ)
+    relations = IntMatrix.from_columns([[d if i == j else 0 for i in range(n)]
+                                        for j, d in enumerate(orders) if d], n)
+    P, Pinv = _shears(rng, n)
+    A = group_from_presentation(P @ relations)
+    e = hom(A, A, A.to_canonical @ P @ M @ Pinv @ A.from_canonical)
+    expected = group_from_orders(lim)
+    return e, expected, ml, expected if ml else None

@@ -448,12 +448,12 @@ EVERY_COMMAND = [
 
 # sha256 of every ahss and pro-ahss report on workspaces/moore.json, as
 # test_ahss_reports_are_pinned hashes them
-AHSS_REPORTS_SHA256 = "d4b14000053c8dcd872c9d46be3bdc6a25bdf05814b39b51f15774bf1379ce64"
+AHSS_REPORTS_SHA256 = "9399398ddcf5ace2861b0f532401716f9d61f339e8d45fa4c18a69f0860638b6"
 
 # sha256 of the limlim1, pro-iso, prohom, prohom-const, postnikov,
 # fibrant-check and whitehead reports on workspaces/moore.json, as
 # test_pro_reports_are_pinned hashes them
-PRO_REPORTS_SHA256 = "69965a104257323093b0af2fd3707b951c19a1c7157abdca8ae465ca54b48a93"
+PRO_REPORTS_SHA256 = "25df399245448ff0dcccd390472c446788ff9a49e6dcba5fe8a2e167c5bd2846"
 
 # sha256 of the homology, truncate, classify, factor, cohomology,
 # derived-hom and lift runs on workspaces/moore.json, as
@@ -781,13 +781,30 @@ class TestDriver:
         reports = runs[0]
         assert reports["2/prohom_const_Z0_tower2_Z0_0.tsv"].splitlines()[1] == \
             "from_constant\tUNKNOWN: lim1 obstruction\t0\tNonzeroUncountable"
-        unknown = "UNKNOWN: tail endomorphism neither invertible nor nilpotent"
+        unknown = "UNKNOWN: colimit not finitely generated"
         assert reports["1/prohom_tower2_Z_tower2_Z.tsv"] == f"group\n{unknown}\n"
         assert reports["3/prohom_const_tower2_Z0_Z0_0.tsv"].splitlines()[1] == \
             f"to_constant\t{unknown}"
         for name in ("e2", "abutment"):
             rows = reports[f"0/pro_ahss_tower2_Z0_Z0_{name}.tsv"].splitlines()
             assert [r.split("\t")[-1] for r in rows if "UNKNOWN" in r] == [unknown]
+
+    def test_a_colimit_neither_invertible_nor_nilpotent_is_decided(self, tmp_path):
+        # colim_s Hom(Z/2 (+) Z, Z/2) along precomposition with diag(0, 1)
+        # is its stable image Z/2, a report with no UNKNOWN row
+        with open(GOLDEN) as f:
+            doc = json.load(f)
+        doc["groups"]["Z2_Z"] = {"generators": 2, "relations": [[2, 0]]}
+        doc["group_maps"]["diag01"] = {"source": "Z2_Z", "target": "Z2_Z",
+                                       "matrix": [[0, 0], [0, 1]]}
+        doc["group_towers"]["diag01_tower"] = {
+            "entries": ["Z2_Z"], "tail": {"repeat_from": 0, "endo": "diag01"}}
+        doc["group_towers"]["const_Z2"] = {"entries": ["Z2"], "tail": {"constant_from": 0}}
+        out = tmp_path / "out"
+        code = main(["prohom", "diag01_tower", "const_Z2", "--workspace",
+                     write(tmp_path, doc), "--out", str(out)])
+        assert code == 0
+        assert (out / "prohom_diag01_tower_const_Z2.tsv").read_text() == "group\nZ/2\n"
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as stop:

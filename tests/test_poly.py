@@ -109,5 +109,5 @@ def test_lim_rank_against_sympy():
         n = rng.randint(1, 6)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         A = free_group(n)
-        lim = _non_ml_lim(A, hom(A, A, IntMatrix.from_rows(rows)))
+        lim = _non_ml_lim(hom(A, A, IntMatrix.from_rows(rows)))
         assert lim == free_group(sympy_lim_rank(rows)), rows

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_chain_tower, run_python
-from oracles import pro_iso_by_fillers
+from oracles import block_tower, pro_iso_by_fillers
 from prochain import pro
 from prochain.errors import (PostconditionViolated, PreconditionViolated,
                              ValidationError)
@@ -315,6 +315,13 @@ class TestLimLim1:
         assert r.lim1 == Lim1Verdict.NONZERO_UNCOUNTABLE
         assert r.lim.free_rank == 1
 
+    def test_mixed_torsion_non_ml(self):
+        # Z/2 (+) Z along diag(1, 2): lim Z/2 (+) lim (Z <-x2- ...) = Z/2
+        A = group_from_orders([2, 0])
+        r = lim_lim1(repeat_tower(hom(A, A, IntMatrix.from_rows([[1, 0], [0, 2]]))))
+        assert r.lim1 == Lim1Verdict.NONZERO_UNCOUNTABLE
+        assert r.lim.isomorphic(Z2)
+
     def test_unit_determinant_is_ml(self):
         Z2f = free_group(2)
         e = hom(Z2f, Z2f, IntMatrix.from_rows([[3, -1], [1, 0]]))  # det 1
@@ -351,24 +358,31 @@ class TestLimLim1:
             assert r.lim1 == (Lim1Verdict.ZERO if ml else Lim1Verdict.NONZERO_UNCOUNTABLE)
             if ml:
                 assert r.lim.isomorphic(s24.group), (A.orders, e.matrix)
-            elif A.invariant_factors:
-                assert isinstance(r.lim, UnknownValue)
             else:
-                assert r.lim.invariant_factors == ()
+                # lim = the stable image of e on the torsion T (+) a free part
+                t = range(len(A.invariant_factors))
+                T = group_from_orders(A.invariant_factors, A.ring)
+                on_T = hom(T, T, e.matrix.take_rows(t).take_columns(t))
+                power = identity_hom(T)
+                for _ in range(24):
+                    power = on_T.compose(power)
+                assert r.lim.invariant_factors == image(power).group.invariant_factors
             ml_seen.add(ml)
         assert ml_seen == {True, False}
 
     def test_non_ml_lim_is_the_unit_part(self):
-        # lim of a free non-ML tower has the rank of the factors q of the
-        # characteristic polynomial with q(0) = +-1 (sympy factors it)
+        # lim of a non-ML tower has the rank of the factors q with
+        # q(0) = +-1 of the characteristic polynomial of its free diagonal
+        # block (sympy factors it)
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         checked = 0
         for e in seeded_endomorphisms():
             r = lim_lim1(repeat_tower(e))
-            if r.mittag_leffler or e.source.invariant_factors:
+            if r.mittag_leffler:
                 continue
-            m = e.matrix
+            free = range(len(e.source.invariant_factors), e.source.ngens)
+            m = e.matrix.take_rows(free).take_columns(free)
             chi = sympy.Matrix(m.rows, m.cols, list(m.entries)).charpoly(x)
             rank = sum(sympy.degree(q, x) * k for q, k in sympy.factor_list(chi.as_expr())[1]
                        if abs(sympy.Poly(q, x).eval(0)) == 1)
@@ -386,21 +400,27 @@ class TestLimLim1:
 
 class TestColim:
     def test_constant(self):
-        assert colim(constant_system(Z4)).value.isomorphic(Z4)
+        assert colim(constant_system(Z4)).isomorphic(Z4)
 
     def test_eventually_zero(self):
         c = colim(DirectSystem((Z2,), (), TailPolicy.repeat_from(0, zero_hom(Z2, Z2))))
-        assert c.value.is_trivial and c.eventually_zero
+        assert c.is_trivial
 
     def test_times2_unknown(self):
         c = colim(DirectSystem((Z,), (),
                                TailPolicy.repeat_from(0, multiplication_hom(Z, 2))))
-        assert isinstance(c.value, UnknownValue)
+        assert c == UnknownValue("colimit not finitely generated")
 
     def test_iso_tail(self):
         c = colim(DirectSystem((Z4,), (),
                                TailPolicy.repeat_from(0, multiplication_hom(Z4, 3))))
-        assert c.value.isomorphic(Z4)
+        assert c.isomorphic(Z4)
+
+    def test_stable_image_of_a_mixed_tail(self):
+        # Z/2 (+) Z along diag(0, 1) is neither invertible nor nilpotent
+        A = group_from_orders([2, 0])
+        e = hom(A, A, IntMatrix.from_rows([[0, 0], [0, 1]]))
+        assert colim(DirectSystem((A,), (), TailPolicy.repeat_from(0, e))).isomorphic(Z)
 
     def test_is_nilpotent(self):
         assert is_nilpotent(multiplication_hom(Z, 2)) is False
@@ -439,6 +459,39 @@ class TestProHom:
         Z8 = group_from_orders([8])
         assert pro_hom(constant_tower(Z4),
                        repeat_tower(multiplication_hom(Z8, 2))).is_trivial
+
+    def test_a_colimit_neither_invertible_nor_nilpotent(self):
+        # colim_s Hom(Z/2 (+) Z, Z/2) along precomposition with diag(0, 1)
+        # is the stable image Z/2
+        A = group_from_orders([2, 0])
+        X = repeat_tower(hom(A, A, IntMatrix.from_rows([[0, 0], [0, 1]])))
+        assert pro_hom(X, constant_tower(Z2)).isomorphic(Z2)
+
+
+class TestBlockOracle:
+    @staticmethod
+    def check(seed):
+        """lim_lim1 and colim against the block answers; whether the
+        colimit is finitely generated."""
+        e, lim, ml, colimit = block_tower(seed)
+        r = lim_lim1(repeat_tower(e))
+        assert r.mittag_leffler is ml
+        assert r.lim1 == (Lim1Verdict.ZERO if ml else Lim1Verdict.NONZERO_UNCOUNTABLE)
+        assert r.lim.isomorphic(lim)
+        c = colim(DirectSystem((e.source,), (), TailPolicy.repeat_from(0, e)))
+        if colimit is None:
+            assert c == UnknownValue("colimit not finitely generated")
+        else:
+            assert c.isomorphic(colimit)
+        return colimit is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 30))
+    def test_lim_and_colim_match_the_blocks(self, seed):
+        self.check(seed)
+
+    def test_decided_and_unknown_colimits_are_reached(self):
+        assert {self.check(seed) for seed in range(20)} == {True, False}
 
 
 class TestReindex:
