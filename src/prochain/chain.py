@@ -5,6 +5,8 @@ degree-indexed tuples over a support interval [lo, hi].  Every module is
 free; torsion only ever appears in homology values.  The graded bracket
 [X,Y]_n is the degree-n homology of the hom complex, which computes maps in
 the derived category because sources are bounded complexes of frees.
+The mapping cone is cached as a complex alone; its inclusion and
+projection are built on demand, for the readers of those maps.
 """
 
 from __future__ import annotations
@@ -303,31 +305,39 @@ CONE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
-def cone(f: ChainMap):
-    """Mapping cone C(f)_n = Y_n (+) X_{n-1}, with inclusion of Y and
-    projection onto shift(X, 1).
-
-    One shared table serves every consumer (classification, factorization,
-    layers); the result is a tuple of frozen values, so sharing it is safe."""
+def cone(f: ChainMap) -> ChainComplex:
+    """Mapping cone C(f)_n = Y_n (+) X_{n-1}, the complex alone, in one table
+    shared by every consumer; `cone_maps` builds its maps for their readers."""
     X, Y = f.source, f.target
     ring = X.ring
     lo = min(Y.lo, X.lo + 1)
     hi = max(Y.hi, X.hi + 1)
-    degrees = range(lo, hi + 1)
 
     def sizes(n):                                 # Y_n (+) X_{n-1}
         return (Y.rank(n), X.rank(n - 1))
 
-    C = make_complex(ring, {n: sum(sizes(n)) for n in degrees},
-                     {n: block_matrix(sizes(n - 1), sizes(n),
-                                      {(0, 0): Y.diff(n), (0, 1): f.comp(n - 1),
-                                       (1, 1): -X.diff(n - 1)}, ring)
-                      for n in range(lo + 1, hi + 1)})
+    return make_complex(ring, {n: sum(sizes(n)) for n in range(lo, hi + 1)},
+                        {n: block_matrix(sizes(n - 1), sizes(n),
+                                         {(0, 0): Y.diff(n), (0, 1): f.comp(n - 1),
+                                          (1, 1): -X.diff(n - 1)}, ring)
+                         for n in range(lo + 1, hi + 1)})
+
+
+def cone_maps(f: ChainMap):
+    """The inclusion Y -> C(f) and the projection C(f) -> shift(X, 1) of the
+    cone sequence, on C = cone(f); not cached, since only their readers
+    build them."""
+    X, Y, C = f.source, f.target, cone(f)
+    ring = X.ring
+
+    def sizes(n):                                 # Y_n (+) X_{n-1}
+        return (Y.rank(n), X.rank(n - 1))
+
     incl = chain_map(Y, C, {n: block_matrix(sizes(n), (Y.rank(n),), {
-        (0, 0): IntMatrix.identity(Y.rank(n), ring)}, ring) for n in degrees})
+        (0, 0): IntMatrix.identity(Y.rank(n), ring)}, ring) for n in C.degrees})
     proj = chain_map(C, shift(X, 1), {n: block_matrix((X.rank(n - 1),), sizes(n), {
-        (0, 1): IntMatrix.identity(X.rank(n - 1), ring)}, ring) for n in degrees})
-    return C, incl, proj
+        (0, 1): IntMatrix.identity(X.rank(n - 1), ring)}, ring) for n in C.degrees})
+    return incl, proj
 
 
 # ---------------------------------------------------------------------------
@@ -414,33 +424,7 @@ def induced_homology_map(f: ChainMap, n: int) -> GroupHom:
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    C, _, _ = cone(f)
-    return is_acyclic(C)
-
-
-def connecting_homology_map(f: ChainMap, n: int) -> GroupHom:
-    """The boundary map H_n(cone f) -> H_{n-1}(source f) of the cone
-    sequence, induced by the projection of a cycle to its source component."""
-    C, _, proj = cone(f)
-    return induced_hom(homology_data(C, n), proj.comp(n),
-                       homology_data(f.source, n - 1))
-
-
-def cone_les_exact(f: ChainMap) -> bool:
-    """Exactness of ... -> H_n(Y) -> H_n(cone f) -> H_{n-1}(X) -> H_{n-1}(Y) -> ...
-    at every spot, as subgroup equalities."""
-    from .exactalg.groups import exact_at
-    C, incl, _ = cone(f)
-    lo = min(f.source.lo, C.lo) - 1
-    hi = max(f.source.hi + 1, C.hi) + 1
-    for n in range(lo, hi + 1):
-        a = induced_homology_map(f, n)                  # H_n X -> H_n Y
-        b = induced_homology_map(incl, n)               # H_n Y -> H_n C
-        c = connecting_homology_map(f, n)               # H_n C -> H_{n-1} X
-        a1 = induced_homology_map(f, n - 1)             # H_{n-1} X -> H_{n-1} Y
-        if not (exact_at(a, b) and exact_at(b, c) and exact_at(c, a1)):
-            return False
-    return True
+    return is_acyclic(cone(f))
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +616,5 @@ def random_null_homotopic(rng: random.Random, X: ChainComplex,
 def quasi_iso_thickening(rng: random.Random, Y: ChainComplex):
     """Y -> Y (+) cone(id_W) for a random W: an explicit quasi-isomorphism."""
     W = random_complex(rng.randrange(2 ** 30), Y.ring, Y.lo, Y.hi, 2)
-    CW, _, _ = cone(identity_map(W))
-    S, incl_y, _, _, _ = direct_sum_complex(Y, CW)
+    S, incl_y, _, _, _ = direct_sum_complex(Y, cone(identity_map(W)))
     return incl_y

@@ -238,11 +238,21 @@ class ProMap(Value):
     def comp(self, t: int):
         return self.comps[min(t, self.window)]
 
+    @property
+    def periodic_from(self) -> int:
+        """The first level from which the component, the target's structure
+        map and the source composite over theta all repeat, so that every
+        compatibility square from there on is the same square."""
+        X, n = self.source, len(self.shift.values)
+        # past its stored values theta advances by tail_slope >= 1, so it
+        # reaches the source's tail start by t = n - 1 + tail start
+        reach = next((t for t in range(n + X.tail.start)
+                      if self.theta(t) >= X.tail.start), n + X.tail.start)
+        return max(self.window, n - 1, self.target.tail.start, reach)
+
     def validate(self) -> bool:
-        """Compatibility squares commute exactly through the stored window
-        plus two tail steps."""
-        top = self.window + 2
-        for t in range(top):
+        """Compatibility squares commute exactly through periodic_from + 1."""
+        for t in range(self.periodic_from + 2):
             left = self.comp(t).compose(
                 self.source.composite(self.theta(t + 1), self.theta(t)))
             right = self.target.structure_map(t).compose(self.comp(t + 1))

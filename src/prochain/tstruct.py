@@ -6,8 +6,10 @@ over Z or F_p and no larger than the complex, and the Smith form of d_{n+1}
 gives its anchor, its tower steps and its action on maps.  Classification of
 maps into n-equivalences and co-n-equivalences reads off the homology
 support of the mapping cone.  Factorization attaches free generators
-(surjectivity disks anywhere, homology-killing cells in degrees >= n+1);
-lifting solves the chain-homotopy correction globally as one exact linear
+(surjectivity disks anywhere, homology-killing cells in degrees >= n+1),
+reading the homology of the cone of p after each round.  Both read the cone
+as a complex alone; only the layers build its inclusion and projection.
+Lifting solves the chain-homotopy correction globally as one exact linear
 system, which succeeds because the relevant graded hom group vanishes.
 """
 
@@ -17,10 +19,10 @@ import math
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .chain import (ChainComplex, ChainMap, chain_map, cone, derived_hom,
-                    free_one_term, homology, homology_data, homology_support,
-                    identity_map, induced_homology_map, make_complex,
-                    minimal_model, shift, zero_complex, zero_map)
+from .chain import (ChainComplex, ChainMap, chain_map, cone, cone_maps,
+                    derived_hom, free_one_term, homology, homology_data,
+                    homology_support, identity_map, induced_homology_map,
+                    make_complex, minimal_model, shift, zero_complex, zero_map)
 from .errors import PostconditionViolated, PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
@@ -183,13 +185,15 @@ def heart_homology(X: ChainComplex, n: int) -> FgAbGroup:
 
 
 def layer_complex(X: ChainComplex, n: int):
-    """cone(tau_{>= n+1} X -> tau_{>= n} X): a free model of Sigma^n H_n X."""
-    return cone(truncation_step(X, n))
+    """cone(tau_{>= n+1} X -> tau_{>= n} X): a free model of Sigma^n H_n X,
+    with the inclusion and projection of its cone sequence."""
+    incl, proj = cone_maps(truncation_step(X, n))
+    return incl.target, incl, proj
 
 
 def layer_triangle_check(X: ChainComplex, n: int) -> bool:
     """Homology of the layer is exactly H_n(X) in degree n and zero elsewhere."""
-    L, _, _ = layer_complex(X, n)
+    L = cone(truncation_step(X, n))
     for m in range(L.lo, L.hi + 1):
         h = homology(L, m)
         if m == n:
@@ -222,8 +226,7 @@ def classify_map(f: ChainMap) -> MapClassification:
     """Homology support of the cone decides both thresholds: f is an
     n-equivalence iff H_i(cone f) = 0 for i <= n, and a co-n-equivalence iff
     H_i(cone f) = 0 for i > n."""
-    C, _, _ = cone(f)
-    support = homology_support(C)
+    support = homology_support(cone(f))
     if support is None:
         return MapClassification(INF, NEG_INF)
     lo, hi = support
@@ -381,7 +384,7 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
                          (0, 0): X.diff(k), (2, 1): IntMatrix.identity(disks.get(k, 0), ring)},
                          ring) for k in degrees[1:]})
     p = chain_map(Z, Y, {k: p_comp(k) for k in degrees})
-    C, _, _ = cone(p)
+    C = cone(p)
     # a round kills H_k(cone p) at the lowest bad degree k >= n + 1 and leaves
     # lower degrees alone, so that degree rises from round to round; the top
     # degree of the cone stays put until a round reaches it, and there H_k is
@@ -397,7 +400,7 @@ def factor_n(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
         cycles = homology_data(C, k).decode_matrix()
         p = _attach(p, k, -cycles.take_rows(range(Y.rank(k), cycles.rows)),
                     cycles.take_rows(range(Y.rank(k))))
-        C, _, _ = cone(p)
+        C = cone(p)
     else:
         raise PostconditionViolated(
             f"cell attachment did not finish within {rounds} rounds, its bound")

@@ -285,7 +285,7 @@ def _parse_promap(name, data, tower_table, map_table) -> ProMap:
     f = ProMap(src, tgt, IndexShift.level(), tuple(comps))
     if not (all(_same_object(f.comp(t).source, src.entry(t))
                 and _same_object(f.comp(t).target, tgt.entry(t))
-                for t in range(f.window + 3))
+                for t in range(f.periodic_from + 3))
             and f.validate()):
         raise ValidationError(f"promap '{name}': squares do not commute")
     return f

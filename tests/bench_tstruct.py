@@ -1,8 +1,13 @@
-"""Micro-benchmarks of cohomology with coefficients: [X, K(A)]_{-p} through
-the minimal model of X against the unreduced Hom(X, K(A)), from cold
-caches, on two spaces of the benchmark's `cells` workload in its changed
-basis over Z: the torus grid k = 4 (96 cells) and the boundary of the
-6-simplex (126 cells).
+"""Micro-benchmarks of the t-structure layer, from cold caches.
+
+Cohomology with coefficients: [X, K(A)]_{-p} through the minimal model of X
+against the unreduced Hom(X, K(A)), on two spaces of the benchmark's
+`cells` workload in its changed basis over Z: the torus grid k = 4 (96
+cells) and the boundary of the 6-simplex (126 cells).
+
+Classification: `classify_map` and the `is_n_equivalence` and
+`is_co_n_equivalence` sweep over n = -3, ..., 3, as the `classify` items of
+the benchmark's `maps` workload run them, on their 64 triples at seed 5.
 
     PYTHONPATH=src python -m pytest tests/bench_tstruct.py --benchmark-only
 
@@ -13,10 +18,12 @@ default test run does not collect it.
 import pytest
 
 import prochain
-from conftest import cells_spaces
+from conftest import cells_spaces, maps_classify_maps
 from prochain.chain import derived_hom
 from prochain.exactalg.groups import group_from_orders
-from prochain.tstruct import coefficient_complex, cohomology_with_coefficients
+from prochain.tstruct import (classify_map, classify_map_by_homology,
+                              coefficient_complex, cohomology_with_coefficients,
+                              is_co_n_equivalence, is_n_equivalence)
 
 pytest.importorskip("pytest_benchmark")
 
@@ -41,3 +48,25 @@ def test_cohomology(benchmark, cohomology, space):
                                 setup=prochain.cache_clear, rounds=10)
     want = cohomology_of(unreduced, X)
     assert [g.orders for g in groups] == [g.orders for g in want]
+
+
+N_RANGE = range(-3, 4)
+
+
+def classify_all(triples):
+    out = []
+    for maps in triples:
+        for f in maps:
+            c = classify_map(f)
+            out.append((c, [is_n_equivalence(f, n) for n in N_RANGE],
+                        [is_co_n_equivalence(f, n) for n in N_RANGE]))
+    return out
+
+
+def test_classify(benchmark):
+    triples = maps_classify_maps(5)
+    assert len(triples) == 64
+    out = benchmark.pedantic(classify_all, args=(triples,),
+                             setup=prochain.cache_clear, rounds=10)
+    assert [c for c, _, _ in out] == [classify_map_by_homology(f)
+                                      for maps in triples for f in maps]

@@ -41,15 +41,27 @@ def cells_spaces(p: int, seed: int = 5):
     return out
 
 
-def maps_postnikov_towers(seed: int = 5):
-    """The towers of the `postnikov` items of the benchmark's `maps`
-    workload, taken from the items the workload builds (each item's run
-    takes its tower as its default argument)."""
+def _maps_item_arguments(label: str, seed: int):
+    """The default argument of the run of each item with that label in the
+    benchmark's `maps` workload, in the order the workload builds them."""
     if BENCH not in sys.path:
         sys.path.append(BENCH)
     workloads = importlib.import_module("workloads")
     return [item.run.__defaults__[0] for item in workloads.maps_items(seed)
-            if item.label == "postnikov"]
+            if item.label == label]
+
+
+def maps_postnikov_towers(seed: int = 5):
+    """The towers of the `postnikov` items of the benchmark's `maps`
+    workload (each item's run takes its tower as its default argument)."""
+    return _maps_item_arguments("postnikov", seed)
+
+
+def maps_classify_maps(seed: int = 5):
+    """The (f, g, gf) triples of the `classify` items of the benchmark's
+    `maps` workload (each item's run takes its triple as its default
+    argument)."""
+    return _maps_item_arguments("classify", seed)
 
 
 def package_module_names() -> list:

@@ -43,6 +43,10 @@ inclusion of X as its anchor.  It has up to twice the rank of the quotient
 X / tau_{>= n+1} X that `truncate_below` builds, and the quotient map out of
 the cone is a quasi-isomorphism.
 
+`connecting_homology_map` and `cone_les_exact` read the long exact
+sequence of the cone, ... -> H_n(Y) -> H_n(C f) -> H_{n-1}(X) -> ..., through
+the inclusion and projection that `chain.cone_maps` builds.
+
 `postnikov_step_by_composite` is a structure map of
 `prohomotopy.postnikov_replacement` as it was first built: the tower step
 T_{<= n+1} Y_{k+1} -> T_{<= n} Y_{k+1} followed by the truncated structure
@@ -74,12 +78,12 @@ from typing import Dict, List, Mapping, Tuple
 
 from prochain.ahss import Page, Slot, _window
 from prochain.chain import (ChainComplex, ChainMap, _hom_blocks, chain_map, cone,
-                            derived_hom, hom_complex, homology, homology_data,
-                            identity_map, induced_map_on_derived_hom,
-                            make_complex)
+                            cone_maps, derived_hom, hom_complex, homology,
+                            homology_data, identity_map, induced_homology_map,
+                            induced_map_on_derived_hom, make_complex)
 from prochain.errors import ContainmentViolation, PostconditionViolated
 from prochain.exactalg.groups import (GroupHom, SubquotientData, cokernel,
-                                      free_group, group_from_orders,
+                                      exact_at, free_group, group_from_orders,
                                       group_from_presentation, hom, image,
                                       induced_hom, kernel)
 from prochain.exactalg.matrices import (IntMatrix, Lattice, block_matrix, hcat,
@@ -317,7 +321,7 @@ def cell_state_factor(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
             state.attach(m, boundary, yv)
 
     Z, p = state.snapshot()
-    C, _, _ = cone(p)
+    C = cone(p)
     # a round kills H_k(cone p) at the lowest bad degree k >= n + 1 and leaves
     # lower degrees alone, so that degree rises from round to round; the top
     # degree of the cone stays put until a round reaches it, and there H_k is
@@ -335,7 +339,7 @@ def cell_state_factor(f: ChainMap, n: int) -> Tuple[ChainMap, ChainMap]:
         for vec in homology_data(C, k).decode_matrix().columns():
             state.attach(k, [-v for v in vec[rY:]], list(vec[:rY]))
         Z, p = state.snapshot()
-        C, _, _ = cone(p)
+        C = cone(p)
     else:
         raise PostconditionViolated(
             f"cell attachment did not finish within {rounds} rounds, its bound")
@@ -379,8 +383,33 @@ def abutment_filtration_by_truncations(X: ChainComplex, Y: ChainComplex, n: int)
 def cone_below(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     """T_{<= n} X as the cone of tau_{>= n+1} X -> X, with its anchor
     X -> T_{<= n} X."""
-    C, anchor, _ = cone(truncate_above(X, n + 1)[1])
-    return C, anchor
+    anchor, _ = cone_maps(truncate_above(X, n + 1)[1])
+    return anchor.target, anchor
+
+
+def connecting_homology_map(f: ChainMap, n: int) -> GroupHom:
+    """The boundary map H_n(cone f) -> H_{n-1}(source f) of the cone
+    sequence, induced by the projection of a cycle to its source component."""
+    _, proj = cone_maps(f)
+    return induced_hom(homology_data(proj.source, n), proj.comp(n),
+                       homology_data(f.source, n - 1))
+
+
+def cone_les_exact(f: ChainMap) -> bool:
+    """Exactness of ... -> H_n(Y) -> H_n(cone f) -> H_{n-1}(X) -> H_{n-1}(Y) -> ...
+    at every spot, as subgroup equalities."""
+    incl, _ = cone_maps(f)
+    C = incl.target
+    lo = min(f.source.lo, C.lo) - 1
+    hi = max(f.source.hi + 1, C.hi) + 1
+    for n in range(lo, hi + 1):
+        a = induced_homology_map(f, n)                  # H_n X -> H_n Y
+        b = induced_homology_map(incl, n)               # H_n Y -> H_n C
+        c = connecting_homology_map(f, n)               # H_n C -> H_{n-1} X
+        a1 = induced_homology_map(f, n - 1)             # H_{n-1} X -> H_{n-1} Y
+        if not (exact_at(a, b) and exact_at(b, c) and exact_at(c, a1)):
+            return False
+    return True
 
 
 def postnikov_step_by_composite(f: ChainMap, n: int) -> ChainMap:

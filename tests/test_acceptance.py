@@ -11,9 +11,10 @@ import time
 import pytest
 
 from conftest import random_chain_tower, random_composable_pair
+from oracles import cone_les_exact
 from prochain.ahss import convergence_check, pro_ahss, run_to_stable
-from prochain.chain import (cone_les_exact, derived_hom, free_one_term,
-                            homology, moore_complex, multiplication_map,
+from prochain.chain import (derived_hom, free_one_term, homology,
+                            moore_complex, multiplication_map,
                             random_complex, zero_complex, zero_map)
 from prochain.exactalg.groups import (free_group, group_from_presentation,
                                       multiplication_hom, zero_hom,

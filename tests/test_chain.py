@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import big_complex, cells_spaces, random_map_into, random_map_out
-from prochain.chain import (ChainComplex, ChainMap, chain_map, cone, cone_les_exact, derived_hom,
+from oracles import cone_les_exact
+from prochain.chain import (ChainComplex, ChainMap, chain_map, cone, derived_hom,
                             free_one_term, hom_complex,
                             homology, homology_data, identity_map,
                             induced_homology_map, induced_map_on_derived_hom,
@@ -119,16 +120,16 @@ class TestBasics:
 
 class TestCone:
     def test_cone_identity_acyclic(self):
-        C, _, _ = cone(identity_map(Z0))
+        C = cone(identity_map(Z0))
         assert is_acyclic(C)
 
     def test_cone_times2(self):
-        C, _, _ = cone(multiplication_map(Z0, 2))
+        C = cone(multiplication_map(Z0, 2))
         assert homology(C, 0).invariant_factors == (2,)
         assert homology(C, 1).is_trivial
 
     def test_cone_from_zero(self):
-        C, _, _ = cone(zero_map(zero_complex(), M2))
+        C = cone(zero_map(zero_complex(), M2))
         assert homology(C, 0).invariant_factors == (2,)
 
     def test_les_exactness(self):

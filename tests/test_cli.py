@@ -211,6 +211,26 @@ class TestParsing:
         assert capsys.readouterr().err == \
             "error: group map 'bad': does not respect relations\n"
 
+    def test_promap_square_past_the_window_is_one_error_line(self, tmp_path, capsys):
+        # const Z -> Z <- Z <- Z <- Z <-x2- Z (constant from 4) by the
+        # identity: the square at t = 3 does not commute, past the window
+        # (0) plus two tail steps
+        doc = {"groups": {"Z": {"generators": 1}},
+               "group_maps": {"id": {"source": "Z", "target": "Z", "matrix": [[1]]},
+                              "x2": {"source": "Z", "target": "Z", "matrix": [[2]]}},
+               "group_towers": {
+                   "const": {"entries": ["Z"], "structure": [],
+                             "tail": {"constant_from": 0}},
+                   "late": {"entries": ["Z"] * 5, "structure": ["id", "id", "id", "x2"],
+                            "tail": {"constant_from": 4}}},
+               "group_promaps": {"bad": {"source": "const", "target": "late",
+                                         "comps": ["id"]}}}
+        code = main(["pro-iso", "bad", "--workspace", write(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: promap 'bad': squares do not commute\n"
+
     def test_duplicate_names(self, tmp_path):
         doc = {"ring": "Z",
                "complexes": {"x": {"ranks": {"0": 1}, "diffs": {}}},

@@ -146,6 +146,21 @@ class TestProMaps:
         with pytest.raises(ValidationError):
             level_map(t, constant_tower(Z), (identity_hom(Z),))
 
+    def test_squares_are_checked_past_a_late_tail_start(self):
+        # Z <- Z <- Z <- Z <-x2- Z, constant from 4: the square at t = 3
+        # fails, past the window (0) plus two tail steps
+        one = identity_hom(Z)
+        Y = Tower((Z,) * 5, (one, one, one, multiplication_hom(Z, 2)),
+                  TailPolicy.constant_from(4))
+        f = pro.ProMap(constant_tower(Z), Y, pro.IndexShift.level(), (one,))
+        assert f.periodic_from == 4
+        assert not f.validate()
+        with pytest.raises(ValidationError):
+            level_map(constant_tower(Z), Y, (one,))
+        # the same tower with an identity in place of x2 is accepted
+        Y1 = Tower((Z,) * 5, (one,) * 4, TailPolicy.constant_from(4))
+        assert is_pro_isomorphism(level_map(constant_tower(Z), Y1, (one,)))
+
     def test_index_preconditions_are_typed(self):
         t = times2_tower()
         with pytest.raises(PreconditionViolated):

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (big_complex, cells_spaces, random_chain_tower,
                       random_composable_pair, random_map_into, random_map_out)
-from oracles import cell_state_factor
+from oracles import cell_state_factor, cone_les_exact
 from prochain import chain
-from prochain.chain import (CONE_CACHE_SIZE, cone, cone_les_exact, derived_hom, free_one_term,
+from prochain.chain import (CONE_CACHE_SIZE, cone, derived_hom, free_one_term,
                             homology, homology_support, identity_map,
                             induced_homology_map, minimal_model, moore_complex,
                             multiplication_map, random_complex,
@@ -186,6 +186,35 @@ class TestClassification:
         assert info.misses == 1 and info.maxsize == CONE_CACHE_SIZE
         assert c == classify_map_by_homology(f)
 
+    def test_classification_and_factorization_build_no_cone_maps(self, monkeypatch):
+        # a cone read by classify_map or factor_n builds no chain map: its
+        # inclusion and projection are left to their readers
+        depth, in_cone = [0], []
+        take_cone, make_map = tstruct.cone, chain.chain_map
+
+        def counting_cone(f):
+            depth[0] += 1
+            try:
+                return take_cone(f)
+            finally:
+                depth[0] -= 1
+
+        def counting_map(*args, **kwargs):
+            if depth[0]:
+                in_cone.append(args[:2])
+            return make_map(*args, **kwargs)
+
+        monkeypatch.setattr(tstruct, "cone", counting_cone)
+        monkeypatch.setattr(chain, "chain_map", counting_map)
+        rng = random.Random(29)
+        cone.cache_clear()
+        for _ in range(6):
+            f, g = random_composable_pair(rng)
+            classify_map(g.compose(f))
+            factor_n(f, rng.randint(-2, 2))
+        assert cone.cache_info().misses > 6
+        assert in_cone == []
+
     def test_monotone_and_weak(self):
         rng = random.Random(1)
         for _ in range(20):
@@ -238,7 +267,7 @@ class TestClassification:
         for _ in range(25):
             f, _ = random_composable_pair(rng)
             A, B = f.source, f.target
-            C, _, _ = cone(f)
+            C = cone(f)
             sa, sb, sc = (homology_support(Z) for Z in (A, B, C))
 
             def geq(s):  # largest n with the object in M_{>= n}; INF if zero
@@ -357,7 +386,7 @@ def factor_rounds(f, n):
         mp.setattr(tstruct, "cone", recording)
         i, p = factor_n(f, n)
     assert p.compose(i).equal(f)
-    C0 = take_cone(cones[0])[0]
+    C0 = take_cone(cones[0])
     return 1 + len(kills), max(C0.hi - max(n + 1, C0.lo) + 1, 0) + 1
 
 
