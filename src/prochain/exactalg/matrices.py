@@ -315,10 +315,9 @@ class SnfResult:
     """U @ M @ V == S with U, V invertible over the ring and S diagonal.
 
     The diagonal satisfies d_1 | d_2 | ... ; invariant_factors lists the
-    nonzero diagonal entries and zero_count the number of zero columns of S
-    beyond them.  The elimination logs its row and column operations; each
-    transform is replayed from its log when first read, and a log is dropped
-    once both transforms of its side are built.
+    nonzero diagonal entries.  The elimination logs its row and column
+    operations; each transform is replayed from its log when first read, and
+    a log is dropped once both transforms of its side are built.
     """
 
     def __init__(self, diag: tuple, m: int, n: int, ring: RingTag,
@@ -367,10 +366,6 @@ class SnfResult:
     @property
     def invariant_factors(self) -> tuple:
         return tuple(d for d in self.diag if d != 0)
-
-    @property
-    def zero_count(self) -> int:
-        return sum(1 for d in self.diag if d == 0)
 
 
 def _snf_impl(M: IntMatrix) -> SnfResult:

@@ -291,20 +291,22 @@ def compose_pro(g: ProMap, f: ProMap) -> ProMap:
     return out
 
 
+def _along(X: Tower, theta, N: int) -> Tower:
+    """X_theta(0) <- X_theta(1) <- ... along composites of X, stored through
+    N, with X's tail kind after N and X_theta(N+1) -> X_theta(N) as endo."""
+    return Tower(tuple(X.entry(theta(t)) for t in range(N + 1)),
+                 tuple(X.composite(theta(t + 1), theta(t)) for t in range(N)),
+                 X.tail.mapped(N, lambda endo: X.composite(theta(N + 1), theta(N))))
+
+
 def reindex_cofinal(T: Tower, step: int) -> Tower:
     """The subsequence tower T_0, T_step, T_{2 step}, ... with composites."""
     if step < 1:
         raise PreconditionViolated(f"reindexing step {step} is not positive")
     if step == 1:
         return T
-    N = T.tail.start
-    top = (N + step - 1) // step  # first index with k*step >= N
-    entries = tuple(T.entry(k * step) for k in range(top + 1))
-    structure = tuple(T.composite((k + 1) * step, k * step) for k in range(top))
-    # entries from index top on sit at k*step >= N, where the composite of
-    # `step` structure maps is endo^step
-    return Tower(entries, structure,
-                 T.tail.mapped(top, lambda endo: T.composite(N + step, N)))
+    # from the first k with k*step at the tail start on, the tail repeats
+    return _along(T, lambda k: k * step, (T.tail.start + step - 1) // step)
 
 
 def reindex_pro_map(f: ProMap, step: int) -> ProMap:
@@ -366,18 +368,9 @@ def _levelize(f: ProMap) -> ProMap:
     """Replace a shifted pro-map by the level map on the reindexed source."""
     if not f.shift.values:
         return f
-    X = f.source
     N = max(f.window, f.source.tail.start, f.target.tail.start) + 1
-    entries = tuple(X.entry(f.theta(t)) for t in range(N + 1))
-    structure = tuple(X.composite(f.theta(t + 1), f.theta(t)) for t in range(N))
-    if X.tail.is_constant:
-        tail = TailPolicy.constant_from(N)
-    else:
-        endo = X.composite(f.theta(N + 1), f.theta(N))
-        tail = TailPolicy.repeat_from(N, endo)
-    src = Tower(entries, structure, tail)
-    comps = tuple(f.comp(t) for t in range(N + 1))
-    return level_map(src, f.target, comps)
+    return level_map(_along(f.source, f.theta, N), f.target,
+                     tuple(f.comp(t) for t in range(N + 1)))
 
 
 def _nilpotency_bound(A: FgAbGroup) -> int:

@@ -9,8 +9,9 @@ support of the mapping cone.  Factorization attaches free generators
 (surjectivity disks anywhere, homology-killing cells in degrees >= n+1),
 reading the homology of the cone of p after each round.  Both read the cone
 as a complex alone; only the layers build its inclusion and projection.
-Lifting solves the chain-homotopy correction globally as one exact linear
-system, which succeeds because the relevant graded hom group vanishes.
+Lifting corrects a degreewise candidate by one solve in Hom(coker i, ker p),
+which succeeds because [coker i, ker p]_{-1} vanishes: coker i has homology
+in degrees >= n+1 and ker p in degrees <= n-1.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ import math
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .chain import (ChainComplex, ChainMap, chain_map, cone, cone_maps,
-                    derived_hom, free_one_term, homology, homology_data,
-                    homology_support, identity_map, induced_homology_map,
-                    make_complex, minimal_model, shift, zero_complex, zero_map)
+from .chain import (ChainComplex, ChainMap, _hom_blocks, chain_map, cone,
+                    cone_maps, derived_hom, free_one_term, hom_complex, homology,
+                    homology_data, homology_support, identity_map,
+                    induced_homology_map, make_complex, minimal_model, shift,
+                    zero_complex, zero_map)
 from .errors import PostconditionViolated, PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
-from .exactalg.matrices import (IntMatrix, block_matrix, hcat, kernel_basis,
-                                kernel_lattice, kron, snf, solve)
+from .exactalg.matrices import (IntMatrix, block_matrix, hcat, kernel_lattice,
+                                snf, solve)
 from .value import Value, store
 
 INF = math.inf
@@ -295,7 +297,8 @@ def is_co_n_fibration(f: ChainMap, n: int) -> bool:
 
 
 def cokernel_complex(f: ChainMap) -> ChainComplex:
-    """The free cokernel of a degreewise split mono, in complement bases."""
+    """The free cokernel of a degreewise split mono, in complement bases (the
+    rows of each Smith U past its rank); `find_lift` reads it as coker i."""
     if not is_degreewise_split_mono(f):
         raise PreconditionViolated("not a degreewise split mono")
     ring = f.source.ring
@@ -427,12 +430,13 @@ def find_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap,
               n: int) -> Optional[ChainMap]:
     """A lift h with h o i = top and p o h = bottom, both exactly.
 
-    The naive degreewise candidate (top through a retraction of i, a section
-    of p on a complement) satisfies both identities but is not a chain map;
-    its defect is corrected by solving d c - c d = defect with c valued in
-    ker(p) and vanishing on im(i).  The correction exists because the graded
-    hom from coker(i) (homology >= n+1) to ker(p) (homology <= n-1) vanishes
-    in the relevant degree.
+    With pi: B -> Q = coker(i), its section sigma, and kappa: K = ker(p) -> X,
+    the candidate h0 = top r + s bottom sigma pi (r a retraction of i, s a
+    section of p) meets both identities, and so does every h0 - kappa c pi
+    with c in Hom(Q, K)_0.  The defect d h0 - h0 d is kappa e pi with e in
+    Hom(Q, K)_{-1}, and h is a chain map iff d c - c d = e.  That one solve
+    succeeds because [Q, K]_{-1} = 0: Q has homology in degrees >= n+1 and
+    K in degrees <= n-1.
     """
     if not is_n_cofibration(i, n):
         raise PreconditionViolated("i is not an n-cofibration")
@@ -441,62 +445,45 @@ def find_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap,
     if not bottom.compose(i).equal(p.compose(top)):
         raise PreconditionViolated("square does not commute")
 
-    B = i.target
-    Xc = p.source
-    ring = B.ring
-    lo = min(B.lo, Xc.lo)
-    hi = max(B.hi, Xc.hi)
+    B, X = i.target, p.source
+    degrees = range(min(B.lo, X.lo), max(B.hi, X.hi) + 1)
+    # the splits from the Smith forms U i V and U p V the checks above cached
+    h0, pi, sigma, kappa = {}, {}, {}, {}
+    for m in degrees:
+        s_i, s_p = snf(i.comp(m)), snf(p.comp(m))
+        rest = range(s_i.rank, B.rank(m))
+        pi[m], sigma[m] = s_i.U.take_rows(rest), s_i.Uinv.take_columns(rest)
+        retraction = s_i.V @ s_i.U.take_rows(range(s_i.rank))
+        section = s_p.V.take_columns(range(s_p.rank)) @ s_p.U
+        h0[m] = (top.comp(m) @ retraction) + (section @ bottom.comp(m) @ sigma[m] @ pi[m])
+        kappa[m] = kernel_lattice(p.comp(m))
 
-    h0 = {}
-    kerbase = {}
-    for m in range(lo, hi + 1):
-        im = i.comp(m)
-        s_i = snf(im)
-        r = s_i.V @ s_i.U.take_rows(range(s_i.rank))  # retraction, r i = id
-        pm = p.comp(m)
-        sect = solve(pm, IntMatrix.identity(pm.rows, ring))
-        if sect is None:
-            raise PreconditionViolated(f"p has no section in degree {m}")
-        compl = IntMatrix.identity(B.rank(m), ring) - (im @ r)
-        h0[m] = (top.comp(m) @ r) + (sect @ bottom.comp(m) @ compl)
-        kerbase[m] = kernel_basis(pm)
+    def into_kernel(m, M):  # the coordinates in ker p_m of M's columns
+        c = kappa[m].coords(M)
+        if c is None:
+            raise PostconditionViolated(f"a column leaves ker p in degree {m}")
+        return c
 
-    def h0c(m):
-        return h0.get(m, IntMatrix.zeros(Xc.rank(m), B.rank(m), ring))
-
-    # the unknowns c_m (kerbase[m].cols x B_m) row by row, and two kinds of
-    # equations: the chain condition d_X kappa_m c_m - kappa_{m-1} c_{m-1} d_B
-    # = delta_m, and c_m i_m = 0, which keeps h o i = top exact
-    unknowns = {m: kerbase[m].cols * B.rank(m) for m in range(lo, hi + 1)}
-    chain_rows = {("chain", m): Xc.rank(m - 1) * B.rank(m) for m in range(lo, hi + 2)}
-    side_rows = {("side", m): kerbase[m].cols * i.comp(m).cols for m in range(lo, hi + 1)}
-    blocks = {}
-    rhs = []
-    for m in range(lo, hi + 2):
-        if m <= hi:
-            blocks[("chain", m), m] = kron(Xc.diff(m) @ kerbase[m],
-                                           IntMatrix.identity(B.rank(m), ring))
-        if m > lo:
-            blocks[("chain", m), m - 1] = -kron(kerbase[m - 1], B.diff(m).transpose())
-        delta = (Xc.diff(m) @ h0c(m)) - (h0c(m - 1) @ B.diff(m))
-        rhs.extend(delta.entries)
-    for m in range(lo, hi + 1):
-        blocks[("side", m), m] = kron(IntMatrix.identity(kerbase[m].cols, ring),
-                                      i.comp(m).transpose())
-    rhs.extend([0] * sum(side_rows.values()))
-    system = block_matrix({**chain_rows, **side_rows}, unknowns, blocks, ring)
-    # an equation without unknowns holds or the square has no lift; solve
-    # refuses a zero row with a nonzero right-hand side
-    sol = solve(system, IntMatrix(len(rhs), 1, tuple(rhs), ring))
+    Q = cokernel_complex(i)
+    K = make_complex(B.ring, {m: kappa[m].basis.cols for m in degrees},
+                     {m: into_kernel(m - 1, X.diff(m) @ kappa[m].basis)
+                      for m in degrees[1:]})
+    # Hom(Q, K) has D(c) = d c + c d in degree 0, so e and c carry the sign
+    # (-1)^k on block k
+    defect = []
+    for k in _hom_blocks(Q, K, -1):
+        delta = (X.diff(k) @ h0[k]) - (h0[k - 1] @ B.diff(k))
+        defect += into_kernel(k - 1, delta @ sigma[k]).scale(-1 if k % 2 else 1).entries
+    sol = solve(hom_complex(Q, K).complex.diff(0),
+                IntMatrix(len(defect), 1, tuple(defect), B.ring))
     if sol is None:
         return None
-    comps = {m: h0c(m) for m in range(lo, hi + 1)}
-    off = 0
-    for m, size in unknowns.items():
-        c = IntMatrix(kerbase[m].cols, B.rank(m), sol.entries[off:off + size], ring)
-        comps[m] = h0c(m) - (kerbase[m] @ c)
+    comps, off = dict(h0), 0
+    for k, size in _hom_blocks(Q, K, 0).items():
+        c = IntMatrix(K.rank(k), Q.rank(k), sol.entries[off:off + size], B.ring)
+        comps[k] = h0[k] - (kappa[k].basis @ c.scale(-1 if k % 2 else 1) @ pi[k])
         off += size
-    h = chain_map(B, Xc, comps)
+    h = chain_map(B, X, comps)
     if not (h.compose(i).equal(top) and p.compose(h).equal(bottom)):
         raise PostconditionViolated("the lift does not fill the square")
     return h

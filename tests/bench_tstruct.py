@@ -9,6 +9,10 @@ Classification: `classify_map` and the `is_n_equivalence` and
 `is_co_n_equivalence` sweep over n = -3, ..., 3, as the `classify` items of
 the benchmark's `maps` workload run them, on their 64 triples at seed 5.
 
+Lifting: `find_lift` in the factorization squares (i, p, i, p) of the 30
+`factor_lift` items of the `maps` workload at seed 5; the factorizations
+are built once, outside the timing.
+
     PYTHONPATH=src python -m pytest tests/bench_tstruct.py --benchmark-only
 
 It needs pytest-benchmark.  Its name does not match `test_*.py`, so the
@@ -18,12 +22,13 @@ default test run does not collect it.
 import pytest
 
 import prochain
-from conftest import cells_spaces, maps_classify_maps
+from conftest import cells_spaces, maps_classify_maps, maps_factor_squares
 from prochain.chain import derived_hom
 from prochain.exactalg.groups import group_from_orders
 from prochain.tstruct import (classify_map, classify_map_by_homology,
                               coefficient_complex, cohomology_with_coefficients,
-                              is_co_n_equivalence, is_n_equivalence)
+                              factor_n, find_lift, is_co_n_equivalence,
+                              is_n_equivalence)
 
 pytest.importorskip("pytest_benchmark")
 
@@ -70,3 +75,16 @@ def test_classify(benchmark):
                              setup=prochain.cache_clear, rounds=10)
     assert [c for c, _, _ in out] == [classify_map_by_homology(f)
                                       for maps in triples for f in maps]
+
+
+def lift_all(squares):
+    return [find_lift(i, p, i, p, n) for i, p, n in squares]
+
+
+def test_lift(benchmark):
+    squares = [(*factor_n(f, n), n) for f, n in maps_factor_squares(5)]
+    assert len(squares) == 30
+    lifts = benchmark.pedantic(lift_all, args=(squares,),
+                               setup=prochain.cache_clear, rounds=10)
+    for (i, p, _), h in zip(squares, lifts):
+        assert h.compose(i).equal(i) and p.compose(h).equal(p)

@@ -42,26 +42,33 @@ def cells_spaces(p: int, seed: int = 5):
 
 
 def _maps_item_arguments(label: str, seed: int):
-    """The default argument of the run of each item with that label in the
+    """The default arguments of the run of each item with that label in the
     benchmark's `maps` workload, in the order the workload builds them."""
     if BENCH not in sys.path:
         sys.path.append(BENCH)
     workloads = importlib.import_module("workloads")
-    return [item.run.__defaults__[0] for item in workloads.maps_items(seed)
+    return [item.run.__defaults__ for item in workloads.maps_items(seed)
             if item.label == label]
 
 
 def maps_postnikov_towers(seed: int = 5):
     """The towers of the `postnikov` items of the benchmark's `maps`
     workload (each item's run takes its tower as its default argument)."""
-    return _maps_item_arguments("postnikov", seed)
+    return [args[0] for args in _maps_item_arguments("postnikov", seed)]
 
 
 def maps_classify_maps(seed: int = 5):
     """The (f, g, gf) triples of the `classify` items of the benchmark's
     `maps` workload (each item's run takes its triple as its default
     argument)."""
-    return _maps_item_arguments("classify", seed)
+    return [args[0] for args in _maps_item_arguments("classify", seed)]
+
+
+def maps_factor_squares(seed: int = 5):
+    """The (f, n) of the `factor_lift` items of the benchmark's `maps`
+    workload, which factor f at n and lift in the factorization square
+    (each item's run takes f and n as its default arguments)."""
+    return _maps_item_arguments("factor_lift", seed)
 
 
 def package_module_names() -> list:

@@ -11,9 +11,10 @@ from conftest import (big_complex, cells_spaces, random_chain_tower,
                       random_composable_pair, random_map_into, random_map_out)
 from oracles import cell_state_factor, cone_les_exact
 from prochain import chain
-from prochain.chain import (CONE_CACHE_SIZE, cone, derived_hom, free_one_term,
-                            homology, homology_support, identity_map,
-                            induced_homology_map, minimal_model, moore_complex,
+from prochain.chain import (CONE_CACHE_SIZE, chain_map, cone, derived_hom,
+                            free_one_term, homology, homology_support,
+                            identity_map, induced_homology_map, make_complex,
+                            minimal_model, moore_complex,
                             multiplication_map, random_complex,
                             random_null_homotopic, shift, zero_complex,
                             zero_map, is_chain_map)
@@ -364,6 +365,16 @@ class TestWhitehead:
         assert tested > 20
 
 
+def change_basis(rng, B):
+    """g: B -> B' and its inverse, with B' the complex B in a basis changed
+    by random shears in every degree."""
+    G = {m: chain._random_unimodular(rng, B.rank(m), B.ring) for m in B.degrees}
+    B2 = make_complex(B.ring, {m: B.rank(m) for m in B.degrees},
+                      {m: G[m - 1][0] @ B.diff(m) @ G[m][1] for m in B.degrees[1:]})
+    return (chain_map(B, B2, {m: G[m][0] for m in B.degrees}),
+            chain_map(B2, B, {m: G[m][1] for m in B.degrees}))
+
+
 def factor_rounds(f, n):
     """The complexes factor_n(f, n) builds (one after the disks and one per
     round of cell attachment), and its bound from the first cone: the
@@ -464,6 +475,28 @@ class TestFactorLift:
             assert h is not None
             assert h.compose(i).equal(i2.compose(i))
             assert p2.compose(h).equal(p)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]), st.integers(min_value=-2, max_value=2),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_lift_in_changed_bases(self, seed, ring, n, other):
+        # f = p o i = p2 o i2 through the factorization at n and, when
+        # `other`, the one at n - 1 (a co-(n-1)-fibration is a co-n one).
+        # B, the middle of (i, p), changes basis by shears, so i's Smith V
+        # is no identity.  Middles reach rank 40; past that, Smith forms
+        # over Z of sheared squares can take minutes (the coefficient growth
+        # of ROADMAP item 4)
+        rng = random.Random(seed)
+        f, _ = random_composable_pair(rng, ring, lo=-1, hi=1, max_rank=3)
+        i, p = factor_n(f, n)
+        i2, p2 = factor_n(f, n - 1) if other else (i, p)
+        g, g_inv = change_basis(rng, i.target)
+        square = (g.compose(i), p2, i2, p.compose(g_inv))
+        h = find_lift(*square, n)
+        assert h is not None
+        assert h.compose(square[0]).equal(i2)
+        assert p2.compose(h).equal(square[3])
 
     def test_lift_precondition_errors(self):
         f = multiplication_map(Z0, 2)
