@@ -19,8 +19,8 @@ from .errors import PostconditionViolated, PreconditionViolated, ValidationError
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
                               group_from_presentation, induced_hom,
                               trivial_group)
-from .exactalg.matrices import (IntMatrix, Lattice, block_matrix, kernel_lattice,
-                                kron)
+from .exactalg.matrices import (IntMatrix, Lattice, _check_size, block_matrix,
+                                kernel_lattice, kron)
 from .exactalg.ring import RingTag, ZZ, check_same_ring
 from .value import Value, store
 
@@ -461,6 +461,8 @@ def hom_complex(X: ChainComplex, Y: ChainComplex) -> HomComplexView:
     hi = Y.hi - X.lo
     layout = {n: _hom_blocks(X, Y, n) for n in range(lo, hi + 1)}
     ranks = {n: sum(layout[n].values()) for n in range(lo, hi + 1)}
+    for n in range(lo + 1, hi + 1):  # refuse from the ranks, before any block
+        _check_size("Hom complex differential", ranks[n - 1], ranks[n])
     diffs = {}
     for n in range(lo + 1, hi + 1):
         src, tgt = layout[n], layout[n - 1]

@@ -8,16 +8,21 @@ replayed from a log when a caller first reads it, so group normalization
 downstream never has to invert anything, and a caller that reads one side,
 or only the diagonal, never builds the other.
 
-Storage is dense, but the arithmetic is not: products, the SNF elimination
-and its replay all run through one row kernel, `_axpy`, which adds c times
-a row into another in place and visits only the nonzero entries of the row
-it adds.  A product with an empty dimension or a zero left factor is zero at
-once.  Products and `kron` read the ring once: over Z entries are exact and
-never reduced, over F_p every entry is taken mod p.  The other constructors
-and operations reduce entry by entry through the ring tag.  The SNF kernel
-and its replay likewise take the modulus from the ring once per call and
-pass it to every row combination: over Z entries are exact, over F_p the
-input is reduced once and every combination is taken mod p.
+Storage is dense, but the arithmetic is not: products, and the SNF
+elimination and its replay over Z and odd p, run through one row kernel,
+`_axpy`, which adds c times a row into another in place and visits only the
+nonzero entries of the row it adds.  Over F_2 the elimination and its
+replay hold each row as one int instead, column j at bit n-1-j, so that a
+row addition is one xor; they log the same operations as the list path, so
+the diagonal and the transforms are the same.  Products stay on lists over
+every ring, since most of them are 1x1 or 2x2, where packing costs more
+than it saves.  A product with an empty dimension or a zero left factor is
+zero at once.  Products and `kron` read the ring once: over Z entries are
+exact and never reduced, over F_p every entry is taken mod p.  The other
+constructors and operations reduce entry by entry through the ring tag.
+The SNF kernel and its replay likewise take the modulus from the ring once
+per call: over Z entries are exact, over F_p the input is reduced once and
+every combination is taken mod p.
 
 A subgroup of ring^m is a `Lattice` (`kernel_lattice`, `span_lattice`): a
 basis with a matrix C from the same Smith form, C @ basis diagonal.  Its
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import chain, compress
-from operator import floordiv, mod, neg
+from operator import floordiv, itemgetter, mod, neg
 from typing import Iterable, Optional, Sequence
 
 from ..errors import PreconditionViolated, SizeBudgetExceeded, ValidationError
@@ -186,13 +191,22 @@ class IntMatrix(Value):
 
     def take_rows(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
-        e = tuple(x for i in idx for x in self.row(i))
-        return IntMatrix(len(idx), self.cols, e, self.ring)
+        e, n = self.entries, self.cols
+        return IntMatrix(len(idx), n, tuple(chain.from_iterable(
+            [e[i * n:(i + 1) * n] for i in idx])), self.ring)
 
     def take_columns(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
-        e = tuple(self.entries[i * self.cols + j] for i in range(self.rows) for j in idx)
-        return IntMatrix(self.rows, len(idx), e, self.ring)
+        e, n = self.entries, self.cols
+        if len(idx) == 1:
+            out = e[idx[0]::n]
+        elif idx:
+            pick = itemgetter(*idx)
+            out = tuple(chain.from_iterable(
+                [pick(e[i:i + n]) for i in range(0, len(e), n)]))
+        else:
+            out = ()
+        return IntMatrix(self.rows, len(idx), out, self.ring)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i))
@@ -205,7 +219,7 @@ _set_rows, _set_cols, _set_entries, _set_ring = (
 
 def _mod(entries, p: int) -> tuple:
     """The entries as a tuple, over F_p (p > 0) taken mod p."""
-    return tuple(x % p for x in entries) if p else tuple(entries)
+    return tuple(map(p.__rmod__, entries)) if p else tuple(entries)
 
 
 def _offsets(sizes):
@@ -293,7 +307,10 @@ def _replay(ops: list, size: int, p: int, inverse: bool) -> list:
     operations to the identity, or with `inverse` the rows of (X^-1)^T,
     built by applying the inverse transpose of each operation instead, so
     that X Y^T stays the identity after every step.  The row log gives U
-    and (U^-1)^T, the column log V^T and V^-1."""
+    and (U^-1)^T, the column log V^T and V^-1.
+
+    Rows are lists here, over Z and F_p; `SnfResult` replays an F_2 log
+    with `_replay_f2` instead, on rows packed as `_pack` packs them."""
     X = [[0] * size for _ in range(size)]
     for i in range(size):
         X[i][i] = 1
@@ -308,6 +325,38 @@ def _replay(ops: list, size: int, p: int, inverse: bool) -> list:
                 _axpy(X[a], X[b], c, p)
         else:
             X[a] = _scale(X[a], c if inverse else b, p)
+    return X
+
+
+# ASCII digits to and from the bytes 0 and 1, so that F_2 rows are packed
+# and unpacked by int(..., 2) and format at C speed
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack(entries: Sequence[int], m: int, n: int) -> list:
+    """The rows of an m x n matrix over F_2 as ints, column j at bit
+    n-1-j; entries are read mod 2, since the constructor leaves them as
+    given."""
+    if not n:
+        return [0] * m
+    digits = bytes(map((1).__and__, entries)).translate(_TO_DIGITS)
+    return [int(digits[i:i + n], 2) for i in range(0, m * n, n)]
+
+
+def _replay_f2(ops: list, size: int, inverse: bool) -> list:
+    """`_replay` over F_2 on packed rows: an addition is one xor, or
+    nothing when c is even, and the only unit to scale by is 1."""
+    X = [1 << i for i in range(size - 1, -1, -1)]
+    it = iter(ops)
+    for kind, a, b, c in zip(it, it, it, it):
+        if kind == _SWAP:
+            X[a], X[b] = X[b], X[a]
+        elif kind == _ADD and c & 1:
+            if inverse:
+                X[b] ^= X[a]
+            else:
+                X[a] ^= X[b]
     return X
 
 
@@ -332,12 +381,20 @@ class SnfResult:
         built too."""
         size = self.m if side == "U" else self.n
         _check_size("Smith transform", size, size)
-        rows = _replay(self._ops[side], size, self.ring.p, inverse)
+        ops, p = self._ops[side], self.ring.p
         if (side if inverse else side + "inv") in self.__dict__:
             self._ops[side] = None
-        if inverse != (side == "V"):  # the replay gives (U^-1)^T and V^T
-            rows = zip(*rows)
-        return IntMatrix(size, size, tuple(chain.from_iterable(rows)), self.ring)
+        transposed = inverse != (side == "V")  # the replay gives (U^-1)^T and V^T
+        if p == 2:
+            bits = f"0{size}b"
+            e = "".join([format(r, bits) for r in _replay_f2(ops, size, inverse)]
+                        ).encode().translate(_FROM_DIGITS)
+            if transposed:
+                e = b"".join([e[j::size] for j in range(size)])
+        else:
+            rows = _replay(ops, size, p, inverse)
+            e = chain.from_iterable(zip(*rows) if transposed else rows)
+        return IntMatrix(size, size, tuple(e), self.ring)
 
     @cached_property
     def U(self) -> IntMatrix:
@@ -377,15 +434,25 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
     Only A itself is eliminated here.  Every row operation is appended to
     one flat int list and every column operation to another, 4 ints each
     (see `_SWAP`), and `SnfResult` replays a list into U, U^-1, V or V^-1
-    when a caller first reads it.  Every row addition, here and in the
-    replay, is one in-place `_axpy`, which skips the zero entries of the row
-    it adds.  Rows and columns before the pivot t are
-    zero apart from their pivots, so the pivot search and the clearing
-    passes visit A[t:, t:] only; while column t is zero off the pivot, a
-    column operation on A changes row t alone.
+    when a caller first reads it.  Over Z and odd p the rows of A are lists
+    (`_eliminate`); over F_2 each row is one int, column j at bit n-1-j
+    (`_eliminate_f2`), which logs exactly the operations the list path
+    logs, so the diagonal and every transform are the same.
     """
-    ring = M.ring
-    p = ring.p
+    eliminate = _eliminate_f2 if M.ring.p == 2 else _eliminate
+    diag, row_ops, col_ops = eliminate(M)
+    return SnfResult(diag, M.rows, M.cols, M.ring, row_ops, col_ops)
+
+
+def _eliminate(M: IntMatrix) -> tuple:
+    """(diagonal, row log, column log) of `_snf_impl`, on rows held as
+    lists.  Every row addition, here and in the replay, is one in-place
+    `_axpy`, which skips the zero entries of the row it adds.  Rows and
+    columns before the pivot t are zero apart from their pivots, so the
+    pivot search and the clearing passes visit A[t:, t:] only; while column
+    t is zero off the pivot, a column operation on A changes row t alone.
+    """
+    p = M.ring.p
     m, n = M.rows, M.cols
     e = _mod(M.entries, p)
     A = [list(e[i * n:(i + 1) * n]) for i in range(m)]
@@ -494,7 +561,47 @@ def _snf_impl(M: IntMatrix) -> SnfResult:
             row_ops.extend((_SCALE, t, u, piv if p else u))
         t += 1
 
-    return SnfResult(tuple(A[i][i] for i in range(limit)), m, n, ring, row_ops, col_ops)
+    return tuple(A[i][i] for i in range(limit)), row_ops, col_ops
+
+
+def _eliminate_f2(M: IntMatrix) -> tuple:
+    """`_eliminate` over F_2, on rows packed by `_pack`.  Rows from t on are
+    zero before column t, so the pivot is the highest bit of the first
+    nonzero row; a row addition is one xor, clearing row t walks its bits
+    below the pivot in column order, and no pivot needs scaling."""
+    m, n = M.rows, M.cols
+    A = _pack(M.entries, m, n)
+    row_ops, col_ops = [], []
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        bi = next((i for i in range(t, m) if A[i]), None)
+        if bi is None:
+            break
+        bj = n - A[bi].bit_length()
+        if bi != t:
+            A[t], A[bi] = A[bi], A[t]
+            row_ops += (_SWAP, t, bi, 0)
+        s = n - 1 - t  # the bit of column t
+        if bj != t:
+            sj = n - 1 - bj
+            both = 1 << s | 1 << sj
+            for i in range(t, m):
+                if (A[i] >> s ^ A[i] >> sj) & 1:
+                    A[i] ^= both
+            col_ops += (_SWAP, t, bj, 0)
+        piv = A[t]
+        for i in range(t + 1, m):
+            if A[i] >> s & 1:
+                A[i] ^= piv
+                row_ops += (_ADD, i, t, -1)
+        rest = piv ^ (1 << s)
+        while rest:
+            b = rest.bit_length()
+            col_ops += (_ADD, n - b, t, -1)
+            rest ^= 1 << (b - 1)
+        t += 1
+    return (1,) * t + (0,) * (limit - t), row_ops, col_ops
 
 
 # A benchmark round factors up to about 800 distinct matrices (`maps`);

@@ -64,6 +64,11 @@ SMITH_FORMS = [
     ((48, 64), ZZ, 0.05),
     ((30, 30), GF(2), 0.5),
     ((30, 30), GF(3), 0.2),
+    # F_2 on packed rows, at the shapes of the `cells` workload's largest
+    # differentials (the surfaces' d_2, the spheres' middle one) and sparse
+    ((48, 32), GF(2), 0.15),
+    ((35, 35), GF(2), 0.15),
+    ((200, 200), GF(2), 0.02),
 ]
 
 

@@ -22,17 +22,18 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
-def cells_spaces(p: int, seed: int = 5):
+def cells_spaces(p: int, seed: int = 5, spaces=None):
     """The spaces of the benchmark's `cells` workload over Z (p = 0) or F_p,
-    built by bench/gen.py in the standard basis and in a changed basis
-    drawn as the workload draws it: a list of (label, complex).  The bench
-    modules import each other by plain name, so bench/ goes on the path."""
+    or the (name, size) `spaces` given, built by bench/gen.py in the
+    standard basis and in a changed basis drawn as the workload draws it: a
+    list of (label, complex).  The bench modules import each other by plain
+    name, so bench/ goes on the path."""
     if BENCH not in sys.path:
         sys.path.append(BENCH)
     gen, workloads = importlib.import_module("gen"), importlib.import_module("workloads")
     rng = gen.Draw("cells", seed).values
     out = []
-    for name, size in workloads.SPACES:
+    for name, size in spaces or workloads.SPACES:
         ranks, diffs, _ = gen.space(name, size)
         P = gen.Plain(p, ranks, diffs)
         Q = gen.conjugate(P, gen.basis_change(rng, P, workloads.CHANGED_BASIS_SHEARS))

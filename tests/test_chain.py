@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import big_complex, cells_spaces, random_map_into, random_map_out
 from oracles import cone_les_exact
+from prochain import chain as chain_module
 from prochain.chain import (ChainComplex, ChainMap, chain_map, cone, derived_hom,
                             free_one_term, hom_complex,
                             homology, homology_data, identity_map,
@@ -18,7 +19,7 @@ from prochain.chain import (ChainComplex, ChainMap, chain_map, cone, derived_hom
                             random_null_homotopic, shift, validate,
                             zero_complex, zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
-                             ValidationError)
+                             SizeBudgetExceeded, ValidationError)
 from prochain.exactalg.matrices import (IntMatrix, kernel_lattice, snf,
                                        span_lattice)
 from prochain.exactalg.ring import GF, ZZ
@@ -116,6 +117,13 @@ class TestBasics:
                     verdicts.append(is_chain_map(f))
                     assert verdicts[-1] == products_commute(f)
         assert len(set(verdicts)) == 2
+
+    def test_f2_homology_of_a_large_sphere_in_a_changed_basis(self):
+        # the boundary of the 9-simplex, S^8, in a changed basis drawn as
+        # the `cells` workload draws it: differentials up to 252 x 210
+        X = dict(cells_spaces(2, spaces=[("sphere", 9)]))["sphere9-changed"]
+        assert [homology(X, n).orders for n in range(-1, 10)] == \
+            [(), (0,)] + [()] * 7 + [(0,), ()]
 
 
 class TestCone:
@@ -244,6 +252,17 @@ class TestHomComplex:
     def test_into_zero(self):
         hc = hom_complex(M2, zero_complex())
         assert hc.complex.is_zero
+
+    def test_size_is_checked_from_the_ranks(self, monkeypatch):
+        # Hom(Z^4100 in degree 0, M2) has 4100 generators in degrees 1 and
+        # 0, so its differential would have 4100^2 > MAX_DENSE_ENTRIES
+        # entries; it is refused before any block is built
+        monkeypatch.setattr(chain_module, "kron",
+                            lambda *blocks: pytest.fail("a block was built"))
+        X = free_one_term(ZZ, 0, 4100)
+        with pytest.raises(SizeBudgetExceeded,
+                           match="Hom complex differential of shape 4100x4100 "):
+            hom_complex(X, M2)
 
     @given(st.integers(min_value=0, max_value=2 ** 30), rings)
     @settings(max_examples=15, deadline=None)

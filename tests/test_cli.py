@@ -706,14 +706,14 @@ class TestDriver:
                           "--out", str(tmp_path / "out"))
 
     def test_dense_matrix_past_the_budget_is_one_error_line(self, tmp_path):
-        # Hom(B, B) has 2 * 1500^2 generators in degree 0, and its
-        # differential would be built from a Kronecker product with
-        # 5 * 10^12 entries
+        # Hom(B, B) has 2 * 1500^2 generators in degree 0 and 1500^2 in
+        # degree -1, so its differential would have 10^13 entries; it is
+        # refused from the ranks, before a block is built
         p = self.derived_hom_b_b_0(
             tmp_path, '{"ring":"Z","complexes":{"B":{"ranks":{"0":1500,"1":1500},"diffs":{}}}}')
         assert p.returncode == 1
-        assert p.stderr == ("error: Kronecker product of shape 2250000x2250000 would have "
-                            "5062500000000 entries, more than the 16777216 allowed\n")
+        assert p.stderr == ("error: Hom complex differential of shape 2250000x4500000 would "
+                            "have 10125000000000 entries, more than the 16777216 allowed\n")
 
     def test_smith_transform_past_the_budget_is_one_error_line(self, tmp_path):
         # Hom(B, B) has 3000^2 generators in degree 0 and a 0 x 9 * 10^6

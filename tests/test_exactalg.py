@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import pickle
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +139,37 @@ class TestSnf:
         assert (s.Vinv @ s.V).entries == IntMatrix.identity(n, GF(p)).entries
         r = s.rank
         assert s.diag == (1,) * r + (0,) * (min(m, n) - r)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60),
+           st.floats(min_value=0, max_value=1),
+           st.sampled_from([(1,), (1, -1, -3, 5, 2, -4)]))
+    @settings(max_examples=100, deadline=None)
+    def test_packed_f2_path_is_the_list_path(self, seed, m, n, density, values):
+        # over F_2 the elimination and the replay run on rows packed into
+        # ints; the list path on the same matrix must log the same
+        # operations and give the same diagonal and transforms.  The raw
+        # constructor leaves entries unreduced, even ones among them, and
+        # about one row and one column in four are zero
+        rng = random.Random(seed)
+        zero_rows = {i for i in range(m) if rng.random() < 0.25}
+        zero_cols = {j for j in range(n) if rng.random() < 0.25}
+        M = IntMatrix(m, n, tuple(
+            rng.choice(values) if i not in zero_rows and j not in zero_cols
+            and rng.random() < density else 0
+            for i in range(m) for j in range(n)), GF(2))
+        diag, row_ops, col_ops = matrices._eliminate(M)
+        assert matrices._eliminate_f2(M) == (diag, row_ops, col_ops)
+
+        def replayed(ops, size, inverse, transposed):
+            rows = matrices._replay(ops, size, 2, inverse)
+            return tuple(chain.from_iterable(zip(*rows) if transposed else rows))
+        s = matrices._snf_impl(M)
+        assert s.diag == diag
+        assert s.U.entries == replayed(row_ops, m, False, False)
+        assert s.Uinv.entries == replayed(row_ops, m, True, True)
+        assert s.V.entries == replayed(col_ops, n, False, True)
+        assert s.Vinv.entries == replayed(col_ops, n, True, False)
 
     def test_snf_output_pinned(self):
         # every transform and the diagonal, byte for byte, on a fixed list
