@@ -250,13 +250,17 @@ class Page(Record):
 
 class SpectralSequence:
     """The spectral sequence of Hom(X, Y) filtered by the truncations of Y,
-    read off the level pieces of Y: E^2_{p,q} = [X, L_q Y]_{p+q}."""
+    read off the level pieces of Y: E^2_{p,q} = [X, L_q Y]_{p+q}.
 
-    def __init__(self, X: ChainComplex, Y: ChainComplex):
+    It is indexed by `window`, by default _window(X, Y); a pair of models
+    passes the window of the pair they stand for (`on_minimal_models`)."""
+
+    def __init__(self, X: ChainComplex, Y: ChainComplex,
+                 window: Optional[Window] = None):
         check_same_ring(X, Y)
         self.X, self.Y = X, Y
         self.ring = X.ring
-        self.window = _window(X, Y)
+        self.window = window if window is not None else _window(X, Y)
         self.pieces = level_pieces(Y)
         self._graded_memo: Dict[int, Dict[int, SubquotientData]] = {}
         self.pages: List[Page] = [self._e2()]
@@ -295,10 +299,11 @@ class SpectralSequence:
 
     def graded(self, n: int) -> Dict[int, SubquotientData]:
         """{q: F_q / F_{q+1}} of abutment_filtration(X, Y, n) for q in the
-        window, computed once per n.  F_q is the part of [X, Y]_n carried
-        by the cycles of Hom(X, tau_{>= q} Y) inside Hom(X, Y); it reads the
-        truncations of Y and not the level pieces the pages come from, so
-        comparing it with E-infinity is a check and not a tautology."""
+        window of (X, Y), computed once per n.  F_q is the part of [X, Y]_n
+        carried by the cycles of Hom(X, tau_{>= q} Y) inside Hom(X, Y); it
+        reads the truncations of Y and not the level pieces the pages come
+        from, so comparing it with E-infinity is a check and not a
+        tautology."""
         gr = self._graded_memo.get(n)
         if gr is None:
             total, filt = abutment_filtration(self.X, self.Y, n)
@@ -316,7 +321,9 @@ class SpectralSequence:
         the quotient model of T_{<= k} Y; and the graded comparison compares
         E-infinity slot by slot with `graded`, whose filtration is read off
         the cycles of Hom(X, Y) that come from Hom(X, tau_{>= q} Y), apart
-        from the level pieces.
+        from the level pieces.  The slots are those of `window`; a q that
+        `graded` leaves out lies outside the window of (X, Y) and reads as
+        the zero group.
         """
         X, Y, w = self.X, self.Y, self.window
         pages, stable = self.run_to_stable()
@@ -325,10 +332,29 @@ class SpectralSequence:
         colim_ok = _colimit_condition(X, Y, w)
 
         graded: Dict[Slot, bool] = {}
+        zero = trivial_group(self.ring)
         for n in range(w.n_lo, w.n_hi + 1):
-            for q, gr in self.graded(n).items():
-                graded[(n - q, q)] = einf.group_at(n - q, q, self.ring).isomorphic(gr.group)
+            gr = self.graded(n)
+            for q in range(w.q_lo, w.q_hi + 1):
+                g = gr[q].group if q in gr else zero
+                graded[(n - q, q)] = einf.group_at(n - q, q, self.ring).isomorphic(g)
         return ConvergenceReport(finite, finite, colim_ok, stable, graded)
+
+
+def on_minimal_models(X: ChainComplex, Y: ChainComplex) -> SpectralSequence:
+    """The spectral sequence of (X, Y) computed on minimal_model(X) and
+    minimal_model(Y), indexed by the window of (X, Y).
+
+    Each model is homotopy equivalent to its complex (see `minimal_model`),
+    and E^2 = [X, L_q Y], the abutment [X, Y]_n with its quotients
+    F_q / F_{q+1}, and the colimit condition [X, T_{<= k} Y]_n are homotopy
+    invariants in X and in Y: the truncations are invariant under
+    quasi-isomorphism and keep bounded free complexes.  A model's support
+    lies inside its complex's, so every slot of the pair's window outside
+    the models' is zero on both sides.  So its pages and report are those
+    of SpectralSequence(X, Y), group for group and slot for slot."""
+    return SpectralSequence(chain.minimal_model(X), chain.minimal_model(Y),
+                            _window(X, Y))
 
 
 def run_to_stable(X: ChainComplex, Y: ChainComplex) -> Tuple[List[Page], int]:
@@ -424,8 +450,10 @@ class ConvergenceReport(Record):
 
 def convergence_check(X: ChainComplex, Y: ChainComplex) -> ConvergenceReport:
     """SpectralSequence(X, Y).convergence(): the lim/lim^1 and colimit
-    conditions, and E-infinity against the graded abutment slot by slot."""
-    return SpectralSequence(X, Y).convergence()
+    conditions, and E-infinity against the graded abutment slot by slot.
+    It is computed on the minimal models in the window of (X, Y)
+    (`on_minimal_models`), so the report is that of the pair."""
+    return on_minimal_models(X, Y).convergence()
 
 
 # ---------------------------------------------------------------------------

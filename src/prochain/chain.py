@@ -19,8 +19,8 @@ from .errors import PostconditionViolated, PreconditionViolated, ValidationError
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
                               group_from_presentation, induced_hom,
                               trivial_group)
-from .exactalg.matrices import (IntMatrix, Lattice, _check_size, block_matrix,
-                                kernel_lattice, kron)
+from .exactalg.matrices import (IntMatrix, Lattice, _check_size, _mod,
+                                block_matrix, kernel_lattice, kron)
 from .exactalg.ring import RingTag, ZZ, check_same_ring
 from .value import Value, store
 
@@ -86,7 +86,7 @@ def _in_ring(M: IntMatrix, ring: RingTag) -> IntMatrix:
     are exact already."""
     p = ring.p
     if p:
-        return IntMatrix(M.rows, M.cols, tuple(x % p for x in M.entries), ring)
+        return IntMatrix(M.rows, M.cols, _mod(M.entries, p), ring)
     return M if M.ring == ring else IntMatrix(M.rows, M.cols, M.entries, ring)
 
 
@@ -350,7 +350,9 @@ HOMOLOGY_CACHE_SIZE = 4096
 HOM_COMPLEX_CACHE_SIZE = 1024
 # a `cells` round asks for the models of 39 complexes 342 times; without the
 # table every cohomology group rebuilds its model, and the round reads
-# homology_data 2,196 times instead of 734
+# homology_data 2,196 times instead of 734.  A `spectral` round builds about
+# 200 models for the convergence check, each read once, so a larger table
+# would only hold them longer
 MINIMAL_MODEL_CACHE_SIZE = 128
 
 
@@ -401,7 +403,12 @@ def minimal_model(X: ChainComplex) -> ChainComplex:
     image becomes.  The sum of these maps is a quasi-isomorphism between
     bounded complexes of free modules, and so a homotopy equivalence.  Over
     F_p there is no torsion and every differential of M is zero; over Z, M
-    has rank X_k minus the unit invariant factors of d_k and d_{k+1}."""
+    has rank X_k minus the unit invariant factors of d_k and d_{k+1}.
+
+    Readers that need only homotopy invariants compute on M in place of X:
+    `tstruct.cohomology_with_coefficients`, and `ahss.on_minimal_models`
+    (the convergence check and the `ahss` report).  Readers of coordinates
+    in Hom(X, Y) cannot, since M comes with no maps to or from X."""
     ring = X.ring
     H = {k: homology(X, k) for k in X.degrees}
     tors = {k: h.invariant_factors for k, h in H.items()}

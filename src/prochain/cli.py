@@ -219,8 +219,8 @@ def cmd_prohom_const(ws, rep, args, X, Y, n):
 
 
 def cmd_ahss(ws, rep, args, X, Y):
-    from .ahss import SpectralSequence
-    ss = SpectralSequence(X, Y)
+    from .ahss import on_minimal_models
+    ss = on_minimal_models(X, Y)
     pages, stable = ss.run_to_stable()
     base = f"ahss_{args.names[0]}_{args.names[1]}"
     for page in pages:

@@ -75,8 +75,8 @@ class IntMatrix(Value):
         for r in rows:
             if len(r) != n:
                 raise ValidationError("rows have varying lengths")
-            flat.extend(ring.reduce(int(x)) for x in r)
-        return IntMatrix(m, n, tuple(flat), ring)
+            flat.extend(map(int, r))
+        return IntMatrix(m, n, _mod(flat, ring.p), ring)
 
     @staticmethod
     def zeros(m: int, n: int, ring: RingTag = ZZ) -> "IntMatrix":

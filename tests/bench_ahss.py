@@ -1,7 +1,8 @@
 """Micro-benchmarks of the `ahss` layer: the abutment filtration against its
 truncation-by-truncation oracle, the colimit condition on the quotient model
 of T_{<= k} Y against the cone model, and the convergence check as a whole,
-on fixed pairs of total rank 3 to 8 over Z and F_2, from cold caches.
+on the minimal models (`convergence_check`) against the pair itself, on
+fixed pairs of total rank 3 to 8 over Z and F_2, from cold caches.
 
     PYTHONPATH=src python -m pytest tests/bench_ahss.py --benchmark-only
 
@@ -16,7 +17,8 @@ import pytest
 import prochain
 from oracles import abutment_filtration_by_truncations, cone_below
 from prochain import ahss
-from prochain.ahss import _window, abutment_filtration, convergence_check
+from prochain.ahss import (SpectralSequence, _window, abutment_filtration,
+                           convergence_check)
 from prochain.chain import random_complex
 from prochain.exactalg.ring import GF, ZZ
 from prochain.tstruct import truncate_below
@@ -67,9 +69,15 @@ def test_colimit_condition(benchmark, monkeypatch, model, rank, ring):
     assert ok
 
 
+def convergence_on_the_pair(X, Y):
+    return SpectralSequence(X, Y).convergence()
+
+
 @pytest.mark.parametrize("rank, ring", CASES, ids=IDS)
-def test_convergence_check(benchmark, rank, ring):
+@pytest.mark.parametrize("check", [convergence_check, convergence_on_the_pair],
+                         ids=["models", "pair"])
+def test_convergence_check(benchmark, check, rank, ring):
     X, Y = pair(rank, ring)
-    report = benchmark.pedantic(convergence_check, args=(X, Y),
+    report = benchmark.pedantic(check, args=(X, Y),
                                 setup=prochain.cache_clear, rounds=20)
     assert report.all_iso

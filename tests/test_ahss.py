@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_chain_tower
+from conftest import big_complex, random_chain_tower
 from oracles import (GenericPages, abutment_filtration_by_truncations,
                      coefficient_e2, cone_below)
 from prochain import ahss, chain
@@ -15,10 +15,11 @@ from prochain.ahss import (SpectralSequence, abutment_filtration,
                            e2_identification_check, level_pieces, pro_ahss,
                            run_to_stable)
 from prochain.chain import (ChainComplex, HomComplexView, _random_unimodular,
-                            chain_map, derived_hom, direct_sum_complex,
-                            free_one_term, homology, make_complex, moore_complex,
-                            multiplication_map, random_complex,
-                            random_null_homotopic, zero_complex, zero_map)
+                            chain_map, cone, derived_hom, direct_sum_complex,
+                            free_one_term, homology, identity_map, make_complex,
+                            minimal_model, moore_complex, multiplication_map,
+                            random_complex, random_null_homotopic, zero_complex,
+                            zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
                              PreconditionViolated)
 from prochain.exactalg.groups import (full_subgroup, image, kernel,
@@ -304,6 +305,77 @@ ABOVE_ITS_CHAINS = make_complex(ZZ, {-1: 1, 0: 1, 1: 1},
                                 {0: IntMatrix.from_rows([[1]], ZZ)})
 # Z/2 in degree 0 and Z in degree 1, so that Y / tau_{>= 1} Y is neither Y nor 0
 M2_Z1 = make_complex(ZZ, {0: 1, 1: 2}, {1: IntMatrix.from_rows([[2, 0]], ZZ)})
+
+
+def padded(rng: random.Random, X: ChainComplex) -> ChainComplex:
+    """X, or X plus a contractible summand reaching a degree past X at
+    either end, which widens the window of X and not that of its model."""
+    if rng.random() < 0.5:
+        return X
+    W = random_complex(rng.randrange(2 ** 30), X.ring, X.lo - 1, X.hi, 2)
+    return direct_sum_complex(X, cone(identity_map(W)))[0]
+
+
+def assert_models_agree(X, Y):
+    """The model path against the pair path: the same convergence report,
+    and the same E^2 invariants slot by slot on every page."""
+    model, pair = ahss.on_minimal_models(X, Y), SpectralSequence(X, Y)
+    assert model.window == pair.window
+    assert convergence_check(X, Y) == pair.convergence()
+    pages, want = model.run_to_stable()[0], pair.run_to_stable()[0]
+    assert [page.r for page in pages] == [page.r for page in want]
+    for page, ref in zip(pages, want):
+        assert sorted(page.groups) == sorted(ref.groups)
+        for slot, g in ref.groups.items():
+            h = page.groups[slot]
+            assert (h.invariant_factors, h.free_rank) == (g.invariant_factors, g.free_rank)
+
+
+class TestOnMinimalModels:
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([ZZ, GF(2)]))
+    @settings(max_examples=25, deadline=None)
+    def test_models_against_the_pair(self, seed, ring):
+        rng = random.Random(seed)
+        X = padded(rng, big_complex(rng, ring, -1, 1))
+        Y = padded(rng, big_complex(rng, ring, -1, 1))
+        assert_models_agree(X, Y)
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)])
+    @pytest.mark.parametrize("case", ["acyclic X", "acyclic Y", "zero Y", "zero X"])
+    def test_degenerate_pairs(self, case, ring):
+        rng = random.Random(11)
+        X = big_complex(rng, ring, -1, 1)
+        Y = big_complex(rng, ring, -1, 1)
+        X, Y = {"acyclic X": (cone(identity_map(X)), Y),
+                "acyclic Y": (X, cone(identity_map(Y))),
+                "zero Y": (X, zero_complex(ring)),
+                "zero X": (zero_complex(ring), Y)}[case]
+        assert_models_agree(X, Y)
+
+    def test_report_keeps_the_pairs_window(self):
+        # Y has chains in degrees -1..1 and homology in degree 1 only, so
+        # its model's window is narrower; the slots and the stable page are
+        # still those of (X, Y)
+        X, Y = M2, ABOVE_ITS_CHAINS
+        w = ahss._window(X, Y)
+        assert ahss._window(minimal_model(X), minimal_model(Y)) != w
+        rep = convergence_check(X, Y)
+        assert sorted(rep.graded_comparison) == sorted(w.slots())
+        assert rep.stable_page == w.width + 2
+        assert rep == SpectralSequence(X, Y).convergence()
+
+    def test_builds_the_sequence_on_the_models(self, monkeypatch):
+        built = []
+        init = SpectralSequence.__init__
+
+        def recording_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(SpectralSequence, "__init__", recording_init)
+        X, Y = M2, ABOVE_ITS_CHAINS
+        convergence_check(X, Y)
+        assert built == [(minimal_model(X), minimal_model(Y), ahss._window(X, Y))]
 
 
 class TestColimitCondition:

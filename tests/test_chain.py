@@ -217,6 +217,14 @@ class TestInducedMaps:
                                                IntMatrix(1, 1, (4,), F3)))
         assert [homology(X, n).free_rank for n in range(3)] == [1, 0, 0]
 
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    def test_make_complex_reduces_into_the_ring(self, ring):
+        # differentials given over Z, with negative and large entries
+        d = IntMatrix(2, 2, (-1, 2 ** 70 + 1, 5, -(3 ** 50)), ZZ)
+        X = make_complex(ring, {0: 2, 1: 2}, {1: d})
+        assert X.diff(1).ring == ring
+        assert X.diff(1).entries == tuple(ring.reduce(x) for x in d.entries)
+
     @given(st.integers(min_value=0, max_value=2 ** 30), rings)
     @settings(max_examples=30, deadline=None)
     def test_homology_functoriality(self, seed, ring):

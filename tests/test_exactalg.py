@@ -379,6 +379,39 @@ class TestProduct:
         assert s.U.shape == (1, 1)
 
 
+class TestFromRows:
+    """Rows read as ints and reduced once, against reduction entry by entry."""
+
+    @given(st.sampled_from([GF(2), GF(3)]), st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_prime_field_entries_are_reduced(self, ring, m, n, data):
+        big = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+        rows = [data.draw(st.lists(big, min_size=n, max_size=n)) for _ in range(m)]
+        M = IntMatrix.from_rows(rows, ring, cols=n)
+        assert M.shape == (m, n)
+        assert M.entries == tuple(ring.reduce(x) for r in rows for x in r)
+        assert all(0 <= x < ring.p for x in M.entries)
+
+    def test_examples(self):
+        assert IntMatrix.from_rows([[-1, 5, 2 ** 70 + 1]], GF(2)).entries == (1, 1, 1)
+        assert IntMatrix.from_rows([[-1, -3], [4, -2 ** 65]], GF(3)).entries == (2, 0, 1, 1)
+        # bools and other int-like entries are read as ints
+        assert IntMatrix.from_rows([[True, False]], GF(3)).entries == (1, 0)
+
+    def test_integer_entries_stay_exact(self):
+        rows = [[2 ** 200 + 1, -(3 ** 90)], [-1, 0]]
+        M = IntMatrix.from_rows(rows)
+        assert M.entries == (2 ** 200 + 1, -(3 ** 90), -1, 0)
+        assert all(type(x) is int for x in M.entries)
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    def test_ragged_rows_are_refused(self, ring):
+        for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]]):
+            with pytest.raises(ValidationError, match="rows have varying lengths"):
+                IntMatrix.from_rows(rows, ring)
+
+
 class TestGroups:
     def test_presentations(self):
         assert group_from_presentation(IntMatrix.from_rows([[2]])).invariant_factors == (2,)
