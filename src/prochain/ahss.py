@@ -427,7 +427,7 @@ def _colimit_condition(X: ChainComplex, Y: ChainComplex, w: Window) -> bool:
         return True
     m = xsup[0]
     below = {k: truncate_below(Y, k) for k in range(w.n_lo - 2 + m, w.n_hi + m)}
-    return all(derived_hom(X, below[n - q], n).is_trivial
+    return all(chain.homology(chain.hom_complex(X, below[n - q]).complex, n).is_trivial
                for n in range(w.n_lo, w.n_hi + 1) for q in (1 - m, 2 - m))
 
 

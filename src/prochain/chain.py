@@ -5,8 +5,11 @@ degree-indexed tuples over a support interval [lo, hi].  Every module is
 free; torsion only ever appears in homology values.  The graded bracket
 [X,Y]_n is the degree-n homology of the hom complex, which computes maps in
 the derived category because sources are bounded complexes of frees.
-The mapping cone is cached as a complex alone; its inclusion and
-projection are built on demand, for the readers of those maps.
+Homology comes two ways: `homology`, up to isomorphism, off the Smith
+diagonals of the differentials, and `homology_data`, with the cycle
+coordinates that induced maps read.  The mapping cone is cached as a
+complex alone; its inclusion and projection are built on demand, for the
+readers of those maps.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from typing import Dict
 
 from .errors import PostconditionViolated, PreconditionViolated, ValidationError
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
-                              group_from_presentation, induced_hom,
-                              trivial_group)
+                              group_from_orders, group_from_presentation,
+                              induced_hom, trivial_group)
 from .exactalg.matrices import (IntMatrix, Lattice, _check_size, _mod,
-                                block_matrix, kernel_lattice, kron)
+                                block_matrix, kernel_lattice, kron, snf)
 from .exactalg.ring import RingTag, ZZ, check_same_ring
 from .value import Value, store
 
@@ -109,6 +112,7 @@ def make_complex(ring: RingTag, ranks: Dict[int, int],
     X = ChainComplex(ring, lo, hi, rk, tuple(ds))
     if not validate(X):
         raise ValidationError("d o d != 0")
+    X.__dict__["_valid"] = True  # so `homology` need not check it again
     return X
 
 
@@ -345,21 +349,27 @@ def cone_maps(f: ChainMap):
 # ---------------------------------------------------------------------------
 
 # bounds at twice or more the most distinct arguments one benchmark round
-# passes (1,616 homology groups and 295 hom complexes, both in `spectral`)
+# passes (seed 5: 1,392 `homology` groups in `maps`, 1,104 `homology_data`
+# subquotients and 243 hom complexes in `spectral`); `homology` and
+# `homology_data` keep one table each, of HOMOLOGY_CACHE_SIZE
 HOMOLOGY_CACHE_SIZE = 4096
 HOM_COMPLEX_CACHE_SIZE = 1024
 # a `cells` round asks for the models of 39 complexes 342 times; without the
 # table every cohomology group rebuilds its model, and the round reads
-# homology_data 2,196 times instead of 734.  A `spectral` round builds about
-# 200 models for the convergence check, each read once, so a larger table
-# would only hold them longer
+# `homology` 2,196 times instead of 734.  A `spectral` round asks 200 times
+# for 121 models, for the convergence check, so a larger table would only
+# hold them longer
 MINIMAL_MODEL_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
 def homology_data(X: ChainComplex, n: int) -> SubquotientData:
     """H_n(X) = ker d_n / im d_{n+1} as a subquotient of the chain group X_n,
-    presented on a lattice basis of the cycles."""
+    presented on a lattice basis of the cycles.
+
+    The one source of coordinates: call it to read cycles, or to pair the
+    group with induced maps (`induced_homology_map` reads both ends here).
+    For H_n up to isomorphism call `homology`, which builds no lattice."""
     ring = X.ring
     if X.rank(n) == 0:
         empty = IntMatrix.zeros(0, 0, ring)
@@ -373,8 +383,34 @@ def homology_data(X: ChainComplex, n: int) -> SubquotientData:
                            cycles)
 
 
+def _smith_diagonal(X: ChainComplex, n: int) -> tuple:
+    """The Smith diagonal of d_n, empty outside the support."""
+    return snf(X.diffs[n - X.lo - 1]).diag if X.lo < n <= X.hi else ()
+
+
+@lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
 def homology(X: ChainComplex, n: int) -> FgAbGroup:
-    return homology_data(X, n).group
+    """H_n(X) up to isomorphism, read off the Smith diagonals of d_n and
+    d_{n+1} alone (Dumas, Heckenbach, Saunders & Welker 2003): its free rank
+    is rank X_n - rank d_n - rank d_{n+1}, and over Z its torsion is the
+    diagonal entries > 1 of d_{n+1}.  No transform is replayed.
+
+    The group is canonical, with identity transforms, so groups with the
+    same invariants are equal; it is not the group `homology_data` presents
+    on the cycles, and maps induced on homology do not act on it.  Call
+    `homology_data` for those.  d o d = 0 is checked once per complex:
+    `make_complex` has checked every complex it built, and any other is
+    validated here on its first call."""
+    if "_valid" not in X.__dict__:
+        if not validate(X):
+            raise PostconditionViolated("boundaries are not cycles")
+        X.__dict__["_valid"] = True
+    ring = X.ring
+    if X.rank(n) == 0:
+        return trivial_group(ring)
+    down, up = _smith_diagonal(X, n), _smith_diagonal(X, n + 1)
+    free = X.rank(n) - sum(map(bool, down)) - sum(map(bool, up))
+    return group_from_orders(tuple(e for e in up if e > 1) + (0,) * free, ring)
 
 
 def homology_support(X: ChainComplex) -> tuple:
@@ -405,7 +441,9 @@ def minimal_model(X: ChainComplex) -> ChainComplex:
     F_p there is no torsion and every differential of M is zero; over Z, M
     has rank X_k minus the unit invariant factors of d_k and d_{k+1}.
 
-    Readers that need only homotopy invariants compute on M in place of X:
+    M is built from the invariants of `homology` alone, so it costs the
+    Smith diagonals of X and no cycle lattice.  Readers that need only
+    homotopy invariants compute on M in place of X:
     `tstruct.cohomology_with_coefficients`, and `ahss.on_minimal_models`
     (the convergence check and the `ahss` report).  Readers of coordinates
     in Hom(X, Y) cannot, since M comes with no maps to or from X."""

@@ -9,10 +9,12 @@ generators.  Over F_p there is no torsion and free_rank counts dimensions.
 Elements are coordinate tuples in canonical generators; homomorphisms are
 matrices in canonical generators, reduced modulo the target's relations.
 
-Subgroups, kernels, images, quotients, homology groups and Hom groups are
-subquotients (`SubquotientData`): the numerator is a `Lattice` of ambient
-generator vectors that contains the ambient relations, and the group is
-presented by the lattice coordinates of the denominator.  A Hom group's
+Subgroups, kernels, images, quotients, Hom groups and the homology groups
+of `chain.homology_data` are subquotients (`SubquotientData`): the
+numerator is a `Lattice` of ambient generator vectors that contains the
+ambient relations, and the group is presented by the lattice coordinates of
+the denominator.  The groups of `chain.homology` are canonical groups,
+built from their orders alone.  A Hom group's
 ambient is the free group on the entries of a matrix, so every map a
 functor induces on Hom groups, like any other, is one `induced_hom`.
 Membership, containment and encoding all ask `Lattice.coords`, so each

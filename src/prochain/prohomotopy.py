@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .chain import (ChainComplex, chain_map, derived_hom, homology,
+from .chain import (ChainComplex, chain_map, derived_hom, homology_data,
                     homology_support, induced_homology_map,
                     induced_map_on_derived_hom, identity_map)
 from .errors import WindowViolation
@@ -52,8 +52,9 @@ def tower_homology_support(T: Tower) -> Optional[Tuple[int, int]]:
 
 
 def homology_tower(T: Tower, n: int) -> Tower:
-    """Apply H_n levelwise; the tail policy carries over."""
-    return T.levelwise(Tower, lambda s: homology(T.entry(s), n),
+    """Apply H_n levelwise; the tail policy carries over.  The entries are
+    the groups of `homology_data`, which the structure maps act on."""
+    return T.levelwise(Tower, lambda s: homology_data(T.entry(s), n).group,
                        lambda f, s, t: induced_homology_map(f, n))
 
 

@@ -9,6 +9,10 @@ support of the mapping cone.  Factorization attaches free generators
 (surjectivity disks anywhere, homology-killing cells in degrees >= n+1),
 reading the homology of the cone of p after each round.  Both read the cone
 as a complex alone; only the layers build its inclusion and projection.
+Those reads need homology only up to isomorphism and ask `homology`, which
+reads it off Smith diagonals; the cycles of the cone that factorization
+attaches cells to, and the maps induced on homology, come from the
+subquotients of `homology_data`.
 Lifting corrects a degreewise candidate by one solve in Hom(coker i, ker p),
 which succeeds because [coker i, ker p]_{-1} vanishes: coker i has homology
 in degrees >= n+1 and ker p in degrees <= n-1.
@@ -20,8 +24,9 @@ import math
 from functools import lru_cache
 from typing import Optional, Tuple
 
+from . import chain
 from .chain import (ChainComplex, ChainMap, _hom_blocks, chain_map, cone,
-                    cone_maps, derived_hom, free_one_term, hom_complex, homology,
+                    cone_maps, free_one_term, hom_complex, homology,
                     homology_data, homology_support, identity_map,
                     induced_homology_map, make_complex, minimal_model, shift,
                     zero_complex, zero_map)
@@ -506,15 +511,17 @@ def coefficient_complex(A: FgAbGroup) -> ChainComplex:
 
 
 def cohomology_with_coefficients(X: ChainComplex, A: FgAbGroup, p: int) -> FgAbGroup:
-    """H^p(X; A) = [X, K(A)]_{-p}, computed as [M, K(A)]_{-p} on the
-    minimal model M of X.
+    """H^p(X; A) = [X, K(A)]_{-p} up to isomorphism, computed as
+    [M, K(A)]_{-p} on the minimal model M of X.
 
     Over Z and F_p, X is homotopy equivalent to M = (+)_k Sigma^k P(H_k X)
     (see `minimal_model`), and [-, K(A)]_{-p} is homology of a Hom complex,
     which sends homotopy equivalences to isomorphisms.  So the group is
-    isomorphic to derived_hom(X, K(A), -p), but presented on Hom(M, K(A)),
-    whose rank depends on the homology of X and not on its cells."""
-    return derived_hom(minimal_model(X), coefficient_complex(A), -p)
+    isomorphic to derived_hom(X, K(A), -p).  It is the canonical group that
+    `homology` reads off the Smith diagonals of Hom(M, K(A)), whose rank
+    depends on the homology of X and not on its cells."""
+    return chain.homology(chain.hom_complex(minimal_model(X),
+                                            coefficient_complex(A)).complex, -p)
 
 
 def induced_map_on_cohomology(f: ChainMap, A: FgAbGroup, p: int) -> GroupHom:

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prochain
 from conftest import big_complex, cells_spaces, random_map_into, random_map_out
 from oracles import cone_les_exact
 from prochain import chain as chain_module
@@ -20,6 +21,7 @@ from prochain.chain import (ChainComplex, ChainMap, chain_map, cone, derived_hom
                             zero_complex, zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
                              SizeBudgetExceeded, ValidationError)
+from prochain.exactalg.groups import group_from_orders
 from prochain.exactalg.matrices import (IntMatrix, kernel_lattice, snf,
                                        span_lattice)
 from prochain.exactalg.ring import GF, ZZ
@@ -126,6 +128,57 @@ class TestBasics:
             [(), (0,)] + [()] * 7 + [(0,), ()]
 
 
+class TestHomologyFromDiagonals:
+    """`homology` reads H_n off the Smith diagonals; `homology_data`, which
+    builds the cycle lattice and the presentation on it, is its oracle."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]))
+    @settings(max_examples=25, deadline=None)
+    def test_orders_match_the_subquotient(self, seed, ring):
+        X = big_complex(random.Random(seed), ring, -3, 3, min_rank=40)
+        for n in range(X.lo - 1, X.hi + 2):
+            assert homology(X, n).orders == homology_data(X, n).group.orders, n
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_cells_spaces(self, p):
+        for label, X in cells_spaces(p):
+            for n in range(X.lo - 1, X.hi + 2):
+                assert homology(X, n).orders == homology_data(X, n).group.orders, \
+                    (label, n)
+
+    def test_builds_no_subquotient_and_replays_no_transform(self):
+        X = dict(cells_spaces(0))["sphere6-changed"]
+        prochain.cache_clear()
+        groups = [homology(X, n) for n in X.degrees]
+        assert homology_data.cache_info().currsize == 0
+        for n in range(X.lo + 1, X.hi + 1):
+            hits = snf.cache_info().hits
+            s = snf(X.diff(n))
+            assert snf.cache_info().hits == hits + 1, n  # the one homology read
+            assert not {"U", "Uinv", "V", "Vinv"} & set(vars(s)), n
+        # canonical groups: equal invariants make equal groups
+        assert groups[0] == groups[5] == group_from_orders((0,)) != groups[1]
+
+    def test_checks_d_o_d_once_per_complex(self, monkeypatch):
+        # make_complex has checked what it built; a complex from the raw
+        # constructor is checked on its first homology call and never again
+        built = random_complex(7, ZZ, -2, 2, 3)
+        raw = ChainComplex(ZZ, built.lo, built.hi, built.ranks, built.diffs)
+        checked = []
+
+        def recording(X):
+            checked.append(X is raw)
+            return validate(X)
+
+        monkeypatch.setattr(chain_module, "validate", recording)
+        for X in (built, raw, raw):
+            prochain.cache_clear()
+            for n in X.degrees:
+                homology(X, n)
+        assert checked == [True]
+
+
 class TestCone:
     def test_cone_identity_acyclic(self):
         C = cone(identity_map(Z0))
@@ -207,6 +260,8 @@ class TestInducedMaps:
                 Y = ChainComplex(X.ring, X.lo, X.hi, X.ranks, tuple(diffs))
                 with pytest.raises(PostconditionViolated):
                     homology_data(Y, n)
+                with pytest.raises(PostconditionViolated):
+                    homology(Y, n)
                 refused += 1
         assert refused >= 10
 

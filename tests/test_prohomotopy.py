@@ -17,7 +17,8 @@ from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import (Lim1Verdict, TailPolicy, Tower, UnknownValue,
                           constant_tower, level_map, repeat_tower)
 from prochain.prohomotopy import (heart_hom, hom_from_constant,
-                                  hom_to_constant, is_hstar_fibrant,
+                                  hom_to_constant, homology_tower,
+                                  is_hstar_fibrant,
                                   is_hstar_weak_equivalence,
                                   is_levelwise_cofibration,
                                   postnikov_replacement,
@@ -53,6 +54,31 @@ class TestHStarWe:
             v = is_hstar_weak_equivalence(
                 level_map(constant_tower(X), constant_tower(X), (f,)))
             assert bool(v) == is_quasi_iso(f)
+
+
+class TestHomologyTower:
+    def test_entries_are_the_ends_of_the_structure_maps(self):
+        # the structure maps are induced maps, which act on the groups of
+        # homology_data; an entry isomorphic to, but not equal to, the end
+        # of a map would break every composite
+        rng = random.Random(6)
+        towers = maps_postnikov_towers() + [
+            random_chain_tower(rng, ring, max_rank=3) for ring in (ZZ, GF(2))
+            for _ in range(6)]
+        towers += [repeat_tower(multiplication_map(random_complex(seed, ZZ, -2, 2, 3), 2))
+                   for seed in range(3)]
+        maps = 0
+        for T in towers:
+            sup = tower_homology_support(T)
+            for n in range(sup[0], sup[1] + 1) if sup else ():
+                H = homology_tower(T, n)
+                ends = [(H.structure_map(s), s + 1, s) for s in range(H.tail.start)]
+                if not H.tail.is_constant:
+                    ends.append((H.tail.endo, H.tail.start, H.tail.start))
+                for m, s, t in ends:
+                    assert m.source == H.entry(s) and m.target == H.entry(t)
+                    maps += 1
+        assert maps >= 40
 
 
 class TestPostnikov:
