@@ -1,47 +1,43 @@
 """The truncation-filtration spectral sequence of a pair of bounded complexes,
-read off the level pieces of the target: pages, stabilization, convergence
-checking, and the tower version with colimit coefficients.
+read off the coefficient complexes of the homology of the target: E^2,
+convergence checking, and the tower version with colimit coefficients.
 
 Hom(X, Y) has the decreasing filtration F_q = Hom(X, tau_{>= q} Y) (McCleary,
 A User's Guide to Spectral Sequences, 2nd ed., sec. 2.2), with
-E^2_{p,q} = [X, layer_q Y]_{p+q}.  Over Z or F_p the layers split off: Y is
-the direct sum of its level pieces,
+E^2_{p,q} = [X, Sigma^q H(H_q Y)]_{p+q}, the layers of Y being the heart
+objects Sigma^q H(H_q Y).  Over Z or F_p the heart object H(A) is K(A), the
+two-term free resolution `coefficient_complex(A)`, so
 
-    Y = (+)_q L_q Y,
+    E^2_{p,q} = [X, K(H_q Y)]_p = H^{-p}(X; H_q Y),
 
-where L_q Y maps the generators of Y_{q+1} that are not cycles (the first
-`rank` columns of the Smith V of d_{q+1}) onto the cycles of Y_q.  L_q Y has
-the homology H_q Y in degree q and no other, and tau_{>= q} Y is the sum of
-the L_{q'} Y with q' >= q.  This is the hereditary case: over Z or F_p every
-complex of free modules is quasi-isomorphic to the sum of its shifted
-homology (Weibel, An Introduction to Homological Algebra, sec. 3.6).  The
-split is proved for each input: the differential of L_q Y is the coordinates
-of the boundaries in the certified cycle lattice of Y_q, and `level_pieces`
-refuses Y when a boundary has none.  So Hom(X, Y) is the direct sum of the
-Hom(X, L_q Y), F_q is the sum of those with q' >= q, and
+and slot (p, q) is read as derived_hom_data(X, K(H_q Y), p).  Y enters E^2
+only through the groups homology(Y, q).
 
-    E^2_{p,q} = H_{p+q} Hom(X, L_q Y) = [X, L_q Y]_{p+q}.
+Every d_r is zero, and E^2 = E^r = E^infinity.  Both rings are hereditary,
+so every complex of free modules is quasi-isomorphic to the sum of its
+shifted homology, Y ~ (+)_q Sigma^q K(H_q Y) (Weibel, An Introduction to
+Homological Algebra, sec. 3.6; `chain.minimal_model` builds that sum).  The
+truncations of the sum are its partial sums, so the filtration of Hom(X, Y)
+splits: every class of E^2_{p,q} is a cycle of Hom(X, Sigma^q K(H_q Y)),
+whose boundary is zero and not merely deeper in the filtration.  The later
+pages hold the data of E^2; they exist so that reports list every page up
+to the stable one.  The general formula with Z_s^q lattices (Romero, Rubio &
+Sergeraert, "Computing spectral sequences", J. Symbolic Comput. 41, 2006),
+which assumes only that d keeps every F_q, is the oracle of this reading in
+the test suite.
 
-Every class of E^2_{p,q} is represented by a cycle of Hom(X, L_q Y), whose
-boundary is zero and not merely deeper in the filtration, so every d_r is
-zero and E^2 = E^r = E^infinity.  The later pages hold the data of E^2; they
-exist so that reports list every page up to the stable one.  The general
-formula with Z_s^q lattices (Romero, Rubio & Sergeraert, "Computing spectral
-sequences", J. Symbolic Comput. 41, 2006), which assumes only that d keeps
-every F_q, is the oracle of this reading in the test suite.
+The filtration is finite: F_q is everything below the window and zero
+past it, so every D-column [X, tau_{>= q} Y]_n ends in zero and has
+lim = lim^1 = 0.  A map of towers acts by precomposition, so it induces
+its map on E^2 as the map on cohomology H^{-p}(X; H_q Y) -> H^{-p}(X'; H_q Y).
 
-The filtration is finite: F_q is everything below the window and zero past
-it, so every D-column [X, tau_{>= q} Y]_n ends in zero and has
-lim = lim^1 = 0.  A map of towers acts by precomposition, which keeps every
-piece, so it induces its map on E^2 as the map [X, L_q Y] -> [X', L_q Y].
-
-Two readings stay apart from the level pieces.  The convergence check
-compares E^2 with the graded abutment F_q / F_{q+1} of [X, Y]_n, where
+Two readings stay apart from E^2.  The convergence check compares E^2 with
+the graded abutment F_q / F_{q+1} of [X, Y]_n, where
 F_q = im([X, tau_{>= q} Y]_n -> [X, Y]_n).  That filtration is computed in
 the one complex C = Hom(X, Y): the inclusion of Hom(X, tau_{>= q} Y) is
 injective in each degree, so F_q is spanned by the classes in H_n(C) of the
 cycles of C in its image.  It reads only `truncate_above`, `hom_chain_map`
-and the homology of C, so a wrong split shows as a mismatch and is not
+and the homology of C, so a wrong E^2 shows as a mismatch and is not
 compared with itself.  The exact couple of the truncation filtration
 (D^2 = [X, tau_{>= q} Y], E^2 = [X, layer_q Y], with i, j, k induced by the
 truncation inclusion, the cone inclusion and the cone projection) is kept
@@ -57,27 +53,26 @@ the test suite.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
-from types import MappingProxyType, SimpleNamespace
-from typing import Dict, List, Mapping, Optional, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Tuple
 
 from . import chain
-from .chain import (ChainComplex, ChainMap, derived_hom, derived_hom_data,
-                    hom_chain_map, homology, homology_support, identity_map,
-                    induced_map_on_derived_hom, make_complex,
+from .chain import (ChainComplex, ChainMap, coefficient_complex, derived_hom,
+                    derived_hom_data, hom_chain_map, homology,
+                    homology_support, identity_map, induced_map_on_derived_hom,
                     shift_identification)
-from .errors import ContainmentViolation
 from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData,
                               direct_sum, exact_at, full_subgroup, induced_hom,
                               subgroup_from_columns, subquotient, trivial_group,
                               zero_hom, zero_subgroup)
-from .exactalg.matrices import kernel_basis, kernel_lattice, snf
+from .exactalg.matrices import kernel_basis
 from .exactalg.ring import check_same_ring
 from .pro import DirectSystem, GroupOrUnknown, Tower, UnknownValue, colim
 from .prohomotopy import hom_to_constant
-from .tstruct import (cohomology_with_coefficients, layer_complex,
-                      truncate_above, truncate_below, truncation_step)
+from .tstruct import (cohomology_with_coefficients, induced_map_on_cohomology,
+                      layer_complex, truncate_above, truncate_below,
+                      truncation_step)
 from .value import Record, Value, store
 
 Slot = Tuple[int, int]
@@ -199,39 +194,14 @@ def build_exact_couple(X: ChainComplex, Y: ChainComplex) -> ExactCouple:
 
 
 # ---------------------------------------------------------------------------
-# The level pieces of Y and the pages
+# The pages
 # ---------------------------------------------------------------------------
 
-# one entry per coefficient complex; pro_ahss reuses it for every level
-PIECES_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=PIECES_CACHE_SIZE)
-def level_pieces(Y: ChainComplex) -> Mapping[int, ChainComplex]:
-    """{q: L_q Y} for the nonzero pieces; Y is their direct sum.
-
-    L_q Y maps the generators of Y_{q+1} that are not cycles (the first
-    `rank` columns of the Smith V of d_{q+1}) onto the cycles of Y_q, in the
-    coordinates of kernel_lattice(d_q).  Those coordinates exist only if
-    every boundary is a cycle, so computing them proves the split."""
-    pieces = {}
-    for q in Y.degrees:
-        cycles = kernel_lattice(Y.diff(q))
-        s = snf(Y.diff(q + 1))
-        d = cycles.coords(Y.diff(q + 1) @ s.V.take_columns(range(s.rank)))
-        if d is None:
-            raise ContainmentViolation(f"boundaries outside the cycles in degree {q}")
-        L = make_complex(Y.ring, {q: cycles.basis.cols, q + 1: s.rank}, {q + 1: d})
-        if not L.is_zero:
-            pieces[q] = L
-    return MappingProxyType(pieces)
-
-
 class Page(Record):
-    """One page of the spectral sequence: slot (p, q) is a subquotient of
-    Hom(X, L_q Y)_{p+q} when it is nonzero, and zero otherwise.  The
-    filtration splits, so every d_r is zero and every page holds the data
-    of E^2."""
+    """One page of the spectral sequence: slot (p, q) is
+    H^{-p}(X; H_q Y), a subquotient of Hom(X, K(H_q Y))_p, when it is
+    nonzero, and zero otherwise.  The filtration splits, so every d_r is
+    zero and every page holds the data of E^2."""
 
     _fields = ("r", "data")
 
@@ -249,8 +219,10 @@ class Page(Record):
 
 
 class SpectralSequence:
-    """The spectral sequence of Hom(X, Y) filtered by the truncations of Y,
-    read off the level pieces of Y: E^2_{p,q} = [X, L_q Y]_{p+q}.
+    """The spectral sequence of Hom(X, Y) filtered by the truncations of Y:
+    E^2_{p,q} = H^{-p}(X; H_q Y) = [X, K(H_q Y)]_p, on the one model
+    K = `coefficient_complex` of each nonzero H_q Y.  Every d_r is zero,
+    since over Z or F_p the filtration splits (see the module docstring).
 
     It is indexed by `window`, by default _window(X, Y); a pair of models
     passes the window of the pair they stand for (`on_minimal_models`)."""
@@ -261,7 +233,6 @@ class SpectralSequence:
         self.X, self.Y = X, Y
         self.ring = X.ring
         self.window = window if window is not None else _window(X, Y)
-        self.pieces = level_pieces(Y)
         self._graded_memo: Dict[int, Dict[int, SubquotientData]] = {}
         self.pages: List[Page] = [self._e2()]
 
@@ -272,15 +243,18 @@ class SpectralSequence:
         return (SimpleNamespace(couple=self.window),)
 
     def _e2(self) -> Page:
-        """E^2_{p,q} = H_{p+q} Hom(X, L_q Y)."""
+        """E^2_{p,q} = H_p Hom(X, K(H_q Y)), with K(H_q Y) built once per q."""
+        w = self.window
         data = {}
-        for (p, q) in self.window.slots():
-            L = self.pieces.get(q)
-            if L is None:
+        for q in range(w.q_lo, w.q_hi + 1):
+            A = homology(self.Y, q)
+            if A.is_trivial:
                 continue
-            sq = derived_hom_data(self.X, L, p + q)
-            if not sq.group.is_trivial:
-                data[(p, q)] = sq
+            K = coefficient_complex(A)
+            for n in range(w.n_lo, w.n_hi + 1):
+                sq = derived_hom_data(self.X, K, n - q)
+                if not sq.group.is_trivial:
+                    data[(n - q, q)] = sq
         return Page(2, data)
 
     def derive(self) -> Page:
@@ -301,8 +275,8 @@ class SpectralSequence:
         """{q: F_q / F_{q+1}} of abutment_filtration(X, Y, n) for q in the
         window of (X, Y), computed once per n.  F_q is the part of [X, Y]_n
         carried by the cycles of Hom(X, tau_{>= q} Y) inside Hom(X, Y); it
-        reads the truncations of Y and not the level pieces the pages come
-        from, so comparing it with E-infinity is a check and not a
+        reads the truncations of Y and not the coefficient complexes E^2 is
+        read on, so comparing it with E-infinity is a check and not a
         tautology."""
         gr = self._graded_memo.get(n)
         if gr is None:
@@ -315,20 +289,20 @@ class SpectralSequence:
         """Boardman-style conditions plus the slotwise E-infinity comparison.
 
         lim and lim^1 of every D-column vanish because the filtration is
-        finite: every piece of Y sits at q <= q_hi (or X is zero, and with
-        it Hom(X, Y)), so F_{q_hi+1} = 0 and each column is zero from
+        finite: the homology of Y sits at q <= q_hi (or X is zero, and with
+        it Hom(X, Y)), so F_{q_hi+1} is acyclic and each column is zero from
         q_hi + 1 on.  The colimit condition is `_colimit_condition`, on
         the quotient model of T_{<= k} Y; and the graded comparison compares
         E-infinity slot by slot with `graded`, whose filtration is read off
         the cycles of Hom(X, Y) that come from Hom(X, tau_{>= q} Y), apart
-        from the level pieces.  The slots are those of `window`; a q that
-        `graded` leaves out lies outside the window of (X, Y) and reads as
-        the zero group.
+        from E^2.  The slots are those of `window`; a q that `graded` leaves
+        out lies outside the window of (X, Y) and reads as the zero group.
         """
         X, Y, w = self.X, self.Y, self.window
         pages, stable = self.run_to_stable()
         einf = pages[-1]
-        finite = X.is_zero or all(q <= w.q_hi for q in self.pieces)
+        support = homology_support(Y)
+        finite = X.is_zero or support is None or support[1] <= w.q_hi
         colim_ok = _colimit_condition(X, Y, w)
 
         graded: Dict[Slot, bool] = {}
@@ -346,7 +320,7 @@ def on_minimal_models(X: ChainComplex, Y: ChainComplex) -> SpectralSequence:
     minimal_model(Y), indexed by the window of (X, Y).
 
     Each model is homotopy equivalent to its complex (see `minimal_model`),
-    and E^2 = [X, L_q Y], the abutment [X, Y]_n with its quotients
+    and E^2 = H^{-p}(X; H_q Y), the abutment [X, Y]_n with its quotients
     F_q / F_{q+1}, and the colimit condition [X, T_{<= k} Y]_n are homotopy
     invariants in X and in Y: the truncations are invariant under
     quasi-isomorphism and keep bounded free complexes.  A model's support
@@ -483,12 +457,13 @@ class ProAhssReport(Record):
 def _e2_maps(g: ChainMap, src: SpectralSequence, tgt: SpectralSequence,
              slots) -> Dict[Slot, GroupHom]:
     """The maps g: X' -> X induces from E^2 of (X, Y) to E^2 of (X', Y),
-    slot by slot: precomposition with g on [X, L_q Y]_{p+q}."""
+    slot by slot: g^* on H^{-p}(-; H_q Y), precomposition with g on
+    [X, K(H_q Y)]_p."""
     a, b = src.pages[0], tgt.pages[0]
     out = {}
     for (p, q) in slots:
         if (p, q) in a.data and (p, q) in b.data:
-            out[(p, q)] = induced_map_on_derived_hom(g, identity_map(src.pieces[q]), p + q)
+            out[(p, q)] = induced_map_on_cohomology(g, homology(src.Y, q), -p)
         else:
             out[(p, q)] = zero_hom(a.group_at(p, q, src.ring), b.group_at(p, q, tgt.ring))
     return out
@@ -498,13 +473,13 @@ def pro_ahss(X: Tower, Y: ChainComplex,
              n_window: Optional[Tuple[int, int]] = None) -> ProAhssReport:
     """The tower spectral sequence with constant coefficients Y.
 
-    Each E2 slot is the colimit over the tower of the levelwise E^2, with
-    the maps the structure maps induce; every level's filtration splits, so
-    that is also the colimit of the levelwise E-infinity, and naturally in
-    X_s it is colim_s H^{-p}(X_s; H_q Y) (e2_identification_check).  The
-    abutment is colim_s [X_s, Y]_n; the comparison colimits the levelwise
-    filtration quotients (with induced maps) and checks invariant-factor
-    equality against E2 per slot.  Unknown propagates slotwise.
+    Each E2 slot is colim_s H^{-p}(X_s; H_q Y): the colimit over the tower
+    of the levelwise E^2, with the maps g^* the structure maps induce on
+    cohomology.  Every level's filtration splits, so every d_r is zero and
+    that is also the colimit of the levelwise E-infinity.  The abutment is
+    colim_s [X_s, Y]_n; the comparison colimits the levelwise filtration
+    quotients (with induced maps) and checks invariant-factor equality
+    against E2 per slot.  Unknown propagates slotwise.
     """
     N = X.tail.start
     ring = Y.ring

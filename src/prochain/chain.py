@@ -349,8 +349,8 @@ def cone_maps(f: ChainMap):
 # ---------------------------------------------------------------------------
 
 # bounds at twice or more the most distinct arguments one benchmark round
-# passes (seed 5: 1,392 `homology` groups in `maps`, 1,104 `homology_data`
-# subquotients and 243 hom complexes in `spectral`); `homology` and
+# passes (seed 5: 1,392 `homology` groups in `maps`, 1,053 `homology_data`
+# subquotients and 263 hom complexes in `spectral`); `homology` and
 # `homology_data` keep one table each, of HOMOLOGY_CACHE_SIZE
 HOMOLOGY_CACHE_SIZE = 4096
 HOM_COMPLEX_CACHE_SIZE = 1024
@@ -360,6 +360,9 @@ HOM_COMPLEX_CACHE_SIZE = 1024
 # for 121 models, for the convergence check, so a larger table would only
 # hold them longer
 MINIMAL_MODEL_CACHE_SIZE = 128
+# a seed-5 round asks for K(A) of 23 groups 452 times in `spectral` (E^2 and
+# the models) and of 11 groups 506 times in `cells`; `maps` asks for none
+COEFFICIENT_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
@@ -422,19 +425,38 @@ def is_acyclic(X: ChainComplex) -> bool:
     return homology_support(X) is None
 
 
+@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
+def coefficient_complex(A: FgAbGroup) -> ChainComplex:
+    """K(A), the two-term free resolution
+    ring^t --diag(invariant factors)--> ring^(t+f) of A in degrees 1, 0:
+    the free model of the Eilenberg-MacLane object of A, with H_0 = A.
+
+    It is the package's one model of K(A).  `minimal_model` sums its shifts,
+    `tstruct.cohomology_with_coefficients` reads H^p(X; A) = [X, K(A)]_{-p}
+    on it, and the AHSS reads E^2_{p,q} = H^{-p}(X; H_q Y) on K(H_q Y).
+    Over F_p it is A in degree 0, with no differential."""
+    ring = A.ring
+    t = len(A.invariant_factors)
+    f = A.free_rank
+    if t == 0:
+        return free_one_term(ring, 0, f)
+    d = IntMatrix.diagonal(A.invariant_factors, t + f, t, ring)
+    return make_complex(ring, {0: t + f, 1: t}, {1: d})
+
+
 @lru_cache(maxsize=MINIMAL_MODEL_CACHE_SIZE)
 def minimal_model(X: ChainComplex) -> ChainComplex:
-    """M = (+)_k Sigma^k P(H_k X), with P(A) the two-term free resolution
-    ring^t --diag(invariant factors)--> ring^(t+f) of A = H_k X.
+    """M = (+)_k Sigma^k K(H_k X), with K(A) the two-term free resolution
+    `coefficient_complex(A)`.
 
-    Degree k holds t_k + f_k + t_{k-1} generators: the torsion and free
-    generators of H_k, then the relation generators of H_{k-1}'s torsion,
-    which d_k sends diagonally onto the first t_{k-1} generators of degree
-    k - 1.  So H_k M = H_k X in every degree.
+    Degree k holds the generators of H_k X, then the relation generators of
+    H_{k-1} X, and d_k is the differential of K(H_{k-1} X) from those
+    relations onto the generators of H_{k-1} X.  So H_k M = H_k X in every
+    degree.
 
     M is homotopy equivalent to X over Z and over F_p.  Both rings are
-    hereditary, so every H_k X has the two-term free resolution P.  Each
-    Sigma^k P(H_k X) maps into X: its generators go to cycles that represent
+    hereditary, so every H_k X has the two-term free resolution K.  Each
+    Sigma^k K(H_k X) maps into X: its generators go to cycles that represent
     H_k X, and each relation generator to a preimage of the boundary its
     image becomes.  The sum of these maps is a quasi-isomorphism between
     bounded complexes of free modules, and so a homotopy equivalence.  Over
@@ -448,18 +470,13 @@ def minimal_model(X: ChainComplex) -> ChainComplex:
     (the convergence check and the `ahss` report).  Readers of coordinates
     in Hom(X, Y) cannot, since M comes with no maps to or from X."""
     ring = X.ring
-    H = {k: homology(X, k) for k in X.degrees}
-    tors = {k: h.invariant_factors for k, h in H.items()}
+    K = {k: coefficient_complex(homology(X, k)) for k in X.degrees}
 
-    def sizes(k):                  # H_k torsion, H_k free, H_{k-1} relations
-        return (len(tors[k]), H[k].free_rank, len(tors.get(k - 1, ())))
+    def sizes(k):                  # H_k generators, H_{k-1} relations
+        return (K[k].rank(0), K[k - 1].rank(1) if k > X.lo else 0)
 
-    diffs = {}
-    for k in range(X.lo + 1, X.hi + 1):
-        t = len(tors[k - 1])
-        if t:
-            diffs[k] = block_matrix(sizes(k - 1), sizes(k), {
-                (0, 2): IntMatrix.diagonal(tors[k - 1], t, t, ring)}, ring)
+    diffs = {k: block_matrix(sizes(k - 1), sizes(k), {(0, 1): K[k - 1].diff(1)}, ring)
+             for k in range(X.lo + 1, X.hi + 1) if K[k - 1].rank(1)}
     return make_complex(ring, {k: sum(sizes(k)) for k in X.degrees}, diffs)
 
 

@@ -169,8 +169,17 @@ def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
 
 
 def group_from_orders(orders: Sequence[int], ring: RingTag = ZZ) -> FgAbGroup:
-    """Direct sum of cyclic groups Z/d (d=0 meaning Z, or F_p for fields)."""
-    n = len(orders)
+    """Direct sum of cyclic groups Z/d (d=0 meaning Z, or F_p for fields).
+
+    Orders in canonical form (over Z a divisor chain of entries >= 2, then
+    zeros; over F_p only zeros) are their own Smith form, so the group has
+    identity transforms, those of `free_group`, and needs no elimination."""
+    orders = tuple(orders)
+    n, t = len(orders), len(orders) - orders.count(0)
+    if not any(orders[t:]) and not (t and ring.is_field) and all(
+            a >= 2 and b % a == 0 for a, b in zip(orders[:t], orders[1:] + (0,))):
+        one = free_group(n, ring).to_canonical
+        return FgAbGroup(ring, orders, one, one)
     rel = IntMatrix.from_columns(
         [[ring.reduce(d) if i == j else 0 for i in range(n)]
          for j, d in enumerate(orders) if ring.reduce(d) != 0],

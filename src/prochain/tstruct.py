@@ -25,11 +25,11 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from . import chain
-from .chain import (ChainComplex, ChainMap, _hom_blocks, chain_map, cone,
-                    cone_maps, free_one_term, hom_complex, homology,
-                    homology_data, homology_support, identity_map,
-                    induced_homology_map, make_complex, minimal_model, shift,
-                    zero_complex, zero_map)
+from .chain import (ChainComplex, ChainMap, _hom_blocks, chain_map,
+                    coefficient_complex, cone, cone_maps, hom_complex,
+                    homology, homology_data, homology_support, identity_map,
+                    induced_homology_map, induced_map_on_derived_hom,
+                    make_complex, minimal_model, shift, zero_complex, zero_map)
 from .errors import PostconditionViolated, PreconditionViolated
 from .exactalg.groups import (FgAbGroup, GroupHom, is_injective,
                               is_isomorphism, is_surjective)
@@ -46,9 +46,8 @@ NEG_INF = -math.inf
 # ---------------------------------------------------------------------------
 
 # bounds at twice or more the most distinct arguments one benchmark round
-# passes (95 truncations in `spectral`, 3 coefficient groups in `cells`)
+# passes (95 truncations in `spectral`)
 TRUNCATION_CACHE_SIZE = 1024
-COEFFICIENT_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=TRUNCATION_CACHE_SIZE)
@@ -498,25 +497,14 @@ def find_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap,
 # Cohomology with coefficients
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=COEFFICIENT_CACHE_SIZE)
-def coefficient_complex(A: FgAbGroup) -> ChainComplex:
-    """Two-term free resolution of A in degrees 1, 0."""
-    ring = A.ring
-    t = len(A.invariant_factors)
-    f = A.free_rank
-    if t == 0:
-        return free_one_term(ring, 0, f)
-    d = IntMatrix.diagonal(A.invariant_factors, t + f, t, ring)
-    return make_complex(ring, {0: t + f, 1: t}, {1: d})
-
-
 def cohomology_with_coefficients(X: ChainComplex, A: FgAbGroup, p: int) -> FgAbGroup:
     """H^p(X; A) = [X, K(A)]_{-p} up to isomorphism, computed as
     [M, K(A)]_{-p} on the minimal model M of X.
 
-    Over Z and F_p, X is homotopy equivalent to M = (+)_k Sigma^k P(H_k X)
-    (see `minimal_model`), and [-, K(A)]_{-p} is homology of a Hom complex,
-    which sends homotopy equivalences to isomorphisms.  So the group is
+    K(A) is `coefficient_complex(A)`.  Over Z and F_p, X is homotopy
+    equivalent to M = (+)_k Sigma^k K(H_k X) (see `minimal_model`), and
+    [-, K(A)]_{-p} is homology of a Hom complex, which sends homotopy
+    equivalences to isomorphisms.  So the group is
     isomorphic to derived_hom(X, K(A), -p).  It is the canonical group that
     `homology` reads off the Smith diagonals of Hom(M, K(A)), whose rank
     depends on the homology of X and not on its cells."""
@@ -527,6 +515,7 @@ def cohomology_with_coefficients(X: ChainComplex, A: FgAbGroup, p: int) -> FgAbG
 def induced_map_on_cohomology(f: ChainMap, A: FgAbGroup, p: int) -> GroupHom:
     """f^*: H^p(Y; A) -> H^p(X; A) for f: X -> Y.  Its source and target are
     presented on Hom(Y, K(A)) and Hom(X, K(A)), so they are isomorphic to,
-    not equal to, the groups `cohomology_with_coefficients` returns."""
-    from .chain import induced_map_on_derived_hom
+    not equal to, the groups `cohomology_with_coefficients` returns; they
+    are the E^2 slots of `ahss.SpectralSequence`, and `ahss.pro_ahss` reads
+    the maps a tower induces there."""
     return induced_map_on_derived_hom(f, identity_map(coefficient_complex(A)), -p)

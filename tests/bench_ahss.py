@@ -1,8 +1,9 @@
-"""Micro-benchmarks of the `ahss` layer: the abutment filtration against its
-truncation-by-truncation oracle, the colimit condition on the quotient model
-of T_{<= k} Y against the cone model, and the convergence check as a whole,
-on the minimal models (`convergence_check`) against the pair itself, on
-fixed pairs of total rank 3 to 8 over Z and F_2, from cold caches.
+"""Micro-benchmarks of the `ahss` layer: E^2 alone (`SpectralSequence(X, Y)`),
+the abutment filtration against its truncation-by-truncation oracle, the
+colimit condition on the quotient model of T_{<= k} Y against the cone
+model, and the convergence check as a whole, on the minimal models
+(`convergence_check`) against the pair itself, on fixed pairs of total rank
+3 to 8 over Z and F_2, from cold caches; and `pro_ahss` on one fixed tower.
 
     PYTHONPATH=src python -m pytest tests/bench_ahss.py --benchmark-only
 
@@ -19,8 +20,9 @@ from oracles import abutment_filtration_by_truncations, cone_below
 from prochain import ahss
 from prochain.ahss import (SpectralSequence, _window, abutment_filtration,
                            convergence_check)
-from prochain.chain import random_complex
+from prochain.chain import multiplication_map, random_complex
 from prochain.exactalg.ring import GF, ZZ
+from prochain.pro import repeat_tower
 from prochain.tstruct import truncate_below
 
 pytest.importorskip("pytest_benchmark")
@@ -46,6 +48,21 @@ def pair(rank, ring):
 def filtration_along_the_window(filtration, X, Y):
     w = _window(X, Y)
     return [filtration(X, Y, n) for n in range(w.n_lo, w.n_hi + 1)]
+
+
+@pytest.mark.parametrize("rank, ring", CASES, ids=IDS)
+def test_e2(benchmark, rank, ring):
+    X, Y = pair(rank, ring)
+    benchmark.pedantic(SpectralSequence, args=(X, Y), setup=prochain.cache_clear,
+                       rounds=20)
+
+
+def test_pro_ahss(benchmark):
+    # X --x2--> X repeated, with X and Y the rank-5 pair over Z
+    X, Y = pair(5, ZZ)
+    report = benchmark.pedantic(ahss.pro_ahss, args=(repeat_tower(multiplication_map(X, 2)), Y),
+                                setup=prochain.cache_clear, rounds=20)
+    assert report.levelwise_all_iso
 
 
 @pytest.mark.parametrize("rank, ring", CASES, ids=IDS)

@@ -19,8 +19,8 @@ Z_s^q = {x in F_q C_n : dx in F_{q+s} C_{n-1}}, page r = s + 1 is
 
 a subquotient of C_n, and d_r is induced by d_n with bidegree (-r, r-1).  It
 assumes only that d keeps every F_q, not that it keeps every level, so it
-checks the split reading of `prochain.ahss` (E^2 from the level pieces of Y)
-and does not rest on it.
+checks the split reading of `prochain.ahss` (E^2 = H^{-p}(X; H_q Y), read on
+the coefficient complex of each H_q Y) and does not rest on it.
 
 `coefficient_e2` is the pro-AHSS E2 by its definition, the colimit over
 the tower of the coefficient cohomology H^{-p}(X_s; H_q Y) = [X_s, K]_p with

@@ -5,7 +5,8 @@ import hashlib
 import importlib
 import pickle
 import random
-from itertools import chain
+from itertools import accumulate, chain
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -419,6 +420,27 @@ class TestGroups:
         # diag(2,3) merges to Z/6 under the divisibility normalization
         g = group_from_presentation(IntMatrix.from_rows([[2, 0], [0, 3]]))
         assert g.invariant_factors == (6,)
+
+    @given(st.sampled_from([ZZ, GF(2), GF(3)]), st.booleans(),
+           st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, -2]), max_size=6),
+           st.sampled_from([2, 3, 4]), st.lists(st.sampled_from([1, 2, 3]), max_size=4),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=300, deadline=None)
+    def test_orders_are_their_diagonal_presentation(self, ring, canonical, raw,
+                                                    first, steps, zeros):
+        # canonical orders (a divisor chain >= 2, then zeros; over F_p only
+        # zeros) skip the Smith form, and any others do not: either way the
+        # group is the one the diagonal relations present, transforms included
+        if canonical:
+            torsion = () if ring.p else tuple(accumulate(steps, mul, initial=first))
+            orders = torsion + (0,) * zeros
+        else:
+            orders = tuple(raw)
+        n = len(orders)
+        rel = IntMatrix.from_columns([[ring.reduce(d) * (i == j) for i in range(n)]
+                                      for j, d in enumerate(orders) if ring.reduce(d)],
+                                     n, ring)
+        assert group_from_orders(orders, ring) == group_from_presentation(rel)
 
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatch):
