@@ -11,7 +11,7 @@ import sys
 # submodule -> the public names it defines
 _EXPORTS = {
     "exactalg.ring": ("GF", "RingTag", "ZZ"),
-    "exactalg.matrices": ("IntMatrix", "SnfResult", "snf"),
+    "exactalg.matrices": ("IntMatrix", "SnfResult", "smith_diagonal", "snf"),
     "exactalg.groups": ("FgAbGroup", "GroupHom", "cokernel", "group_from_orders",
                         "group_from_presentation", "hom", "hom_group", "image",
                         "is_isomorphism", "kernel", "solve_hom_constraints",

@@ -23,7 +23,8 @@ from .exactalg.groups import (FgAbGroup, GroupHom, SubquotientData, free_group,
                               group_from_orders, group_from_presentation,
                               induced_hom, trivial_group)
 from .exactalg.matrices import (IntMatrix, Lattice, _check_size, _mod,
-                                block_matrix, kernel_lattice, kron, snf)
+                                block_matrix, kernel_lattice, kron,
+                                smith_diagonal)
 from .exactalg.ring import RingTag, ZZ, check_same_ring
 from .value import Value, store
 
@@ -388,7 +389,7 @@ def homology_data(X: ChainComplex, n: int) -> SubquotientData:
 
 def _smith_diagonal(X: ChainComplex, n: int) -> tuple:
     """The Smith diagonal of d_n, empty outside the support."""
-    return snf(X.diffs[n - X.lo - 1]).diag if X.lo < n <= X.hi else ()
+    return smith_diagonal(X.diffs[n - X.lo - 1]) if X.lo < n <= X.hi else ()
 
 
 @lru_cache(maxsize=HOMOLOGY_CACHE_SIZE)
@@ -396,7 +397,9 @@ def homology(X: ChainComplex, n: int) -> FgAbGroup:
     """H_n(X) up to isomorphism, read off the Smith diagonals of d_n and
     d_{n+1} alone (Dumas, Heckenbach, Saunders & Welker 2003): its free rank
     is rank X_n - rank d_n - rank d_{n+1}, and over Z its torsion is the
-    diagonal entries > 1 of d_{n+1}.  No transform is replayed.
+    diagonal entries > 1 of d_{n+1}.  The diagonals come from
+    `smith_diagonal`, a sparse elimination on unit pivots first that logs
+    no operation, so no Smith form and no transform is built.
 
     The group is canonical, with identity transforms, so groups with the
     same invariants are equal; it is not the group `homology_data` presents

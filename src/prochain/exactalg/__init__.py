@@ -2,8 +2,8 @@
 
 from .ring import GF, RingTag, ZZ, check_same_ring
 from .matrices import (IntMatrix, Lattice, SnfResult, block_matrix, hcat,
-                       kernel_basis, kernel_lattice, kron, snf, solve,
-                       span_lattice)
+                       kernel_basis, kernel_lattice, kron, smith_diagonal, snf,
+                       solve, span_lattice)
 from .groups import (FgAbGroup, GroupHom, Subgroup, SubquotientData,
                      cokernel, cokernel_projection, direct_sum, exact_at,
                      free_group, full_subgroup,

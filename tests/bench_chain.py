@@ -7,6 +7,10 @@ it.  On two spaces of the benchmark's `cells` workload in its changed
 basis, over Z and F_2: the torus grid k = 4 (96 cells) and the boundary of
 the 6-simplex (126 cells).
 
+The diagonals themselves, read two ways: `smith_diagonal`, which logs no
+operation, against `snf(M).diag`, the logged elimination, on every
+differential of every complex of the `cells` workload (both bases).
+
     PYTHONPATH=src python -m pytest tests/bench_chain.py --benchmark-only
 
 It needs pytest-benchmark.  Its name does not match `test_*.py`, so the
@@ -18,6 +22,7 @@ import pytest
 import prochain
 from conftest import cells_spaces
 from prochain.chain import homology, homology_data
+from prochain.exactalg.matrices import smith_diagonal, snf
 
 pytest.importorskip("pytest_benchmark")
 
@@ -42,3 +47,21 @@ def test_homology(benchmark, read, p, space):
                                 setup=prochain.cache_clear, rounds=20)
     want = homology_of(from_the_subquotient, X)
     assert [g.orders for g in groups] == [g.orders for g in want]
+
+
+def logged_diagonal(M):
+    return snf(M).diag
+
+
+def diagonals_of(read, matrices):
+    return [read(M) for M in matrices]
+
+
+@pytest.mark.parametrize("p", [0, 2], ids=["Z", "F2"])
+@pytest.mark.parametrize("read", [smith_diagonal, logged_diagonal],
+                         ids=["smith_diagonal", "snf"])
+def test_smith_diagonal(benchmark, read, p):
+    matrices = [X.diff(n) for _, X in cells_spaces(p) for n in range(X.lo + 1, X.hi + 1)]
+    got = benchmark.pedantic(diagonals_of, args=(read, matrices),
+                             setup=prochain.cache_clear, rounds=20)
+    assert got == diagonals_of(logged_diagonal, matrices)

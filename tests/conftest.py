@@ -22,15 +22,20 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
+def bench_module(name: str):
+    """A module of bench/.  The bench modules import each other by plain
+    name, so bench/ goes on the path."""
+    if BENCH not in sys.path:
+        sys.path.append(BENCH)
+    return importlib.import_module(name)
+
+
 def cells_spaces(p: int, seed: int = 5, spaces=None):
     """The spaces of the benchmark's `cells` workload over Z (p = 0) or F_p,
     or the (name, size) `spaces` given, built by bench/gen.py in the
     standard basis and in a changed basis drawn as the workload draws it: a
-    list of (label, complex).  The bench modules import each other by plain
-    name, so bench/ goes on the path."""
-    if BENCH not in sys.path:
-        sys.path.append(BENCH)
-    gen, workloads = importlib.import_module("gen"), importlib.import_module("workloads")
+    list of (label, complex)."""
+    gen, workloads = bench_module("gen"), bench_module("workloads")
     rng = gen.Draw("cells", seed).values
     out = []
     for name, size in spaces or workloads.SPACES:
@@ -42,12 +47,20 @@ def cells_spaces(p: int, seed: int = 5, spaces=None):
     return out
 
 
+def changed_space(name: str, size: int, shears: float, rng: random.Random):
+    """bench/gen.py's cellular model `name` of that size over Z, in a basis
+    changed by `shears` +-1 shears per rank drawn from rng, and its integral
+    homology by degree, as the bench oracle writes groups."""
+    gen = bench_module("gen")
+    ranks, diffs, known = gen.space(name, size)
+    P = gen.Plain(0, ranks, diffs)
+    return gen.to_complex(gen.conjugate(P, gen.basis_change(rng, P, shears))), known
+
+
 def _maps_item_arguments(label: str, seed: int):
     """The default arguments of the run of each item with that label in the
     benchmark's `maps` workload, in the order the workload builds them."""
-    if BENCH not in sys.path:
-        sys.path.append(BENCH)
-    workloads = importlib.import_module("workloads")
+    workloads = bench_module("workloads")
     return [item.run.__defaults__ for item in workloads.maps_items(seed)
             if item.label == label]
 

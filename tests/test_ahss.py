@@ -609,15 +609,16 @@ class TestFilteredEngine:
             for slot, g in page.groups.items():
                 assert split.groups[slot].isomorphic(g)
 
-    @pytest.mark.parametrize("seed, ring", [(1, ZZ), (3, ZZ), (5, GF(2))])
+    @pytest.mark.parametrize("seed, ring", [(2, ZZ), (3, ZZ), (5, GF(2))])
     def test_entry_joining_two_levels_raises(self, monkeypatch, seed, ring):
         # the cycles of Y_q without one cycle that some boundary needs: that
         # boundary of Y_{q+1} leaves tau_{>= q} Y, and the abutment, which
         # reads the truncations, refuses it.  At q = Y.lo the truncation is
-        # Y itself and reads no cycles, so there the check is unchanged
+        # Y itself and reads no cycles, so there the check is unchanged.
+        # Each pair here has a case above Y.lo, so every run checks a refusal
         X, Y = big_pair(random.Random(seed), ring)
         lattice = tstruct.kernel_lattice
-        cases = 0
+        refusals = 0
         for q in Y.degrees:
             cycles = lattice(Y.diff(q))
             for j in range(cycles.basis.cols):
@@ -630,14 +631,14 @@ class TestFilteredEngine:
                                     lambda A, d=Y.diff(q), fewer=fewer:
                                     fewer if A == d else lattice(A))
                 tstruct.truncate_above.cache_clear()
-                cases += 1
                 if q == Y.lo:
                     assert SpectralSequence(X, Y).convergence().all_iso
                     continue
                 with pytest.raises(PostconditionViolated, match="not inside ker"):
                     SpectralSequence(X, Y).convergence()
+                refusals += 1
         tstruct.truncate_above.cache_clear()
-        assert cases
+        assert refusals
 
     def test_builds_no_exact_couple(self, monkeypatch):
         def refuse(*args):

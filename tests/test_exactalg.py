@@ -23,7 +23,7 @@ from prochain.exactalg.groups import (GroupHom, cokernel,
                                       full_subgroup, zero_subgroup)
 from prochain.exactalg.matrices import (IntMatrix, block_matrix, hcat,
                                         kernel_basis, kernel_lattice, kron,
-                                        snf, solve, span_lattice)
+                                        smith_diagonal, snf, solve, span_lattice)
 from prochain.exactalg import matrices
 from prochain.exactalg.ring import GF, RingTag, ZZ
 from prochain.value import Value
@@ -272,6 +272,47 @@ class TestSnf:
                        for rows, c in ((q, p), (r, q), (s, r)))
             vec = IntMatrix(r * q, 1, f.entries)
             assert (kron(b, a.transpose()) @ vec).entries == (b @ f @ a).entries
+
+
+class TestSmithDiagonal:
+    """`smith_diagonal` against the diagonal of the logged elimination."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]),
+           st.sampled_from(["sparse", "sparse with 2 and 3", "dense", "zero"]))
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_snf_diagonal(self, seed, ring, kind):
+        # sparse matrices keep to one entry in ten or fewer: denser ones send
+        # the oracle's dense elimination over Z into coefficient growth.
+        # Entries 2 and 3 leave a block with no unit for `_eliminate`
+        rng = random.Random(seed)
+        if kind == "dense":
+            m, n = rng.randint(0, 8), rng.randint(0, 8)
+            values, density = range(-9, 10), 1
+        else:
+            m, n = rng.randint(0, 40), rng.randint(0, 40)
+            values = (1, -1) if kind == "sparse" else (1, -1, 2, 3)
+            density = rng.uniform(0, 0.1) if kind != "zero" else 0
+        M = IntMatrix(m, n, tuple(rng.choice(values) if rng.random() < density else 0
+                                  for _ in range(m * n)), ring)
+        matrices.smith_diagonal.cache_clear()
+        assert smith_diagonal(M) == snf(M).diag
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 5), (5, 0), (3, 4)])
+    def test_zero_and_empty_shapes(self, ring, m, n):
+        M = IntMatrix.zeros(m, n, ring)
+        assert smith_diagonal(M) == snf(M).diag == (0,) * min(m, n)
+
+    def test_the_block_with_no_unit(self):
+        # one unit pivot, then diag(2, 3) is left to `_eliminate`: 2 and 3
+        # are coprime, so the factors are 1 and 6
+        M = IntMatrix.from_rows([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
+        assert smith_diagonal(M) == snf(M).diag == (1, 1, 6)
+        # no unit at all over Z; over F_3 every entry is one, and the
+        # determinant -12 vanishes
+        assert smith_diagonal(IntMatrix.from_rows([[2, 4], [4, 2]])) == (2, 6)
+        assert smith_diagonal(IntMatrix.from_rows([[2, 4], [4, 2]], GF(3))) == (1, 0)
 
 
 # every frozen value class of the package, with each of its fields
