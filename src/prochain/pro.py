@@ -167,11 +167,16 @@ class Tower(_TailedSequence):
                 raise ValidationError("tail endo is not an endomorphism of the last entry")
 
     def composite(self, s: int, t: int):
-        """The composed map T_s -> T_t for s >= t."""
+        """The composed map T_s -> T_t for s >= t: the identity for s == t,
+        and otherwise structure_map(t) o ... o structure_map(s - 1), built
+        from structure_map(t) with no identity composed in, so that
+        composite(t + 1, t) is structure_map(t) itself."""
         if s < t:
             raise PreconditionViolated(f"composite T_{s} -> T_{t} needs s >= t")
-        m = _identity(self.entry(t))
-        for k in range(t, s):
+        if s == t:
+            return _identity(self.entry(t))
+        m = self.structure_map(t)
+        for k in range(t + 1, s):
             m = m.compose(self.structure_map(k))
         return m
 

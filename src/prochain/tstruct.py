@@ -228,10 +228,15 @@ class MapClassification(Value):
         return self.max_n_equivalence == INF
 
 
+# one entry per cone, so the bound of the cone table: a seed-5 `maps` round
+# classifies 277 distinct maps 3,085 times, 15 questions for each map of a
+# `classify` item and the pre- and postconditions of factor_n and find_lift
+@lru_cache(maxsize=chain.CONE_CACHE_SIZE)
 def classify_map(f: ChainMap) -> MapClassification:
     """Homology support of the cone decides both thresholds: f is an
     n-equivalence iff H_i(cone f) = 0 for i <= n, and a co-n-equivalence iff
-    H_i(cone f) = 0 for i > n."""
+    H_i(cone f) = 0 for i > n.  Each map is classified once; a table hit
+    returns the same frozen classification."""
     support = homology_support(cone(f))
     if support is None:
         return MapClassification(INF, NEG_INF)
@@ -240,10 +245,14 @@ def classify_map(f: ChainMap) -> MapClassification:
 
 
 def is_n_equivalence(f: ChainMap, n: int) -> bool:
+    """Is f an n-equivalence?  Read off the one classification of f, so a
+    sweep over n builds one cone and reads its homology once."""
     return n <= classify_map(f).max_n_equivalence
 
 
 def is_co_n_equivalence(f: ChainMap, n: int) -> bool:
+    """Is f a co-n-equivalence?  Read off the one classification of f, as
+    `is_n_equivalence` is."""
     return n >= classify_map(f).min_co_n_equivalence
 
 

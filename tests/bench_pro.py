@@ -11,6 +11,11 @@ are those of levelwise multiplication by 2 that are not pro-isomorphisms.
 `oracles.block_tower`, Mittag-Leffler or not, with finitely generated
 colimits or not.
 
+The `postnikov` items of the benchmark's `maps` workload at seed 5:
+`postnikov_replacement` of each of their towers, then
+`is_hstar_weak_equivalence` of its canonical map, which is a weak
+equivalence every time.
+
     PYTHONPATH=src python -m pytest tests/bench_pro.py --benchmark-only
 
 It needs pytest-benchmark.  Its name does not match `test_*.py`, so the
@@ -27,8 +32,9 @@ from oracles import block_tower, pro_iso_by_fillers
 from prochain.chain import multiplication_map
 from prochain.pro import (DirectSystem, TailPolicy, colim, is_pro_isomorphism,
                           level_map, lim_lim1, repeat_tower)
-from prochain.prohomotopy import (induced_homology_pro_map, postnikov_replacement,
-                                  tower_homology_support)
+from prochain.prohomotopy import (induced_homology_pro_map,
+                                  is_hstar_weak_equivalence,
+                                  postnikov_replacement, tower_homology_support)
 
 pytest.importorskip("pytest_benchmark")
 
@@ -83,3 +89,15 @@ def test_block_towers(benchmark, compute):
     got = benchmark.pedantic(compute, args=(endos,), setup=prochain.cache_clear,
                              rounds=10)
     assert len(got) == len(endos)
+
+
+def postnikov_verdicts(towers):
+    return [is_hstar_weak_equivalence(postnikov_replacement(Y)[1]).verdict
+            for Y in towers]
+
+
+def test_postnikov(benchmark):
+    towers = maps_postnikov_towers(5)
+    got = benchmark.pedantic(postnikov_verdicts, args=(towers,),
+                             setup=prochain.cache_clear, rounds=10)
+    assert towers and got == ["weak_equivalence"] * len(towers)

@@ -58,6 +58,10 @@ one filler solve per level t <= T*, at the depth s the docstring of
 certificate.  `is_pro_isomorphism` decides by the nilpotency of the tail
 maps on the kernel and the cokernel and solves only for a false verdict.
 
+`composite_from_identity` is `pro.Tower.composite` as it was first
+written: the identity of T_t composed with each structure map in turn.
+`composite` starts from structure_map(t) and builds no identity.
+
 `abutment_filtration_by_truncations` is `ahss.abutment_filtration` as it was
 first written: F_q as the image of the map [X, tau_{>= q} Y]_n -> [X, Y]_n
 that the truncation inclusion induces, with the homology of a hom complex
@@ -89,8 +93,8 @@ from prochain.exactalg.groups import (GroupHom, SubquotientData, cokernel,
 from prochain.exactalg.matrices import (IntMatrix, Lattice, block_matrix, hcat,
                                        kernel_lattice, snf)
 from prochain.exactalg.ring import ZZ
-from prochain.pro import (ProIsoVerdict, ProMap, _filler_exists, _levelize,
-                          _nilpotency_bound, colim)
+from prochain.pro import (ProIsoVerdict, ProMap, Tower, _filler_exists,
+                          _identity, _levelize, _nilpotency_bound, colim)
 from prochain.prohomotopy import derived_hom_system
 from prochain.tstruct import (_is_surjective_matrix, coefficient_complex,
                               truncate_above, truncate_below_map,
@@ -431,6 +435,14 @@ def pro_iso_by_fillers(f: ProMap) -> ProIsoVerdict:
         if _filler_exists(f, t, s) is None:
             return ProIsoVerdict("false", certificate_level=t)
     return ProIsoVerdict("true", witness_levels=tuple(range(T_star + 1)))
+
+
+def composite_from_identity(T: Tower, s: int, t: int):
+    """The composed map T_s -> T_t, s >= t, folded onto the identity of T_t."""
+    m = _identity(T.entry(t))
+    for k in range(t, s):
+        m = m.compose(T.structure_map(k))
+    return m
 
 
 def _shears(rng, n: int):

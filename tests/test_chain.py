@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import prochain
 from conftest import (bench_module, big_complex, cells_spaces, changed_space,
-                      random_map_into, random_map_out)
+                      random_composable_pair, random_map_into, random_map_out)
 from oracles import cone_les_exact
 from prochain import chain as chain_module
 from prochain.chain import (ChainComplex, ChainMap, chain_map, cone, derived_hom,
@@ -22,7 +22,7 @@ from prochain.chain import (ChainComplex, ChainMap, chain_map, cone, derived_hom
                             zero_complex, zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
                              SizeBudgetExceeded, ValidationError)
-from prochain.exactalg.groups import group_from_orders
+from prochain.exactalg.groups import group_from_orders, induced_hom
 from prochain.exactalg.matrices import (IntMatrix, kernel_lattice, smith_diagonal,
                                        snf, span_lattice)
 from prochain.exactalg.ring import GF, ZZ
@@ -243,6 +243,20 @@ class TestInducedMaps:
             assert is_chain_map(f)
             for n in X.degrees:
                 assert induced_homology_map(f, n).is_zero
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    def test_one_table_of_induced_maps(self, ring):
+        # the table returns the map induced_hom builds on the two homology
+        # subquotients, and a second call returns the same object
+        rng = random.Random(11)
+        for _ in range(12):
+            f, g = random_composable_pair(rng, ring)
+            for h in (f, g, g.compose(f)):
+                for n in range(h.lo - 1, h.degrees.stop + 1):
+                    got = induced_homology_map(h, n)
+                    assert got == induced_hom(homology_data(h.source, n), h.comp(n),
+                                              homology_data(h.target, n))
+                    assert induced_homology_map(h, n) is got
 
     def test_encode_rejects_non_cycles(self):
         # the generator of M2 in degree 1 has boundary 2, so it is no cycle

@@ -133,10 +133,13 @@ def test_every_cache_is_bounded_and_cleared():
     assert caches
     unbounded = [k for k, c in caches.items() if c.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+    # from empty tables, so that the calls below must reach every one
+    prochain.cache_clear()
     Y = prochain.moore_complex(2)
     prochain.convergence_check(Y, Y)
     prochain.cohomology_with_coefficients(Y, group_from_orders([2]), 0)
     prochain.classify_map(prochain.chain.multiplication_map(Y, 2))
+    prochain.induced_homology_map(prochain.chain.multiplication_map(Y, 2), 0)
     hom_group(free_group(1), group_from_orders([4]))
     assert [k for k, c in caches.items() if not c.cache_info().currsize] == []
     prochain.cache_clear()

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_chain_tower, run_python
-from oracles import block_tower, pro_iso_by_fillers
+from oracles import block_tower, composite_from_identity, pro_iso_by_fillers
 from prochain import pro
+from prochain.chain import multiplication_map, random_null_homotopic
 from prochain.errors import (PostconditionViolated, PreconditionViolated,
                              ValidationError)
 from prochain.exactalg.groups import (cokernel, cokernel_projection, free_group,
@@ -173,6 +174,51 @@ class TestProMaps:
         c = comparison_to_reindexed(t, 2)
         cc = compose_pro(comparison_to_reindexed(reindex_cofinal(t, 2), 1), c)
         assert cc.theta(3) == c.theta(3)
+
+
+def random_tower(rng, chains: bool, repeat: bool) -> Tower:
+    """A tower of one complex over Z or F_2 (`random_chain_tower`) or of one
+    group of MIXED_SHAPES with up to two random head endomorphisms, with a
+    constant tail or one repeating another endomorphism.  Random
+    endomorphisms of a group, and null-homotopic ones of a complex, seldom
+    commute, so the order of a composite shows."""
+    if chains:
+        T = random_chain_tower(rng, rng.choice([ZZ, GF(2)]))
+        X = T.entries[0]
+        endos = [lambda: multiplication_map(X, rng.choice([0, 2, 3])),
+                 lambda: random_null_homotopic(rng, X, X)]
+    else:
+        ring, orders = rng.choice(MIXED_SHAPES)
+        A = group_from_orders(orders, ring)
+        endos = [lambda: hom(A, A, IntMatrix.from_rows(
+            [[_entry(rng, d, c) for c in orders] for d in orders], ring))]
+        depth = rng.randint(0, 2)
+        T = Tower((A,) * (depth + 1), tuple(endos[0]() for _ in range(depth)),
+                  TailPolicy.constant_from(depth))
+    if repeat:
+        T = Tower(T.entries, T.structure,
+                  TailPolicy.repeat_from(T.tail.start, rng.choice(endos)()))
+    return T
+
+
+class TestComposite:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.booleans(), st.booleans())
+    def test_against_the_identity_fold(self, seed, chains, repeat):
+        # every composite T_s -> T_t through three levels past the tail
+        # start equals the identity-first fold; one step is the structure
+        # map itself where the tower stores it, and an identity equal to
+        # it on a constant tail, where structure_map builds a new one
+        T = random_tower(random.Random(seed), chains, repeat)
+        top = T.tail.start + 3
+        for t in range(top + 1):
+            for s in range(t, top + 1):
+                assert T.composite(s, t).equal(composite_from_identity(T, s, t))
+            step = T.composite(t + 1, t)
+            if t < T.tail.start or not T.tail.is_constant:
+                assert step is T.structure_map(t)
+            else:
+                assert step.equal(T.structure_map(t))
 
 
 class TestProIso:

@@ -7,8 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (big_complex, cells_spaces, random_chain_tower,
-                      random_composable_pair, random_map_into, random_map_out)
+import prochain
+from conftest import (big_complex, cells_spaces, maps_classify_maps,
+                      random_chain_tower, random_composable_pair,
+                      random_map_into, random_map_out)
 from oracles import cell_state_factor, cone_les_exact
 from prochain import chain
 from prochain.chain import (CONE_CACHE_SIZE, chain_map, cone, derived_hom,
@@ -186,6 +188,26 @@ class TestClassification:
         info = cone.cache_info()
         assert info.misses == 1 and info.maxsize == CONE_CACHE_SIZE
         assert c == classify_map_by_homology(f)
+
+    def test_one_classification_per_map(self):
+        # a `maps` classify item's 15 questions about one map build one cone
+        # and classify the map once; the table bound is the cone table's
+        triples = maps_classify_maps(5)
+        f = triples[0][0]
+        prochain.cache_clear()
+        classify_map(f)
+        for n in range(-3, 4):
+            is_n_equivalence(f, n)
+            is_co_n_equivalence(f, n)
+        assert cone.cache_info().misses == 1
+        info = classify_map.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 14, CONE_CACHE_SIZE)
+        for h in (h for maps in triples[:8] for h in maps):
+            want = classify_map_by_homology(h)
+            assert classify_map(h) == want
+            for n in range(-3, 4):
+                assert is_n_equivalence(h, n) == (n <= want.max_n_equivalence)
+                assert is_co_n_equivalence(h, n) == (n >= want.min_co_n_equivalence)
 
     def test_classification_and_factorization_build_no_cone_maps(self, monkeypatch):
         # a cone read by classify_map or factor_n builds no chain map: its
