@@ -392,32 +392,52 @@ def kernel(f: GroupHom) -> Subgroup:
 
 def subquotient(ambient: FgAbGroup, numerator: Subgroup,
                 denominator: Subgroup) -> SubquotientData:
-    """im(numerator)/im(denominator), presented by the coordinates of the
-    denominator's basis in the numerator's lattice; raises
-    ContainmentViolation unless the containment holds."""
-    rels = numerator.lattice.coords(denominator.basis)
+    """im(numerator)/im(denominator); see `lattice_quotient`."""
+    return lattice_quotient(ambient, numerator.lattice, denominator.lattice)
+
+
+def lattice_quotient(ambient: FgAbGroup, F: Lattice, G: Lattice) -> SubquotientData:
+    """F / G for lattices of ambient generator vectors that contain the
+    ambient relations: the trivial group on the basis of F when G is F,
+    with no elimination, and otherwise the group presented by the
+    coordinates of G's basis in F; raises ContainmentViolation unless G
+    lies in F."""
+    if G is F:
+        r, ring = len(F.divisors), ambient.ring
+        return SubquotientData(ambient, FgAbGroup(ring, (), IntMatrix.zeros(0, r, ring),
+                                                  IntMatrix.zeros(r, 0, ring)), F)
+    rels = F.coords(G.basis)
     if rels is None:
         raise ContainmentViolation("denominator not contained in numerator")
-    return SubquotientData(ambient, group_from_presentation(rels), numerator.lattice)
+    return SubquotientData(ambient, group_from_presentation(rels), F)
+
+
+def generator_lattice(g: FgAbGroup) -> Lattice:
+    """The lattice of every generator vector of g; no Smith form is needed."""
+    one = IntMatrix.identity(g.ngens, g.ring)
+    return Lattice(one, one, (1,) * g.ngens)
+
+
+def relation_lattice(g: FgAbGroup) -> Lattice:
+    """The lattice of the canonical relations d_i e_i of g.  The first t
+    rows of the identity read relation i as d_i, so its divisors are the
+    invariant factors."""
+    t = len(g.invariant_factors)
+    return Lattice(g.relation_matrix(),
+                   IntMatrix.identity(g.ngens, g.ring).take_rows(range(t)),
+                   g.orders[:t])
 
 
 def full_subgroup(g: FgAbGroup) -> Subgroup:
-    """g itself: the lattice of every generator vector, presented by the
-    canonical relations; no Smith form is needed."""
-    one = IntMatrix.identity(g.ngens, g.ring)
-    return Subgroup(g, group_from_presentation(g.relation_matrix()),
-                    Lattice(one, one, (1,) * g.ngens))
+    """g itself, presented by the canonical relations."""
+    return Subgroup(g, group_from_presentation(g.relation_matrix()), generator_lattice(g))
 
 
 def zero_subgroup(g: FgAbGroup) -> Subgroup:
-    """0 in g: the lattice of the canonical relations d_i e_i.  The first t
-    rows of the identity read relation i as d_i, so its divisors are the
-    invariant factors, and each relation is its own relation in the group."""
+    """0 in g: each canonical relation is its own relation in the group."""
     t = len(g.invariant_factors)
     return Subgroup(g, group_from_presentation(IntMatrix.identity(t, g.ring)),
-                    Lattice(g.relation_matrix(),
-                            IntMatrix.identity(g.ngens, g.ring).take_rows(range(t)),
-                            g.orders[:t]))
+                    relation_lattice(g))
 
 
 def quotient(g: FgAbGroup, by: Subgroup) -> SubquotientData:

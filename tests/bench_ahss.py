@@ -1,6 +1,7 @@
 """Micro-benchmarks of the `ahss` layer: E^2 alone (`SpectralSequence(X, Y)`),
 the abutment filtration against its truncation-by-truncation oracle, the
-colimit condition on the quotient model of T_{<= k} Y against the cone
+graded abutment (`SpectralSequence.graded`) on a built E^2, the colimit
+condition on the quotient model of T_{<= k} Y against the cone
 model, and the convergence check as a whole, on the minimal models
 (`convergence_check`) against the pair itself, on fixed pairs of total rank
 3 to 8 over Z and F_2, from cold caches; and `pro_ahss` on one fixed tower.
@@ -70,9 +71,32 @@ def test_pro_ahss(benchmark):
                                         abutment_filtration_by_truncations],
                          ids=["hom-cycles", "truncations"])
 def test_abutment_filtration(benchmark, filtration, rank, ring):
+    # abutment_filtration returns lattices, the oracle Subgroups on them
     X, Y = pair(rank, ring)
-    benchmark.pedantic(filtration_along_the_window, args=(filtration, X, Y),
-                       setup=prochain.cache_clear, rounds=20)
+    got = benchmark.pedantic(filtration_along_the_window, args=(filtration, X, Y),
+                             setup=prochain.cache_clear, rounds=20)
+    want = filtration_along_the_window(abutment_filtration, X, Y)
+    for (_, filt), (_, lattices) in zip(got, want):
+        for (_, F), (_, L) in zip(filt, lattices):
+            F = getattr(F, "lattice", F)
+            assert F.coords(L.basis) is not None and L.coords(F.basis) is not None
+
+
+def graded_along_the_window(ss):
+    w = ss.window
+    return [ss.graded(n) for n in range(w.n_lo, w.n_hi + 1)]
+
+
+@pytest.mark.parametrize("rank, ring", CASES, ids=IDS)
+def test_graded(benchmark, rank, ring):
+    # E^2 is built in the setup; it reads no hom complex the graded pieces read
+    X, Y = pair(rank, ring)
+
+    def cold_sequence():
+        prochain.cache_clear()
+        return (SpectralSequence(X, Y),), {}
+
+    benchmark.pedantic(graded_along_the_window, setup=cold_sequence, rounds=20)
 
 
 @pytest.mark.parametrize("rank, ring", CASES, ids=IDS)

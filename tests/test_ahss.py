@@ -2,6 +2,7 @@
 convergence, and the tower version."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,8 +23,9 @@ from prochain.chain import (ChainComplex, HomComplexView, _random_unimodular,
                             zero_map)
 from prochain.errors import (ContainmentViolation, PostconditionViolated,
                              PreconditionViolated)
+from prochain.exactalg import groups
 from prochain.exactalg.groups import (full_subgroup, image, kernel,
-                                      subquotient, zero_subgroup)
+                                      lattice_quotient, subquotient, zero_subgroup)
 from prochain.exactalg.matrices import IntMatrix, Lattice, hcat, solve
 from prochain.exactalg.ring import GF, ZZ
 from prochain.pro import TailPolicy, Tower, UnknownValue, constant_tower, repeat_tower
@@ -167,7 +169,7 @@ class TestAbutment:
         subs = dict(filt)
         jumps = []
         for q in range(min(subs), max(subs)):
-            gr = subquotient(total, subs[q], subs[q + 1]).group
+            gr = lattice_quotient(total, subs[q], subs[q + 1]).group
             if not gr.is_trivial:
                 jumps.append((q, gr))
         assert jumps == [(0, jumps[0][1])]
@@ -179,7 +181,7 @@ class TestAbutment:
             total, filt = abutment_filtration(Z0, Y, n)
             subs = dict(filt)
             for q in range(min(subs), max(subs)):
-                gr = subquotient(total, subs[q], subs[q + 1]).group
+                gr = lattice_quotient(total, subs[q], subs[q + 1]).group
                 if q == n:
                     assert gr.isomorphic(homology(Y, n))
                 else:
@@ -239,7 +241,8 @@ class TestAbutmentAgainstTruncations:
             assert total.orders == want_total.orders
             assert [q for q, _ in filt] == [q for q, _ in want]
             for (q, F), (_, G) in zip(filt, want):
-                assert F.contains_hom(G.inclusion) and G.contains_hom(F.inclusion), (n, q)
+                assert F.coords(G.basis) is not None, (n, q)
+                assert G.lattice.coords(F.basis) is not None, (n, q)
 
     def test_reads_only_the_hom_complex_of_x_and_y(self, monkeypatch):
         # no hom complex, and so no homology, per truncation of Y
@@ -608,6 +611,62 @@ class TestFilteredEngine:
             assert sorted(split.data) == sorted(page.data)
             for slot, g in page.groups.items():
                 assert split.groups[slot].isomorphic(g)
+
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from([ZZ, GF(2)]))
+    @settings(max_examples=20, deadline=None)
+    def test_graded_against_the_truncations(self, seed, ring):
+        # every n of the window and one past each end, where [X, Y]_n = 0:
+        # each piece is the quotient of the oracle's subgroups, on the same
+        # lattice; the filtration splits, so the pieces add up to the total
+        X, Y = big_pair(random.Random(seed), ring)
+        ss = SpectralSequence(X, Y)
+        w = ss.window
+        for n in range(w.n_lo - 1, w.n_hi + 2):
+            graded = ss.graded(n)
+            total, want = abutment_filtration_by_truncations(X, Y, n)
+            assert sorted(graded) == [q for q, _ in want[:-1]]
+            for (q, F), (_, G) in zip(want, want[1:]):
+                piece, oracle = graded[q], subquotient(total, F, G)
+                assert piece.ambient.orders == total.orders
+                assert piece.group.orders == oracle.group.orders, (n, q)
+                assert piece.lattice.coords(oracle.basis) is not None, (n, q)
+                assert oracle.lattice.coords(piece.basis) is not None, (n, q)
+            pieces = [gr.group for gr in graded.values()]
+            assert sum(g.free_rank for g in pieces) == total.free_rank
+            assert (prod(prod(g.invariant_factors) for g in pieces)
+                    == prod(total.invariant_factors))
+
+    @pytest.mark.parametrize("seed, ring", [(1, ZZ), (4, ZZ), (6, GF(2))])
+    def test_one_presentation_per_step(self, monkeypatch, seed, ring):
+        # a trivial [X, Y]_n takes no kernel, lattice or presentation; a
+        # nontrivial one spans one lattice per q with Y.lo < q <= Y.hi and
+        # presents one piece per step at which the lattice changes, that is
+        # for Y.lo <= q <= Y.hi.  [X, Y]_n is read before counting, to tell
+        # the two apart
+        X, Y = big_pair(random.Random(seed), ring)
+        calls = []
+        for module, name in ((ahss, "kernel_basis"), (ahss, "span_lattice"),
+                             (groups, "group_from_presentation")):
+            def counting(*args, name=name, f=getattr(module, name)):
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(module, name, counting)
+        ss = SpectralSequence(X, Y)
+        w = ss.window
+        trivial = 0
+        for n in range(w.n_lo - 1, w.n_hi + 2):
+            total = chain.derived_hom(X, Y, n)
+            calls.clear()
+            ss.graded(n)
+            if total.is_trivial:
+                trivial += 1
+                assert calls == [], n
+                continue
+            interior = sum(Y.lo < q <= Y.hi for q in ss.graded(n))
+            assert calls.count("kernel_basis") == interior, n
+            assert calls.count("span_lattice") == interior, n
+            assert calls.count("group_from_presentation") == interior + 1, n
+        assert 0 < trivial < w.n_hi - w.n_lo + 3
 
     @pytest.mark.parametrize("seed, ring", [(2, ZZ), (3, ZZ), (5, GF(2))])
     def test_entry_joining_two_levels_raises(self, monkeypatch, seed, ring):
