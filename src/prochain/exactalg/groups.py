@@ -156,16 +156,7 @@ HOM_GROUP_CACHE_SIZE = 256
 @lru_cache(maxsize=PRESENTATION_CACHE_SIZE)
 def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
     """Group on relations.rows generators modulo the columns of relations."""
-    ring = relations.ring
-    n = relations.rows
-    s = snf(relations)
-    diag = list(s.diag) + [0] * (n - len(s.diag))
-    kept = [i for i, d in enumerate(diag) if ring.reduce(d) == 0 or
-            (not ring.is_field and d != 1)]
-    orders = tuple(0 if ring.reduce(diag[i]) == 0 else diag[i] for i in kept)
-    to_c = s.U.take_rows(kept)
-    from_c = s.Uinv.take_columns(kept)
-    return FgAbGroup(ring=ring, orders=orders, to_canonical=to_c, from_canonical=from_c)
+    return FgAbGroup(relations.ring, *snf(relations).cokernel)
 
 
 def group_from_orders(orders: Sequence[int], ring: RingTag = ZZ) -> FgAbGroup:

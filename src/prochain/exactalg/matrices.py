@@ -13,8 +13,9 @@ instead: `chain.homology`, which reads H_n off the diagonals of d_n and
 d_{n+1}.  It keeps no log, since only the transforms read one, and it
 eliminates sparsely, unit pivots first, so a sparse matrix written in a
 changed basis stays sparse, where the logged elimination fills it and its
-entries grow.  `snf` stays the source of every transform, and of the
-diagonals its callers read beside them.
+entries grow.  `snf` stays the source of every transform and of the
+`SnfResult` blocks read off them; outside this module and the self-test,
+callers read the blocks and never slice U, V or their inverses by rank.
 
 Storage is dense, but the arithmetic is not: products, and the SNF
 elimination and its replay over Z and odd p, run through one row kernel,
@@ -32,9 +33,9 @@ The SNF kernel and its replay likewise take the modulus from the ring once
 per call: over Z entries are exact, over F_p the input is reduced once and
 every combination is taken mod p.
 
-A subgroup of ring^m is a `Lattice` (`kernel_lattice`, `span_lattice`): a
-basis with a matrix C from the same Smith form, C @ basis diagonal.  Its
-`coords` answers every membership and coordinate question by products,
+A subgroup of ring^m is a `Lattice`, as the `kernel` and `image` blocks
+are: a basis with a matrix C from the same Smith form, C @ basis diagonal.
+Its `coords` answers every membership and coordinate question by products,
 checked by one more, instead of a second Smith form.
 """
 
@@ -372,9 +373,23 @@ class SnfResult:
     """U @ M @ V == S with U, V invertible over the ring and S diagonal.
 
     The diagonal satisfies d_1 | d_2 | ... ; invariant_factors lists the
-    nonzero diagonal entries.  The elimination logs its row and column
-    operations; each transform is replayed from its log when first read, and
-    a log is dropped once both transforms of its side are built.
+    nonzero diagonal entries, each pivot normalized (positive over Z, 1 over
+    F_p), so the factors equal to 1 come first.  The elimination logs its
+    row and column operations; each transform is replayed from its log when
+    first read, and a log is dropped once both transforms of its side are
+    built.
+
+    The splits of M are read off the transforms with r = rank, each block
+    cached (so the spans of one matrix are one object) and built from the
+    two transforms it names:
+    - `kernel`: ker M as a `Lattice`, V at columns r.. with V^-1 at rows r..;
+    - `coimage`: (V at columns ..r, V^-1 at rows ..r), a complement of the
+      kernel and the projection onto it;
+    - `image`: im M as a `Lattice`, U^-1 D at columns ..r with U at rows ..r;
+    - `cokernel`: (orders, projection, section) of ring^m / im M, U at the
+      rows whose factor is not 1 and U^-1 at those columns;
+    - `inverse`: V at columns ..r times U at rows ..r, a retraction of a
+      split mono and a section of a split epi.
     """
 
     def __init__(self, diag: tuple, m: int, n: int, ring: RingTag,
@@ -431,6 +446,34 @@ class SnfResult:
     @property
     def invariant_factors(self) -> tuple:
         return tuple(d for d in self.diag if d != 0)
+
+    @cached_property
+    def kernel(self) -> "Lattice":
+        free = range(self.rank, self.n)
+        return Lattice(self.V.take_columns(free), self.Vinv.take_rows(free),
+                       (1,) * len(free))
+
+    @cached_property
+    def coimage(self) -> tuple:
+        r = range(self.rank)
+        return self.V.take_columns(r), self.Vinv.take_rows(r)
+
+    @cached_property
+    def image(self) -> "Lattice":
+        d, r = self.invariant_factors, range(self.rank)
+        basis = self.Uinv.take_columns(r) @ IntMatrix.diagonal(d, len(d), len(d), self.ring)
+        return Lattice(basis, self.U.take_rows(r), d)
+
+    @cached_property
+    def cokernel(self) -> tuple:
+        kept = range(self.diag.count(1), self.m)
+        orders = tuple(self.diag[i] if i < len(self.diag) else 0 for i in kept)
+        return orders, self.U.take_rows(kept), self.Uinv.take_columns(kept)
+
+    @cached_property
+    def inverse(self) -> IntMatrix:
+        r = range(self.rank)
+        return self.V.take_columns(r) @ self.U.take_rows(r)
 
 
 def _snf_impl(M: IntMatrix) -> SnfResult:
@@ -782,12 +825,8 @@ class Lattice(Value):
 
 
 def kernel_lattice(A: IntMatrix) -> Lattice:
-    """{x : A x = 0}, from one Smith form U A V = D: the basis is V at the
-    zero columns of D and C is V^-1 at those rows, with unit divisors."""
-    s = snf(A)
-    d = s.diag
-    free = [j for j in range(A.cols) if j >= len(d) or d[j] == 0]
-    return Lattice(s.V.take_columns(free), s.Vinv.take_rows(free), (1,) * len(free))
+    """{x : A x = 0}, the `kernel` of A's Smith form."""
+    return snf(A).kernel
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
@@ -796,14 +835,8 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
 
 def span_lattice(G: IntMatrix) -> Lattice:
-    """The column span of G, from one Smith form U G V = D: G V = U^-1 D, so
-    the basis is U^-1 D at the first r columns and C is U at the first r
-    rows, with the invariant factors as divisors."""
-    s = snf(G)
-    d = s.invariant_factors
-    r = len(d)
-    basis = s.Uinv.take_columns(range(r)) @ IntMatrix.diagonal(d, r, r, G.ring)
-    return Lattice(basis, s.U.take_rows(range(r)), d)
+    """The column span of G, the `image` of G's Smith form."""
+    return snf(G).image
 
 
 def hcat(A: IntMatrix, B: IntMatrix) -> IntMatrix:

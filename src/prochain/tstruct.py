@@ -90,10 +90,10 @@ def truncation_step(X: ChainComplex, n: int) -> ChainMap:
 
 def truncate_below(X: ChainComplex, n: int) -> ChainComplex:
     """T_{<= n} X as the quotient X / tau_{>= n+1} X: X up to degree n and,
-    in degree n + 1, X_{n+1} / ker d_{n+1} on the `rank` non-cycle columns
-    of the Smith V of d_{n+1}, with d_{n+1} on them.  It is 0 for n < X.lo
-    and X for n >= X.hi.  Over Z or F_p the quotient is free, and H_m agrees
-    with X for m <= n and vanishes above."""
+    in degree n + 1, X_{n+1} / ker d_{n+1} on the complement of the cycles
+    in the Smith `coimage` of d_{n+1}, with d_{n+1} on it.  It is 0 for
+    n < X.lo and X for n >= X.hi.  Over Z or F_p the quotient is free, and
+    H_m agrees with X for m <= n and vanishes above."""
     if n < X.lo:
         return zero_complex(X.ring)
     if n >= X.hi:
@@ -102,25 +102,18 @@ def truncate_below(X: ChainComplex, n: int) -> ChainComplex:
     ranks = {m: X.rank(m) for m in range(X.lo, n + 1)}
     ranks[n + 1] = s.rank
     diffs = {m: X.diff(m) for m in range(X.lo + 1, n + 1)}
-    diffs[n + 1] = X.diff(n + 1) @ s.V.take_columns(range(s.rank))
+    diffs[n + 1] = X.diff(n + 1) @ s.coimage[0]
     return make_complex(X.ring, ranks, diffs)
-
-
-def _onto_non_cycles(X: ChainComplex, n: int) -> IntMatrix:
-    """X_{n+1} -> (T_{<= n} X)_{n+1}: the first `rank` rows of the Smith
-    V^-1 of d_{n+1}; the other rows read the cycles, which the quotient
-    kills."""
-    s = snf(X.diff(n + 1))
-    return s.Vinv.take_rows(range(s.rank))
 
 
 def truncate_below_free(X: ChainComplex, n: int) -> Tuple[ChainComplex, ChainMap]:
     """T_{<= n} X with its anchor X -> T_{<= n} X, the quotient map: the
-    identity up to degree n and `_onto_non_cycles` in degree n + 1."""
+    identity up to degree n and, in degree n + 1, the projection of the
+    Smith `coimage` of d_{n+1}, which kills the cycles."""
     Q = truncate_below(X, n)
     comps = {m: IntMatrix.identity(X.rank(m), X.ring)
              for m in range(X.lo, min(n, X.hi) + 1)}
-    comps[n + 1] = _onto_non_cycles(X, n)
+    comps[n + 1] = snf(X.diff(n + 1)).coimage[1]
     return Q, chain_map(X, Q, comps)
 
 
@@ -133,15 +126,14 @@ def truncate_below_step(X: ChainComplex, n: int) -> ChainMap:
 
 
 def truncate_below_map(f: ChainMap, n: int) -> ChainMap:
-    """T_{<= n} f: f up to degree n and, in degree n + 1, f on the source's
-    non-cycle columns read through the target's `_onto_non_cycles`.  f keeps
-    cycles and the target's anchor kills them, so T_{<= n} f o anchor =
-    anchor o f."""
+    """T_{<= n} f: f up to degree n and, in degree n + 1, f on the
+    complement in the source's `coimage` of d_{n+1}, read through the
+    projection of the target's.  f keeps cycles and the target's anchor
+    kills them, so T_{<= n} f o anchor = anchor o f."""
     S, T = f.source, f.target
-    s = snf(S.diff(n + 1))
     comps = {m: f.comp(m) for m in range(f.lo, min(n, max(S.hi, T.hi)) + 1)}
-    comps[n + 1] = (_onto_non_cycles(T, n) @ f.comp(n + 1)
-                    @ s.V.take_columns(range(s.rank)))
+    comps[n + 1] = (snf(T.diff(n + 1)).coimage[1] @ f.comp(n + 1)
+                    @ snf(S.diff(n + 1)).coimage[0])
     return chain_map(truncate_below(S, n), truncate_below(T, n), comps)
 
 
@@ -282,19 +274,14 @@ def classify_map_by_homology(f: ChainMap) -> MapClassification:
 # ---------------------------------------------------------------------------
 
 def is_degreewise_split_mono(f: ChainMap) -> bool:
-    """Every component a split monomorphism (then the cokernel is free)."""
-    for n in f.degrees:
-        c = f.comp(n)
-        s = snf(c)
-        if s.rank != c.cols or any(d != 1 for d in s.invariant_factors):
-            return False
-    return True
+    """Every component a split monomorphism, with a unit pivot in every
+    column (then the cokernel is free)."""
+    return all(snf(f.comp(n)).diag.count(1) == f.comp(n).cols for n in f.degrees)
 
 
 def _is_surjective_matrix(c: IntMatrix) -> bool:
-    s = snf(c)
-    return s.rank == c.rows and (c.ring.is_field
-                                 or all(d == 1 for d in s.invariant_factors))
+    """A split epi, with a unit pivot in every row."""
+    return snf(c).diag.count(1) == c.rows
 
 
 def is_degreewise_surjection(f: ChainMap) -> bool:
@@ -310,23 +297,14 @@ def is_co_n_fibration(f: ChainMap, n: int) -> bool:
 
 
 def cokernel_complex(f: ChainMap) -> ChainComplex:
-    """The free cokernel of a degreewise split mono, in complement bases (the
-    rows of each Smith U past its rank); `find_lift` reads it as coker i."""
+    """The free cokernel of a degreewise split mono, on the `cokernel` block
+    of each component's Smith form; `find_lift` reads it as coker i."""
     if not is_degreewise_split_mono(f):
         raise PreconditionViolated("not a degreewise split mono")
-    ring = f.source.ring
-    proj = {}
-    sect = {}
-    ranks = {}
-    for m in f.degrees:
-        c = f.comp(m)
-        s = snf(c)
-        idx = list(range(s.rank, c.rows))
-        proj[m] = s.U.take_rows(idx)
-        sect[m] = s.Uinv.take_columns(idx)
-        ranks[m] = len(idx)
-    diffs = {m: proj[m - 1] @ f.target.diff(m) @ sect[m] for m in f.degrees[1:]}
-    return make_complex(ring, ranks, diffs)
+    coker = {m: snf(f.comp(m)).cokernel for m in f.degrees}
+    ranks = {m: len(orders) for m, (orders, _, _) in coker.items()}
+    diffs = {m: coker[m - 1][1] @ f.target.diff(m) @ coker[m][2] for m in f.degrees[1:]}
+    return make_complex(f.source.ring, ranks, diffs)
 
 
 def pushout_product_check(f: ChainMap, j: int) -> bool:
@@ -460,15 +438,13 @@ def find_lift(i: ChainMap, p: ChainMap, top: ChainMap, bottom: ChainMap,
 
     B, X = i.target, p.source
     degrees = range(min(B.lo, X.lo), max(B.hi, X.hi) + 1)
-    # the splits from the Smith forms U i V and U p V the checks above cached
+    # the splits of i and p from the Smith forms the checks above cached
     h0, pi, sigma, kappa = {}, {}, {}, {}
     for m in degrees:
-        s_i, s_p = snf(i.comp(m)), snf(p.comp(m))
-        rest = range(s_i.rank, B.rank(m))
-        pi[m], sigma[m] = s_i.U.take_rows(rest), s_i.Uinv.take_columns(rest)
-        retraction = s_i.V @ s_i.U.take_rows(range(s_i.rank))
-        section = s_p.V.take_columns(range(s_p.rank)) @ s_p.U
-        h0[m] = (top.comp(m) @ retraction) + (section @ bottom.comp(m) @ sigma[m] @ pi[m])
+        s_i = snf(i.comp(m))
+        _, pi[m], sigma[m] = s_i.cokernel
+        h0[m] = (top.comp(m) @ s_i.inverse
+                 + snf(p.comp(m)).inverse @ bottom.comp(m) @ sigma[m] @ pi[m])
         kappa[m] = kernel_lattice(p.comp(m))
 
     def into_kernel(m, M):  # the coordinates in ker p_m of M's columns

@@ -112,6 +112,9 @@ class TestSnf:
         assert (s.U @ s.Uinv).entries == IntMatrix.identity(M.rows).entries
         assert (s.Vinv @ s.V).entries == IntMatrix.identity(M.cols).entries
         d = s.diag
+        # every pivot is normalized to a positive entry over Z, so the
+        # factors equal to 1 are those the `cokernel` block drops
+        assert all(x >= 0 for x in d)
         for a, b in zip(d, d[1:]):
             if a == 0:
                 assert b == 0
@@ -214,6 +217,13 @@ class TestSnf:
         assert not {"U", "Uinv", "V", "Vinv"} & set(vars(snf(A)))
         kernel_lattice(A)
         assert {"U", "Uinv", "V", "Vinv"} & set(vars(snf(A))) == {"V", "Vinv"}
+        # each block of the Smith form builds the two transforms it reads
+        for block, built in (("kernel", {"V", "Vinv"}), ("coimage", {"V", "Vinv"}),
+                             ("image", {"U", "Uinv"}), ("cokernel", {"U", "Uinv"}),
+                             ("inverse", {"U", "V"})):
+            snf.cache_clear()
+            getattr(snf(A), block)
+            assert {"U", "Uinv", "V", "Vinv"} & set(vars(snf(A))) == built, block
 
     def test_checks_hold_under_optimize(self):
         # python -O strips assert statements; shape and entry checks stay
@@ -313,6 +323,70 @@ class TestSmithDiagonal:
         # determinant -12 vanishes
         assert smith_diagonal(IntMatrix.from_rows([[2, 4], [4, 2]])) == (2, 6)
         assert smith_diagonal(IntMatrix.from_rows([[2, 4], [4, 2]], GF(3))) == (1, 0)
+
+
+def check_blocks(M: IntMatrix) -> None:
+    """The five blocks of snf(M) split M as `SnfResult` says: the kernel,
+    the coimage's complement and projection, the image, the cokernel's
+    projection and section, and the inverse."""
+    s = snf(M)
+    ring, r = M.ring, s.rank
+
+    def is_identity(A, k):
+        return A.entries == IntMatrix.identity(k, ring).entries
+
+    K = s.kernel
+    assert (M @ K.basis).is_zero
+    assert is_identity(K.C @ K.basis, M.cols - r)
+    basis, proj = s.coimage
+    assert is_identity(proj @ basis, r)
+    assert (proj @ K.basis).is_zero
+    assert s.image.coords(M) is not None
+    orders, proj, section = s.cokernel
+    assert is_identity(proj @ section, len(orders))
+    PM = proj @ M
+    for i, d in enumerate(orders):
+        assert not any(x % d for x in PM.row(i)) if d else not any(PM.row(i))
+    if all(d == 1 for d in s.invariant_factors):
+        assert (M @ s.inverse @ M).entries == M.entries
+
+
+class TestBlocks:
+    """The named blocks of `SnfResult` on the draws of `TestSmithDiagonal`."""
+
+    @given(st.integers(min_value=0, max_value=2 ** 30),
+           st.sampled_from([ZZ, GF(2), GF(3)]),
+           st.sampled_from(["sparse", "sparse with 2 and 3", "dense", "zero"]))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_split_the_matrix(self, seed, ring, kind):
+        rng = random.Random(seed)
+        if kind == "dense":
+            m, n = rng.randint(0, 8), rng.randint(0, 8)
+            values, density = range(-9, 10), 1
+        else:
+            m, n = rng.randint(0, 40), rng.randint(0, 40)
+            values = (1, -1) if kind == "sparse" else (1, -1, 2, 3)
+            density = rng.uniform(0, 0.1) if kind != "zero" else 0
+        check_blocks(IntMatrix(m, n, tuple(
+            ring.reduce(rng.choice(values)) if rng.random() < density else 0
+            for _ in range(m * n)), ring))
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)])
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 5), (5, 0), (3, 4)])
+    def test_zero_and_empty_shapes(self, ring, m, n):
+        check_blocks(IntMatrix.zeros(m, n, ring))
+
+    def test_torsion_and_split_maps(self):
+        # a cokernel Z/2 + Z/6 + Z, where `inverse` is no generalized
+        # inverse, and a split mono and a split epi, where it is a
+        # retraction and a section
+        M = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 6], [0, 0, 0]])
+        check_blocks(M)
+        assert snf(M).cokernel[0] == (2, 6, 0)
+        mono = IntMatrix.from_rows([[1, 2], [3, 7], [5, 1]])
+        assert (snf(mono).inverse @ mono).entries == IntMatrix.identity(2).entries
+        epi = mono.transpose()
+        assert (epi @ snf(epi).inverse).entries == IntMatrix.identity(2).entries
 
 
 # every frozen value class of the package, with each of its fields

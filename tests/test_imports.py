@@ -1,5 +1,6 @@
 """Source hygiene: every import in the package is read, no
-`assert` statement comes back into a module that is free of them, every
+`assert` statement comes back into a module that is free of them, no module
+but `exactalg.matrices` and the self-test reads a Smith transform, every
 cache is bounded and emptied by `prochain.cache_clear()`, and the names the
 benchmark (`bench/`) reads from the package still resolve.
 
@@ -112,6 +113,31 @@ def test_assert_free_list_is_complete():
     free = {str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")
             if not assert_lines(p.read_text())}
     assert free == set(ASSERT_FREE)
+
+
+# the modules that read the Smith transforms U, V, U^-1 and V^-1 themselves;
+# every other module reads the named blocks of `SnfResult`
+TRANSFORM_READERS = {
+    "exactalg/matrices.py": "the blocks are read off the transforms here",
+    "selftest.py": "it checks U M V = S, the contract of `snf` itself",
+}
+
+
+def transform_reads(source: str) -> list:
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in ("U", "V", "Uinv", "Vinv")]
+
+
+def test_checker_finds_a_transform_read():
+    source = "s = snf(M)\nk = s.V.take_columns(range(s.rank))\ns.kernel\n"
+    assert transform_reads(source) == [2]
+
+
+def test_no_transform_read_outside_matrices():
+    reads = {name: transform_reads(p.read_text()) for p in PACKAGE.rglob("*.py")
+             if (name := str(p.relative_to(PACKAGE))) not in TRANSFORM_READERS}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 def package_caches() -> dict:
